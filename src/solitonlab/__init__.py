@@ -10,7 +10,6 @@ from .jets import Jet, JetMismatchError, SingularJetError, jet_det, jet_exp, jet
 from .solitons import (
     CoefficientRule,
     ConfigError,
-    HirotaValue,
     RangeError,
     SolitonConfig,
     TauEval,
@@ -28,7 +27,6 @@ from .solitons import (
     random_config,
     rescale_rule,
     tau_det,
-    tau_hirota,
     tau_hirota_grid,
     tau_jet_sum,
     tau_logdet_grid,

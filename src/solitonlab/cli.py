@@ -70,14 +70,10 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def _write(out, text: str):
-    out.write(text)
-
-
 def _csv_rows(out, header, rows):
-    _write(out, ",".join(header) + "\n")
+    out.write(",".join(header) + "\n")
     for row in rows:
-        _write(out, ",".join(_fmt(v) for v in row) + "\n")
+        out.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _grid_from_args(args, cfg: SolitonConfig) -> np.ndarray:
@@ -100,7 +96,7 @@ def cmd_potential(args, out) -> int:
     xs = _grid_from_args(args, cfg)
     us = potential_fn(cfg)(xs)
     if args.format == "json":
-        _write(out, json.dumps({"x": xs.tolist(), "U": np.asarray(us).tolist()}) + "\n")
+        out.write(json.dumps({"x": xs.tolist(), "U": np.asarray(us).tolist()}) + "\n")
     else:
         _csv_rows(out, ("x", "U"), zip(xs, np.atleast_1d(us)))
     return EXIT_OK
@@ -114,7 +110,7 @@ def cmd_eigen(args, out) -> int:
         jet = eigenfunction(cfg, args.index, float(x), 1)
         rows.append((x, float(jet.coeffs[0]), float(jet.deriv(1))))
     if args.format == "json":
-        _write(out, json.dumps(
+        out.write(json.dumps(
             {"x": [r[0] for r in rows], "phi": [r[1] for r in rows], "dphi": [r[2] for r in rows]}
         ) + "\n")
     else:
@@ -132,15 +128,30 @@ def cmd_evolve(args, out) -> int:
         times[3] = times.get(3, 0.0) + t
         flowed = SolitonConfig(cfg.k, cfg.c, times)
         us = potential_fn(flowed)(xs)
-        _write(out, f"# t={_fmt(t)}\n")
+        out.write(f"# t={_fmt(t)}\n")
         _csv_rows(out, ("x", "U"), zip(xs, np.atleast_1d(us)))
     return EXIT_OK
 
 
+#: doublings of the default half-width tried before numerics refuses it
+_MAX_DOUBLINGS = 4
+
+
+def _default_halfwidth(cfg: SolitonConfig, ufn) -> float:
+    """12/k_1, doubled until |U(+-L)| is within numerics.DECAY_TOL, at
+    most _MAX_DOUBLINGS times; beyond that numerics raises DomainError."""
+    L = 12.0 / cfg.k[0] if cfg.n else 12.0
+    for _ in range(_MAX_DOUBLINGS):
+        if max(abs(float(ufn(-L))), abs(float(ufn(L)))) <= numerics.DECAY_TOL:
+            break
+        L *= 2.0
+    return L
+
+
 def cmd_scatter(args, out) -> int:
     cfg = _load(args)
-    L = 12.0 / cfg.k[0] if cfg.n else 12.0
-    res = numerics.scatter(potential_fn(cfg), args.k, L)
+    ufn = potential_fn(cfg)
+    res = numerics.scatter(ufn, args.k, _default_halfwidth(cfg, ufn))
     ref = numerics.transmission_product(cfg, args.k)
     report = {
         "k": args.k,
@@ -155,7 +166,7 @@ def cmd_scatter(args, out) -> int:
             - math.atan2(ref.imag, ref.real), 2.0 * math.pi)),
     }
     if args.format == "json":
-        _write(out, json.dumps(report) + "\n")
+        out.write(json.dumps(report) + "\n")
     else:
         _csv_rows(out, tuple(report), [tuple(report.values())])
     return EXIT_OK
@@ -163,10 +174,11 @@ def cmd_scatter(args, out) -> int:
 
 def cmd_spectrum(args, out) -> int:
     cfg = _load(args)
-    L = args.halfwidth if args.halfwidth is not None else (12.0 / cfg.k[0] if cfg.n else 12.0)
-    res = numerics.bound_spectrum(potential_fn(cfg), L, args.step)
+    ufn = potential_fn(cfg)
+    L = args.halfwidth if args.halfwidth is not None else _default_halfwidth(cfg, ufn)
+    res = numerics.bound_spectrum(ufn, L, args.step)
     if args.format == "json":
-        _write(out, json.dumps({
+        out.write(json.dumps({
             "energies": list(res.energies),
             "expected": [-kj * kj for kj in cfg.k],
             "grid_step": res.grid_step,
@@ -191,9 +203,9 @@ def cmd_transform(args, out) -> int:
     else:
         raise ConfigError(f"unknown scheme {scheme!r}")
     if res.is_regular:
-        _write(out, config_to_json(res.after) + "\n")
+        out.write(config_to_json(res.after) + "\n")
     else:
-        _write(out, json.dumps({"k": list(res.after_k), "c": list(res.after_c), "singular": True}) + "\n")
+        out.write(json.dumps({"k": list(res.after_k), "c": list(res.after_c), "singular": True}) + "\n")
     return EXIT_OK
 
 
@@ -239,13 +251,13 @@ def _config_reports(cfg: SolitonConfig, tol_c: float, tol_p: float):
 def cmd_verify(args, out) -> int:
     cfg = _load(args)
     if cfg.n == 0:
-        _write(out, json.dumps({"reports": [], "pass": True}) + "\n")
+        out.write(json.dumps({"reports": [], "pass": True}) + "\n")
         return EXIT_OK
     tol_c = args.tol if args.tol is not None else identities.CONSTANCY_TOL
     tol_p = args.tol if args.tol is not None else identities.POINTWISE_TOL
     reports = _config_reports(cfg, tol_c, tol_p)
     ok = all(r.passed for r in reports)
-    _write(out, json.dumps({"reports": [r.to_dict() for r in reports], "pass": ok}, indent=2) + "\n")
+    out.write(json.dumps({"reports": [r.to_dict() for r in reports], "pass": ok}, indent=2) + "\n")
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
@@ -258,7 +270,7 @@ def cmd_hirota_check(args, out) -> int:
     signs_ok = bool(np.all(sd == sh))
     tol = args.tol if args.tol is not None else 1e-11
     ok = signs_ok and dev <= tol
-    _write(out, json.dumps({
+    out.write(json.dumps({
         "max_log_deviation": dev, "signs_match": signs_ok, "tolerance": tol, "pass": ok
     }) + "\n")
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
@@ -268,7 +280,7 @@ def cmd_phase_shift(args, out) -> int:
     cfg = _load(args)
     dev = numerics.phase_shift_check(cfg, (-args.T, args.T))
     tol = args.tol if args.tol is not None else 1e-3
-    _write(out, json.dumps({"max_deviation": dev, "tolerance": tol, "pass": dev <= tol}) + "\n")
+    out.write(json.dumps({"max_deviation": dev, "tolerance": tol, "pass": dev <= tol}) + "\n")
     return EXIT_OK if dev <= tol else EXIT_VERIFY_FAIL
 
 
@@ -322,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run the identity checks on a config")
     common(sp, grid=False)
-    sp.add_argument("--all", action="store_true", help="run every identity (default)")
     sp.add_argument("--tol", type=float, default=None)
     sp.set_defaults(func=cmd_verify)
 

@@ -8,6 +8,16 @@ equalities are measured as a grid-normalized residual. Points where either
 side has underflowed below 1e-280 are excluded and counted — a ratio of
 underflowed quantities is noise, not evidence.
 
+The tail-integral (overlap) matrices int_x^inf phi_j phi_l behind the
+Abraham-Moses deletion and addition determinants are built in one place,
+tail_matrix. Every entry is a pair-rewritten tau over the config's own tau,
+so the caller evaluates that denominator once per point and hands it to
+both the matrix and the tau-ratio side of the identity; each unordered
+pair is evaluated once. At a point with m deleted indices the deletion and
+addition checks therefore cost m(m+1)/2 + 2 exponential-sum taus.
+inner_tail_gauged is the 1x1 case, and transforms.generic_am consumes the
+same builder.
+
 Random-configuration fuzzing (run_identity_suite) is part of the module
 itself: sweeping these identities over random spectral data is the
 product, not merely its QA.
@@ -16,24 +26,24 @@ product, not merely its QA.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet, jet_exp, jet_log_d2
+from .jets import jet_exp
 from .solitons import (
     ConfigError,
     SolitonConfig,
+    TauEval,
     drop_rule,
     eigenfunction,
     pair_rule,
     deletion_rule,
-    potential,
     random_config,
     rescale_rule,
     tau_jet_sum,
 )
-from .transforms import eigenfunction_seeds, free_seed, wronskian
+from .transforms import eigenfunction_seeds, wronskian
 
 #: magnitudes below this are excluded from ratio statistics
 UNDERFLOW_FLOOR = 1e-280
@@ -90,18 +100,59 @@ def _ratio_report(name, tag, grid, log_lhs, sign_lhs, log_rhs, sign_rhs, tol):
 # Closed-form tail integrals
 
 
-def inner_tail_gauged(cfg: SolitonConfig, j: int, l: int, x: float, order: int):
-    """Gauged jet of the tail integral int_x^inf phi_j phi_l dy, whose
-    closed form is (pair-rewritten tau / tau) e^{-(k_j+k_l)x}/(k_j+k_l).
-    Returns (jet, log_gauge, sign); true value = sign*e^gauge*jet."""
+def tail_matrix(cfg: SolitonConfig, rows, cols, den: TauEval) -> list:
+    """Gauged jets of the tail integrals T_ab = int_x^inf phi_a phi_b dy
+    for a in rows, b in cols, with closed form
+    (pair-rewritten tau / tau) e^{-(k_a+k_b)x}/(k_a+k_b).
+
+    den is the config's own tau, tau_jet_sum(cfg, None, x, order); x and
+    the jet order are taken from it, so one evaluation serves every entry
+    and the caller's other uses of tau at x. pair_rule is symmetric, so
+    each unordered pair is evaluated once and T_ab is T_ba bitwise.
+    Returns a nested list of (jet, log_gauge, sign); true value =
+    sign*e^gauge*jet."""
     cfg = cfg.flowed()
-    kj = cfg.k[j - 1]
-    kl = cfg.k[l - 1]
-    num = tau_jet_sum(cfg, pair_rule(cfg, j, l), x, order)
-    den = tau_jet_sum(cfg, None, x, order)
-    jet = (num.jet / den.jet) * jet_exp(-(kj + kl), x, order, unit=True) * (1.0 / (kj + kl))
-    gauge = num.gauge_exponent - den.gauge_exponent - (kj + kl) * x
-    return jet, gauge, num.sign * den.sign
+    x = den.x
+    order = den.jet.order
+    entries = {}
+
+    def entry(j, l):
+        j, l = min(j, l), max(j, l)
+        if (j, l) not in entries:
+            ksum = cfg.k[j - 1] + cfg.k[l - 1]
+            num = tau_jet_sum(cfg, pair_rule(cfg, j, l), x, order)
+            jet = (num.jet / den.jet) * jet_exp(-ksum, x, order, unit=True) * (1.0 / ksum)
+            gauge = num.gauge_exponent - den.gauge_exponent - ksum * x
+            entries[j, l] = (jet, gauge, num.sign * den.sign)
+        return entries[j, l]
+
+    return [[entry(a, b) for b in cols] for a in rows]
+
+
+def row_gauged(tails) -> tuple:
+    """Square tail matrix as jet rows with each row's largest gauge
+    factored out: returns (rows, log_gauge), where det of the true matrix
+    is e^log_gauge * det(rows)."""
+    log_gauge = 0.0
+    rows = []
+    for row in tails:
+        g = max(t[1] for t in row)
+        log_gauge += g
+        rows.append([jet * (sign * math.exp(gauge - g)) for jet, gauge, sign in row])
+    return rows, log_gauge
+
+
+def tail_values(tails) -> np.ndarray:
+    """True values sign*e^gauge*jet(x) of tail_matrix entries."""
+    return np.array([[sign * math.exp(gauge) * jet.coeffs[0] for jet, gauge, sign in row] for row in tails])
+
+
+def inner_tail_gauged(cfg: SolitonConfig, j: int, l: int, x: float, order: int):
+    """Gauged jet of the tail integral int_x^inf phi_j phi_l dy: the 1x1
+    tail_matrix. Returns (jet, log_gauge, sign); true value =
+    sign*e^gauge*jet."""
+    cfg = cfg.flowed()
+    return tail_matrix(cfg, [j], [l], tau_jet_sum(cfg, None, x, order))[0][0]
 
 
 def inner_tail(cfg: SolitonConfig, j: int, l: int, x: float) -> float:
@@ -114,6 +165,13 @@ def inner_tail(cfg: SolitonConfig, j: int, l: int, x: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Identity checks
+
+
+def _log_tau_ratio(cfg: SolitonConfig, rule, den: TauEval, rate: float) -> tuple:
+    """(log|.|, sign) of (rewritten tau / tau) e^{rate x}, with tau the
+    already evaluated den at x = den.x."""
+    num = tau_jet_sum(cfg, rule, den.x, 0)
+    return num.log_abs - den.log_abs + rate * den.x, num.sign * den.sign
 
 
 def verify_wronskian_identity(cfg: SolitonConfig, deleted, grid, tol: float = CONSTANCY_TOL) -> VerificationReport:
@@ -130,10 +188,9 @@ def verify_wronskian_identity(cfg: SolitonConfig, deleted, grid, tol: float = CO
         v = float(w.coeffs[0])
         log_l.append(math.log(abs(v)) if v != 0 else -math.inf)
         sgn_l.append(math.copysign(1.0, v) if v != 0 else 0.0)
-        num = tau_jet_sum(cfg, rule, float(x), 0)
-        den = tau_jet_sum(cfg, None, float(x), 0)
-        log_r.append(num.log_abs - den.log_abs - ksum * x)
-        sgn_r.append(num.sign * den.sign)
+        lr, sr = _log_tau_ratio(cfg, rule, tau_jet_sum(cfg, None, float(x), 0), -ksum)
+        log_r.append(lr)
+        sgn_r.append(sr)
     return _ratio_report(
         f"wronskian_identity D={dset}", "wronskian_ratio", grid, log_l, sgn_l, log_r, sgn_r, tol
     )
@@ -160,22 +217,6 @@ def verify_bilinear_derivative(cfg: SolitonConfig, j: int, l: int, grid, tol: fl
     )
 
 
-def _tail_matrix_logdet(cfg: SolitonConfig, dset, x: float):
-    """(log|det|, sign) of the matrix of tail integrals over the deleted
-    set, with per-row gauges factored outside the jet determinant."""
-    m = len(dset)
-    tails = [[inner_tail_gauged(cfg, a, b, x, 0) for b in dset] for a in dset]
-    log_gauge = 0.0
-    rows = []
-    for a in range(m):
-        g = max(t[1] for t in tails[a])
-        log_gauge += g
-        rows.append([Jet(float(x), t[0].coeffs * (t[2] * math.exp(t[1] - g))) for t in tails[a]])
-    vals = np.array([[r.coeffs[0] for r in row] for row in rows])
-    sign, logabs = np.linalg.slogdet(vals)
-    return log_gauge + float(logabs), float(sign)
-
-
 def verify_deletion_determinant(cfg: SolitonConfig, deleted, grid, tol: float = CONSTANCY_TOL) -> VerificationReport:
     """det of the tail-integral matrix over the deleted set is a constant
     multiple of (squared-rewrite tau / tau) e^{-2 sum k_d x}."""
@@ -185,13 +226,14 @@ def verify_deletion_determinant(cfg: SolitonConfig, deleted, grid, tol: float = 
     rule = deletion_rule(cfg, dset, 2)
     log_l, sgn_l, log_r, sgn_r = [], [], [], []
     for x in grid:
-        la, sa = _tail_matrix_logdet(cfg, dset, float(x))
-        log_l.append(la)
-        sgn_l.append(sa)
-        num = tau_jet_sum(cfg, rule, float(x), 0)
         den = tau_jet_sum(cfg, None, float(x), 0)
-        log_r.append(num.log_abs - den.log_abs - 2.0 * ksum * x)
-        sgn_r.append(num.sign * den.sign)
+        rows, log_gauge = row_gauged(tail_matrix(cfg, dset, dset, den))
+        sign, logabs = np.linalg.slogdet(np.array([[r.coeffs[0] for r in row] for row in rows]))
+        log_l.append(log_gauge + float(logabs))
+        sgn_l.append(float(sign))
+        lr, sr = _log_tau_ratio(cfg, rule, den, -2.0 * ksum)
+        log_r.append(lr)
+        sgn_r.append(sr)
     return _ratio_report(
         f"deletion_determinant D={dset}", "deletion_determinant", grid, log_l, sgn_l, log_r, sgn_r, tol
     )
@@ -210,24 +252,17 @@ def verify_addition_determinant(cfg: SolitonConfig, deleted, e, grid, tol: float
     for d, ed in zip(dset, e):
         r = rescale_rule(cfg.n, d, ed / (ed + 1.0))
         rule = r if rule is None else rule.compose(r)
-    sqc = {d: math.sqrt(cfg.c[d - 1]) for d in dset}
+    sqc = np.sqrt([cfg.c[d - 1] for d in dset])
     log_l, sgn_l, log_r, sgn_r = [], [], [], []
     for x in grid:
-        m = len(dset)
-        fm = np.empty((m, m))
-        for a, da in enumerate(dset):
-            for b, db in enumerate(dset):
-                jet, g, s = inner_tail_gauged(cfg, da, db, float(x), 0)
-                tail = s * math.exp(g) * float(jet.coeffs[0])
-                full = 1.0 if da == db else 0.0
-                fm[a, b] = (e[a] if a == b else 0.0) + full - sqc[da] * sqc[db] * tail
+        den = tau_jet_sum(cfg, None, float(x), 0)
+        fm = np.diag(np.add(e, 1.0)) - np.outer(sqc, sqc) * tail_values(tail_matrix(cfg, dset, dset, den))
         sign, logabs = np.linalg.slogdet(fm)
         log_l.append(float(logabs))
         sgn_l.append(float(sign))
-        num = tau_jet_sum(cfg, rule, float(x), 0)
-        den = tau_jet_sum(cfg, None, float(x), 0)
-        log_r.append(num.log_abs - den.log_abs)
-        sgn_r.append(num.sign * den.sign)
+        lr, sr = _log_tau_ratio(cfg, rule, den, 0.0)
+        log_r.append(lr)
+        sgn_r.append(sr)
     return _ratio_report(
         f"addition_determinant D={dset}", "addition_determinant", grid, log_l, sgn_l, log_r, sgn_r, tol
     )

@@ -29,6 +29,10 @@ from .solitons import (
 )
 
 
+#: largest |U| accepted at the ends of a truncated domain
+DECAY_TOL = 1e-8
+
+
 class DomainError(ValueError):
     """Potential has not decayed at the requested boundary."""
 
@@ -59,7 +63,7 @@ def bound_spectrum(
     potential: Callable,
     domain_halfwidth: float,
     grid_step: float = 1e-3,
-    decay_tol: float = 1e-8,
+    decay_tol: float = DECAY_TOL,
 ) -> SpectrumResult:
     """Negative eigenvalues of -d^2/dx^2 + U on [-L, L] with clamped ends,
     from the symmetric three-point finite-difference Hamiltonian."""
@@ -83,7 +87,7 @@ def scatter(
     k: float,
     domain_halfwidth: float,
     rtol: float = 1e-10,
-    decay_tol: float = 1e-8,
+    decay_tol: float = DECAY_TOL,
 ) -> ScatteringResult:
     """Reflection/transmission amplitudes at wavenumber k > 0.
 
@@ -170,7 +174,6 @@ def kdv_residual(cfg: SolitonConfig, x: float, t: float | None = None) -> float:
         times = dict(cfg.times or {})
         times[3] = times.get(3, 0.0) + float(t)
         cfg = SolitonConfig(cfg.k, cfg.c, times)
-    cfg = apply_time_flows(cfg) if cfg.times else cfg
     if cfg.n == 0:
         return 0.0
     uj = potential_jet(cfg, float(x), 3)

@@ -184,16 +184,6 @@ class TauEval:
         return self.sign * math.exp(self.gauge_exponent) * self.jet.coeffs[0]
 
 
-@dataclass(frozen=True)
-class HirotaValue:
-    log_abs: float
-    sign: float
-
-    @property
-    def value(self) -> float:
-        return self.sign * math.exp(self.log_abs)
-
-
 def _effective(cfg: SolitonConfig, rule: CoefficientRule | None):
     if rule is None:
         rule = CoefficientRule.identity(cfg.n)
@@ -321,28 +311,9 @@ def _hirota_chunks(k: np.ndarray, ce: np.ndarray, chunk: int = _HIROTA_CHUNK):
         yield const, rate, sign
 
 
-def tau_hirota(cfg: SolitonConfig, rule: CoefficientRule | None, x: float) -> HirotaValue:
-    """Tau at x by signed log-sum-exp over the 2^N expansion terms."""
-    cfg = cfg.flowed()
-    k, ce = _effective(cfg, rule)
-    if len(k) > HIROTA_MAX_N:
-        raise ConfigError(f"2^N enumeration budget exceeded: N={len(k)} > {HIROTA_MAX_N}")
-    running_max = -math.inf
-    acc = 0.0
-    for const, rate, sign in _hirota_chunks(k, ce):
-        logs = const + rate * x
-        m = float(np.max(logs))
-        if m > running_max:
-            acc *= math.exp(running_max - m) if math.isfinite(running_max) else 0.0
-            running_max = m
-        acc += float(np.sum(sign * np.exp(logs - running_max)))
-    if acc == 0.0:
-        return HirotaValue(-math.inf, 0.0)
-    return HirotaValue(running_max + math.log(abs(acc)), math.copysign(1.0, acc))
-
-
 def tau_hirota_grid(cfg: SolitonConfig, rule: CoefficientRule | None, xs) -> tuple:
-    """Vectorized tau_hirota: returns (log_abs, sign) arrays over xs."""
+    """Tau over xs by signed log-sum-exp over the 2^N expansion terms:
+    returns (log_abs, sign) arrays; N = 0 gives (0, 1)."""
     cfg = cfg.flowed()
     k, ce = _effective(cfg, rule)
     if len(k) > HIROTA_MAX_N:

@@ -30,6 +30,7 @@ from .solitons import (
     deletion_rule,
     eigenfunction,
     rescale_rule,
+    tau_jet_sum,
 )
 
 
@@ -88,20 +89,9 @@ def darboux_ground(cfg: SolitonConfig) -> TransformResult:
     return _delete(cfg, {cfg.n}, 1, "darboux_ground")
 
 
-def krein_adler_check(n: int, deleted) -> bool:
-    """Admissibility of deleting the index set: prod_j (d_j - m) >= 0 for
-    every m in 1..n, which is what keeps the surviving c non-negative."""
-    dset = sorted(set(int(d) for d in deleted))
-    for m in range(1, n + 1):
-        prod = 1
-        for d in dset:
-            prod *= d - m
-        if prod < 0:
-            return False
-    return True
-
-
 def _krein_adler_violation(n: int, deleted) -> int | None:
+    """First m in 1..n with prod_j (d_j - m) < 0, or None when the
+    deletion set is admissible."""
     dset = sorted(set(int(d) for d in deleted))
     for m in range(1, n + 1):
         prod = 1
@@ -110,6 +100,12 @@ def _krein_adler_violation(n: int, deleted) -> int | None:
         if prod < 0:
             return m
     return None
+
+
+def krein_adler_check(n: int, deleted) -> bool:
+    """Admissibility of deleting the index set: prod_j (d_j - m) >= 0 for
+    every m in 1..n, which is what keeps the surviving c non-negative."""
+    return _krein_adler_violation(n, deleted) is None
 
 
 def krein_adler_delete(cfg: SolitonConfig, deleted, unsafe: bool = False) -> TransformResult:
@@ -318,7 +314,7 @@ def generic_am(
     the tail integral of phi_j phi_l from x to +infinity (closed form,
     no quadrature). The new potential is U - 2 (log det F)''.
     """
-    from .identities import inner_tail_gauged  # late import: identities uses wronskian
+    from .identities import row_gauged, tail_matrix, tail_values  # late import: identities uses wronskian
 
     if mode not in ("add", "delete"):
         raise ConfigError(f"unknown mode {mode!r}; use 'add' or 'delete'")
@@ -337,70 +333,42 @@ def generic_am(
             raise ConfigError("addition parameters must be positive")
 
     x = float(x)
-    order = 2
-    sqc = [math.sqrt(cfg.c[j - 1]) for j in idx]
-    tails = [[inner_tail_gauged(cfg, idx[a], idx[b], x, order) for b in range(m)] for a in range(m)]
+    sqc = np.sqrt([cfg.c[j - 1] for j in idx])
+    sqcc = np.outer(sqc, sqc)
+    den = tau_jet_sum(cfg.flowed(), None, x, 2)
+    tails = tail_matrix(cfg, idx, idx, den)
 
     if mode == "delete":
-        # F = D T D with D = diag(sqrt c); per-row gauges factor out of log det
-        rows = []
-        for a in range(m):
-            g = max(t[1] for t in tails[a])
-            row = []
-            for b in range(m):
-                jet, gb, sb = tails[a][b]
-                row.append(jet * (sb * math.exp(gb - g)))
-            rows.append(row)
-        det = jet_det(rows)
-        d0 = det.coeffs[0]
-        if d0 <= 0:
+        # F = D T D with D = diag(sqrt c); D and the row gauges factor out of log det
+        det = jet_det(row_gauged(tails)[0])
+        if det.coeffs[0] <= 0:
             raise RegularityError(f"overlap determinant not positive at x={x}")
-        dlog = jet_log_d2(det)
     else:
-        rows = []
+        rows = [[jet * (-(sqcc[a, b] * s * math.exp(g))) for b, (jet, g, s) in enumerate(row)]
+                for a, row in enumerate(tails)]
         for a in range(m):
-            row = []
-            for b in range(m):
-                jet, gb, sb = tails[a][b]
-                scale = sqc[a] * sqc[b] * sb * math.exp(gb)
-                entry = jet * (-scale)
-                if a == b:
-                    entry = entry + (e[a] + 1.0)
-                row.append(entry)
-            rows.append(row)
+            rows[a][a] = rows[a][a] + (e[a] + 1.0)
         det = jet_det(rows)
         if det.coeffs[0] <= 0:
             raise RegularityError(f"overlap matrix not positive definite at x={x}")
-        dlog = jet_log_d2(det)
 
     from .solitons import potential as _potential
 
-    u_new = _potential(cfg, x) - 2.0 * dlog
+    u_new = _potential(cfg, x) - 2.0 * jet_log_d2(det)
 
     tval = None
     if target is not None:
         if target.config is not cfg or target.index is None:
             raise ConfigError("target must be a bound state of the same config")
         # value-level map: psi -/+ sum_jl s_j (F^-1)_jl <s_l, psi>
-        fvals = np.empty((m, m))
-        bvec = np.empty(m)
-        svals = np.empty(m)
         jt = target.index
-        for a in range(m):
-            phij = eigenfunction(cfg, idx[a], x, 0).coeffs[0]
-            svals[a] = sqc[a] * phij
-            # <s_a, phi_target>(x) = sqrt(c_a) (delta/c_a - tail)
-            jet, g, s = inner_tail_gauged(cfg, idx[a], jt, x, 0)
-            tail = s * math.exp(g) * jet.coeffs[0]
-            full = (1.0 / cfg.c[idx[a] - 1]) if idx[a] == jt else 0.0
-            bvec[a] = sqc[a] * (full - tail)
-            for b in range(m):
-                jetb, gb, sb = tails[a][b]
-                tab = sb * math.exp(gb) * jetb.coeffs[0]
-                if mode == "delete":
-                    fvals[a, b] = sqc[a] * sqc[b] * tab
-                else:
-                    fvals[a, b] = (e[a] + 1.0 if a == b else 0.0) - sqc[a] * sqc[b] * tab
+        fvals = sqcc * tail_values(tails)
+        if mode == "add":
+            fvals = np.diag(np.add(e, 1.0)) - fvals
+        svals = np.array([sqc[a] * eigenfunction(cfg, idx[a], x, 0).coeffs[0] for a in range(m)])
+        # <s_a, phi_target>(x) = sqrt(c_a) (delta/c_a - tail)
+        full = np.array([1.0 / cfg.c[j - 1] if j == jt else 0.0 for j in idx])
+        bvec = sqc * (full - tail_values(tail_matrix(cfg, idx, [jt], den))[:, 0])
         psi = eigenfunction(cfg, jt, x, 0).coeffs[0]
         corr = svals @ np.linalg.solve(fvals, bvec)
         tval = float(psi + corr) if mode == "delete" else float(psi - corr)

@@ -162,6 +162,18 @@ class TestScatterAndSpectrum:
         code, _ = run(capsys, "spectrum", path, "--halfwidth", "2.0")
         assert code == 3
 
+    def test_default_domain_widens_until_decayed(self, cfg_file, capsys):
+        # |U(+-12/k_1)| = 1.8e-7 for this config, above the 1e-8 decay check
+        k1 = 3.3554874394253624
+        path = cfg_file([k1], [0.12711115168446616])
+        code, out = run(capsys, "spectrum", path, "--format", "json")
+        assert code == 0
+        (energy,) = json.loads(out)["energies"]
+        assert energy == pytest.approx(-k1 * k1, abs=1e-4)
+        code, out = run(capsys, "scatter", path, "--k", "1.0", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["abs_r"] < 1e-6
+
 
 class TestTransform:
     def test_darboux_ground_composes(self, cfg_file, tmp_path, capsys):
@@ -211,7 +223,7 @@ class TestTransform:
 class TestVerify:
     def test_verify_passes(self, cfg_file, capsys):
         path = cfg_file([0.6, 1.4, 2.3], [1.0, 4.0, 0.7])
-        code, out = run(capsys, "verify", path, "--all")
+        code, out = run(capsys, "verify", path)
         assert code == 0
         rep = json.loads(out)
         assert rep["pass"] is True

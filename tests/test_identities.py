@@ -52,6 +52,19 @@ class TestInnerTail:
             q = numerics.quadrature(f, x, hi, 1e-11)
             assert abs(q - I.inner_tail(cfg4, j, l, x)) < 1e-8
 
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_tail_matrix_symmetric_and_equal_to_single_entries(self, cfg4, order):
+        idx = [1, 2, 3, 4]
+        x = 0.37
+        tails = I.tail_matrix(cfg4, idx, idx, S.tau_jet_sum(cfg4, None, x, order))
+        for a in idx:
+            for b in idx:
+                jet, gauge, sign = tails[a - 1][b - 1]
+                assert jet.order == order
+                for other in (tails[b - 1][a - 1], I.inner_tail_gauged(cfg4, a, b, x, order)):
+                    assert np.array_equal(jet.coeffs, other[0].coeffs)
+                    assert (gauge, sign) == other[1:]
+
 
 class TestIndividualIdentities:
     def test_wronskian_m1_is_definitional(self, cfg4):
@@ -128,6 +141,19 @@ class TestIndividualIdentities:
 
         with pytest.raises(ConfigError):
             I.verify_seed_wronskian([1.0, 2.0], [1.0, 1.0], np.linspace(-1, 1, 5))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_determinant_checks_evaluate_each_tau_once(self, cfg4, monkeypatch, m):
+        # m(m+1)/2 pair taus, one shared denominator, one rewritten numerator
+        calls = []
+        real = I.tau_jet_sum
+        monkeypatch.setattr(I, "tau_jet_sum", lambda *args: calls.append(args) or real(*args))
+        dset = list(range(1, m + 1))
+        I.verify_deletion_determinant(cfg4, dset, [0.3])
+        assert len(calls) == m * (m + 1) // 2 + 2
+        calls.clear()
+        I.verify_addition_determinant(cfg4, dset, [2.0] * m, [0.3])
+        assert len(calls) == m * (m + 1) // 2 + 2
 
 
 class TestReports:
