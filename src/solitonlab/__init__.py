@@ -13,12 +13,14 @@ from .solitons import (
     RangeError,
     SolitonConfig,
     TauEval,
+    TauGrid,
     apply_time_flows,
     default_grid,
     deletion_rule,
     drop_rule,
     dt_potential,
     eigenfunction,
+    eigenfunction_grid,
     eigenfunction_rule,
     pair_rule,
     potential,
@@ -27,8 +29,10 @@ from .solitons import (
     random_config,
     rescale_rule,
     tau_det,
+    tau_grid,
     tau_hirota_grid,
     tau_jet_sum,
+    tau_jet_sum_grid,
     tau_logdet_grid,
 )
 from .transforms import (

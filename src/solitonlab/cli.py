@@ -25,9 +25,10 @@ from .solitons import (
     RangeError,
     SolitonConfig,
     default_grid,
-    eigenfunction,
+    eigenfunction_grid,
     potential,
     potential_fn,
+    tau_grid,
     tau_hirota_grid,
     tau_logdet_grid,
 )
@@ -105,10 +106,8 @@ def cmd_potential(args, out) -> int:
 def cmd_eigen(args, out) -> int:
     cfg = _load(args)
     xs = _grid_from_args(args, cfg)
-    rows = []
-    for x in xs:
-        jet = eigenfunction(cfg, args.index, float(x), 1)
-        rows.append((x, float(jet.coeffs[0]), float(jet.deriv(1))))
+    jets = eigenfunction_grid(cfg, args.index, tau_grid(cfg, None, xs, 1))
+    rows = [(x, float(jet.coeffs[0]), float(jet.deriv(1))) for x, jet in zip(xs, jets)]
     if args.format == "json":
         out.write(json.dumps(
             {"x": [r[0] for r in rows], "phi": [r[1] for r in rows], "dphi": [r[2] for r in rows]}

@@ -8,14 +8,22 @@ equalities are measured as a grid-normalized residual. Points where either
 side has underflowed below 1e-280 are excluded and counted — a ratio of
 underflowed quantities is noise, not evidence.
 
+Every tau an identity needs is evaluated once per grid, not once per
+point: one tau_jet_sum_grid call returns the double-double exponential
+sum at all grid points, so a check's tau cost does not grow with the grid
+length. Only the generic Wronskian engine on the left of the Wronskian
+and seed-Wronskian identities, which is itself under test, still runs
+point by point.
+
 The tail-integral (overlap) matrices int_x^inf phi_j phi_l behind the
 Abraham-Moses deletion and addition determinants are built in one place,
-tail_matrix. Every entry is a pair-rewritten tau over the config's own tau,
-so the caller evaluates that denominator once per point and hands it to
-both the matrix and the tau-ratio side of the identity; each unordered
-pair is evaluated once. At a point with m deleted indices the deletion and
-addition checks therefore cost m(m+1)/2 + 2 exponential-sum taus.
-inner_tail_gauged is the 1x1 case, and transforms.generic_am consumes the
+tail_matrix_grid. Every entry is a pair-rewritten tau over the config's
+own tau, so the caller evaluates that denominator once per grid and hands
+it to both the matrices and the tau-ratio side of the identity; each
+unordered pair is one grid tau. The deletion and addition checks over m
+indices therefore cost m(m+1)/2 + 2 grid taus, and the bilinear check
+four (three when j = l). tail_matrix is the one-point case,
+inner_tail_gauged its 1x1 case, and transforms.generic_am consumes the
 same builder.
 
 Random-configuration fuzzing (run_identity_suite) is part of the module
@@ -35,13 +43,15 @@ from .solitons import (
     ConfigError,
     SolitonConfig,
     TauEval,
+    TauGrid,
     drop_rule,
-    eigenfunction,
+    eigenfunction_grid,
     pair_rule,
     deletion_rule,
     random_config,
     rescale_rule,
     tau_jet_sum,
+    tau_jet_sum_grid,
 )
 from .transforms import eigenfunction_seeds, wronskian
 
@@ -100,33 +110,47 @@ def _ratio_report(name, tag, grid, log_lhs, sign_lhs, log_rhs, sign_rhs, tol):
 # Closed-form tail integrals
 
 
-def tail_matrix(cfg: SolitonConfig, rows, cols, den: TauEval) -> list:
-    """Gauged jets of the tail integrals T_ab = int_x^inf phi_a phi_b dy
-    for a in rows, b in cols, with closed form
-    (pair-rewritten tau / tau) e^{-(k_a+k_b)x}/(k_a+k_b).
-
-    den is the config's own tau, tau_jet_sum(cfg, None, x, order); x and
-    the jet order are taken from it, so one evaluation serves every entry
-    and the caller's other uses of tau at x. pair_rule is symmetric, so
-    each unordered pair is evaluated once and T_ab is T_ba bitwise.
-    Returns a nested list of (jet, log_gauge, sign); true value =
-    sign*e^gauge*jet."""
-    cfg = cfg.flowed()
+def _tail_entry(num: TauEval, den: TauEval, ksum: float) -> tuple:
+    """One tail_matrix entry (jet, log_gauge, sign) from its pair tau num
+    and the config's own tau den at the same point."""
     x = den.x
     order = den.jet.order
+    jet = (num.jet / den.jet) * jet_exp(-ksum, x, order, unit=True) * (1.0 / ksum)
+    return jet, num.gauge_exponent - den.gauge_exponent - ksum * x, num.sign * den.sign
+
+
+def tail_matrix_grid(cfg: SolitonConfig, rows, cols, den: TauGrid) -> list:
+    """Gauged jets of the tail integrals T_ab = int_x^inf phi_a phi_b dy
+    for a in rows, b in cols at every point x of a grid, with closed form
+    (pair-rewritten tau / tau) e^{-(k_a+k_b)x}/(k_a+k_b).
+
+    den is the config's own tau over the grid, tau_jet_sum_grid(cfg, None,
+    xs, order); the grid and the jet order are taken from it, so one
+    evaluation serves every entry and the caller's other uses of tau.
+    pair_rule is symmetric, so each unordered pair is evaluated once, as
+    one grid, and T_ab is T_ba bitwise. Returns, per grid point, a nested
+    list of (jet, log_gauge, sign); true value = sign*e^gauge*jet."""
+    cfg = cfg.flowed()
+    dens = den.evals()
     entries = {}
 
     def entry(j, l):
         j, l = min(j, l), max(j, l)
         if (j, l) not in entries:
             ksum = cfg.k[j - 1] + cfg.k[l - 1]
-            num = tau_jet_sum(cfg, pair_rule(cfg, j, l), x, order)
-            jet = (num.jet / den.jet) * jet_exp(-ksum, x, order, unit=True) * (1.0 / ksum)
-            gauge = num.gauge_exponent - den.gauge_exponent - ksum * x
-            entries[j, l] = (jet, gauge, num.sign * den.sign)
+            nums = tau_jet_sum_grid(cfg, pair_rule(cfg, j, l), den.xs, den.order).evals()
+            entries[j, l] = [_tail_entry(num, d, ksum) for num, d in zip(nums, dens)]
         return entries[j, l]
 
-    return [[entry(a, b) for b in cols] for a in rows]
+    table = [[entry(a, b) for b in cols] for a in rows]
+    return [[[e[p] for e in row] for row in table] for p in range(len(dens))]
+
+
+def tail_matrix(cfg: SolitonConfig, rows, cols, den: TauEval) -> list:
+    """tail_matrix_grid at the single point of den, the config's own tau
+    tau_jet_sum(cfg, None, x, order): a nested list of (jet, log_gauge,
+    sign)."""
+    return tail_matrix_grid(cfg, rows, cols, TauGrid.stack([den]))[0]
 
 
 def row_gauged(tails) -> tuple:
@@ -167,30 +191,30 @@ def inner_tail(cfg: SolitonConfig, j: int, l: int, x: float) -> float:
 # Identity checks
 
 
-def _log_tau_ratio(cfg: SolitonConfig, rule, den: TauEval, rate: float) -> tuple:
-    """(log|.|, sign) of (rewritten tau / tau) e^{rate x}, with tau the
-    already evaluated den at x = den.x."""
-    num = tau_jet_sum(cfg, rule, den.x, 0)
-    return num.log_abs - den.log_abs + rate * den.x, num.sign * den.sign
+def _log_tau_ratio(cfg: SolitonConfig, rule, den: TauGrid, rate: float) -> tuple:
+    """(log|.|, sign) arrays of (rewritten tau / tau) e^{rate x} over the
+    grid of the already evaluated den."""
+    num = tau_jet_sum_grid(cfg, rule, den.xs, 0)
+    return num.log_abs - den.log_abs + rate * den.xs, num.sign * den.sign
 
 
 def verify_wronskian_identity(cfg: SolitonConfig, deleted, grid, tol: float = CONSTANCY_TOL) -> VerificationReport:
     """W[phi_{d1},...,phi_{dM}] is a constant multiple of
-    (rewritten tau / tau) e^{-sum k_d x}."""
+    (rewritten tau / tau) e^{-sum k_d x}. The left side runs through the
+    generic Wronskian engine point by point; the right side is two grid
+    taus."""
     cfg = cfg.flowed()
     dset = sorted(set(int(d) for d in deleted))
     seeds = eigenfunction_seeds(cfg, dset)
     ksum = sum(cfg.k[d - 1] for d in dset)
-    log_l, sgn_l, log_r, sgn_r = [], [], [], []
-    rule = deletion_rule(cfg, dset, 1)
+    log_l, sgn_l = [], []
     for x in grid:
         w = wronskian(seeds, float(x), 0)
         v = float(w.coeffs[0])
         log_l.append(math.log(abs(v)) if v != 0 else -math.inf)
         sgn_l.append(math.copysign(1.0, v) if v != 0 else 0.0)
-        lr, sr = _log_tau_ratio(cfg, rule, tau_jet_sum(cfg, None, float(x), 0), -ksum)
-        log_r.append(lr)
-        sgn_r.append(sr)
+    den = tau_jet_sum_grid(cfg, None, grid, 0)
+    log_r, sgn_r = _log_tau_ratio(cfg, deletion_rule(cfg, dset, 1), den, -ksum)
     return _ratio_report(
         f"wronskian_identity D={dset}", "wronskian_ratio", grid, log_l, sgn_l, log_r, sgn_r, tol
     )
@@ -198,18 +222,19 @@ def verify_wronskian_identity(cfg: SolitonConfig, deleted, grid, tol: float = CO
 
 def verify_bilinear_derivative(cfg: SolitonConfig, j: int, l: int, grid, tol: float = POINTWISE_TOL) -> VerificationReport:
     """phi_j phi_l equals minus the x-derivative of the closed-form tail
-    antiderivative, pointwise."""
+    antiderivative, pointwise. The order-1 tau of the tail also serves
+    the order-0 eigenfunctions, so the check costs four grid taus (three
+    for j = l)."""
     cfg = cfg.flowed()
-    lhs = []
-    rhs = []
-    for x in grid:
-        pj = eigenfunction(cfg, j, float(x), 0).coeffs[0]
-        pl = pj if l == j else eigenfunction(cfg, l, float(x), 0).coeffs[0]
-        lhs.append(float(pj * pl))
-        jet, gauge, sign = inner_tail_gauged(cfg, j, l, float(x), 1)
-        rhs.append(-sign * math.exp(gauge) * float(jet.deriv(1)))
-    lhs = np.asarray(lhs)
-    rhs = np.asarray(rhs)
+    den = tau_jet_sum_grid(cfg, None, grid, 1)
+    den0 = den.truncate(0)
+    phi_j = eigenfunction_grid(cfg, j, den0)
+    phi_l = phi_j if l == j else eigenfunction_grid(cfg, l, den0)
+    lhs = np.array([float(a.coeffs[0] * b.coeffs[0]) for a, b in zip(phi_j, phi_l)])
+    rhs = np.array([
+        -sign * math.exp(gauge) * float(jet.deriv(1))
+        for [[(jet, gauge, sign)]] in tail_matrix_grid(cfg, [j], [l], den)
+    ])
     scale = max(float(np.max(np.abs(lhs))), UNDERFLOW_FLOOR)
     dev = float(np.max(np.abs(lhs - rhs))) / scale
     return VerificationReport(
@@ -223,17 +248,14 @@ def verify_deletion_determinant(cfg: SolitonConfig, deleted, grid, tol: float = 
     cfg = cfg.flowed()
     dset = sorted(set(int(d) for d in deleted))
     ksum = sum(cfg.k[d - 1] for d in dset)
-    rule = deletion_rule(cfg, dset, 2)
-    log_l, sgn_l, log_r, sgn_r = [], [], [], []
-    for x in grid:
-        den = tau_jet_sum(cfg, None, float(x), 0)
-        rows, log_gauge = row_gauged(tail_matrix(cfg, dset, dset, den))
+    den = tau_jet_sum_grid(cfg, None, grid, 0)
+    log_l, sgn_l = [], []
+    for tails in tail_matrix_grid(cfg, dset, dset, den):
+        rows, log_gauge = row_gauged(tails)
         sign, logabs = np.linalg.slogdet(np.array([[r.coeffs[0] for r in row] for row in rows]))
         log_l.append(log_gauge + float(logabs))
         sgn_l.append(float(sign))
-        lr, sr = _log_tau_ratio(cfg, rule, den, -2.0 * ksum)
-        log_r.append(lr)
-        sgn_r.append(sr)
+    log_r, sgn_r = _log_tau_ratio(cfg, deletion_rule(cfg, dset, 2), den, -2.0 * ksum)
     return _ratio_report(
         f"deletion_determinant D={dset}", "deletion_determinant", grid, log_l, sgn_l, log_r, sgn_r, tol
     )
@@ -253,16 +275,14 @@ def verify_addition_determinant(cfg: SolitonConfig, deleted, e, grid, tol: float
         r = rescale_rule(cfg.n, d, ed / (ed + 1.0))
         rule = r if rule is None else rule.compose(r)
     sqc = np.sqrt([cfg.c[d - 1] for d in dset])
-    log_l, sgn_l, log_r, sgn_r = [], [], [], []
-    for x in grid:
-        den = tau_jet_sum(cfg, None, float(x), 0)
-        fm = np.diag(np.add(e, 1.0)) - np.outer(sqc, sqc) * tail_values(tail_matrix(cfg, dset, dset, den))
+    den = tau_jet_sum_grid(cfg, None, grid, 0)
+    log_l, sgn_l = [], []
+    for tails in tail_matrix_grid(cfg, dset, dset, den):
+        fm = np.diag(np.add(e, 1.0)) - np.outer(sqc, sqc) * tail_values(tails)
         sign, logabs = np.linalg.slogdet(fm)
         log_l.append(float(logabs))
         sgn_l.append(float(sign))
-        lr, sr = _log_tau_ratio(cfg, rule, den, 0.0)
-        log_r.append(lr)
-        sgn_r.append(sr)
+    log_r, sgn_r = _log_tau_ratio(cfg, rule, den, 0.0)
     return _ratio_report(
         f"addition_determinant D={dset}", "addition_determinant", grid, log_l, sgn_l, log_r, sgn_r, tol
     )
@@ -274,16 +294,14 @@ def verify_tau_split(cfg: SolitonConfig, j: int, grid, tol: float = POINTWISE_TO
     cfg = cfg.flowed()
     kj = cfg.k[j - 1]
     cj = cfg.c[j - 1]
-    wrule = pair_rule(cfg, j, j)
+    u = tau_jet_sum_grid(cfg, None, grid, 0)
+    uj = tau_jet_sum_grid(cfg, drop_rule(cfg.n, j), grid, 0)
+    wj = tau_jet_sum_grid(cfg, pair_rule(cfg, j, j), grid, 0)
     devs = []
-    for x in grid:
-        u = tau_jet_sum(cfg, None, float(x), 0)
-        uj = tau_jet_sum(cfg, drop_rule(cfg.n, j), float(x), 0)
-        wj = tau_jet_sum(cfg, wrule, float(x), 0)
-        a = uj.sign * math.exp(uj.log_abs - u.log_abs)
-        logb = math.log(cj / (2.0 * kj)) - 2.0 * kj * x + wj.log_abs - u.log_abs
-        b = wj.sign * math.exp(logb)
-        devs.append(abs(1.0 - a - b))
+    for x, lu, luj, suj, lwj, swj in zip(grid, u.log_abs, uj.log_abs, uj.sign, wj.log_abs, wj.sign):
+        a = suj * math.exp(luj - lu)
+        logb = math.log(cj / (2.0 * kj)) - 2.0 * kj * x + lwj - lu
+        devs.append(abs(1.0 - a - swj * math.exp(logb)))
     dev = float(np.max(devs))
     return VerificationReport(f"tau_split j={j}", "tau_split", tuple(grid), dev, None, tol, dev <= tol)
 
@@ -303,8 +321,9 @@ def verify_seed_wronskian(k, ctilde, grid, tol: float = CONSTANCY_TOL) -> Verifi
     for a in range(n):
         for b in range(a):
             log_vdm += math.log(k[a] - k[b])
+    log_u = tau_jet_sum_grid(cfg, None, grid, 0).log_abs
     devs = []
-    for x in grid:
+    for x, lu in zip(grid, log_u):
         x = float(x)
         # per-column gauge keeps the Wronskian entries in floating range
         cols = []
@@ -328,8 +347,7 @@ def verify_seed_wronskian(k, ctilde, grid, tol: float = CONSTANCY_TOL) -> Verifi
                 "seed_wronskian", "seed_wronskian", tuple(grid), math.inf, None, tol, False
             )
         log_w = gauge + math.log(wv)
-        u = tau_jet_sum(cfg, None, x, 0)
-        log_rhs = log_vdm + sum(k) * x + u.log_abs
+        log_rhs = log_vdm + sum(k) * x + lu
         devs.append(abs(math.exp(log_w - log_rhs) - 1.0))
     dev = float(np.max(devs))
     return VerificationReport("seed_wronskian", "seed_wronskian", tuple(grid), dev, None, tol, dev <= tol)

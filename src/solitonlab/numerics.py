@@ -6,6 +6,9 @@ forms is a genuine two-sided check: bound spectra from a finite-difference
 Hamiltonian, reflection/transmission amplitudes from direct integration of
 the scattering problem, adaptive quadrature as an oracle for the closed-
 form overlap integrals, and the KdV residual of the flowing potential.
+
+scipy is imported inside the functions that use it: it dominates the
+import time of the package, and most callers never need it.
 """
 
 from __future__ import annotations
@@ -16,9 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import minimize_scalar
 
 from .solitons import (
     SolitonConfig,
@@ -67,6 +67,8 @@ def bound_spectrum(
 ) -> SpectrumResult:
     """Negative eigenvalues of -d^2/dx^2 + U on [-L, L] with clamped ends,
     from the symmetric three-point finite-difference Hamiltonian."""
+    from scipy.linalg import eigh_tridiagonal
+
     L = float(domain_halfwidth)
     h = float(grid_step)
     edge = max(abs(float(potential(-L))), abs(float(potential(L))))
@@ -95,6 +97,8 @@ def scatter(
     -L, then splits the left asymptote into incident e^{ikx} and
     reflected e^{-ikx} parts; amplitudes are normalized to unit incident
     amplitude."""
+    from scipy.integrate import solve_ivp
+
     if k <= 0:
         raise ValueError("wavenumber must be positive")
     L = float(domain_halfwidth)
@@ -185,6 +189,8 @@ def kdv_residual(cfg: SolitonConfig, x: float, t: float | None = None) -> float:
 
 
 def _potential_minimum(ufn: Callable, lo: float, hi: float) -> float:
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(lambda x: float(ufn(x)), bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-10})
     return float(res.x)

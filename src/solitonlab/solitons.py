@@ -73,6 +73,11 @@ class SolitonConfig:
                     raise ConfigError(f"hierarchy time index {n} is not an odd integer >= 3")
             object.__setattr__(self, "times", t)
 
+    def __hash__(self):
+        # times is a dict (callers read it through .items()); hash its items
+        times = None if self.times is None else tuple(sorted(self.times.items()))
+        return hash((self.k, self.c, times))
+
     @property
     def n(self) -> int:
         return len(self.k)
@@ -334,43 +339,71 @@ def tau_hirota_grid(cfg: SolitonConfig, rule: CoefficientRule | None, xs) -> tup
     return log_abs, np.sign(acc)
 
 
-#: 2^N budget for the per-point compensated jet route
+#: 2^N budget for the compensated jet-sum route
 _JET_SUM_MAX_N = 12
 
 
+@dataclass(frozen=True)
+class TauGrid:
+    """Gauged tau jets over a grid: the true value at xs[p] is
+    sign[p] * e^gauge[p] * (jet with coefficients coeffs[p, :])."""
+
+    xs: np.ndarray
+    coeffs: np.ndarray
+    gauge: np.ndarray
+    sign: np.ndarray
+
+    @staticmethod
+    def stack(evals) -> "TauGrid":
+        """Grid of per-point TauEvals (shared order)."""
+        return TauGrid(
+            np.array([e.x for e in evals]),
+            np.array([e.jet.coeffs for e in evals]),
+            np.array([e.gauge_exponent for e in evals]),
+            np.array([e.sign for e in evals]),
+        )
+
+    @property
+    def order(self) -> int:
+        return self.coeffs.shape[1] - 1
+
+    @property
+    def log_abs(self) -> np.ndarray:
+        v = np.abs(self.coeffs[:, 0])
+        with np.errstate(divide="ignore"):
+            return np.where(v > 0, self.gauge + np.log(v), -np.inf)
+
+    def truncate(self, order: int) -> "TauGrid":
+        """The same taus at a lower jet order (bitwise equal to evaluating
+        them at that order: no coefficient depends on higher ones)."""
+        if order > self.order:
+            raise ValueError("cannot extend a tau grid by truncation")
+        return TauGrid(self.xs, self.coeffs[:, : order + 1], self.gauge, self.sign)
+
+    def at(self, p: int) -> TauEval:
+        x = float(self.xs[p])
+        return TauEval(x, Jet(x, self.coeffs[p].copy()), float(self.gauge[p]), float(self.sign[p]))
+
+    def evals(self) -> list:
+        return [self.at(p) for p in range(len(self.xs))]
+
+
 def _dd_tree_sum(h, l):
-    """Accurate sum of a double-double vector by pairwise folding."""
-    while h.shape[0] > 1:
-        if h.shape[0] % 2:
-            h = np.append(h, 0.0)
-            l = np.append(l, 0.0)
-        half = h.shape[0] // 2
-        h, l = dd.add(h[:half], l[:half], h[half:], l[half:])
-    return h[0], l[0]
+    """Accurate sums of double-double vectors along the last axis, whose
+    length is a power of two, by pairwise folding."""
+    while h.shape[-1] > 1:
+        half = h.shape[-1] // 2
+        h, l = dd.add(h[..., :half], l[..., :half], h[..., half:], l[..., half:])
+    return h[..., 0], l[..., 0]
 
 
-def tau_jet_sum(cfg: SolitonConfig, rule: CoefficientRule | None, x: float, order: int) -> TauEval:
-    """Tau jet at x from the 2^N exponential-sum form in double-double
-    arithmetic.
-
-    Independent of the determinant route and accurate to ~1e-16 relative
-    even for the sign-indefinite rewritten taus, whose term cancellation
-    costs the plain-double determinant several digits. Used wherever the
-    identity checks need full pointwise accuracy; budget N <= 12.
-    """
-    if order < 0:
-        raise ConfigError("jet order must be non-negative")
-    cfg = cfg.flowed()
-    k, ce = _effective(cfg, rule)
+def _jet_sum_terms(k: np.ndarray, ce: np.ndarray):
+    """x-independent data of the 2^N expansion terms, in double-double:
+    prefactor prod c_j/(2k_j) * prod pair factors (ph, pl), its log and
+    sign, and the decay rate -2 sum_j k_j (rh, rl)."""
     n = len(k)
-    x = float(x)
-    if n == 0:
-        return TauEval(x, Jet.constant(1.0, x, order), 0.0, 1.0)
-    if n > _JET_SUM_MAX_N:
-        raise ConfigError(f"2^N jet-sum budget exceeded: N={n} > {_JET_SUM_MAX_N}")
     m = 1 << n
     bits = ((np.arange(m, dtype=np.uint64)[:, None] >> np.arange(n, dtype=np.uint64)) & 1).astype(bool)
-    # per-term prefactor prod c_j/(2k_j) * prod pair factors, in dd
     ph = np.ones(m)
     pl = np.zeros(m)
     sgn = np.ones(m)
@@ -391,17 +424,24 @@ def tau_jet_sum(cfg: SolitonConfig, rule: CoefficientRule | None, x: float, orde
             mh, ml = dd.mul(ph, pl, ah, al)
             ph = np.where(sel, mh, ph)
             pl = np.where(sel, ml, pl)
-    # per-term decay rate -2 sum_j k_j
     rh = np.zeros(m)
     rl = np.zeros(m)
     for j in range(n):
         th, tl = dd.add(rh, rl, *dd._two_prod(np.float64(-2.0), np.float64(k[j])))
         rh = np.where(bits[:, j], th, rh)
         rl = np.where(bits[:, j], tl, rl)
-    argh, argl = dd.mul(rh, rl, np.float64(x), np.float64(0.0))
     with np.errstate(divide="ignore"):
-        gauge0 = float(np.max(argh + np.log(np.abs(ph))))
-    eh, el = dd.exp(*dd.add(argh, argl, np.float64(-gauge0), np.float64(0.0)))
+        logp = np.log(np.abs(ph))
+    return ph, pl, logp, sgn, rh, rl
+
+
+def _jet_sum_block(terms, xs: np.ndarray, order: int):
+    """(coeffs, gauge, sign) of the normalized tau jets at the points xs,
+    all terms evaluated as one [len(xs), 2^N] block."""
+    ph, pl, logp, sgn, rh, rl = terms
+    argh, argl = dd.mul(rh, rl, xs[:, None], np.float64(0.0))
+    gauge0 = np.max(argh + logp, axis=1)
+    eh, el = dd.exp(*dd.add(argh, argl, -gauge0[:, None], np.float64(0.0)))
     th, tl = dd.mul(ph, pl, eh, el)
     th *= sgn
     tl *= sgn
@@ -413,15 +453,66 @@ def tau_jet_sum(cfg: SolitonConfig, rule: CoefficientRule | None, x: float, orde
             cur_h, cur_l = dd.div(cur_h, cur_l, np.float64(q), np.float64(0.0))
         sums.append(_dd_tree_sum(cur_h, cur_l))
     s0h, s0l = sums[0]
-    if s0h == 0.0:
-        coeffs = np.array([float(s[0]) for s in sums])
-        return TauEval(x, Jet(x, coeffs), gauge0, 1.0)
-    coeffs = [1.0]
-    for q in range(1, order + 1):
-        qh, _ = dd.div(*sums[q], s0h, s0l)
-        coeffs.append(float(qh))
-    gauge = gauge0 + float(dd.log_abs(s0h, s0l))
-    return TauEval(x, Jet(x, np.array(coeffs)), gauge, math.copysign(1.0, s0h))
+    # a vanishing sum is returned raw, in the gauge e^gauge0 and with sign 1
+    zero = s0h == 0.0
+    coeffs = np.empty((len(xs), order + 1))
+    coeffs[:, 0] = np.where(zero, s0h, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for q in range(1, order + 1):
+            coeffs[:, q] = np.where(zero, sums[q][0], dd.div(*sums[q], s0h, s0l)[0])
+    gauge = np.where(zero, gauge0, gauge0 + dd.log_abs(s0h, s0l))
+    sign = np.where(zero, 1.0, np.copysign(1.0, s0h))
+    return coeffs, gauge, sign
+
+
+def tau_jet_sum_grid(cfg: SolitonConfig, rule: CoefficientRule | None, xs, order: int) -> TauGrid:
+    """Tau jets over the grid xs from the 2^N exponential-sum form in
+    double-double arithmetic.
+
+    Independent of the determinant route and accurate to ~1e-16 relative
+    even for the sign-indefinite rewritten taus, whose term cancellation
+    costs the plain-double determinant several digits. The x-independent
+    term prefactors are computed once per call; the points are then
+    evaluated in blocks of at most _HIROTA_CHUNK terms. Every operation
+    is elementwise, so each point's result is bitwise independent of the
+    grid it sits in. Budget N <= 12.
+    """
+    if order < 0:
+        raise ConfigError("jet order must be non-negative")
+    cfg = cfg.flowed()
+    k, ce = _effective(cfg, rule)
+    n = len(k)
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    npts = len(xs)
+    if n == 0:
+        coeffs = np.zeros((npts, order + 1))
+        coeffs[:, 0] = 1.0
+        return TauGrid(xs, coeffs, np.zeros(npts), np.ones(npts))
+    if n > _JET_SUM_MAX_N:
+        raise ConfigError(f"2^N jet-sum budget exceeded: N={n} > {_JET_SUM_MAX_N}")
+    terms = _jet_sum_terms(k, ce)
+    coeffs = np.empty((npts, order + 1))
+    gauge = np.empty(npts)
+    sign = np.empty(npts)
+    step = max(1, _HIROTA_CHUNK >> n)
+    for i in range(0, npts, step):
+        block = slice(i, i + step)
+        coeffs[block], gauge[block], sign[block] = _jet_sum_block(terms, xs[block], order)
+    return TauGrid(xs, coeffs, gauge, sign)
+
+
+def tau_jet_sum(cfg: SolitonConfig, rule: CoefficientRule | None, x: float, order: int) -> TauEval:
+    """Tau jet at x from the double-double exponential sum: the one-point
+    grid of tau_jet_sum_grid."""
+    return tau_jet_sum_grid(cfg, rule, [float(x)], order).at(0)
+
+
+def tau_grid(cfg: SolitonConfig, rule: CoefficientRule | None, xs, order: int) -> TauGrid:
+    """Tau jets over xs by the eigenfunction route: the compensated sum
+    within its budget N <= 12, the gauged determinant per point beyond."""
+    if cfg.n <= _JET_SUM_MAX_N:
+        return tau_jet_sum_grid(cfg, rule, xs, order)
+    return TauGrid.stack([tau_det(cfg, rule, float(x), order) for x in np.atleast_1d(xs)])
 
 
 # ---------------------------------------------------------------------------
@@ -531,24 +622,43 @@ def potential_fn(cfg: SolitonConfig) -> Callable:
     return u_potential
 
 
-def eigenfunction(cfg: SolitonConfig, j: int, x: float, order: int) -> Jet:
-    """Jet of the j-th bound-state eigenfunction, normalized to the
-    asymptote e^{-k_j x} as x -> +infinity."""
-    cfg = cfg.flowed()
-    _check_index(cfg, j)
-    kj = cfg.k[j - 1]
-    # the sign-indefinite rewritten tau costs the plain-double determinant
-    # several digits; prefer the compensated sum route within its budget
-    tau = tau_jet_sum if cfg.n <= _JET_SUM_MAX_N else tau_det
-    num = tau(cfg, eigenfunction_rule(cfg, j), x, order)
-    den = tau(cfg, None, x, order)
+def _eigen_jet(num: TauEval, den: TauEval, kj: float) -> Jet:
+    """(num / den) e^{-k_j x} from the eigenfunction-rewritten tau num
+    and the config's own tau den at the same x and order."""
+    x = den.x
     q = num.jet / den.jet
     log_scale = num.gauge_exponent - den.gauge_exponent - kj * x
     try:
         scale = math.exp(log_scale)
     except OverflowError as exc:
         raise RangeError(f"eigenfunction scale overflow at x={x}") from exc
-    return (q * jet_exp(-kj, x, order, unit=True)) * (num.sign * den.sign * scale)
+    return (q * jet_exp(-kj, x, den.jet.order, unit=True)) * (num.sign * den.sign * scale)
+
+
+def eigenfunction(cfg: SolitonConfig, j: int, x: float, order: int) -> Jet:
+    """Jet of the j-th bound-state eigenfunction, normalized to the
+    asymptote e^{-k_j x} as x -> +infinity."""
+    cfg = cfg.flowed()
+    _check_index(cfg, j)
+    # the sign-indefinite rewritten tau costs the plain-double determinant
+    # several digits; prefer the compensated sum route within its budget
+    tau = tau_jet_sum if cfg.n <= _JET_SUM_MAX_N else tau_det
+    num = tau(cfg, eigenfunction_rule(cfg, j), x, order)
+    return _eigen_jet(num, tau(cfg, None, x, order), cfg.k[j - 1])
+
+
+def eigenfunction_grid(cfg: SolitonConfig, j: int, den: TauGrid) -> list:
+    """Jets of the j-th eigenfunction at every point of a grid, each equal
+    bitwise to eigenfunction(cfg, j, x, order).
+
+    den is the config's own tau over the grid, tau_grid(cfg, None, xs,
+    order); the grid and the jet order are taken from it, so one
+    evaluation also serves the caller's other uses of tau."""
+    cfg = cfg.flowed()
+    _check_index(cfg, j)
+    num = tau_grid(cfg, eigenfunction_rule(cfg, j), den.xs, den.order)
+    kj = cfg.k[j - 1]
+    return [_eigen_jet(a, b, kj) for a, b in zip(num.evals(), den.evals())]
 
 
 def apply_time_flows(cfg: SolitonConfig) -> SolitonConfig:

@@ -107,6 +107,22 @@ class TestEigenAndEvolve:
         phi0 = float(rows[1][1])
         assert phi0 == pytest.approx(0.5, abs=1e-12)
 
+    def test_eigen_matches_per_point_eigenfunction(self, cfg_file, capsys):
+        from solitonlab import solitons as S
+
+        k, c = (0.7, 1.3, 2.1, 2.9), (1.5, 3.0, 0.4, 7.0)
+        path = cfg_file(k, c)
+        cfg = SolitonConfig(k, c)
+        xs = np.linspace(-9.0, 9.0, 37)
+        for index in (1, 4):
+            code, out = run(capsys, "eigen", path, "--index", str(index), "--grid", "-9", "9", "37")
+            assert code == 0
+            lines = ["x,phi,dphi"]
+            for x in xs:
+                jet = S.eigenfunction(cfg, index, float(x), 1)
+                lines.append(",".join(repr(float(v)) for v in (x, jet.coeffs[0], jet.deriv(1))))
+            assert out == "\n".join(lines) + "\n"
+
     def test_eigen_bad_index(self, cfg_file, capsys):
         path = cfg_file([1.0], [2.0])
         code, _ = run(capsys, "eigen", path, "--index", "4")

@@ -142,18 +142,43 @@ class TestIndividualIdentities:
         with pytest.raises(ConfigError):
             I.verify_seed_wronskian([1.0, 2.0], [1.0, 1.0], np.linspace(-1, 1, 5))
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    def test_determinant_checks_evaluate_each_tau_once(self, cfg4, monkeypatch, m):
-        # m(m+1)/2 pair taus, one shared denominator, one rewritten numerator
+    @pytest.fixture
+    def grid_tau_calls(self, monkeypatch):
+        """Records every call of the grid tau core, wherever it is reached."""
         calls = []
-        real = I.tau_jet_sum
-        monkeypatch.setattr(I, "tau_jet_sum", lambda *args: calls.append(args) or real(*args))
+        real = S.tau_jet_sum_grid
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(I, "tau_jet_sum_grid", counted)
+        monkeypatch.setattr(S, "tau_jet_sum_grid", counted)
+        return calls
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_determinant_checks_evaluate_each_tau_once(self, cfg4, grid_tau_calls, m):
+        # m(m+1)/2 pair taus, one shared denominator, one rewritten numerator,
+        # each one grid call whatever the grid length
         dset = list(range(1, m + 1))
-        I.verify_deletion_determinant(cfg4, dset, [0.3])
-        assert len(calls) == m * (m + 1) // 2 + 2
-        calls.clear()
-        I.verify_addition_determinant(cfg4, dset, [2.0] * m, [0.3])
-        assert len(calls) == m * (m + 1) // 2 + 2
+        for npts in (1, 21):
+            grid = np.linspace(-0.5, 0.3, npts)
+            grid_tau_calls.clear()
+            I.verify_deletion_determinant(cfg4, dset, grid)
+            assert len(grid_tau_calls) == m * (m + 1) // 2 + 2
+            grid_tau_calls.clear()
+            I.verify_addition_determinant(cfg4, dset, [2.0] * m, grid)
+            assert len(grid_tau_calls) == m * (m + 1) // 2 + 2
+
+    @pytest.mark.parametrize("j,l,expected", [(1, 3, 4), (2, 2, 3)])
+    def test_bilinear_evaluates_each_tau_once(self, cfg4, grid_tau_calls, j, l, expected):
+        # the config's own tau once (its order-1 grid also serves the
+        # order-0 eigenfunctions), one eigenfunction numerator per distinct
+        # index, one pair tau for the tail
+        for npts in (1, 21):
+            grid_tau_calls.clear()
+            assert I.verify_bilinear_derivative(cfg4, j, l, np.linspace(-0.5, 0.3, npts)).passed
+            assert len(grid_tau_calls) == expected
 
 
 class TestReports:

@@ -1,12 +1,24 @@
 """Tests for the black-box numerical cross-checks."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from solitonlab import numerics as N, solitons as S
 from solitonlab.solitons import SolitonConfig
+
+
+def test_package_import_leaves_scipy_unloaded():
+    # scipy is imported lazily by the routines that need it
+    env = dict(os.environ, PYTHONPATH=str(Path(S.__file__).parents[1]))
+    code = "import sys, solitonlab; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestSpectrum:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solitonlab import solitons as S
+from solitonlab import dd, solitons as S
+from solitonlab.jets import Jet
 from solitonlab.solitons import (
     CoefficientRule,
     ConfigError,
@@ -30,6 +31,67 @@ def hirota_value(cfg, rule, x):
     """Tau at one point from the exponential-sum grid route."""
     (log_abs,), (sign,) = S.tau_hirota_grid(cfg, rule, [x])
     return sign * math.exp(log_abs)
+
+
+def tau_jet_sum_reference(cfg, rule, x, order):
+    """The per-point double-double exponential sum as it stood before the
+    grid core: the reference the grid core must match bitwise."""
+    cfg = cfg.flowed()
+    k, ce = S._effective(cfg, rule)
+    n = len(k)
+    x = float(x)
+    if n == 0:
+        return S.TauEval(x, Jet.constant(1.0, x, order), 0.0, 1.0)
+    m = 1 << n
+    bits = ((np.arange(m, dtype=np.uint64)[:, None] >> np.arange(n, dtype=np.uint64)) & 1).astype(bool)
+    ph, pl, sgn = np.ones(m), np.zeros(m), np.ones(m)
+    for j in range(n):
+        fh, fl = dd.div(*dd.from_float(abs(ce[j])), *dd._two_prod(np.float64(2.0), np.float64(k[j])))
+        mh, ml = dd.mul(ph, pl, fh, fl)
+        ph, pl = np.where(bits[:, j], mh, ph), np.where(bits[:, j], ml, pl)
+        if ce[j] < 0:
+            sgn = np.where(bits[:, j], -sgn, sgn)
+    for j in range(n):
+        for l in range(j + 1, n):
+            rh, rl = dd.div(*dd._two_sum(np.float64(k[j]), np.float64(-k[l])),
+                            *dd._two_sum(np.float64(k[j]), np.float64(k[l])))
+            ah, al = dd.mul(rh, rl, rh, rl)
+            sel = bits[:, j] & bits[:, l]
+            mh, ml = dd.mul(ph, pl, ah, al)
+            ph, pl = np.where(sel, mh, ph), np.where(sel, ml, pl)
+    rh, rl = np.zeros(m), np.zeros(m)
+    for j in range(n):
+        th, tl = dd.add(rh, rl, *dd._two_prod(np.float64(-2.0), np.float64(k[j])))
+        rh, rl = np.where(bits[:, j], th, rh), np.where(bits[:, j], tl, rl)
+    argh, argl = dd.mul(rh, rl, np.float64(x), np.float64(0.0))
+    with np.errstate(divide="ignore"):
+        gauge0 = float(np.max(argh + np.log(np.abs(ph))))
+    eh, el = dd.exp(*dd.add(argh, argl, np.float64(-gauge0), np.float64(0.0)))
+    cur_h, cur_l = dd.mul(ph, pl, eh, el)
+    cur_h, cur_l = cur_h * sgn, cur_l * sgn
+    sums = []
+    for q in range(order + 1):
+        if q:
+            cur_h, cur_l = dd.mul(cur_h, cur_l, rh, rl)
+            cur_h, cur_l = dd.div(cur_h, cur_l, np.float64(q), np.float64(0.0))
+        h, l = cur_h, cur_l
+        while h.shape[0] > 1:
+            half = h.shape[0] // 2
+            h, l = dd.add(h[:half], l[:half], h[half:], l[half:])
+        sums.append((h[0], l[0]))
+    s0h, s0l = sums[0]
+    if s0h == 0.0:
+        return S.TauEval(x, Jet(x, np.array([float(s[0]) for s in sums])), gauge0, 1.0)
+    coeffs = [1.0] + [float(dd.div(*sums[q], s0h, s0l)[0]) for q in range(1, order + 1)]
+    gauge = gauge0 + float(dd.log_abs(s0h, s0l))
+    return S.TauEval(x, Jet(x, np.array(coeffs)), gauge, math.copysign(1.0, s0h))
+
+
+def assert_tau_bitwise(grid, p, ref):
+    got = grid.at(p)
+    assert got.x == ref.x
+    assert np.array_equal(got.jet.coeffs, ref.jet.coeffs)
+    assert (got.gauge_exponent, got.sign) == (ref.gauge_exponent, ref.sign)
 
 
 class TestConfig:
@@ -55,6 +117,13 @@ class TestConfig:
     def test_energies(self):
         cfg = SolitonConfig((1.0, 3.0), (1.0, 1.0))
         assert cfg.energies == (-1.0, -9.0)
+
+    def test_hashable_with_times(self):
+        a = SolitonConfig((1, 2), (1, 2), {3: 0.1, 5: 0.2})
+        b = SolitonConfig((1.0, 2.0), (1.0, 2.0), {5: 0.2, 3: 0.1})
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, SolitonConfig((1, 2), (1, 2)), SolitonConfig((1, 2), (1, 2), {3: 0.2})}) == 3
+        assert sorted(a.times.items()) == [(3, 0.1), (5, 0.2)]
 
 
 class TestRules:
@@ -159,6 +228,56 @@ class TestTau:
             cfg = S.random_config(rng)
             for x in np.linspace(-10 / cfg.k[0], 10 / cfg.k[0], 21):
                 assert S.tau_det(cfg, None, float(x), 0).sign == 1.0
+
+
+class TestTauJetSumGrid:
+    XS = (-7.5, -1.3, -0.0, 0.0, 0.4, 2.9, 11.0)
+
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_grid_matches_per_point_reference_bitwise(self, n):
+        cfg = S.random_config(np.random.default_rng(100 + n), n=n) if n else SolitonConfig((), ())
+        rules = [None]
+        if n:
+            j = n // 2 + 1
+            # exact-zero and negative factors, their product, and a dropped soliton
+            rules += [S.eigenfunction_rule(cfg, j), S.pair_rule(cfg, 1, n), S.drop_rule(n, j)]
+        for rule in rules:
+            for order in range(4):
+                grid = S.tau_jet_sum_grid(cfg, rule, self.XS, order)
+                assert grid.coeffs.shape == (len(self.XS), order + 1)
+                for p, x in enumerate(self.XS):
+                    ref = tau_jet_sum_reference(cfg, rule, x, order)
+                    assert_tau_bitwise(grid, p, ref)
+                    scalar = S.tau_jet_sum(cfg, rule, x, order)
+                    assert np.array_equal(scalar.jet.coeffs, ref.jet.coeffs)
+                    assert (scalar.gauge_exponent, scalar.sign) == (ref.gauge_exponent, ref.sign)
+                for lower in range(order):
+                    cut = grid.truncate(lower)
+                    low = S.tau_jet_sum_grid(cfg, rule, self.XS, lower)
+                    assert np.array_equal(cut.coeffs, low.coeffs)
+                    assert np.array_equal(cut.gauge, low.gauge) and np.array_equal(cut.sign, low.sign)
+
+    def test_grid_spanning_several_chunks(self):
+        cfg = S.random_config(np.random.default_rng(120), n=10)
+        step = S._HIROTA_CHUNK >> cfg.n
+        xs = np.linspace(-8.0, 8.0, 2 * step + 3)
+        rule = S.eigenfunction_rule(cfg, 4)
+        grid = S.tau_jet_sum_grid(cfg, rule, xs, 1)
+        for p in (0, step - 1, step, 2 * step, 2 * step + 2):
+            assert_tau_bitwise(grid, p, tau_jet_sum_reference(cfg, rule, xs[p], 1))
+
+    def test_budget(self):
+        cfg = S.random_config(np.random.default_rng(121), n=13, k_range=(0.2, 8.0))
+        with pytest.raises(ConfigError):
+            S.tau_jet_sum_grid(cfg, None, [0.0], 0)
+
+    def test_eigenfunction_grid_matches_scalar_beyond_budget(self):
+        # N > 12 takes the per-point determinant route in both forms
+        cfg = S.random_config(np.random.default_rng(122), n=13, k_range=(0.2, 8.0))
+        xs = [-0.5, 0.7]
+        jets = S.eigenfunction_grid(cfg, 2, S.tau_grid(cfg, None, xs, 1))
+        for x, jet in zip(xs, jets):
+            assert np.array_equal(jet.coeffs, S.eigenfunction(cfg, 2, x, 1).coeffs)
 
 
 class TestPotential:
