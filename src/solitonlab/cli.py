@@ -106,8 +106,8 @@ def cmd_potential(args, out) -> int:
 def cmd_eigen(args, out) -> int:
     cfg = _load(args)
     xs = _grid_from_args(args, cfg)
-    jets = eigenfunction_grid(cfg, args.index, tau_grid(cfg, None, xs, 1))
-    rows = [(x, float(jet.coeffs[0]), float(jet.deriv(1))) for x, jet in zip(xs, jets)]
+    phi = eigenfunction_grid(cfg, args.index, tau_grid(cfg, None, xs, 1))
+    rows = list(zip(xs.tolist(), phi.value.tolist(), phi.deriv(1).tolist()))
     if args.format == "json":
         out.write(json.dumps(
             {"x": [r[0] for r in rows], "phi": [r[1] for r in rows], "dphi": [r[2] for r in rows]}

@@ -11,9 +11,12 @@ underflowed quantities is noise, not evidence.
 Every tau an identity needs is evaluated once per grid, not once per
 point: one tau_jet_sum_grid call returns the double-double exponential
 sum at all grid points, so a check's tau cost does not grow with the grid
-length. Only the generic Wronskian engine on the left of the Wronskian
-and seed-Wronskian identities, which is itself under test, still runs
-point by point.
+length. The jets built from those taus (eigenfunctions, tail entries,
+Wronskians) are batched over the grid too, and the determinants of their
+constant terms are one stacked np.linalg.slogdet call. The generic
+Wronskian engine on the left of the Wronskian and seed-Wronskian
+identities, which is itself under test, receives seed functions and
+evaluates each once over the whole grid.
 
 The tail-integral (overlap) matrices int_x^inf phi_j phi_l behind the
 Abraham-Moses deletion and addition determinants are built in one place,
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import jet_exp
+from .jets import _pointwise, jet_exp
 from .solitons import (
     ConfigError,
     SolitonConfig,
@@ -110,65 +113,61 @@ def _ratio_report(name, tag, grid, log_lhs, sign_lhs, log_rhs, sign_rhs, tol):
 # Closed-form tail integrals
 
 
-def _tail_entry(num: TauEval, den: TauEval, ksum: float) -> tuple:
-    """One tail_matrix entry (jet, log_gauge, sign) from its pair tau num
-    and the config's own tau den at the same point."""
-    x = den.x
-    order = den.jet.order
-    jet = (num.jet / den.jet) * jet_exp(-ksum, x, order, unit=True) * (1.0 / ksum)
-    return jet, num.gauge_exponent - den.gauge_exponent - ksum * x, num.sign * den.sign
-
-
 def tail_matrix_grid(cfg: SolitonConfig, rows, cols, den: TauGrid) -> list:
     """Gauged jets of the tail integrals T_ab = int_x^inf phi_a phi_b dy
-    for a in rows, b in cols at every point x of a grid, with closed form
+    for a in rows, b in cols over a grid, with closed form
     (pair-rewritten tau / tau) e^{-(k_a+k_b)x}/(k_a+k_b).
 
     den is the config's own tau over the grid, tau_jet_sum_grid(cfg, None,
     xs, order); the grid and the jet order are taken from it, so one
     evaluation serves every entry and the caller's other uses of tau.
     pair_rule is symmetric, so each unordered pair is evaluated once, as
-    one grid, and T_ab is T_ba bitwise. Returns, per grid point, a nested
-    list of (jet, log_gauge, sign); true value = sign*e^gauge*jet."""
+    one grid, and T_ab is T_ba bitwise. Returns a nested list of entries
+    (jet, log_gauge, sign), the jet batched over the grid and the gauge
+    and sign arrays over it; true value = sign*e^gauge*jet."""
     cfg = cfg.flowed()
-    dens = den.evals()
     entries = {}
 
     def entry(j, l):
         j, l = min(j, l), max(j, l)
         if (j, l) not in entries:
             ksum = cfg.k[j - 1] + cfg.k[l - 1]
-            nums = tau_jet_sum_grid(cfg, pair_rule(cfg, j, l), den.xs, den.order).evals()
-            entries[j, l] = [_tail_entry(num, d, ksum) for num, d in zip(nums, dens)]
+            num = tau_jet_sum_grid(cfg, pair_rule(cfg, j, l), den.xs, den.order)
+            jet = (num.jet / den.jet) * jet_exp(-ksum, den.xs, den.order, unit=True) * (1.0 / ksum)
+            entries[j, l] = (jet, num.gauge - den.gauge - ksum * den.xs, num.sign * den.sign)
         return entries[j, l]
 
-    table = [[entry(a, b) for b in cols] for a in rows]
-    return [[[e[p] for e in row] for row in table] for p in range(len(dens))]
+    return [[entry(a, b) for b in cols] for a in rows]
 
 
 def tail_matrix(cfg: SolitonConfig, rows, cols, den: TauEval) -> list:
     """tail_matrix_grid at the single point of den, the config's own tau
     tau_jet_sum(cfg, None, x, order): a nested list of (jet, log_gauge,
-    sign)."""
-    return tail_matrix_grid(cfg, rows, cols, TauGrid.stack([den]))[0]
+    sign) with a one-point jet."""
+    tails = tail_matrix_grid(cfg, rows, cols, TauGrid.stack([den]))
+    return [[(jet.at(0), float(gauge[0]), float(sign[0])) for jet, gauge, sign in row] for row in tails]
 
 
 def row_gauged(tails) -> tuple:
     """Square tail matrix as jet rows with each row's largest gauge
     factored out: returns (rows, log_gauge), where det of the true matrix
-    is e^log_gauge * det(rows)."""
+    is e^log_gauge * det(rows), per grid point."""
     log_gauge = 0.0
     rows = []
     for row in tails:
-        g = max(t[1] for t in row)
+        g = np.max([t[1] for t in row], axis=0)
         log_gauge += g
-        rows.append([jet * (sign * math.exp(gauge - g)) for jet, gauge, sign in row])
+        rows.append([jet * (sign * _pointwise(math.exp, gauge - g)) for jet, gauge, sign in row])
     return rows, log_gauge
 
 
 def tail_values(tails) -> np.ndarray:
-    """True values sign*e^gauge*jet(x) of tail_matrix entries."""
-    return np.array([[sign * math.exp(gauge) * jet.coeffs[0] for jet, gauge, sign in row] for row in tails])
+    """True values sign*e^gauge*jet(x) of tail_matrix_grid entries, as an
+    array [P, rows, cols]."""
+    return np.stack([
+        np.stack([sign * _pointwise(math.exp, gauge) * jet.value for jet, gauge, sign in row], axis=-1)
+        for row in tails
+    ], axis=-2)
 
 
 def inner_tail_gauged(cfg: SolitonConfig, j: int, l: int, x: float, order: int):
@@ -201,20 +200,19 @@ def _log_tau_ratio(cfg: SolitonConfig, rule, den: TauGrid, rate: float) -> tuple
 def verify_wronskian_identity(cfg: SolitonConfig, deleted, grid, tol: float = CONSTANCY_TOL) -> VerificationReport:
     """W[phi_{d1},...,phi_{dM}] is a constant multiple of
     (rewritten tau / tau) e^{-sum k_d x}. The left side runs through the
-    generic Wronskian engine point by point; the right side is two grid
-    taus."""
+    generic Wronskian engine, its eigenfunction seeds sharing the config's
+    own tau at order M-1, whose order-0 part also serves the right side:
+    M+2 grid taus in all."""
     cfg = cfg.flowed()
     dset = sorted(set(int(d) for d in deleted))
-    seeds = eigenfunction_seeds(cfg, dset)
     ksum = sum(cfg.k[d - 1] for d in dset)
-    log_l, sgn_l = [], []
-    for x in grid:
-        w = wronskian(seeds, float(x), 0)
-        v = float(w.coeffs[0])
-        log_l.append(math.log(abs(v)) if v != 0 else -math.inf)
-        sgn_l.append(math.copysign(1.0, v) if v != 0 else 0.0)
-    den = tau_jet_sum_grid(cfg, None, grid, 0)
-    log_r, sgn_r = _log_tau_ratio(cfg, deletion_rule(cfg, dset, 1), den, -ksum)
+    den = tau_jet_sum_grid(cfg, None, grid, len(dset) - 1)
+    w = wronskian(eigenfunction_seeds(cfg, dset, den), den.xs, 0).value
+    nonzero = w != 0
+    log_l = np.full(w.shape, -np.inf)
+    log_l[nonzero] = _pointwise(math.log, np.abs(w[nonzero]))
+    sgn_l = np.where(nonzero, np.copysign(1.0, w), 0.0)
+    log_r, sgn_r = _log_tau_ratio(cfg, deletion_rule(cfg, dset, 1), den.truncate(0), -ksum)
     return _ratio_report(
         f"wronskian_identity D={dset}", "wronskian_ratio", grid, log_l, sgn_l, log_r, sgn_r, tol
     )
@@ -230,11 +228,9 @@ def verify_bilinear_derivative(cfg: SolitonConfig, j: int, l: int, grid, tol: fl
     den0 = den.truncate(0)
     phi_j = eigenfunction_grid(cfg, j, den0)
     phi_l = phi_j if l == j else eigenfunction_grid(cfg, l, den0)
-    lhs = np.array([float(a.coeffs[0] * b.coeffs[0]) for a, b in zip(phi_j, phi_l)])
-    rhs = np.array([
-        -sign * math.exp(gauge) * float(jet.deriv(1))
-        for [[(jet, gauge, sign)]] in tail_matrix_grid(cfg, [j], [l], den)
-    ])
+    lhs = phi_j.value * phi_l.value
+    [[(jet, gauge, sign)]] = tail_matrix_grid(cfg, [j], [l], den)
+    rhs = -sign * _pointwise(math.exp, gauge) * jet.deriv(1)
     scale = max(float(np.max(np.abs(lhs))), UNDERFLOW_FLOOR)
     dev = float(np.max(np.abs(lhs - rhs))) / scale
     return VerificationReport(
@@ -249,12 +245,9 @@ def verify_deletion_determinant(cfg: SolitonConfig, deleted, grid, tol: float = 
     dset = sorted(set(int(d) for d in deleted))
     ksum = sum(cfg.k[d - 1] for d in dset)
     den = tau_jet_sum_grid(cfg, None, grid, 0)
-    log_l, sgn_l = [], []
-    for tails in tail_matrix_grid(cfg, dset, dset, den):
-        rows, log_gauge = row_gauged(tails)
-        sign, logabs = np.linalg.slogdet(np.array([[r.coeffs[0] for r in row] for row in rows]))
-        log_l.append(log_gauge + float(logabs))
-        sgn_l.append(float(sign))
+    rows, log_gauge = row_gauged(tail_matrix_grid(cfg, dset, dset, den))
+    sgn_l, logabs = np.linalg.slogdet(np.stack([np.stack([r.value for r in row], -1) for row in rows], -2))
+    log_l = log_gauge + logabs
     log_r, sgn_r = _log_tau_ratio(cfg, deletion_rule(cfg, dset, 2), den, -2.0 * ksum)
     return _ratio_report(
         f"deletion_determinant D={dset}", "deletion_determinant", grid, log_l, sgn_l, log_r, sgn_r, tol
@@ -276,12 +269,8 @@ def verify_addition_determinant(cfg: SolitonConfig, deleted, e, grid, tol: float
         rule = r if rule is None else rule.compose(r)
     sqc = np.sqrt([cfg.c[d - 1] for d in dset])
     den = tau_jet_sum_grid(cfg, None, grid, 0)
-    log_l, sgn_l = [], []
-    for tails in tail_matrix_grid(cfg, dset, dset, den):
-        fm = np.diag(np.add(e, 1.0)) - np.outer(sqc, sqc) * tail_values(tails)
-        sign, logabs = np.linalg.slogdet(fm)
-        log_l.append(float(logabs))
-        sgn_l.append(float(sign))
+    fm = np.diag(np.add(e, 1.0)) - np.outer(sqc, sqc) * tail_values(tail_matrix_grid(cfg, dset, dset, den))
+    sgn_l, log_l = np.linalg.slogdet(fm)
     log_r, sgn_r = _log_tau_ratio(cfg, rule, den, 0.0)
     return _ratio_report(
         f"addition_determinant D={dset}", "addition_determinant", grid, log_l, sgn_l, log_r, sgn_r, tol
@@ -321,35 +310,29 @@ def verify_seed_wronskian(k, ctilde, grid, tol: float = CONSTANCY_TOL) -> Verifi
     for a in range(n):
         for b in range(a):
             log_vdm += math.log(k[a] - k[b])
-    log_u = tau_jet_sum_grid(cfg, None, grid, 0).log_abs
-    devs = []
-    for x, lu in zip(grid, log_u):
-        x = float(x)
-        # per-column gauge keeps the Wronskian entries in floating range
-        cols = []
-        gauge = 0.0
-        for kj, ct in zip(k, ctilde):
-            s = max(kj * x, -kj * x + math.log(abs(ct)))
-            gauge += s
+    u = tau_jet_sum_grid(cfg, None, grid, 0)
+    xs = u.xs
+    # per-column gauge keeps the Wronskian entries in floating range
+    cols = []
+    gauge = 0.0
+    for kj, ct in zip(k, ctilde):
+        s = np.maximum(kj * xs, -kj * xs + math.log(abs(ct)))
+        gauge += s
 
-            def ev(xx, order, kj=kj, ct=ct, s=s):
-                grow = jet_exp(kj, xx, order, unit=True) * math.exp(kj * xx - s)
-                decay = jet_exp(-kj, xx, order, unit=True) * math.copysign(
-                    math.exp(-kj * xx + math.log(abs(ct)) - s), ct
-                )
-                return grow + decay
-
-            cols.append(ev)
-        w = wronskian(cols, x, 0)
-        wv = float(w.coeffs[0])
-        if wv <= 0:
-            return VerificationReport(
-                "seed_wronskian", "seed_wronskian", tuple(grid), math.inf, None, tol, False
+        def ev(xx, order, kj=kj, ct=ct, s=s):
+            grow = jet_exp(kj, xx, order, unit=True) * _pointwise(math.exp, kj * xx - s)
+            decay = jet_exp(-kj, xx, order, unit=True) * np.copysign(
+                _pointwise(math.exp, -kj * xx + math.log(abs(ct)) - s), ct
             )
-        log_w = gauge + math.log(wv)
-        log_rhs = log_vdm + sum(k) * x + lu
-        devs.append(abs(math.exp(log_w - log_rhs) - 1.0))
-    dev = float(np.max(devs))
+            return grow + decay
+
+        cols.append(ev)
+    wv = wronskian(cols, xs, 0).value
+    if np.any(wv <= 0):
+        return VerificationReport("seed_wronskian", "seed_wronskian", tuple(grid), math.inf, None, tol, False)
+    log_w = gauge + _pointwise(math.log, wv)
+    log_rhs = log_vdm + sum(k) * xs + u.log_abs
+    dev = float(np.max(np.abs(_pointwise(math.exp, log_w - log_rhs) - 1.0)))
     return VerificationReport("seed_wronskian", "seed_wronskian", tuple(grid), dev, None, tol, dev <= tol)
 
 

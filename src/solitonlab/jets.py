@@ -1,13 +1,20 @@
 """Truncated Taylor (jet) arithmetic.
 
-A Jet stores the scaled derivatives coeffs[n] = f^(n)(x0)/n! of a scalar
-function at a single point. All derivative-hungry quantities in this
-package (Wronskians, log-derivative potentials, PDE residuals) are built
-from jet arithmetic, so no finite differencing enters anywhere.
+A Jet stores the scaled derivatives coeffs[..., n] = f^(n)(x0)/n! of a
+scalar function, either at one point (coefficients of shape (order+1,),
+a float center) or at every point of a grid at once (coefficients of
+shape (P, order+1), centers of shape (P,)). The batched form is Taylor
+arithmetic with a leading batch axis (Griewank & Walther, *Evaluating
+Derivatives*): every operation acts on the last axis and elementwise
+across the batch, so each point of a batched result is bitwise the
+one-point result. All derivative-hungry quantities in this package
+(Wronskians, log-derivative potentials, PDE residuals) are built from jet
+arithmetic, so no finite differencing enters anywhere.
 
 Coefficients may be real or complex (plane-wave seeds need complex jets).
 Arithmetic silently truncates at the jet's order, which is exact for the
-retained coefficients.
+retained coefficients. A non-jet operand is a scalar or an array with one
+value per batch point.
 """
 
 from __future__ import annotations
@@ -29,42 +36,98 @@ class SingularJetError(ZeroDivisionError):
     """Division by a jet whose constant term vanishes."""
 
 
+def _pointwise(fn, v):
+    """fn, a function of the math module, applied to each element of v (a
+    scalar stays a scalar). numpy's vectorized exp and log differ from the
+    C library's in the last bit for a few percent of arguments; the
+    one-point API has always used the C library's, so batched results stay
+    bitwise equal to it. Errors are math's: exp overflow raises
+    OverflowError."""
+    if np.ndim(v) == 0:
+        return fn(v)
+    return np.array([fn(t) for t in np.ravel(v).tolist()], dtype=float).reshape(np.shape(v))
+
+
+def _per_point(v):
+    """A non-jet operand shaped to broadcast against coefficients."""
+    return v if np.ndim(v) == 0 else np.asarray(v)[..., None]
+
+
+def _column(c: np.ndarray, n: int):
+    return c[n] if c.ndim == 1 else c[:, n]
+
+
+def _cauchy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients of the truncated product of jets a and b (last axis)."""
+    order = a.shape[-1] - 1
+    out = a[..., :1] * b
+    for i in range(1, order + 1):
+        out[..., i:] += a[..., i : i + 1] * b[..., : order + 1 - i]
+    return out
+
+
+def _quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients of the jet quotient a/b (last axis); the constant
+    terms of b must not vanish."""
+    b0 = b[..., 0]
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    for n in range(a.shape[-1]):
+        acc = a[..., n]
+        if n:
+            s = b[..., 1] * out[..., n - 1]
+            for i in range(2, n + 1):
+                s = s + b[..., i] * out[..., n - i]
+            acc = acc - s
+        out[..., n] = acc / b0
+    return out
+
+
 @dataclass(frozen=True)
 class Jet:
-    center: float
+    center: float | np.ndarray
     coeffs: np.ndarray
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coeffs))
-        if c.ndim != 1:
-            raise ValueError("jet coefficients must be one-dimensional")
+        if c.ndim == 2:
+            center = np.asarray(self.center, dtype=float)
+            if center.shape != c.shape[:1]:
+                raise ValueError("a batched jet needs one center per row of coefficients")
+            object.__setattr__(self, "center", center)
+        elif c.ndim != 1:
+            raise ValueError("jet coefficients must be one- or two-dimensional")
         object.__setattr__(self, "coeffs", c)
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return self.coeffs.shape[-1] - 1
 
     @property
     def value(self):
-        return self.coeffs[0]
+        return _column(self.coeffs, 0)
 
     def deriv(self, n: int = 1):
         """n-th derivative value at the center."""
         if n > self.order:
             raise ValueError(f"jet of order {self.order} has no derivative {n}")
-        return self.coeffs[n] * math.factorial(n)
+        return _column(self.coeffs, n) * math.factorial(n)
+
+    def at(self, p: int) -> "Jet":
+        """The one-point jet at point p of a batched jet."""
+        return Jet(float(self.center[p]), self.coeffs[p].copy())
 
     @staticmethod
-    def constant(v, center: float, order: int) -> "Jet":
-        c = np.zeros(order + 1, dtype=np.result_type(type(v), float))
-        c[0] = v
+    def constant(v, center, order: int) -> "Jet":
+        c = np.zeros(np.shape(center) + (order + 1,), dtype=np.result_type(np.asarray(v).dtype, float))
+        c[..., 0] = v
         return Jet(center, c)
 
     def _check(self, other: "Jet"):
-        if self.center != other.center or self.order != other.order:
+        a, b = self.center, other.center
+        same = a is b or (np.array_equal(a, b) if np.ndim(a) or np.ndim(b) else a == b)
+        if not same or self.order != other.order:
             raise JetMismatchError(
-                f"jet mismatch: center {self.center} vs {other.center}, "
-                f"order {self.order} vs {other.order}"
+                f"jet mismatch: center {a} vs {b}, order {self.order} vs {other.order}"
             )
 
     def __add__(self, other):
@@ -72,7 +135,7 @@ class Jet:
             self._check(other)
             return Jet(self.center, self.coeffs + other.coeffs)
         c = self.coeffs.astype(np.result_type(self.coeffs.dtype, np.asarray(other).dtype))
-        c[0] = c[0] + other
+        c[..., 0] += other
         return Jet(self.center, c)
 
     __radd__ = __add__
@@ -89,9 +152,8 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             self._check(other)
-            full = np.convolve(self.coeffs, other.coeffs)
-            return Jet(self.center, full[: self.order + 1])
-        return Jet(self.center, self.coeffs * other)
+            return Jet(self.center, _cauchy(self.coeffs, other.coeffs))
+        return Jet(self.center, self.coeffs * _per_point(other))
 
     __rmul__ = __mul__
 
@@ -99,7 +161,7 @@ class Jet:
         if isinstance(other, Jet):
             self._check(other)
             return _div(self, other)
-        return Jet(self.center, self.coeffs / other)
+        return Jet(self.center, self.coeffs / _per_point(other))
 
     def __rtruediv__(self, other):
         return Jet.constant(other, self.center, self.order) / self
@@ -109,49 +171,44 @@ class Jet:
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
         n = np.arange(1, self.order + 1)
-        return Jet(self.center, self.coeffs[1:] * n)
+        return Jet(self.center, self.coeffs[..., 1:] * n)
 
     def truncate(self, order: int) -> "Jet":
         if order > self.order:
             raise ValueError("cannot extend a jet by truncation")
-        return Jet(self.center, self.coeffs[: order + 1])
+        return Jet(self.center, self.coeffs[..., : order + 1])
 
 
 def _div(a: Jet, b: Jet) -> Jet:
-    b0 = b.coeffs[0]
-    if abs(b0) < DIV_THRESHOLD:
-        raise SingularJetError(
-            f"division by jet with vanishing constant term at x={b.center}"
-        )
-    out = np.zeros(a.order + 1, dtype=np.result_type(a.coeffs.dtype, b.coeffs.dtype))
-    for n in range(a.order + 1):
-        acc = a.coeffs[n]
-        if n:
-            acc = acc - np.dot(b.coeffs[1 : n + 1], out[n - 1 :: -1])
-        out[n] = acc / b0
-    return Jet(a.center, out)
+    small = np.abs(b.value) < DIV_THRESHOLD
+    if np.any(small):
+        x = b.center if b.coeffs.ndim == 1 else b.center[np.argmax(small)]
+        raise SingularJetError(f"division by jet with vanishing constant term at x={x}")
+    return Jet(a.center, _quotient(a.coeffs, b.coeffs))
 
 
-def jet_exp(rate: float, x0: float, order: int, unit: bool = False) -> Jet:
-    """Jet of exp(rate*x) at x0; with unit=True the e^{rate*x0} prefactor
-    is dropped (constant term 1), useful when the scale is tracked
-    separately as a log gauge."""
-    c = np.empty(order + 1)
-    c[0] = 1.0 if unit else math.exp(rate * x0)
+def jet_exp(rate: float, x0, order: int, unit: bool = False) -> Jet:
+    """Jet of exp(rate*x) at x0, a point or a grid; with unit=True the
+    e^{rate*x0} prefactor is dropped (constant term 1), useful when the
+    scale is tracked separately as a log gauge."""
+    if np.ndim(x0):
+        x0 = np.asarray(x0, dtype=float)
+    c = np.empty(np.shape(x0) + (order + 1,))
+    c[..., 0] = 1.0 if unit else _pointwise(math.exp, rate * x0)
     for n in range(1, order + 1):
-        c[n] = c[n - 1] * rate / n
+        c[..., n] = c[..., n - 1] * rate / n
     return Jet(x0, c)
 
 
-def jet_log_d2(a: Jet) -> float:
+def jet_log_d2(a: Jet):
     """Second derivative of log a at the center: 2*a2/a0 - (a1/a0)^2."""
     if a.order < 2:
         raise ValueError("jet_log_d2 needs order >= 2")
-    a0 = a.coeffs[0]
-    if not a0 > 0:
+    a0 = a.value
+    if not np.all(a0 > 0):
         raise ValueError("jet_log_d2 requires a positive constant term")
-    r1 = a.coeffs[1] / a0
-    return 2.0 * (a.coeffs[2] / a0) - r1 * r1
+    r1 = _column(a.coeffs, 1) / a0
+    return 2.0 * (_column(a.coeffs, 2) / a0) - r1 * r1
 
 
 def _det_laplace(m) -> Jet:
@@ -171,12 +228,13 @@ def _det_laplace(m) -> Jet:
 
 
 def jet_det(matrix) -> Jet:
-    """Determinant of a square matrix of jets (shared center and order).
+    """Determinant of a square matrix of jets (shared center and order),
+    one-point or batched over a grid.
 
-    LU with partial pivoting on the constant terms; 3x3 and smaller go
-    through the branch-free cofactor expansion, and a singular pivot
-    falls back to it as well (legitimate for sign-indefinite taus that
-    cross zero).
+    3x3 and smaller go through the branch-free cofactor expansion, which
+    broadcasts over the batch as it stands; larger matrices go through LU
+    with partial pivoting on the constant terms, chosen per batch element
+    as dd.slogdet does.
     """
     m = [list(row) for row in matrix]
     n = len(m)
@@ -184,27 +242,59 @@ def jet_det(matrix) -> Jet:
         raise ValueError("empty matrix")
     if n <= 3:
         return _det_laplace(m)
-    try:
-        return _det_lu(m)
-    except SingularJetError:
-        if n > 8:
-            raise
-        return _det_laplace(m)
+    return _det_lu(m)
 
 
 def _det_lu(m) -> Jet:
+    """LU determinant of an n x n jet matrix, batched.
+
+    A pivot column whose constant terms all vanish (a sign-indefinite tau
+    crossing zero) is h times a jet one order lower, h being the
+    displacement from the center. Multilinearity then gives det = h * det
+    with that column shifted down one order, its unknown top coefficient
+    set to zero: that coefficient only reaches the determinant's top
+    order, which the factor h pushes past truncation. The shift is made
+    for that batch element only and the product of h's is applied at the
+    end, so a singular pivot needs no second algorithm.
+    """
+    first = m[0][0]
+    for row in m:
+        for e in row:
+            first._check(e)
     n = len(m)
-    sign = 1.0
+    order = first.order
+    a = np.moveaxis(np.array([[e.coeffs for e in row] for row in m]), (0, 1), (-3, -2))
+    batch = a.shape[:-3]
+    a = a.reshape((-1, n, n, order + 1)).copy()
+    nb = a.shape[0]
+    bidx = np.arange(nb)
+    sign = np.ones(nb)
+    shift = np.zeros(nb, dtype=np.int64)
     det = None
     for k in range(n):
-        p = max(range(k, n), key=lambda i: abs(m[i][k].coeffs[0]))
-        if p != k:
-            m[k], m[p] = m[p], m[k]
-            sign = -sign
-        piv = m[k][k]
-        det = piv if det is None else det * piv
-        for i in range(k + 1, n):
-            f = m[i][k] / piv
-            for j in range(k + 1, n):
-                m[i][j] = m[i][j] - f * m[k][j]
-    return det * sign
+        while True:
+            flat = (np.max(np.abs(a[:, k:, k, 0]), axis=1) < DIV_THRESHOLD) & (shift <= order)
+            if not flat.any():
+                break
+            a[flat, k:, k, :-1] = a[flat, k:, k, 1:]
+            a[flat, k:, k, -1] = 0.0
+            shift[flat] += 1
+        # the determinant vanishes to this order; any nonzero pivot will do
+        a[shift > order, k, k, 0] = 1.0
+        p = np.argmax(np.abs(a[:, k:, k, 0]), axis=1) + k
+        swap = p != k
+        if swap.any():
+            row_p = a[bidx, p]
+            a[bidx, p] = a[:, k]
+            a[:, k] = row_p
+            sign = np.where(swap, -sign, sign)
+        piv = a[:, k, k]
+        det = piv.copy() if det is None else _cauchy(det, piv)
+        if k < n - 1:
+            f = _quotient(a[:, k + 1 :, k], piv[:, None])
+            a[:, k + 1 :, k + 1 :] -= _cauchy(f[:, :, None], a[:, None, k, k + 1 :])
+    for s in np.unique(shift[shift > 0]):  # s <= order + 1
+        sel = shift == s
+        det[sel, s:] = det[sel, : order + 1 - s]
+        det[sel, :s] = 0.0
+    return Jet(first.center, (det * sign[:, None]).reshape(batch + (order + 1,)))

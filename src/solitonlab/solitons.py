@@ -21,6 +21,7 @@ sign * exp(gauge_exponent) * jet.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -28,7 +29,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import dd
-from .jets import Jet, jet_det, jet_exp, jet_log_d2
+from .jets import Jet, _pointwise, jet_det, jet_exp, jet_log_d2
 
 #: enumeration budget for the 2^N exponential-sum oracle
 HIROTA_MAX_N = 24
@@ -368,6 +369,11 @@ class TauGrid:
         return self.coeffs.shape[1] - 1
 
     @property
+    def jet(self) -> Jet:
+        """The normalized tau jets as one Jet batched over the grid."""
+        return Jet(self.xs, self.coeffs)
+
+    @property
     def log_abs(self) -> np.ndarray:
         v = np.abs(self.coeffs[:, 0])
         with np.errstate(divide="ignore"):
@@ -384,9 +390,6 @@ class TauGrid:
         x = float(self.xs[p])
         return TauEval(x, Jet(x, self.coeffs[p].copy()), float(self.gauge[p]), float(self.sign[p]))
 
-    def evals(self) -> list:
-        return [self.at(p) for p in range(len(self.xs))]
-
 
 def _dd_tree_sum(h, l):
     """Accurate sums of double-double vectors along the last axis, whose
@@ -397,10 +400,17 @@ def _dd_tree_sum(h, l):
     return h[..., 0], l[..., 0]
 
 
-def _jet_sum_terms(k: np.ndarray, ce: np.ndarray):
+@functools.lru_cache(maxsize=32)
+def _jet_sum_terms(k: tuple, ce: tuple):
     """x-independent data of the 2^N expansion terms, in double-double:
     prefactor prod c_j/(2k_j) * prod pair factors (ph, pl), its log and
-    sign, and the decay rate -2 sum_j k_j (rh, rl)."""
+    sign, and the decay rate -2 sum_j k_j (rh, rl).
+
+    Memoized on the effective (k, c), since the one-point tau_jet_sum
+    reaches the same terms at every point; the arrays are read-only, as
+    every caller shares them."""
+    k = np.asarray(k)
+    ce = np.asarray(ce)
     n = len(k)
     m = 1 << n
     bits = ((np.arange(m, dtype=np.uint64)[:, None] >> np.arange(n, dtype=np.uint64)) & 1).astype(bool)
@@ -432,7 +442,10 @@ def _jet_sum_terms(k: np.ndarray, ce: np.ndarray):
         rl = np.where(bits[:, j], tl, rl)
     with np.errstate(divide="ignore"):
         logp = np.log(np.abs(ph))
-    return ph, pl, logp, sgn, rh, rl
+    terms = (ph, pl, logp, sgn, rh, rl)
+    for a in terms:
+        a.flags.writeable = False
+    return terms
 
 
 def _jet_sum_block(terms, xs: np.ndarray, order: int):
@@ -490,7 +503,7 @@ def tau_jet_sum_grid(cfg: SolitonConfig, rule: CoefficientRule | None, xs, order
         return TauGrid(xs, coeffs, np.zeros(npts), np.ones(npts))
     if n > _JET_SUM_MAX_N:
         raise ConfigError(f"2^N jet-sum budget exceeded: N={n} > {_JET_SUM_MAX_N}")
-    terms = _jet_sum_terms(k, ce)
+    terms = _jet_sum_terms(tuple(k.tolist()), tuple(ce.tolist()))
     coeffs = np.empty((npts, order + 1))
     gauge = np.empty(npts)
     sign = np.empty(npts)
@@ -622,43 +635,36 @@ def potential_fn(cfg: SolitonConfig) -> Callable:
     return u_potential
 
 
-def _eigen_jet(num: TauEval, den: TauEval, kj: float) -> Jet:
-    """(num / den) e^{-k_j x} from the eigenfunction-rewritten tau num
-    and the config's own tau den at the same x and order."""
-    x = den.x
-    q = num.jet / den.jet
-    log_scale = num.gauge_exponent - den.gauge_exponent - kj * x
-    try:
-        scale = math.exp(log_scale)
-    except OverflowError as exc:
-        raise RangeError(f"eigenfunction scale overflow at x={x}") from exc
-    return (q * jet_exp(-kj, x, den.jet.order, unit=True)) * (num.sign * den.sign * scale)
-
-
 def eigenfunction(cfg: SolitonConfig, j: int, x: float, order: int) -> Jet:
     """Jet of the j-th bound-state eigenfunction, normalized to the
-    asymptote e^{-k_j x} as x -> +infinity."""
+    asymptote e^{-k_j x} as x -> +infinity: the one-point case of
+    eigenfunction_grid."""
     cfg = cfg.flowed()
-    _check_index(cfg, j)
-    # the sign-indefinite rewritten tau costs the plain-double determinant
-    # several digits; prefer the compensated sum route within its budget
-    tau = tau_jet_sum if cfg.n <= _JET_SUM_MAX_N else tau_det
-    num = tau(cfg, eigenfunction_rule(cfg, j), x, order)
-    return _eigen_jet(num, tau(cfg, None, x, order), cfg.k[j - 1])
+    return eigenfunction_grid(cfg, j, tau_grid(cfg, None, [float(x)], order)).at(0)
 
 
-def eigenfunction_grid(cfg: SolitonConfig, j: int, den: TauGrid) -> list:
-    """Jets of the j-th eigenfunction at every point of a grid, each equal
-    bitwise to eigenfunction(cfg, j, x, order).
+def eigenfunction_grid(cfg: SolitonConfig, j: int, den: TauGrid) -> Jet:
+    """Jet of the j-th eigenfunction, (rewritten tau / tau) e^{-k_j x},
+    batched over a grid; each point is bitwise eigenfunction(cfg, j, x,
+    order).
 
     den is the config's own tau over the grid, tau_grid(cfg, None, xs,
     order); the grid and the jet order are taken from it, so one
-    evaluation also serves the caller's other uses of tau."""
+    evaluation also serves the caller's other uses of tau. The rewritten
+    tau goes through tau_grid too: its sign-indefinite terms cost the
+    plain-double determinant several digits, so the compensated sum is
+    used within its budget."""
     cfg = cfg.flowed()
     _check_index(cfg, j)
     num = tau_grid(cfg, eigenfunction_rule(cfg, j), den.xs, den.order)
     kj = cfg.k[j - 1]
-    return [_eigen_jet(a, b, kj) for a, b in zip(num.evals(), den.evals())]
+    log_scale = num.gauge - den.gauge - kj * den.xs
+    try:
+        scale = _pointwise(math.exp, log_scale)
+    except OverflowError as exc:
+        raise RangeError(f"eigenfunction scale overflow at x={den.xs[np.argmax(log_scale)]}") from exc
+    q = num.jet / den.jet
+    return (q * jet_exp(-kj, den.xs, den.order, unit=True)) * (num.sign * den.sign * scale)
 
 
 def apply_time_flows(cfg: SolitonConfig) -> SolitonConfig:

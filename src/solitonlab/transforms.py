@@ -22,15 +22,18 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .jets import Jet, SingularJetError, jet_det, jet_exp, jet_log_d2
+from .jets import Jet, SingularJetError, _pointwise, jet_det, jet_exp, jet_log_d2
 from .solitons import (
     ConfigError,
     CoefficientRule,
     SolitonConfig,
+    TauGrid,
     deletion_rule,
     eigenfunction,
+    eigenfunction_grid,
     rescale_rule,
-    tau_jet_sum,
+    tau_grid,
+    tau_jet_sum_grid,
 )
 
 
@@ -161,8 +164,9 @@ def am_add(cfg: SolitonConfig, params: Mapping) -> TransformResult:
 @dataclass(frozen=True)
 class SeedFunction:
     """A solution of the starting Hamiltonian at a fixed energy, exposed
-    as a jet evaluator (x, order) -> Jet. Eigenfunction seeds remember
-    their spectral origin so overlap integrals can use closed forms."""
+    as a jet evaluator (x, order) -> Jet, where x is a point or a grid
+    (giving a batched Jet). Eigenfunction seeds remember their spectral
+    origin so overlap integrals can use closed forms."""
 
     evaluator: Callable
     energy: float
@@ -170,23 +174,30 @@ class SeedFunction:
     config: SolitonConfig | None = None
     index: int | None = None
 
-    def __call__(self, x: float, order: int) -> Jet:
+    def __call__(self, x, order: int) -> Jet:
         return self.evaluator(x, order)
 
 
-def eigenfunction_seed(cfg: SolitonConfig, j: int) -> SeedFunction:
+def eigenfunction_seed(cfg: SolitonConfig, j: int, den: TauGrid | None = None) -> SeedFunction:
+    """The j-th bound state as a seed. On a grid it is one batched
+    eigenfunction_grid evaluation; den, the config's own tau over a grid
+    (tau_grid(cfg, None, xs, order)), is reused on that grid up to its
+    order, so seeds sharing it evaluate the config's tau once between
+    them."""
     kj = cfg.k[j - 1]
-    return SeedFunction(
-        evaluator=lambda x, order: eigenfunction(cfg, j, x, order),
-        energy=-kj * kj,
-        label=f"bound[{j}]",
-        config=cfg,
-        index=j,
-    )
+
+    def ev(x, order):
+        if np.ndim(x) == 0:
+            return eigenfunction(cfg, j, x, order)
+        if den is not None and order <= den.order and np.array_equal(x, den.xs):
+            return eigenfunction_grid(cfg, j, den.truncate(order))
+        return eigenfunction_grid(cfg, j, tau_grid(cfg, None, x, order))
+
+    return SeedFunction(evaluator=ev, energy=-kj * kj, label=f"bound[{j}]", config=cfg, index=j)
 
 
-def eigenfunction_seeds(cfg: SolitonConfig, indices) -> list:
-    return [eigenfunction_seed(cfg, j) for j in sorted(set(indices))]
+def eigenfunction_seeds(cfg: SolitonConfig, indices, den: TauGrid | None = None) -> list:
+    return [eigenfunction_seed(cfg, j, den) for j in sorted(set(indices))]
 
 
 def free_seed(k: float, ctilde: float, j: int | None = None) -> SeedFunction:
@@ -205,10 +216,10 @@ def plane_wave_seed(k: float) -> SeedFunction:
 
     def ev(x, order):
         rate = 1j * k
-        c = np.empty(order + 1, dtype=complex)
-        c[0] = np.exp(rate * x)
+        c = np.empty(np.shape(x) + (order + 1,), dtype=complex)
+        c[..., 0] = np.exp(rate * np.asarray(x))
         for n in range(1, order + 1):
-            c[n] = c[n - 1] * rate / n
+            c[..., n] = c[..., n - 1] * rate / n
         return Jet(x, c)
 
     return SeedFunction(evaluator=ev, energy=k * k, label="plane_wave")
@@ -235,14 +246,17 @@ def seed_config_from_free(k, ctilde) -> SolitonConfig:
     return SolitonConfig(tuple(k), tuple(c))
 
 
-def wronskian(fns: Sequence, x: float, order: int = 0) -> Jet:
-    """Jet of the Wronskian det(d^(i-1) f_m / dx^(i-1)) at x. Accepts
+def wronskian(fns: Sequence, x, order: int = 0) -> Jet:
+    """Jet of the Wronskian det(d^(i-1) f_m / dx^(i-1)) at a point x, or
+    batched over a grid x: each function is evaluated once, over the
+    whole grid, and the determinant is one batched jet_det. Accepts
     SeedFunctions or raw (x, order) -> Jet evaluators; an empty list
     gives the constant 1 (the empty determinant)."""
+    x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
     m = len(fns)
     if m == 0:
-        return Jet.constant(1.0, float(x), order)
-    jets = [f(float(x), m - 1 + order) for f in fns]
+        return Jet.constant(1.0, x, order)
+    jets = [f(x, m - 1 + order) for f in fns]
     rows = []
     current = [j.truncate(m - 1 + order) for j in jets]
     for i in range(m):
@@ -314,7 +328,7 @@ def generic_am(
     the tail integral of phi_j phi_l from x to +infinity (closed form,
     no quadrature). The new potential is U - 2 (log det F)''.
     """
-    from .identities import row_gauged, tail_matrix, tail_values  # late import: identities uses wronskian
+    from .identities import row_gauged, tail_matrix_grid, tail_values  # late import: identities uses wronskian
 
     if mode not in ("add", "delete"):
         raise ConfigError(f"unknown mode {mode!r}; use 'add' or 'delete'")
@@ -332,29 +346,30 @@ def generic_am(
         if any(v <= 0 for v in e):
             raise ConfigError("addition parameters must be positive")
 
+    # one-point grid: every jet below is batched over the single point x
     x = float(x)
     sqc = np.sqrt([cfg.c[j - 1] for j in idx])
     sqcc = np.outer(sqc, sqc)
-    den = tau_jet_sum(cfg.flowed(), None, x, 2)
-    tails = tail_matrix(cfg, idx, idx, den)
+    den = tau_jet_sum_grid(cfg.flowed(), None, [x], 2)
+    tails = tail_matrix_grid(cfg, idx, idx, den)
 
     if mode == "delete":
         # F = D T D with D = diag(sqrt c); D and the row gauges factor out of log det
         det = jet_det(row_gauged(tails)[0])
-        if det.coeffs[0] <= 0:
+        if det.value[0] <= 0:
             raise RegularityError(f"overlap determinant not positive at x={x}")
     else:
-        rows = [[jet * (-(sqcc[a, b] * s * math.exp(g))) for b, (jet, g, s) in enumerate(row)]
+        rows = [[jet * (-(sqcc[a, b] * s * _pointwise(math.exp, g))) for b, (jet, g, s) in enumerate(row)]
                 for a, row in enumerate(tails)]
         for a in range(m):
             rows[a][a] = rows[a][a] + (e[a] + 1.0)
         det = jet_det(rows)
-        if det.coeffs[0] <= 0:
+        if det.value[0] <= 0:
             raise RegularityError(f"overlap matrix not positive definite at x={x}")
 
     from .solitons import potential as _potential
 
-    u_new = _potential(cfg, x) - 2.0 * jet_log_d2(det)
+    u_new = _potential(cfg, x) - 2.0 * jet_log_d2(det)[0]
 
     tval = None
     if target is not None:
@@ -362,14 +377,17 @@ def generic_am(
             raise ConfigError("target must be a bound state of the same config")
         # value-level map: psi -/+ sum_jl s_j (F^-1)_jl <s_l, psi>
         jt = target.index
-        fvals = sqcc * tail_values(tails)
+        fvals = sqcc * tail_values(tails)[0]
         if mode == "add":
             fvals = np.diag(np.add(e, 1.0)) - fvals
-        svals = np.array([sqc[a] * eigenfunction(cfg, idx[a], x, 0).coeffs[0] for a in range(m)])
+        # the eigenfunctions' own tau is the one den already holds
+        den0 = den.truncate(0)
+        phi = {j: eigenfunction_grid(cfg, j, den0).value[0] for j in {*idx, jt}}
+        svals = sqc * np.array([phi[j] for j in idx])
         # <s_a, phi_target>(x) = sqrt(c_a) (delta/c_a - tail)
         full = np.array([1.0 / cfg.c[j - 1] if j == jt else 0.0 for j in idx])
-        bvec = sqc * (full - tail_values(tail_matrix(cfg, idx, [jt], den))[:, 0])
-        psi = eigenfunction(cfg, jt, x, 0).coeffs[0]
+        bvec = sqc * (full - tail_values(tail_matrix_grid(cfg, idx, [jt], den))[0, :, 0])
+        psi = phi[jt]
         corr = svals @ np.linalg.solve(fvals, bvec)
         tval = float(psi + corr) if mode == "delete" else float(psi - corr)
 

@@ -142,20 +142,6 @@ class TestIndividualIdentities:
         with pytest.raises(ConfigError):
             I.verify_seed_wronskian([1.0, 2.0], [1.0, 1.0], np.linspace(-1, 1, 5))
 
-    @pytest.fixture
-    def grid_tau_calls(self, monkeypatch):
-        """Records every call of the grid tau core, wherever it is reached."""
-        calls = []
-        real = S.tau_jet_sum_grid
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(I, "tau_jet_sum_grid", counted)
-        monkeypatch.setattr(S, "tau_jet_sum_grid", counted)
-        return calls
-
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_determinant_checks_evaluate_each_tau_once(self, cfg4, grid_tau_calls, m):
         # m(m+1)/2 pair taus, one shared denominator, one rewritten numerator,
@@ -169,6 +155,21 @@ class TestIndividualIdentities:
             grid_tau_calls.clear()
             I.verify_addition_determinant(cfg4, dset, [2.0] * m, grid)
             assert len(grid_tau_calls) == m * (m + 1) // 2 + 2
+
+    @pytest.mark.parametrize("dset", [[2], [1, 3], [1, 2, 4]])
+    def test_wronskian_evaluates_each_tau_once(self, cfg4, grid_tau_calls, monkeypatch, dset):
+        # the config's own tau once, at order m-1, shared by the m seeds and
+        # the right side; m eigenfunction numerators; one rewritten numerator
+        scalar = []
+        monkeypatch.setattr(S, "tau_jet_sum", lambda *a: scalar.append(a))
+        monkeypatch.setattr(I, "tau_jet_sum", lambda *a: scalar.append(a))
+        for npts in (1, 21):
+            grid_tau_calls.clear()
+            rep = I.verify_wronskian_identity(cfg4, dset, np.linspace(-0.5, 0.3, npts))
+            assert rep.passed
+            assert len(grid_tau_calls) == len(dset) + 2
+            assert grid_tau_calls[0][1] is None and grid_tau_calls[0][3] == len(dset) - 1
+        assert scalar == []
 
     @pytest.mark.parametrize("j,l,expected", [(1, 3, 4), (2, 2, 3)])
     def test_bilinear_evaluates_each_tau_once(self, cfg4, grid_tau_calls, j, l, expected):

@@ -190,3 +190,144 @@ class TestDerivativeAndTruncate:
         assert j.truncate(2).order == 2
         with pytest.raises(ValueError):
             j.truncate(5)
+
+
+# ---------------------------------------------------------------------------
+# Batched jets: each point of a batched result is the one-point result
+
+
+def reference_mul(a, b):
+    """The one-point product before jets were batched."""
+    return np.convolve(a, b)[: len(a)]
+
+
+def reference_div(a, b):
+    """The one-point quotient before jets were batched."""
+    out = np.zeros(len(a), dtype=np.result_type(a, b))
+    for n in range(len(a)):
+        acc = a[n]
+        if n:
+            acc = acc - np.dot(b[1 : n + 1], out[n - 1 :: -1])
+        out[n] = acc / b[0]
+    return out
+
+
+def reference_det(m):
+    """Cofactor expansion of a one-point jet matrix of any size."""
+    if len(m) == 1:
+        return m[0][0]
+    acc = None
+    for j in range(len(m)):
+        term = m[0][j] * reference_det([row[:j] + row[j + 1 :] for row in m[1:]])
+        term = -term if j % 2 else term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def assert_matches(got, want, order):
+    """Bitwise at order <= 1 (no sum is reassociated there), else within
+    1e-15 of the largest coefficient."""
+    if order <= 1:
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+XS = np.array([-2.5, -0.0, 0.0, 0.3, 1.7, 4.0])
+
+
+def batch(rng, order, lead=1.0):
+    c = rng.normal(size=(len(XS), order + 1))
+    c[:, 0] = np.sign(c[:, 0]) * (lead + np.abs(c[:, 0]))
+    return Jet(XS, c)
+
+
+def assert_per_point(batched, per_point):
+    assert np.array_equal(batched.center, XS)
+    for p in range(len(XS)):
+        one = per_point(p)
+        assert one.center == XS[p]
+        assert np.array_equal(batched.coeffs[p], one.coeffs)
+        assert np.array_equal(batched.at(p).coeffs, one.coeffs)
+
+
+class TestBatched:
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_arithmetic_equals_per_point(self, order):
+        rng = np.random.default_rng(40 + order)
+        a, b = batch(rng, order), batch(rng, order)
+        w = rng.normal(size=len(XS))
+        ops = [
+            lambda f, g, s: f + g,
+            lambda f, g, s: f - g,
+            lambda f, g, s: f * g,
+            lambda f, g, s: f / g,
+            lambda f, g, s: -f,
+            lambda f, g, s: 2.5 - f,
+            lambda f, g, s: f + s,
+            lambda f, g, s: f * s,
+            lambda f, g, s: f / s,
+            lambda f, g, s: 1.5 / g,
+            lambda f, g, s: f.truncate(0),
+        ]
+        if order:
+            ops.append(lambda f, g, s: f.derivative())
+        for op in ops:
+            assert_per_point(op(a, b, w), lambda p: op(a.at(p), b.at(p), w[p]))
+        assert np.array_equal(a.deriv(order), [a.at(p).deriv(order) for p in range(len(XS))])
+        for p in range(len(XS)):
+            assert_matches((a * b).coeffs[p], reference_mul(a.coeffs[p], b.coeffs[p]), order)
+            assert_matches((a / b).coeffs[p], reference_div(a.coeffs[p], b.coeffs[p]), order)
+
+    @pytest.mark.parametrize("unit", [False, True])
+    def test_exp_equals_per_point(self, unit):
+        got = jet_exp(-1.3, XS, 3, unit)
+        assert_per_point(got, lambda p: jet_exp(-1.3, float(XS[p]), 3, unit))
+        for p, x in enumerate(XS):
+            assert got.coeffs[p, 0] == (1.0 if unit else math.exp(-1.3 * x))
+
+    def test_singular_divisor_names_the_point(self):
+        c = np.ones((len(XS), 2))
+        c[3, 0] = 0.0
+        with pytest.raises(SingularJetError, match="x=0.3"):
+            batch(np.random.default_rng(47), 1) / Jet(XS, c)
+
+    def test_mixing_one_point_and_batched_raises(self):
+        a = batch(np.random.default_rng(48), 1)
+        with pytest.raises(JetMismatchError):
+            a + a.at(0)
+        with pytest.raises(JetMismatchError):
+            a * Jet(XS + 1.0, a.coeffs)
+        with pytest.raises(ValueError):
+            Jet(XS[:2], a.coeffs)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_det_equals_per_point(self, n, order):
+        rng = np.random.default_rng(10 * n + order)
+        m = [[batch(rng, order, lead=0.0) for _ in range(n)] for _ in range(n)]
+        det = jet_det(m)
+        assert_per_point(det, lambda p: jet_det([[e.at(p) for e in row] for row in m]))
+        for p in range(len(XS)):
+            want = reference_det([[e.at(p) for e in row] for row in m]).coeffs
+            assert np.max(np.abs(det.coeffs[p] - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_det_with_vanishing_pivots(self, order):
+        # point 1: a first column with vanishing constant terms; point 3: two
+        # columns with equal constant terms (exact in powers of two), so the
+        # second pivot vanishes after one elimination step; point 4: a zero
+        # column, a determinant that vanishes to every order
+        rng = np.random.default_rng(50 + order)
+        c = rng.normal(size=(len(XS), 4, 4, order + 1))
+        c[1, :, 0, 0] = 0.0
+        c[3, :, 0, 0] = c[3, :, 1, 0] = [1.0, 0.5, 0.25, 2.0]
+        c[4, :, 2] = 0.0
+        m = [[Jet(XS, c[:, i, j]) for j in range(4)] for i in range(4)]
+        det = jet_det(m)
+        assert_per_point(det, lambda p: jet_det([[e.at(p) for e in row] for row in m]))
+        for p in range(len(XS)):
+            want = reference_det([[e.at(p) for e in row] for row in m]).coeffs
+            assert np.max(np.abs(det.coeffs[p] - want)) < 1e-12 * max(1.0, np.max(np.abs(c[p])) ** 4)
+        assert det.coeffs[1, 0] == 0.0
+        assert np.all(det.coeffs[4] == 0.0)

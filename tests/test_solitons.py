@@ -266,6 +266,16 @@ class TestTauJetSumGrid:
         for p in (0, step - 1, step, 2 * step, 2 * step + 2):
             assert_tau_bitwise(grid, p, tau_jet_sum_reference(cfg, rule, xs[p], 1))
 
+    def test_terms_are_memoized_read_only(self):
+        cfg = S.random_config(np.random.default_rng(123), n=5)
+        k, ce = S._effective(cfg, S.eigenfunction_rule(cfg, 2))
+        key = (tuple(k.tolist()), tuple(ce.tolist()))
+        terms = S._jet_sum_terms(*key)
+        assert S._jet_sum_terms(*key) is terms
+        for shared, fresh in zip(terms, S._jet_sum_terms.__wrapped__(*key)):
+            assert np.array_equal(shared, fresh)
+            assert not shared.flags.writeable
+
     def test_budget(self):
         cfg = S.random_config(np.random.default_rng(121), n=13, k_range=(0.2, 8.0))
         with pytest.raises(ConfigError):
@@ -275,9 +285,9 @@ class TestTauJetSumGrid:
         # N > 12 takes the per-point determinant route in both forms
         cfg = S.random_config(np.random.default_rng(122), n=13, k_range=(0.2, 8.0))
         xs = [-0.5, 0.7]
-        jets = S.eigenfunction_grid(cfg, 2, S.tau_grid(cfg, None, xs, 1))
-        for x, jet in zip(xs, jets):
-            assert np.array_equal(jet.coeffs, S.eigenfunction(cfg, 2, x, 1).coeffs)
+        phi = S.eigenfunction_grid(cfg, 2, S.tau_grid(cfg, None, xs, 1))
+        for p, x in enumerate(xs):
+            assert np.array_equal(phi.at(p).coeffs, S.eigenfunction(cfg, 2, x, 1).coeffs)
 
 
 class TestPotential:

@@ -118,6 +118,25 @@ class TestWronskian:
     def test_empty(self):
         assert T.wronskian([], 0.0, 1).coeffs[0] == 1.0
 
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["bound", "free", "plane_wave"])
+    def test_grid_equals_per_point_loop(self, kind, order):
+        # each seed is evaluated once over the grid; four seeds take the
+        # batched LU determinant, fewer the cofactor form
+        cfg = S.random_config(np.random.default_rng(26), n=4)
+        xs = np.linspace(-3.0, 2.0, 7)
+        if kind == "bound":
+            seeds = T.eigenfunction_seeds(cfg, [1, 2, 3, 4])
+        elif kind == "free":
+            seeds = [T.free_seed(kj, (-1.0) ** j * (0.5 + j), j + 1) for j, kj in enumerate(cfg.k)]
+        else:
+            seeds = [T.plane_wave_seed(kj) for kj in cfg.k]
+        for m in range(1, 5):
+            w = T.wronskian(seeds[:m], xs, order)
+            assert w.coeffs.shape == (len(xs), order + 1)
+            for p, x in enumerate(xs):
+                assert np.array_equal(w.coeffs[p], T.wronskian(seeds[:m], float(x), order).coeffs)
+
 
 class TestGenericDarboux:
     def test_no_seeds_is_identity(self):
@@ -260,6 +279,27 @@ class TestGenericAM:
             chi = chi if chi.coeffs[0] > 0 else -chi
             u2 = u1 - 2.0 * jet_log_d2(chi)
             assert u2 == pytest.approx(S.potential(after, x), abs=1e-8)
+
+    # target values computed by the earlier implementation, which reached
+    # the config tau through one scalar eigenfunction call per seed
+    REFERENCE_TARGETS = [
+        ((0.6, 1.3, 2.2), (1.7, 0.4, 5.0), "delete", [1, 3], None, 1, 0.7, "-0x1.e0e5ea553cf36p+0"),
+        ((0.6, 1.3, 2.2), (1.7, 0.4, 5.0), "add", [1], [2.0], 3, -1.3, "0x1.7249c2c53673cp-4"),
+        ((0.7, 1.3, 2.1, 2.9), (1.5, 3.0, 0.4, 7.0), "add", [1, 4], [1.5, 3.0], 4, 0.0, "0x1.503f702c73198p-2"),
+        ((0.7, 1.3, 2.1, 2.9), (1.5, 3.0, 0.4, 7.0), "delete", [2], None, 3, -0.4, "0x1.1d135968db256p-3"),
+        ((0.7, 1.3, 2.1, 2.9), (1.5, 3.0, 0.4, 7.0), "delete", [1, 2, 3], None, 2, 0.25, "-0x1.0f7f86e561b01p+4"),
+    ]
+
+    @pytest.mark.parametrize("k,c,mode,idx,e,jt,x,expected", REFERENCE_TARGETS)
+    def test_target_reuses_the_config_tau(self, grid_tau_calls, k, c, mode, idx, e, jt, x, expected):
+        # the config's own tau once (order 2, truncated for the target map),
+        # the m(m+1)/2 overlap pairs, the m target-column pairs and one
+        # eigenfunction numerator per distinct index
+        cfg = SolitonConfig(k, c)
+        r = T.generic_am(T.eigenfunction_seeds(cfg, idx), mode, e, T.eigenfunction_seed(cfg, jt), x)
+        assert r.target_value == float.fromhex(expected)
+        m = len(idx)
+        assert len(grid_tau_calls) == 1 + m * (m + 1) // 2 + m + len({*idx, jt})
 
     def test_mixed_configs_rejected(self):
         a = SolitonConfig((1.0,), (2.0,))
