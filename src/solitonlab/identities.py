@@ -113,7 +113,7 @@ def _ratio_report(name, tag, grid, log_lhs, sign_lhs, log_rhs, sign_rhs, tol):
 # Closed-form tail integrals
 
 
-def tail_matrix_grid(cfg: SolitonConfig, rows, cols, den: TauGrid) -> list:
+def tail_matrix_grid(cfg: SolitonConfig, rows, cols, den: TauGrid, pair_taus: dict | None = None) -> list:
     """Gauged jets of the tail integrals T_ab = int_x^inf phi_a phi_b dy
     for a in rows, b in cols over a grid, with closed form
     (pair-rewritten tau / tau) e^{-(k_a+k_b)x}/(k_a+k_b).
@@ -124,15 +124,23 @@ def tail_matrix_grid(cfg: SolitonConfig, rows, cols, den: TauGrid) -> list:
     pair_rule is symmetric, so each unordered pair is evaluated once, as
     one grid, and T_ab is T_ba bitwise. Returns a nested list of entries
     (jet, log_gauge, sign), the jet batched over the grid and the gauge
-    and sign arrays over it; true value = sign*e^gauge*jet."""
+    and sign arrays over it; true value = sign*e^gauge*jet.
+
+    pair_taus, if given, maps (j, l), j <= l, to pair taus already
+    evaluated over den's grid at den's order; it is read first and
+    receives the pairs evaluated here, so calls sharing it evaluate each
+    pair once."""
     cfg = cfg.flowed()
+    pair_taus = {} if pair_taus is None else pair_taus
     entries = {}
 
     def entry(j, l):
         j, l = min(j, l), max(j, l)
         if (j, l) not in entries:
             ksum = cfg.k[j - 1] + cfg.k[l - 1]
-            num = tau_jet_sum_grid(cfg, pair_rule(cfg, j, l), den.xs, den.order)
+            if (j, l) not in pair_taus:
+                pair_taus[j, l] = tau_jet_sum_grid(cfg, pair_rule(cfg, j, l), den.xs, den.order)
+            num = pair_taus[j, l]
             jet = (num.jet / den.jet) * jet_exp(-ksum, den.xs, den.order, unit=True) * (1.0 / ksum)
             entries[j, l] = (jet, num.gauge - den.gauge - ksum * den.xs, num.sign * den.sign)
         return entries[j, l]
@@ -190,10 +198,9 @@ def inner_tail(cfg: SolitonConfig, j: int, l: int, x: float) -> float:
 # Identity checks
 
 
-def _log_tau_ratio(cfg: SolitonConfig, rule, den: TauGrid, rate: float) -> tuple:
-    """(log|.|, sign) arrays of (rewritten tau / tau) e^{rate x} over the
-    grid of the already evaluated den."""
-    num = tau_jet_sum_grid(cfg, rule, den.xs, 0)
+def _log_tau_ratio(num: TauGrid, den: TauGrid, rate: float) -> tuple:
+    """(log|.|, sign) arrays of (num / den) e^{rate x} over their common
+    grid: num a rewritten tau, den the config's own."""
     return num.log_abs - den.log_abs + rate * den.xs, num.sign * den.sign
 
 
@@ -212,7 +219,8 @@ def verify_wronskian_identity(cfg: SolitonConfig, deleted, grid, tol: float = CO
     log_l = np.full(w.shape, -np.inf)
     log_l[nonzero] = _pointwise(math.log, np.abs(w[nonzero]))
     sgn_l = np.where(nonzero, np.copysign(1.0, w), 0.0)
-    log_r, sgn_r = _log_tau_ratio(cfg, deletion_rule(cfg, dset, 1), den.truncate(0), -ksum)
+    num = tau_jet_sum_grid(cfg, deletion_rule(cfg, dset, 1), den.xs, 0)
+    log_r, sgn_r = _log_tau_ratio(num, den.truncate(0), -ksum)
     return _ratio_report(
         f"wronskian_identity D={dset}", "wronskian_ratio", grid, log_l, sgn_l, log_r, sgn_r, tol
     )
@@ -240,15 +248,22 @@ def verify_bilinear_derivative(cfg: SolitonConfig, j: int, l: int, grid, tol: fl
 
 def verify_deletion_determinant(cfg: SolitonConfig, deleted, grid, tol: float = CONSTANCY_TOL) -> VerificationReport:
     """det of the tail-integral matrix over the deleted set is a constant
-    multiple of (squared-rewrite tau / tau) e^{-2 sum k_d x}."""
+    multiple of (squared-rewrite tau / tau) e^{-2 sum k_d x}. For one
+    index d the squared rewrite is pair_rule(d, d) with bitwise-equal
+    factors, so the tail's pair tau serves the right side too."""
     cfg = cfg.flowed()
     dset = sorted(set(int(d) for d in deleted))
     ksum = sum(cfg.k[d - 1] for d in dset)
     den = tau_jet_sum_grid(cfg, None, grid, 0)
-    rows, log_gauge = row_gauged(tail_matrix_grid(cfg, dset, dset, den))
+    pair_taus = {}
+    rows, log_gauge = row_gauged(tail_matrix_grid(cfg, dset, dset, den, pair_taus))
     sgn_l, logabs = np.linalg.slogdet(np.stack([np.stack([r.value for r in row], -1) for row in rows], -2))
     log_l = log_gauge + logabs
-    log_r, sgn_r = _log_tau_ratio(cfg, deletion_rule(cfg, dset, 2), den, -2.0 * ksum)
+    if len(dset) == 1:
+        num = pair_taus[dset[0], dset[0]]
+    else:
+        num = tau_jet_sum_grid(cfg, deletion_rule(cfg, dset, 2), den.xs, 0)
+    log_r, sgn_r = _log_tau_ratio(num, den, -2.0 * ksum)
     return _ratio_report(
         f"deletion_determinant D={dset}", "deletion_determinant", grid, log_l, sgn_l, log_r, sgn_r, tol
     )
@@ -271,7 +286,8 @@ def verify_addition_determinant(cfg: SolitonConfig, deleted, e, grid, tol: float
     den = tau_jet_sum_grid(cfg, None, grid, 0)
     fm = np.diag(np.add(e, 1.0)) - np.outer(sqc, sqc) * tail_values(tail_matrix_grid(cfg, dset, dset, den))
     sgn_l, log_l = np.linalg.slogdet(fm)
-    log_r, sgn_r = _log_tau_ratio(cfg, rule, den, 0.0)
+    num = tau_jet_sum_grid(cfg, rule, den.xs, 0)
+    log_r, sgn_r = _log_tau_ratio(num, den, 0.0)
     return _ratio_report(
         f"addition_determinant D={dset}", "addition_determinant", grid, log_l, sgn_l, log_r, sgn_r, tol
     )

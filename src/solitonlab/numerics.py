@@ -3,12 +3,14 @@
 Everything here consumes potentials only as black-box x -> U(x) maps and
 never touches the determinant machinery, so agreement with the closed
 forms is a genuine two-sided check: bound spectra from a finite-difference
-Hamiltonian, reflection/transmission amplitudes from direct integration of
-the scattering problem, adaptive quadrature as an oracle for the closed-
-form overlap integrals, and the KdV residual of the flowing potential.
+Hamiltonian, reflection/transmission amplitudes from a Magnus propagator
+for the scattering problem, adaptive quadrature as an oracle for the
+closed-form overlap integrals, the KdV residual of the flowing potential,
+and two-soliton phase shifts from located potential minima.
 
-scipy is imported inside the functions that use it: it dominates the
-import time of the package, and most callers never need it.
+scipy is used by bound_spectrum only (its tridiagonal eigensolver), and
+imported inside it: scipy dominates the import time of the package, and
+every other routine here runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -84,6 +86,65 @@ def bound_spectrum(
     return SpectrumResult(tuple(float(v) for v in np.sort(vals)), h, L)
 
 
+#: step refinement beyond which scatter gives up on its tolerance
+_MAGNUS_MAX_STEPS = 1 << 20
+
+#: Gauss-Legendre nodes of [0, 1] and the commutator weight of the
+#: fourth-order Magnus expansion
+_GAUSS_NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
+_MAGNUS_C = math.sqrt(3.0) / 12.0
+
+
+def _magnus_propagator(potential: Callable, k: float, L: float, nsteps: int) -> np.ndarray:
+    """Real 2x2 map of (psi, psi') from x = L to x = -L for
+    psi'' = (U - k^2) psi, by nsteps fourth-order Magnus steps.
+
+    With A = [[0, 1], [q, 0]], q = U - k^2, at the two Gauss points of a
+    step h, Omega = h/2 (A1 + A2) + sqrt(3)/12 h^2 [A2, A1] is traceless,
+    so exp(Omega) = cosh(s) I + sinh(s)/s Omega with s^2 = -det(Omega);
+    both are even in s and real functions of z = s^2 of either sign."""
+    h = -2.0 * L / nsteps
+    xs = L + h * (np.arange(nsteps)[:, None] + _GAUSS_NODES[None, :])
+    u = np.asarray(potential(xs.ravel()), dtype=float)
+    if not np.all(np.isfinite(u)):
+        bad = xs.ravel()[~np.isfinite(u)][0]
+        raise SolverError(f"potential is not finite at x={bad:.17g}")
+    q = u.reshape(nsteps, 2) - k * k
+    diag = _MAGNUS_C * h * h * (q[:, 0] - q[:, 1])
+    lower = 0.5 * h * (q[:, 0] + q[:, 1])
+    z = diag * diag + h * lower
+    r = np.sqrt(np.abs(z))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ch = np.where(z > 0, np.cosh(r), np.cos(r))
+        sc = np.where(z > 0, np.sinh(r), np.sin(r)) / r
+    small = np.abs(z) < 1e-4
+    zs = z[small]
+    ch[small] = 1.0 + zs * (1.0 / 2 + zs * (1.0 / 24 + zs / 720))
+    sc[small] = 1.0 + zs * (1.0 / 6 + zs * (1.0 / 120 + zs / 5040))
+    steps = np.empty((nsteps, 2, 2))
+    steps[:, 0, 0] = ch + sc * diag
+    steps[:, 0, 1] = sc * h
+    steps[:, 1, 0] = sc * lower
+    steps[:, 1, 1] = ch - sc * diag
+    # later steps multiply from the left; pair neighbours, log2(n) levels
+    while len(steps) > 1:
+        if len(steps) % 2:
+            steps = np.concatenate([steps, np.eye(2)[None]])
+        steps = steps[1::2] @ steps[0::2]
+    return steps[0]
+
+
+def _amplitudes(prop: np.ndarray, k: float, L: float) -> tuple:
+    """(r, t) from the propagator of the outgoing wave e^{ikx} at +L: at -L,
+    psi = A e^{ikx} + B e^{-ikx}, normalized to unit incident A."""
+    psi = prop[0, 0] + 1j * k * prop[0, 1]
+    dpsi = prop[1, 0] + 1j * k * prop[1, 1]
+    # common factor e^{ikL} of psi and psi' cancels in r
+    a = 0.5 * (psi + dpsi / (1j * k)) * cmath.exp(2j * k * L)
+    b = 0.5 * (psi - dpsi / (1j * k))
+    return b / a, 1.0 / a
+
+
 def scatter(
     potential: Callable,
     k: float,
@@ -93,12 +154,18 @@ def scatter(
 ) -> ScatteringResult:
     """Reflection/transmission amplitudes at wavenumber k > 0.
 
-    Integrates psi'' = (U - k^2) psi from +L (pure outgoing e^{ikx}) to
-    -L, then splits the left asymptote into incident e^{ikx} and
-    reflected e^{-ikx} parts; amplitudes are normalized to unit incident
-    amplitude."""
-    from scipy.integrate import solve_ivp
+    Propagates (psi, psi') for psi'' = (U - k^2) psi from +L (pure
+    outgoing e^{ikx}) to -L with a fourth-order Magnus method on a
+    uniform grid, then splits the left asymptote into incident e^{ikx}
+    and reflected e^{-ikx} parts; amplitudes are normalized to unit
+    incident amplitude. The method is exact for piecewise-constant U, so
+    the step need not resolve the wavelength: it starts near 0.05/max(k, 1)
+    and is halved until two successive (r, t) agree to rtol, which then
+    bounds the error of the finer one. Past _MAGNUS_MAX_STEPS steps, or
+    on a non-finite U, SolverError is raised.
 
+    `potential` must accept an array of x values: each refinement
+    evaluates U at all its Gauss points in one call."""
     if k <= 0:
         raise ValueError("wavenumber must be positive")
     L = float(domain_halfwidth)
@@ -107,30 +174,17 @@ def scatter(
         raise DomainError(
             f"potential magnitude {edge:.3g} at +-{L} exceeds {decay_tol:.0e}; enlarge the domain"
         )
-
-    def rhs(x, y):
-        psi, dpsi = y[0] + 1j * y[1], y[2] + 1j * y[3]
-        ddpsi = (float(potential(x)) - k * k) * psi
-        return [dpsi.real, dpsi.imag, ddpsi.real, ddpsi.imag]
-
-    psi0 = cmath.exp(1j * k * L)
-    dpsi0 = 1j * k * psi0
-    sol = solve_ivp(
-        rhs,
-        (L, -L),
-        [psi0.real, psi0.imag, dpsi0.real, dpsi0.imag],
-        method="DOP853",
-        rtol=rtol,
-        atol=1e-12,
+    nsteps = max(2, math.ceil(2.0 * L * max(k, 1.0) / 0.05))
+    prev = None
+    while nsteps <= _MAGNUS_MAX_STEPS:
+        r, t = _amplitudes(_magnus_propagator(potential, k, L, nsteps), k, L)
+        if prev is not None and abs(r - prev[0]) <= rtol and abs(t - prev[1]) <= rtol:
+            return ScatteringResult(k=k, reflection_amp=r, transmission_amp=t)
+        prev = r, t
+        nsteps *= 2
+    raise SolverError(
+        f"scattering amplitudes did not settle to rtol={rtol:.0e} within {_MAGNUS_MAX_STEPS} steps"
     )
-    if not sol.success:
-        raise SolverError(f"scattering integration failed: {sol.message}")
-    psi = sol.y[0, -1] + 1j * sol.y[1, -1]
-    dpsi = sol.y[2, -1] + 1j * sol.y[3, -1]
-    # at -L: psi = A e^{-ikL} + B e^{ikL} (incident A, reflected B)
-    a = 0.5 * (psi + dpsi / (1j * k)) * cmath.exp(1j * k * L)
-    b = 0.5 * (psi - dpsi / (1j * k)) * cmath.exp(-1j * k * L)
-    return ScatteringResult(k=k, reflection_amp=b / a, transmission_amp=1.0 / a)
 
 
 def transmission_product(cfg: SolitonConfig, k: float) -> complex:
@@ -189,11 +243,35 @@ def kdv_residual(cfg: SolitonConfig, x: float, t: float | None = None) -> float:
 
 
 def _potential_minimum(ufn: Callable, lo: float, hi: float) -> float:
-    from scipy.optimize import minimize_scalar
+    """Minimizer of ufn on [lo, hi]: the argmin of a 33-point grid, zoomed
+    onto its neighbours until the bracket is ~1e-3 of the original, then
+    parabolic (Newton-like) steps through a five-point stencil of spacing
+    d = 1e-4 (hi - lo), which may reach 2d past the bracket.
 
-    res = minimize_scalar(lambda x: float(ufn(x)), bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-10})
-    return float(res.x)
+    U is flat to rounding within ~sqrt(eps) of its minimum, so comparing
+    values alone stalls near 1e-8. The vertex of the parabola through a
+    symmetric three-point stencil of half-width d is off by O(d^2) plus
+    rounding over d; combining the vertices for d and 2d (Richardson)
+    cancels the d^2 term, so d stays wide enough for rounding not to
+    matter."""
+    a, b = float(lo), float(hi)
+    while True:
+        xs = np.linspace(a, b, 33)
+        i = int(np.argmin(ufn(xs)))
+        a, b = xs[max(i - 1, 0)], xs[min(i + 1, 32)]
+        if b - a <= 1e-3 * (hi - lo):
+            break
+    x = float(xs[i])
+    d = 1e-4 * (hi - lo)
+    for _ in range(3):
+        f2m, f1m, f0, f1p, f2p = ufn(x + d * np.arange(-2.0, 3.0))
+        curv1, curv2 = f1p - 2.0 * f0 + f1m, f2p - 2.0 * f0 + f2m
+        if not (curv1 > 0 and curv2 > 0):
+            break
+        step1 = -0.5 * d * (f1p - f1m) / curv1
+        step2 = -d * (f2p - f2m) / curv2
+        x = min(max(x + (4.0 * step1 - step2) / 3.0, lo), hi)
+    return float(x)
 
 
 def phase_shift_check(cfg: SolitonConfig, t_pair: tuple, min_separation: float = 5.0) -> float:

@@ -36,6 +36,11 @@ HIROTA_MAX_N = 24
 
 _HIROTA_CHUNK = 1 << 18
 
+#: [points, terms] elements per block of the plain-double exponential
+#: sums: small enough to stay in the heap and the cache, where larger
+#: temporaries are mapped and unmapped on every call
+_POINT_BLOCK = 1 << 14
+
 
 class ConfigError(ValueError):
     """Invalid spectral data or index."""
@@ -294,6 +299,19 @@ def tau_det(cfg: SolitonConfig, rule: CoefficientRule | None, x: float, order: i
 # Hirota exponential-sum route (independent oracle)
 
 
+def _point_blocks(npts: int, nterms: int):
+    """Slices of _POINT_BLOCK // nterms points (at least one) covering
+    range(npts), the remainder folded into the last slice. A short last
+    slice would send its rows through other BLAS kernels than one call
+    over the whole grid does; folded, and while a slice holds at least
+    four points (N <= 12), each point's result is that of a single-
+    threaded whole-grid call."""
+    step = max(1, _POINT_BLOCK // nterms)
+    nblocks = max(1, npts // step)
+    for i in range(nblocks):
+        yield slice(i * step, npts if i == nblocks - 1 else (i + 1) * step)
+
+
 def _hirota_chunks(k: np.ndarray, ce: np.ndarray, chunk: int = _HIROTA_CHUNK):
     """Yield (const, rate, sign) arrays over the 2^N expansion terms, where
     each term is sign * exp(const + rate * x)."""
@@ -328,13 +346,14 @@ def tau_hirota_grid(cfg: SolitonConfig, rule: CoefficientRule | None, xs) -> tup
     running_max = np.full(xs.shape, -np.inf)
     acc = np.zeros(xs.shape)
     for const, rate, sign in _hirota_chunks(k, ce):
-        logs = const[None, :] + xs[:, None] * rate[None, :]
-        m = np.max(logs, axis=1)
-        grow = m > running_max
-        scale = np.where(grow, np.exp(np.where(np.isfinite(running_max), running_max, m) - np.maximum(m, running_max)), 1.0)
-        acc = acc * scale
-        running_max = np.maximum(running_max, m)
-        acc += np.einsum("pt,t->p", np.exp(logs - running_max[:, None]), sign)
+        for b in _point_blocks(len(xs), len(const)):
+            logs = const[None, :] + xs[b, None] * rate[None, :]
+            m = np.max(logs, axis=1)
+            prev = running_max[b]
+            top = np.maximum(m, prev)
+            scale = np.where(m > prev, np.exp(np.where(np.isfinite(prev), prev, m) - top), 1.0)
+            acc[b] = acc[b] * scale + np.einsum("pt,t->p", np.exp(logs - top[:, None]), sign)
+            running_max[b] = top
     with np.errstate(divide="ignore"):
         log_abs = running_max + np.log(np.abs(acc))
     return log_abs, np.sign(acc)
@@ -620,16 +639,15 @@ def potential_fn(cfg: SolitonConfig) -> Callable:
     def u_potential(x):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.empty(xs.shape)
-        step = max(1, (1 << 22) // max(1, len(const)))
-        for i in range(0, len(xs), step):
-            xx = xs[i : i + step, None]
+        for b in _point_blocks(len(xs), len(const)):
+            xx = xs[b, None]
             logs = const[None, :] + xx * rate[None, :]
             logs -= np.max(logs, axis=1, keepdims=True)
             w = np.exp(logs)
             u0 = np.sum(w, axis=1)
             r1 = (w @ rate) / u0
             r2 = (w @ (rate * rate)) / u0
-            out[i : i + step] = -2.0 * (r2 - r1 * r1)
+            out[b] = -2.0 * (r2 - r1 * r1)
         return out if np.ndim(x) else float(out[0])
 
     return u_potential

@@ -351,7 +351,8 @@ def generic_am(
     sqc = np.sqrt([cfg.c[j - 1] for j in idx])
     sqcc = np.outer(sqc, sqc)
     den = tau_jet_sum_grid(cfg.flowed(), None, [x], 2)
-    tails = tail_matrix_grid(cfg, idx, idx, den)
+    pair_taus = {}
+    tails = tail_matrix_grid(cfg, idx, idx, den, pair_taus)
 
     if mode == "delete":
         # F = D T D with D = diag(sqrt c); D and the row gauges factor out of log det
@@ -386,7 +387,7 @@ def generic_am(
         svals = sqc * np.array([phi[j] for j in idx])
         # <s_a, phi_target>(x) = sqrt(c_a) (delta/c_a - tail)
         full = np.array([1.0 / cfg.c[j - 1] if j == jt else 0.0 for j in idx])
-        bvec = sqc * (full - tail_values(tail_matrix_grid(cfg, idx, [jt], den))[0, :, 0])
+        bvec = sqc * (full - tail_values(tail_matrix_grid(cfg, idx, [jt], den, pair_taus))[0, :, 0])
         psi = phi[jt]
         corr = svals @ np.linalg.solve(fvals, bvec)
         tval = float(psi + corr) if mode == "delete" else float(psi - corr)

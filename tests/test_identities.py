@@ -145,13 +145,14 @@ class TestIndividualIdentities:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_determinant_checks_evaluate_each_tau_once(self, cfg4, grid_tau_calls, m):
         # m(m+1)/2 pair taus, one shared denominator, one rewritten numerator,
-        # each one grid call whatever the grid length
+        # each one grid call whatever the grid length; for m = 1 the deletion
+        # check's squared rewrite is its one pair tau
         dset = list(range(1, m + 1))
         for npts in (1, 21):
             grid = np.linspace(-0.5, 0.3, npts)
             grid_tau_calls.clear()
             I.verify_deletion_determinant(cfg4, dset, grid)
-            assert len(grid_tau_calls) == m * (m + 1) // 2 + 2
+            assert len(grid_tau_calls) == m * (m + 1) // 2 + (1 if m == 1 else 2)
             grid_tau_calls.clear()
             I.verify_addition_determinant(cfg4, dset, [2.0] * m, grid)
             assert len(grid_tau_calls) == m * (m + 1) // 2 + 2

@@ -21,6 +21,24 @@ def test_package_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("argv", [["scatter", "--k", "1.3", "--format", "json"], ["phase-shift"]])
+def test_cli_scatter_and_phase_shift_leave_scipy_unloaded(tmp_path, argv):
+    # only bound_spectrum needs scipy; the CLI entry point as run by -m
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"k": [1.0, 2.0], "c": [1.0, 1.0]}')
+    env = dict(os.environ, PYTHONPATH=str(Path(S.__file__).parents[1]))
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv = ['solitonlab', {argv[0]!r}, {str(cfg)!r}, *{argv[1:]!r}]\n"
+        "try:\n"
+        "    runpy.run_module('solitonlab.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    print('exit', exc.code, 'scipy' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "exit 0 False"
+
+
 class TestSpectrum:
     def test_sech2_n2(self):
         cfg = SolitonConfig((1.0, 2.0), (6.0, 12.0))
@@ -85,6 +103,29 @@ class TestScattering:
         with pytest.raises(ValueError):
             N.scatter(lambda x: 0.0, -1.0, 10.0)
 
+    @pytest.mark.parametrize("k", [0.5, 3.1])
+    def test_matches_transmission_product_n4(self, k):
+        cfg = SolitonConfig((0.7, 1.3, 2.1, 2.9), (1.5, 3.0, 0.4, 7.0))
+        res = N.scatter(S.potential_fn(cfg), k, 14.0 / cfg.k[0])
+        assert abs(res.transmission_amp - N.transmission_product(cfg, k)) < 1e-9
+        assert abs(res.reflection_amp) < 1e-9
+
+    def test_nan_potential_is_solver_error(self):
+        # finite at the ends, NaN inside: a typed error, never a NaN amplitude
+        def ufn(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(np.abs(x - 0.3) < 0.5, np.nan, 0.0)
+
+        with pytest.raises(N.SolverError):
+            N.scatter(ufn, 1.0, 10.0)
+
+    def test_unsettled_amplitudes_are_solver_error(self, monkeypatch):
+        # a refinement cap below the step the tolerance needs
+        cfg = SolitonConfig((1.0, 2.0), (6.0, 12.0))
+        monkeypatch.setattr(N, "_MAGNUS_MAX_STEPS", 2048)
+        with pytest.raises(N.SolverError):
+            N.scatter(S.potential_fn(cfg), 1.7, 12.0)
+
 
 class TestQuadrature:
     def test_polynomial(self):
@@ -120,10 +161,28 @@ class TestKdV:
         assert worst < 1e-8
 
 
+class TestPotentialMinimum:
+    # f = cosh(y) + 0.3 y^3, y = x - x0: minimum exactly at x0, where the
+    # third derivative is not zero, so a plain parabola fit is biased
+    @staticmethod
+    def skewed(x0):
+        return lambda x: np.cosh(np.asarray(x) - x0) + 0.3 * (np.asarray(x) - x0) ** 3
+
+    @pytest.mark.parametrize("x0", [0.3137, -1.7 + 0.02, 2.9 - 0.05, -1.7 + 1e-7, 2.9 - 1e-6])
+    def test_off_centre_and_near_either_end(self, x0):
+        # the first grid step of [-1.7, 2.9] is 0.14375
+        assert N._potential_minimum(self.skewed(x0), -1.7, 2.9) == pytest.approx(x0, abs=1e-10)
+
+    def test_returns_python_float(self):
+        assert type(N._potential_minimum(self.skewed(0.4), -1.0, 1.0)) is float
+
+
 class TestPhaseShift:
     def test_reference_pair(self):
         dev = N.phase_shift_check(SolitonConfig((1.0, 2.0), (1.0, 1.0)), (-3.0, 3.0))
         assert dev < 1e-3
+        # a numpy scalar would make the CLI's json.dumps fail
+        assert type(dev) is float
 
     def test_translation_invariance(self):
         # rescaling c translates soliton centers but not the shift

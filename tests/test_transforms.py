@@ -293,13 +293,15 @@ class TestGenericAM:
     @pytest.mark.parametrize("k,c,mode,idx,e,jt,x,expected", REFERENCE_TARGETS)
     def test_target_reuses_the_config_tau(self, grid_tau_calls, k, c, mode, idx, e, jt, x, expected):
         # the config's own tau once (order 2, truncated for the target map),
-        # the m(m+1)/2 overlap pairs, the m target-column pairs and one
+        # the m(m+1)/2 overlap pairs, the m target-column pairs unless the
+        # target is a seed (then the overlap pairs hold them) and one
         # eigenfunction numerator per distinct index
         cfg = SolitonConfig(k, c)
         r = T.generic_am(T.eigenfunction_seeds(cfg, idx), mode, e, T.eigenfunction_seed(cfg, jt), x)
         assert r.target_value == float.fromhex(expected)
         m = len(idx)
-        assert len(grid_tau_calls) == 1 + m * (m + 1) // 2 + m + len({*idx, jt})
+        column = 0 if jt in idx else m
+        assert len(grid_tau_calls) == 1 + m * (m + 1) // 2 + column + len({*idx, jt})
 
     def test_mixed_configs_rejected(self):
         a = SolitonConfig((1.0,), (2.0,))
