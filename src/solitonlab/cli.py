@@ -318,7 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="bound-state energies")
     common(sp, grid=False)
     sp.add_argument("--halfwidth", type=float, default=None)
-    sp.add_argument("--step", type=float, default=1e-3)
+    sp.add_argument("--step", type=float, default=0.05,
+                    help="starting Magnus step, halved until the energies settle to 1e-10 "
+                         "(JSON grid_step reports the accepted step)")
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("transform", help="apply a deformation scheme")

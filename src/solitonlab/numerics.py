@@ -2,15 +2,13 @@
 
 Everything here consumes potentials only as black-box x -> U(x) maps and
 never touches the determinant machinery, so agreement with the closed
-forms is a genuine two-sided check: bound spectra from a finite-difference
-Hamiltonian, reflection/transmission amplitudes from a Magnus propagator
-for the scattering problem, adaptive quadrature as an oracle for the
-closed-form overlap integrals, the KdV residual of the flowing potential,
-and two-soliton phase shifts from located potential minima.
-
-scipy is used by bound_spectrum only (its tridiagonal eigensolver), and
-imported inside it: scipy dominates the import time of the package, and
-every other routine here runs on numpy alone.
+forms is a genuine two-sided check: one batched fourth-order Magnus
+propagator gives reflection/transmission amplitudes at real k and the
+bound spectrum as the zeros of the Jost coefficient a(i kappa); adaptive
+quadrature serves as an oracle for the closed-form overlap integrals;
+and there are the KdV residual of the flowing potential and two-soliton
+phase shifts from located potential minima. Everything runs on numpy
+alone.
 """
 
 from __future__ import annotations
@@ -61,33 +59,19 @@ class ScatteringResult:
         return abs(abs(self.reflection_amp) ** 2 + abs(self.transmission_amp) ** 2 - 1.0)
 
 
-def bound_spectrum(
-    potential: Callable,
-    domain_halfwidth: float,
-    grid_step: float = 1e-3,
-    decay_tol: float = DECAY_TOL,
-) -> SpectrumResult:
-    """Negative eigenvalues of -d^2/dx^2 + U on [-L, L] with clamped ends,
-    from the symmetric three-point finite-difference Hamiltonian."""
-    from scipy.linalg import eigh_tridiagonal
-
-    L = float(domain_halfwidth)
-    h = float(grid_step)
+def _check_decay(potential: Callable, L: float, decay_tol: float) -> None:
     edge = max(abs(float(potential(-L))), abs(float(potential(L))))
     if edge > decay_tol:
         raise DomainError(
             f"potential magnitude {edge:.3g} at +-{L} exceeds {decay_tol:.0e}; enlarge the domain"
         )
-    npts = int(round(2.0 * L / h)) - 1
-    xs = -L + h * np.arange(1, npts + 1)
-    diag = 2.0 / h**2 + np.asarray(potential(xs), dtype=float)
-    off = np.full(npts - 1, -1.0 / h**2)
-    vals = eigh_tridiagonal(diag, off, select="v", select_range=(-np.inf, 0.0), eigvals_only=True)
-    return SpectrumResult(tuple(float(v) for v in np.sort(vals)), h, L)
 
 
-#: step refinement beyond which scatter gives up on its tolerance
+#: step refinement beyond which the step-doubling loop gives up
 _MAGNUS_MAX_STEPS = 1 << 20
+
+#: step maps built at once by _magnus_propagator (energies x steps)
+_MAGNUS_BLOCK = 1 << 16
 
 #: Gauss-Legendre nodes of [0, 1] and the commutator weight of the
 #: fourth-order Magnus expansion
@@ -95,50 +79,274 @@ _GAUSS_NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0]
 _MAGNUS_C = math.sqrt(3.0) / 12.0
 
 
-def _magnus_propagator(potential: Callable, k: float, L: float, nsteps: int) -> np.ndarray:
-    """Real 2x2 map of (psi, psi') from x = L to x = -L for
-    psi'' = (U - k^2) psi, by nsteps fourth-order Magnus steps.
-
-    With A = [[0, 1], [q, 0]], q = U - k^2, at the two Gauss points of a
-    step h, Omega = h/2 (A1 + A2) + sqrt(3)/12 h^2 [A2, A1] is traceless,
-    so exp(Omega) = cosh(s) I + sinh(s)/s Omega with s^2 = -det(Omega);
-    both are even in s and real functions of z = s^2 of either sign."""
+def _sample(potential: Callable, L: float, nsteps: int) -> tuple:
+    """U at both Gauss points of nsteps uniform steps from x = L to x = -L,
+    in one potential call, as [nsteps, 2], and the signed step h < 0."""
     h = -2.0 * L / nsteps
     xs = L + h * (np.arange(nsteps)[:, None] + _GAUSS_NODES[None, :])
     u = np.asarray(potential(xs.ravel()), dtype=float)
     if not np.all(np.isfinite(u)):
         bad = xs.ravel()[~np.isfinite(u)][0]
         raise SolverError(f"potential is not finite at x={bad:.17g}")
-    q = u.reshape(nsteps, 2) - k * k
-    diag = _MAGNUS_C * h * h * (q[:, 0] - q[:, 1])
-    lower = 0.5 * h * (q[:, 0] + q[:, 1])
+    return u.reshape(nsteps, 2), h
+
+
+def _mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Products p q of 2x2 maps stored as components [4, ...] (00, 01, 10, 11)."""
+    r = np.empty(p.shape)
+    r[0] = p[0] * q[0] + p[1] * q[2]
+    r[1] = p[0] * q[1] + p[1] * q[3]
+    r[2] = p[2] * q[0] + p[3] * q[2]
+    r[3] = p[2] * q[1] + p[3] * q[3]
+    return r
+
+
+def _magnus_steps(u: np.ndarray, h: float, energies: np.ndarray) -> np.ndarray:
+    """Fourth-order Magnus maps of (psi, psi') for psi'' = (U - E) psi, as
+    components [4, E, nsteps], one per energy and step, each scaled by
+    e^{-kappa |h|} with kappa = sqrt(max(-E, 0)).
+
+    With A = [[0, 1], [q, 0]], q = U - E, at the two Gauss points of a
+    step h, Omega = h/2 (A1 + A2) + sqrt(3)/12 h^2 [A2, A1] is traceless,
+    so exp(Omega) = cosh(s) I + sinh(s)/s Omega with s^2 = -det(Omega);
+    both are even in s and real functions of z = s^2 of either sign. The
+    scale removes the growth e^{kappa |h|} of the free solution, so the
+    product over [-L, L] stays finite and smooth in kappa."""
+    energies = np.asarray(energies, dtype=float)[:, None]
+    diag = _MAGNUS_C * h * h * (u[:, 0] - u[:, 1])
+    lower = 0.5 * h * (u[:, 0] + u[:, 1]) - h * energies
     z = diag * diag + h * lower
-    r = np.sqrt(np.abs(z))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ch = np.where(z > 0, np.cosh(r), np.cos(r))
-        sc = np.where(z > 0, np.sinh(r), np.sin(r)) / r
-    small = np.abs(z) < 1e-4
-    zs = z[small]
-    ch[small] = 1.0 + zs * (1.0 / 2 + zs * (1.0 / 24 + zs / 720))
-    sc[small] = 1.0 + zs * (1.0 / 6 + zs * (1.0 / 120 + zs / 5040))
-    steps = np.empty((nsteps, 2, 2))
-    steps[:, 0, 0] = ch + sc * diag
-    steps[:, 0, 1] = sc * h
-    steps[:, 1, 0] = sc * lower
-    steps[:, 1, 1] = ch - sc * diag
-    # later steps multiply from the left; pair neighbours, log2(n) levels
-    while len(steps) > 1:
-        if len(steps) % 2:
-            steps = np.concatenate([steps, np.eye(2)[None]])
-        steps = steps[1::2] @ steps[0::2]
-    return steps[0]
+    # series for |z| < 1e-4; the closed forms only where they are needed
+    ch = 1.0 + z * (1.0 / 2 + z * (1.0 / 24 + z / 720))
+    sc = 1.0 + z * (1.0 / 6 + z * (1.0 / 120 + z / 5040))
+    grow, turn = z >= 1e-4, z <= -1e-4
+    r = np.sqrt(z[grow])
+    ch[grow], sc[grow] = np.cosh(r), np.sinh(r) / r
+    r = np.sqrt(-z[turn])
+    ch[turn], sc[turn] = np.cos(r), np.sin(r) / r
+    scale = np.exp(-np.sqrt(np.maximum(-energies, 0.0)) * abs(h))
+    ch *= scale
+    sc *= scale
+    return np.stack([ch + sc * diag, sc * h, sc * lower, ch - sc * diag])
+
+
+def _magnus_propagator(u: np.ndarray, h: float, energies: np.ndarray) -> np.ndarray:
+    """Scaled maps of (psi, psi') across all sampled steps, as components
+    [4, E], one per energy; energies go in blocks of ~_MAGNUS_BLOCK steps."""
+    energies = np.asarray(energies, dtype=float)
+    block = max(1, _MAGNUS_BLOCK // len(u))
+    out = []
+    for s in range(0, len(energies), block):
+        m = _magnus_steps(u, h, energies[s : s + block])
+        # later steps multiply from the left; pair neighbours, log2(n) levels
+        while m.shape[2] > 1:
+            if m.shape[2] % 2:
+                eye = np.array([1.0, 0.0, 0.0, 1.0])[:, None, None]
+                m = np.concatenate([m, np.broadcast_to(eye, (4, m.shape[1], 1))], axis=2)
+            m = _mul(m[:, :, 1::2], m[:, :, 0::2])
+        out.append(m[:, :, 0])
+    return np.concatenate(out, axis=1)
+
+
+def _jost_a(u: np.ndarray, h: float, kappa: np.ndarray) -> np.ndarray:
+    """Jost coefficient a(i kappa) = 1/t(i kappa) for kappa > 0.
+
+    The solution e^{-kappa x} of x > L is propagated to -L, where
+    psi = a e^{-kappa x} + b e^{kappa x}, so a is -(psi' - kappa psi)/(2 kappa)
+    there; the step scale e^{-kappa |h|} supplies the normalizing e^{-2 kappa L}.
+    For a reflectionless potential a = prod_j (kappa - k_j)/(kappa + k_j)."""
+    kappa = np.asarray(kappa, dtype=float)
+    m = _magnus_propagator(u, h, -kappa * kappa)
+    psi = m[0] - kappa * m[1]
+    dpsi = m[2] - kappa * m[3]
+    return (kappa * psi - dpsi) / (2.0 * kappa)
+
+
+def _sturm_count(u: np.ndarray, h: float, kappa: float) -> int:
+    """Number of bound states below -kappa^2: the nodes of the solution
+    e^{-kappa x} of x > L (oscillation theorem). Its values at every step
+    end come from one batched prefix product of the step maps; beyond -L
+    it is A e^{kappa x} + B e^{-kappa x}, with one more node iff psi and
+    psi' - kappa psi have the same sign at -L (then sign B != sign psi)."""
+    p = _magnus_steps(u, h, np.array([-kappa * kappa]))[:, 0]
+    d = 1
+    while d < p.shape[1]:
+        p[:, d:] = _mul(p[:, d:], p[:, :-d])
+        d *= 2
+    psi = np.concatenate([[1.0], p[0] - kappa * p[1]])
+    nodes = np.count_nonzero(np.signbit(psi[1:]) != np.signbit(psi[:-1]))
+    dpsi = p[2, -1] - kappa * p[3, -1]
+    return int(nodes) + int(psi[-1] * (dpsi - kappa * psi[-1]) > 0)
+
+
+#: kappa points of the first bracketing scan, rounds of local refinement
+#: of that scan, parts each refined interval is split into, and secant
+#: steps allowed per root
+_SCAN_POINTS = 32
+_SCAN_REFINEMENTS = 8
+_SCAN_SPLIT = 8
+_SECANT_MAX_STEPS = 60
+
+
+def _refine_scan(ks: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """New kappa points splitting each interval next to a local minimum of
+    |a(i kappa)| into _SCAN_SPLIT parts: a pair of roots inside one
+    interval leaves no sign change but a dip of |a| towards zero."""
+    m = np.abs(a)
+    left = np.concatenate([[True], m[1:] <= m[:-1]])
+    right = np.concatenate([m[:-1] <= m[1:], [True]])
+    i = np.flatnonzero(left & right)
+    ivals = np.unique(np.concatenate([i - 1, i]))
+    ivals = ivals[(ivals >= 0) & (ivals < len(ks) - 1)]
+    frac = np.arange(1, _SCAN_SPLIT) / _SCAN_SPLIT
+    return (ks[ivals, None] + frac * (ks[ivals + 1] - ks[ivals])[:, None]).ravel()
+
+
+def _secant(u, h, lo, hi, flo, fhi) -> np.ndarray:
+    """Roots of a(i kappa), one in each bracket [lo, hi] (a of opposite
+    signs at the ends), by batched secant steps; a step that leaves its
+    bracket is replaced by bisection, and each evaluation shrinks it. A
+    root is settled, at its last iterate, once the next step is below
+    1e-13 of it."""
+    x0, f0, x1, f1 = lo, flo, hi, fhi
+    done = np.zeros(len(lo), dtype=bool)
+    for _ in range(_SECANT_MAX_STEPS):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = x1 - f1 * (x1 - x0) / (f1 - f0)
+        done |= (np.abs(x - x1) <= 1e-13 * np.maximum(x1, 1.0)) | (f1 == 0.0)
+        if done.all():
+            return x1
+        x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
+        x[done] = x1[done]
+        f = f1.copy()
+        f[~done] = _jost_a(u, h, x[~done])
+        same = np.signbit(f) == np.signbit(flo)
+        lo, flo = np.where(same, x, lo), np.where(same, f, flo)
+        hi, fhi = np.where(same, hi, x), np.where(same, fhi, f)
+        x0, f0, x1, f1 = x1, f1, x, f
+    raise SolverError(f"secant refinement of {len(lo)} bound states did not settle")
+
+
+def _bound_kappas(
+    u: np.ndarray, h: float, floor: float, prev: np.ndarray | None
+) -> np.ndarray | None:
+    """Sorted kappa > floor of the bound states at one step, or None when
+    the step is too coarse for the Sturm count (a node per step needs more
+    than one radian of phase). prev, the roots of the previous step, are
+    tried first in brackets of 1e-3 of their size (less than half their
+    spacing); only if one fails are the states counted and scanned anew."""
+    depth = max(float(np.max(-u)), 0.0)
+    if abs(h) * math.sqrt(depth) > 1.0:
+        return None
+    if prev is not None:
+        if not len(prev):
+            return prev
+        spacing = np.diff(prev, prepend=-np.inf, append=np.inf)
+        delta = np.minimum(1e-3 * prev, 0.4 * np.minimum(spacing[:-1], spacing[1:]))
+        lo, hi = prev - delta, prev + delta
+        flo, fhi = np.split(_jost_a(u, h, np.concatenate([lo, hi])), 2)
+        if np.all(np.signbit(flo) != np.signbit(fhi)):
+            return _secant(u, h, lo, hi, flo, fhi)
+    count = _sturm_count(u, h, floor)
+    if count == 0:
+        return np.empty(0)
+    ks = np.linspace(floor, max(math.sqrt(depth), floor), _SCAN_POINTS)
+    a = _jost_a(u, h, ks)
+    for _ in range(_SCAN_REFINEMENTS):
+        if np.count_nonzero(np.signbit(a[1:]) != np.signbit(a[:-1])) >= count:
+            break
+        new = _refine_scan(ks, a)
+        ks, order = np.unique(np.concatenate([ks, new]), return_index=True)
+        a = np.concatenate([a, _jost_a(u, h, new)])[order]
+    b = np.flatnonzero(np.signbit(a[1:]) != np.signbit(a[:-1]))
+    if len(b) != count:
+        raise SolverError(
+            f"{len(b)} sign changes of a(i kappa) for {count} bound states (Sturm count)"
+        )
+    return _secant(u, h, ks[b], ks[b + 1], a[b], a[b + 1])
+
+
+def _step_doubling(
+    potential: Callable, L: float, h0: float, evaluate: Callable, rtol: float, what: str
+) -> tuple:
+    """Values of evaluate(u, h) settled by step doubling.
+
+    Each level samples U once (`_sample`) on a uniform step, halving from
+    about h0. The method is fourth order, so (16 fine - coarse)/15 of
+    successive levels cancels the leading error; two successive such
+    extrapolations agreeing to rtol bound the error of the coarser one,
+    and the finer is returned with the step of its fine level. evaluate
+    may return None to ask for a finer step; a change of shape restarts
+    the comparison. Past _MAGNUS_MAX_STEPS steps SolverError is raised."""
+    nsteps = max(2, math.ceil(2.0 * L / h0))
+    prev = prev_rich = None
+    while nsteps <= _MAGNUS_MAX_STEPS:
+        u, h = _sample(potential, L, nsteps)
+        val = evaluate(u, h)
+        nsteps *= 2
+        if val is None:
+            continue
+        rich = None
+        if prev is not None and prev.shape == val.shape:
+            rich = (16.0 * val - prev) / 15.0
+            if prev_rich is not None and np.all(np.abs(rich - prev_rich) <= rtol):
+                return rich, abs(h)
+        prev, prev_rich = val, rich
+    raise SolverError(f"{what} did not settle to rtol={rtol:.0e} within {_MAGNUS_MAX_STEPS} steps")
+
+
+#: the step-doubling tolerance of scatter and bound_spectrum
+_RTOL = 1e-10
+
+
+def bound_spectrum(
+    potential: Callable,
+    domain_halfwidth: float,
+    grid_step: float = 0.05,
+    decay_tol: float = DECAY_TOL,
+) -> SpectrumResult:
+    """Bound-state energies -kappa^2 of -d^2/dx^2 + U, with U taken as 0
+    beyond [-L, L], as the zeros of the Jost coefficient a(i kappa).
+
+    At each step, a(i kappa) (`_jost_a`, the Magnus kernel of scatter at
+    E = -kappa^2) is scanned on kappa in (1/L, sqrt(max(-U))]; its sign
+    changes bracket the roots, refined together by secant steps kept in
+    their brackets. The search floor 1/L leaves out only states whose
+    decay length exceeds the domain. The number of states below -1/L^2
+    comes from a Sturm count (`_sturm_count`); while fewer roots are
+    bracketed, the scan is refined near the dips of |a|, and if the count
+    is still not met SolverError is raised: the result never misses a
+    state silently. grid_step is the starting Magnus step (made finer if
+    a step would span more than one radian of oscillation); it is halved
+    until two successive Richardson extrapolations of the energies agree
+    to 1e-10, and the returned grid_step is the finest step used. A
+    non-finite U or more than _MAGNUS_MAX_STEPS steps raise SolverError.
+
+    `potential` must accept an array of x values."""
+    L = float(domain_halfwidth)
+    _check_decay(potential, L, decay_tol)
+    floor = 1.0 / L
+    prev = None
+
+    def energies(u, h):
+        nonlocal prev
+        kappa = _bound_kappas(u, h, floor, prev)
+        if kappa is None:
+            return None
+        prev = kappa
+        return np.sort(-kappa * kappa)
+
+    vals, h = _step_doubling(
+        potential, L, float(grid_step), energies, _RTOL, "bound-state energies"
+    )
+    return SpectrumResult(tuple(float(v) for v in np.sort(vals)), h, L)
 
 
 def _amplitudes(prop: np.ndarray, k: float, L: float) -> tuple:
     """(r, t) from the propagator of the outgoing wave e^{ikx} at +L: at -L,
     psi = A e^{ikx} + B e^{-ikx}, normalized to unit incident A."""
-    psi = prop[0, 0] + 1j * k * prop[0, 1]
-    dpsi = prop[1, 0] + 1j * k * prop[1, 1]
+    psi = prop[0] + 1j * k * prop[1]
+    dpsi = prop[2] + 1j * k * prop[3]
     # common factor e^{ikL} of psi and psi' cancels in r
     a = 0.5 * (psi + dpsi / (1j * k)) * cmath.exp(2j * k * L)
     b = 0.5 * (psi - dpsi / (1j * k))
@@ -149,42 +357,37 @@ def scatter(
     potential: Callable,
     k: float,
     domain_halfwidth: float,
-    rtol: float = 1e-10,
+    rtol: float = _RTOL,
     decay_tol: float = DECAY_TOL,
 ) -> ScatteringResult:
     """Reflection/transmission amplitudes at wavenumber k > 0.
 
     Propagates (psi, psi') for psi'' = (U - k^2) psi from +L (pure
     outgoing e^{ikx}) to -L with a fourth-order Magnus method on a
-    uniform grid, then splits the left asymptote into incident e^{ikx}
-    and reflected e^{-ikx} parts; amplitudes are normalized to unit
-    incident amplitude. The method is exact for piecewise-constant U, so
-    the step need not resolve the wavelength: it starts near 0.05/max(k, 1)
-    and is halved until two successive (r, t) agree to rtol, which then
-    bounds the error of the finer one. Past _MAGNUS_MAX_STEPS steps, or
-    on a non-finite U, SolverError is raised.
+    uniform grid (`_magnus_propagator` at E = k^2), then splits the left
+    asymptote into incident e^{ikx} and reflected e^{-ikx} parts;
+    amplitudes are normalized to unit incident amplitude. The method is
+    exact for piecewise-constant U, so the step need not resolve the
+    wavelength: it starts near 0.05/max(k, 1) and is halved until two
+    successive Richardson extrapolations (16 fine - coarse)/15 of (r, t)
+    agree to rtol, which bounds the error of the coarser one; the finer
+    is returned. Past _MAGNUS_MAX_STEPS steps, or on a non-finite U,
+    SolverError is raised.
 
     `potential` must accept an array of x values: each refinement
     evaluates U at all its Gauss points in one call."""
     if k <= 0:
         raise ValueError("wavenumber must be positive")
     L = float(domain_halfwidth)
-    edge = max(abs(float(potential(-L))), abs(float(potential(L))))
-    if edge > decay_tol:
-        raise DomainError(
-            f"potential magnitude {edge:.3g} at +-{L} exceeds {decay_tol:.0e}; enlarge the domain"
-        )
-    nsteps = max(2, math.ceil(2.0 * L * max(k, 1.0) / 0.05))
-    prev = None
-    while nsteps <= _MAGNUS_MAX_STEPS:
-        r, t = _amplitudes(_magnus_propagator(potential, k, L, nsteps), k, L)
-        if prev is not None and abs(r - prev[0]) <= rtol and abs(t - prev[1]) <= rtol:
-            return ScatteringResult(k=k, reflection_amp=r, transmission_amp=t)
-        prev = r, t
-        nsteps *= 2
-    raise SolverError(
-        f"scattering amplitudes did not settle to rtol={rtol:.0e} within {_MAGNUS_MAX_STEPS} steps"
+    _check_decay(potential, L, decay_tol)
+
+    def amplitudes(u, h):
+        return np.array(_amplitudes(_magnus_propagator(u, h, np.array([k * k]))[:, 0], k, L))
+
+    (r, t), _ = _step_doubling(
+        potential, L, 0.05 / max(k, 1.0), amplitudes, rtol, "scattering amplitudes"
     )
+    return ScatteringResult(k=k, reflection_amp=complex(r), transmission_amp=complex(t))
 
 
 def transmission_product(cfg: SolitonConfig, k: float) -> complex:

@@ -173,6 +173,17 @@ class TestScatterAndSpectrum:
         assert np.allclose(rep["energies"], [-4.0, -1.0], atol=5e-3)
         assert rep["expected"] == [-1.0, -4.0]
 
+    def test_spectrum_default_step_reports_accepted_step(self, cfg_file, capsys):
+        path = cfg_file([1.0, 2.0], [6.0, 12.0])
+        code, out = run(capsys, "spectrum", path, "--format", "json")
+        assert code == 0
+        rep = json.loads(out)
+        assert np.max(np.abs(np.array(rep["energies"]) - [-4.0, -1.0])) <= 1e-9
+        # --step 0.05 is where the step doubling starts, not where it stops
+        assert rep["grid_step"] < 0.05
+        nsteps = 2.0 * rep["domain_halfwidth"] / rep["grid_step"]
+        assert nsteps == pytest.approx(round(nsteps), abs=1e-9)
+
     def test_spectrum_undecayed_is_numerical_error(self, cfg_file, capsys):
         path = cfg_file([0.05], [1.0])  # far from decayed at halfwidth 2
         code, _ = run(capsys, "spectrum", path, "--halfwidth", "2.0")

@@ -14,16 +14,23 @@ from solitonlab.solitons import SolitonConfig
 
 
 def test_package_import_leaves_scipy_unloaded():
-    # scipy is imported lazily by the routines that need it
+    # the package runs on numpy alone
     env = dict(os.environ, PYTHONPATH=str(Path(S.__file__).parents[1]))
     code = "import sys, solitonlab; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("argv", [["scatter", "--k", "1.3", "--format", "json"], ["phase-shift"]])
-def test_cli_scatter_and_phase_shift_leave_scipy_unloaded(tmp_path, argv):
-    # only bound_spectrum needs scipy; the CLI entry point as run by -m
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scatter", "--k", "1.3", "--format", "json"],
+        ["phase-shift"],
+        ["spectrum", "--format", "json"],
+    ],
+)
+def test_cli_scatter_phase_shift_and_spectrum_leave_scipy_unloaded(tmp_path, argv):
+    # the numerical subcommands through the CLI entry point as run by -m
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"k": [1.0, 2.0], "c": [1.0, 1.0]}')
     env = dict(os.environ, PYTHONPATH=str(Path(S.__file__).parents[1]))
@@ -37,6 +44,21 @@ def test_cli_scatter_and_phase_shift_leave_scipy_unloaded(tmp_path, argv):
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.splitlines()[-1] == "exit 0 False"
+
+
+def _counting(ufn, sizes):
+    """ufn that records the number of x values of each call in sizes."""
+
+    def wrapped(x):
+        sizes.append(np.size(x))
+        return ufn(x)
+
+    return wrapped
+
+
+#: k_2 - k_1 = 1e-3: the first 32-point scan of a(i kappa) shows no sign
+#: change between the two roots
+NEAR_DEGENERATE = SolitonConfig((1.0, 1.001), (1.0, 1.0))
 
 
 class TestSpectrum:
@@ -58,19 +80,121 @@ class TestSpectrum:
         assert len(sp.energies) == 3
         assert np.max(np.abs(np.array(sp.energies) - expected)) < 1e-3
 
-    def test_second_order_convergence(self):
+    def test_energies_within_1e_9(self):
         cfg = SolitonConfig((1.0, 2.0), (6.0, 12.0))
+        sp = N.bound_spectrum(S.potential_fn(cfg), 12.0)
+        assert np.max(np.abs(np.array(sp.energies) - [-4.0, -1.0])) <= 1e-9
+        # the reported step is the accepted one, finer than the start
+        assert sp.grid_step < 0.05
+
+    @pytest.mark.parametrize(
+        "cfg, L",
+        [
+            (NEAR_DEGENERATE, 24.0),
+            (SolitonConfig((0.5, 1.0, 1.001, 2.0), (1.0, 2.0, 3.0, 1.0)), 40.0),
+        ],
+    )
+    def test_near_degenerate_pair_counted_and_resolved(self, cfg, L):
         ufn = S.potential_fn(cfg)
-        errs = []
-        for h in (4e-3, 2e-3):
-            sp = N.bound_spectrum(ufn, 12.0, h)
-            errs.append(abs(sp.energies[0] + 4.0))
-        ratio = errs[0] / errs[1]
-        assert 3.0 <= ratio <= 5.0
+        u, h = N._sample(ufn, L, math.ceil(2.0 * L / 0.05))
+        assert N._sturm_count(u, h, 1.0 / L) == cfg.n
+        a = N._jost_a(u, h, np.linspace(1.0 / L, math.sqrt(np.max(-u)), N._SCAN_POINTS))
+        assert np.count_nonzero(np.diff(np.signbit(a))) == cfg.n - 2
+        sp = N.bound_spectrum(ufn, L)
+        assert np.max(np.abs(np.array(sp.energies) - sorted(cfg.energies))) <= 1e-9
+
+    def test_wrong_previous_roots_fall_back_to_the_scan(self):
+        # finer levels try the previous roots first; brackets around wrong
+        # ones show no sign change, and the states are counted and scanned
+        u, h = N._sample(S.potential_fn(SolitonConfig((1.0, 2.0), (6.0, 12.0))), 12.0, 960)
+        kappa = N._bound_kappas(u, h, 1.0 / 12.0, np.array([0.5, 2.5]))
+        assert kappa == pytest.approx([1.0, 2.0], abs=1e-6)
+
+    @pytest.mark.parametrize("nu", [0.0495, 0.055, 1.055])
+    def test_search_floor(self, nu):
+        # U = -nu(nu+1) sech^2 x has states kappa = nu - n > 0. At L = 20 the
+        # floor is kappa = 0.05: a state below it is left out, and for one
+        # just above it the floor solution's node lies beyond -L
+        ufn = lambda x: -nu * (nu + 1) / np.cosh(np.asarray(x, dtype=float)) ** 2
+        sp = N.bound_spectrum(ufn, 20.0)
+        expected = [-((nu - n) ** 2) for n in range(math.ceil(nu)) if nu - n > 0.05]
+        assert len(sp.energies) == len(expected)
+        assert np.max(np.abs(np.array(sp.energies) - expected), initial=0.0) <= 1e-9
+
+    def test_repulsive_barrier_has_no_states(self):
+        sp = N.bound_spectrum(lambda x: 2.0 / np.cosh(np.asarray(x, dtype=float)) ** 2, 20.0)
+        assert sp.energies == ()
+
+    def test_nan_potential_is_solver_error(self):
+        def ufn(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(np.abs(x - 0.3) < 0.5, np.nan, -1.0 / np.cosh(x) ** 2)
+
+        with pytest.raises(N.SolverError):
+            N.bound_spectrum(ufn, 20.0)
+
+    def test_unresolved_pair_is_solver_error(self, monkeypatch):
+        # without scan refinement the pair stays in one bracket: 0 of 2
+        monkeypatch.setattr(N, "_SCAN_REFINEMENTS", 0)
+        with pytest.raises(N.SolverError, match="0 sign changes .* 2 bound states"):
+            N.bound_spectrum(S.potential_fn(NEAR_DEGENERATE), 24.0)
+
+    def test_count_above_roots_is_solver_error(self, monkeypatch):
+        # a Sturm count of 3 for two states: an error, never a short list
+        monkeypatch.setattr(N, "_sturm_count", lambda u, h, kappa: 3)
+        with pytest.raises(N.SolverError, match="2 sign changes .* 3 bound states"):
+            N.bound_spectrum(S.potential_fn(SolitonConfig((1.0, 2.0), (6.0, 12.0))), 12.0)
+
+    def test_unsettled_energies_are_solver_error(self, monkeypatch):
+        # two levels make one Richardson extrapolation, not two to compare
+        monkeypatch.setattr(N, "_MAGNUS_MAX_STEPS", 1000)
+        with pytest.raises(N.SolverError):
+            N.bound_spectrum(S.potential_fn(SolitonConfig((1.0, 2.0), (6.0, 12.0))), 12.0)
 
     def test_undecayed_potential_rejected(self):
         with pytest.raises(N.DomainError):
             N.bound_spectrum(lambda x: np.full_like(np.asarray(x, dtype=float), -1.0), 10.0)
+
+
+class TestMagnusKernel:
+    CFG4 = SolitonConfig((0.7, 1.3, 2.1, 2.9), (1.5, 3.0, 0.4, 7.0))
+
+    def test_jost_coefficient_at_imaginary_k(self):
+        # a(i kappa) = 1/t(i kappa) = prod_j (kappa - k_j)/(kappa + k_j)
+        L = 14.0 / self.CFG4.k[0]
+        u, h = N._sample(S.potential_fn(self.CFG4), L, 1 << 14)
+        kappa = np.array([0.3, 1.0, 1.7, 2.5, 3.3, 4.0])
+        a = N._jost_a(u, h, kappa)
+        assert np.max(np.abs(a - 1.0 / N.transmission_product(self.CFG4, 1j * kappa))) < 1e-9
+
+    @pytest.mark.parametrize("kappa, below", [(0.5, 2), (1.5, 1), (2.5, 0)])
+    def test_sturm_count_between_bound_states(self, kappa, below):
+        # states below -kappa^2 of U = -6 sech^2 x: those with k_j > kappa
+        u, h = N._sample(S.potential_fn(SolitonConfig((1.0, 2.0), (6.0, 12.0))), 12.0, 480)
+        assert N._sturm_count(u, h, kappa) == below
+
+    def test_scatter_samples_a_quarter_of_plain_doubling(self):
+        # plain step doubling refined 1372 -> 43904 steps here, 172872 points
+        sizes = []
+        N.scatter(_counting(S.potential_fn(self.CFG4), sizes), 0.5, 24.0 / 0.7)
+        assert sizes[:2] == [1, 1]
+        assert sizes[2:] == [2 * 1372 * 2**i for i in range(4)]
+        assert sum(sizes) <= 172872 / 4
+
+    @pytest.mark.parametrize("routine", ["scatter", "bound_spectrum"])
+    def test_potential_sampled_once_per_level(self, routine):
+        # the two edge checks, then one call at the Gauss points per level
+        sizes = []
+        ufn = _counting(S.potential_fn(SolitonConfig((1.0, 2.0), (6.0, 12.0))), sizes)
+        if routine == "scatter":
+            N.scatter(ufn, 1.3, 12.0)
+        else:
+            sp = N.bound_spectrum(ufn, 12.0)
+            assert sp.grid_step == 24.0 / (sizes[-1] // 2)
+        assert sizes[:2] == [1, 1]
+        levels = sizes[2:]
+        assert len(levels) >= 3
+        assert levels == [levels[0] * 2**i for i in range(len(levels))]
 
 
 class TestScattering:
