@@ -1,13 +1,16 @@
 """Vectorized double-double (compensated) arithmetic.
 
 Tau-function determinants of closely spaced wavenumbers are Cauchy-matrix
-conditioned: plain float64 LU loses up to ~10 digits at N=10, which is not
-enough to cross-check the determinant against the Hirota expansion at the
-1e-11 level. Each value here is carried as an unevaluated sum hi+lo of two
-float64 arrays (~32 significant digits), which restores full headroom.
+conditioned: a float64 factorization loses up to ~10 digits at N=10, which
+is not enough to cross-check the determinant against the Hirota expansion
+at the 1e-11 level. Each value here is carried as an unevaluated sum hi+lo
+of two float64 arrays (~32 significant digits), which restores full
+headroom.
 
-Only the handful of operations the determinant route needs are provided.
-All functions broadcast like the underlying numpy ufuncs.
+Only the handful of operations the determinant route needs are provided:
+elementary ops, exp, log_abs and slogdet, an LDL^T without pivoting for
+batches of symmetric positive-definite matrices. All functions but slogdet
+broadcast like the underlying numpy ufuncs.
 """
 
 from __future__ import annotations
@@ -127,44 +130,34 @@ def log_abs(xh, xl):
 
 
 def slogdet(ah, al):
-    """Sign and log|det| of a batch of double-double matrices.
+    """Sign and log|det| of a batch of symmetric positive-definite
+    double-double matrices of shape (..., n, n); only the lower triangle
+    is read.
 
-    ah, al: arrays of shape (..., n, n). LU with partial pivoting on the
-    hi parts; returns (sign, logabs) of shape (...,). A singular pivot
-    yields sign 0 and logabs -inf.
+    LDL^T without pivoting, backward stable on such matrices (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 10), on the lower
+    triangle packed column by column with the batch axis last. The sign
+    is the product of the pivot signs, so a matrix that is not positive
+    definite shows as a sign other than 1; a zero pivot yields sign 0 and
+    logabs -inf.
     """
-    ah = np.array(ah, dtype=float)
-    al = np.array(al, dtype=float)
-    n = ah.shape[-1]
-    batch_shape = ah.shape[:-2]
-    ah = ah.reshape(-1, n, n)
-    al = al.reshape(-1, n, n)
-    nb = ah.shape[0]
-    bidx = np.arange(nb)
-    sign = np.ones(nb)
-    logabs = np.zeros(nb)
-    for k in range(n):
-        p = np.argmax(np.abs(ah[:, k:, k]), axis=1) + k
-        swap = p != k
-        if np.any(swap):
-            rp_h = ah[bidx, p, :].copy()
-            rp_l = al[bidx, p, :].copy()
-            ah[bidx, p, :] = ah[:, k, :]
-            al[bidx, p, :] = al[:, k, :]
-            ah[:, k, :] = rp_h
-            al[:, k, :] = rp_l
-            sign = np.where(swap, -sign, sign)
-        ph = ah[:, k, k]
-        pl = al[:, k, k]
-        logabs = logabs + log_abs(ph, pl)
-        sign = sign * np.sign(ph)
-        if k < n - 1:
-            mh, ml = div(ah[:, k + 1 :, k], al[:, k + 1 :, k], ph[:, None], pl[:, None])
-            uh, ul = mul(
-                mh[:, :, None], ml[:, :, None],
-                ah[:, None, k, k + 1 :], al[:, None, k, k + 1 :],
-            )
-            ah[:, k + 1 :, k + 1 :], al[:, k + 1 :, k + 1 :] = sub(
-                ah[:, k + 1 :, k + 1 :], al[:, k + 1 :, k + 1 :], uh, ul
-            )
+    n, batch_shape = np.shape(ah)[-1], np.shape(ah)[:-2]
+    cols, rows = np.triu_indices(n)
+    ph, pl = (np.moveaxis(np.asarray(a, dtype=float).reshape(-1, n, n), 0, -1)[rows, cols] for a in (ah, al))
+    start = np.concatenate(([0], np.cumsum(np.arange(n, 0, -1))))  # column k at start[k]
+    sign = np.ones(ph.shape[1])
+    logabs = np.zeros(ph.shape[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(n):
+            dh, dl = ph[start[k]], pl[start[k]]
+            logabs += log_abs(dh, dl)
+            sign *= np.sign(dh)
+            vh, vl = ph[start[k] + 1 : start[k + 1]], pl[start[k] + 1 : start[k + 1]]
+            mh, ml = div(vh, vl, dh, dl)
+            # trailing column j, rows j..n-1: subtract (v_i / d) v_j
+            for r, j in enumerate(range(k + 1, n)):
+                c = slice(start[j], start[j + 1])
+                ph[c], pl[c] = sub(ph[c], pl[c], *mul(mh[r:], ml[r:], vh[r], vl[r]))
+    broken = np.abs(sign) != 1.0
+    sign[broken], logabs[broken] = 0.0, -np.inf
     return sign.reshape(batch_shape), logabs.reshape(batch_shape)

@@ -233,8 +233,7 @@ def jet_det(matrix) -> Jet:
 
     3x3 and smaller go through the branch-free cofactor expansion, which
     broadcasts over the batch as it stands; larger matrices go through LU
-    with partial pivoting on the constant terms, chosen per batch element
-    as dd.slogdet does.
+    with partial pivoting on the constant terms, chosen per batch element.
     """
     m = [list(row) for row in matrix]
     n = len(m)

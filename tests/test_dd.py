@@ -74,8 +74,10 @@ def test_log_abs_zero():
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
 def test_slogdet_random(n):
+    # dd.slogdet takes symmetric positive-definite batches
     rng = np.random.default_rng(n)
-    a = rng.normal(size=(3, n, n))
+    b = rng.normal(size=(3, n, n))
+    a = b @ np.swapaxes(b, -1, -2) + n * np.eye(n)
     s, ld = dd.slogdet(a, np.zeros_like(a))
     for i in range(3):
         sr, lr = np.linalg.slogdet(a[i])

@@ -64,7 +64,7 @@ NEAR_DEGENERATE = SolitonConfig((1.0, 1.001), (1.0, 1.0))
 class TestSpectrum:
     def test_sech2_n2(self):
         cfg = SolitonConfig((1.0, 2.0), (6.0, 12.0))
-        sp = N.bound_spectrum(S.potential_fn(cfg), 12.0, 1e-3)
+        sp = N.bound_spectrum(S.potential_fn(cfg), 12.0)
         assert len(sp.energies) == 2
         assert sp.energies[0] == pytest.approx(-4.0, abs=5e-4)
         assert sp.energies[1] == pytest.approx(-1.0, abs=5e-4)
@@ -75,7 +75,7 @@ class TestSpectrum:
 
     def test_random_n3(self):
         cfg = S.random_config(np.random.default_rng(41), n=3, k_range=(0.5, 3.5))
-        sp = N.bound_spectrum(S.potential_fn(cfg), 16.0 / cfg.k[0], 1e-3)
+        sp = N.bound_spectrum(S.potential_fn(cfg), 16.0 / cfg.k[0])
         expected = sorted(cfg.energies)
         assert len(sp.energies) == 3
         assert np.max(np.abs(np.array(sp.energies) - expected)) < 1e-3
