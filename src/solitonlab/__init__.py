@@ -28,8 +28,6 @@ from .solitons import (
     potential_jet,
     random_config,
     rescale_rule,
-    tau_det,
-    tau_grid,
     tau_hirota_grid,
     tau_jet_sum,
     tau_jet_sum_grid,

@@ -26,10 +26,9 @@ from .solitons import (
     SolitonConfig,
     default_grid,
     eigenfunction_grid,
-    potential,
     potential_fn,
-    tau_grid,
     tau_hirota_grid,
+    tau_jet_sum_grid,
     tau_logdet_grid,
 )
 
@@ -106,7 +105,7 @@ def cmd_potential(args, out) -> int:
 def cmd_eigen(args, out) -> int:
     cfg = _load(args)
     xs = _grid_from_args(args, cfg)
-    phi = eigenfunction_grid(cfg, args.index, tau_grid(cfg, None, xs, 1))
+    phi = eigenfunction_grid(cfg, args.index, tau_jet_sum_grid(cfg, None, xs, 1))
     rows = list(zip(xs.tolist(), phi.value.tolist(), phi.deriv(1).tolist()))
     if args.format == "json":
         out.write(json.dumps(

@@ -25,9 +25,8 @@ own tau, so the caller evaluates that denominator once per grid and hands
 it to both the matrices and the tau-ratio side of the identity; each
 unordered pair is one grid tau. The deletion and addition checks over m
 indices therefore cost m(m+1)/2 + 2 grid taus, and the bilinear check
-four (three when j = l). tail_matrix is the one-point case,
-inner_tail_gauged its 1x1 case, and transforms.generic_am consumes the
-same builder.
+four (three when j = l). inner_tail is its one-point 1x1 case, and
+transforms.generic_am consumes the same builder on a one-point grid.
 
 Random-configuration fuzzing (run_identity_suite) is part of the module
 itself: sweeping these identities over random spectral data is the
@@ -45,7 +44,6 @@ from .jets import _pointwise, jet_exp
 from .solitons import (
     ConfigError,
     SolitonConfig,
-    TauEval,
     TauGrid,
     drop_rule,
     eigenfunction_grid,
@@ -53,7 +51,7 @@ from .solitons import (
     deletion_rule,
     random_config,
     rescale_rule,
-    tau_jet_sum,
+    tau_jet_sum,  # unused here, kept: perfbench/test_perfbench.py checks this name is traced
     tau_jet_sum_grid,
 )
 from .transforms import eigenfunction_seeds, wronskian
@@ -148,14 +146,6 @@ def tail_matrix_grid(cfg: SolitonConfig, rows, cols, den: TauGrid, pair_taus: di
     return [[entry(a, b) for b in cols] for a in rows]
 
 
-def tail_matrix(cfg: SolitonConfig, rows, cols, den: TauEval) -> list:
-    """tail_matrix_grid at the single point of den, the config's own tau
-    tau_jet_sum(cfg, None, x, order): a nested list of (jet, log_gauge,
-    sign) with a one-point jet."""
-    tails = tail_matrix_grid(cfg, rows, cols, TauGrid.stack([den]))
-    return [[(jet.at(0), float(gauge[0]), float(sign[0])) for jet, gauge, sign in row] for row in tails]
-
-
 def row_gauged(tails) -> tuple:
     """Square tail matrix as jet rows with each row's largest gauge
     factored out: returns (rows, log_gauge), where det of the true matrix
@@ -178,20 +168,14 @@ def tail_values(tails) -> np.ndarray:
     ], axis=-2)
 
 
-def inner_tail_gauged(cfg: SolitonConfig, j: int, l: int, x: float, order: int):
-    """Gauged jet of the tail integral int_x^inf phi_j phi_l dy: the 1x1
-    tail_matrix. Returns (jet, log_gauge, sign); true value =
-    sign*e^gauge*jet."""
-    cfg = cfg.flowed()
-    return tail_matrix(cfg, [j], [l], tau_jet_sum(cfg, None, x, order))[0][0]
-
-
 def inner_tail(cfg: SolitonConfig, j: int, l: int, x: float) -> float:
-    """Tail integral int_x^inf phi_j phi_l dy in closed form. As
-    x -> -infinity this tends to 1/c_j for j=l and to 0 otherwise
-    (orthogonality with normalization (phi_j, phi_j) = 1/c_j)."""
-    jet, gauge, sign = inner_tail_gauged(cfg, j, l, x, 0)
-    return sign * math.exp(gauge) * float(jet.coeffs[0])
+    """Tail integral int_x^inf phi_j phi_l dy in closed form: the 1x1
+    tail_matrix_grid on a one-point grid. As x -> -infinity this tends
+    to 1/c_j for j=l and to 0 otherwise (orthogonality with
+    normalization (phi_j, phi_j) = 1/c_j)."""
+    cfg = cfg.flowed()
+    den = tau_jet_sum_grid(cfg, None, [float(x)], 0)
+    return float(tail_values(tail_matrix_grid(cfg, [j], [l], den))[0, 0, 0])
 
 
 # ---------------------------------------------------------------------------

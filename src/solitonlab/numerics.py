@@ -438,7 +438,7 @@ def kdv_residual(cfg: SolitonConfig, x: float, t: float | None = None) -> float:
     if cfg.n == 0:
         return 0.0
     uj = potential_jet(cfg, float(x), 3)
-    u = float(uj.coeffs[0].real) if np.iscomplexobj(uj.coeffs) else float(uj.coeffs[0])
+    u = float(uj.coeffs[0])
     ux = float(uj.deriv(1))
     uxxx = float(uj.deriv(3))
     ut = dt_potential(cfg, float(x))

@@ -7,8 +7,14 @@ U(x) = -2 (log u)'' where u is the determinant of the N x N matrix
 
 with 0 < k_1 < ... < k_N and positive norming constants c_j. The same u
 has an independent 2^N-term exponential-sum expansion (Hirota form) with
-pairwise interaction factors ((k_j-k_l)/(k_j+k_l))^2, which this module
-keeps as a cross-check oracle for the determinant route.
+pairwise interaction factors ((k_j-k_l)/(k_j+k_l))^2.
+
+Two independent routes evaluate u, each over a grid of points. The
+determinant runs in double-double arithmetic and gives values only
+(tau_logdet_grid). The exponential sum runs in plain double for values
+and the potential (tau_hirota_grid, potential_fn) and in double-double
+for jets (tau_jet_sum_grid), which serves every eigenfunction, tail
+integral and scalar tau jet. The scalar entry points are one-point grids.
 
 Every tilde-variant of u used by the deformation schemes is a pointwise
 rewrite c_m -> factor_m * c_m, represented by CoefficientRule.
@@ -23,13 +29,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
 from . import dd
-from .jets import Jet, _pointwise, jet_det, jet_exp, jet_log_d2
+from .jets import Jet, _pointwise, jet_exp, jet_log_d2
 
 #: enumeration budget for the 2^N exponential-sum oracle
 HIROTA_MAX_N = 24
@@ -47,7 +53,9 @@ class ConfigError(ValueError):
 
 
 class RangeError(ArithmeticError):
-    """Exponent overflow that no gauge can absorb."""
+    """A valid config beyond the numerical reach of a route: exponent
+    overflow that no gauge can absorb, or more solitons than a 2^N
+    enumeration budget allows (the message names N)."""
 
 
 @dataclass(frozen=True)
@@ -204,97 +212,6 @@ def _effective(cfg: SolitonConfig, rule: CoefficientRule | None):
     return k[keep], ce[keep]
 
 
-def _reflected_c(k: np.ndarray, ce: np.ndarray) -> np.ndarray:
-    """c' of the x -> -x rewrite: evaluating the reflected config on the
-    right half-line sidesteps the ill-conditioned regime on the left."""
-    n = len(k)
-    cp = (2.0 * k) ** 2 / ce
-    for j in range(n):
-        for l in range(n):
-            if l != j:
-                cp[j] *= ((k[j] + k[l]) / (k[j] - k[l])) ** 2
-    return cp
-
-
-def _reflection_prefactor(k: np.ndarray, ce: np.ndarray):
-    """(log|.|, sign, rate) of the exponential prefactor relating u(x) to
-    the reflected config's tau at -x."""
-    log_mag = float(np.sum(np.log(np.abs(ce) / (2.0 * k))))
-    for j in range(len(k)):
-        for l in range(j + 1, len(k)):
-            log_mag += 2.0 * math.log(abs(k[j] - k[l]) / (k[j] + k[l]))
-    sign = float(np.prod(np.sign(ce)))
-    rate = -2.0 * float(np.sum(k))
-    return log_mag, sign, rate
-
-
-def _tau_jet_pos(k: np.ndarray, ce: np.ndarray, y0: float, order: int):
-    """Gauged tau jet at y0 >= 0 (well-conditioned half-line)."""
-    n = len(k)
-    f0 = ce * np.exp(-2.0 * k * y0)
-    big = np.abs(f0) > 1.0
-    gauge = float(np.sum(np.log(np.abs(f0[big]))))
-    sign = float(np.prod(np.sign(f0[big]))) if big.any() else 1.0
-    rows = []
-    for m in range(n):
-        row = []
-        for nn in range(n):
-            kinv = 1.0 / (k[m] + k[nn])
-            if big[m]:
-                entry = Jet.constant(kinv, y0, order)
-                if nn == m:
-                    entry = entry + jet_exp(2.0 * k[m], y0, order, unit=True) * (1.0 / f0[m])
-            else:
-                entry = jet_exp(-2.0 * k[m], y0, order, unit=True) * (f0[m] * kinv)
-                if nn == m:
-                    entry = entry + 1.0
-            row.append(entry)
-        rows.append(row)
-    det = jet_det(rows)
-    rate = -2.0 * float(np.sum(k[big]))
-    if rate != 0.0:
-        det = det * jet_exp(rate, y0, order, unit=True)
-    return det, gauge, sign
-
-
-def _normalize(jet: Jet, gauge: float, sign: float):
-    v0 = jet.coeffs[0]
-    if v0 != 0.0:
-        gauge += math.log(abs(v0))
-        sign *= math.copysign(1.0, v0)
-        jet = Jet(jet.center, jet.coeffs / v0)
-    return jet, gauge, sign
-
-
-def _tau_jet(k: np.ndarray, ce: np.ndarray, x0: float, order: int):
-    if len(k) == 0:
-        return Jet.constant(1.0, x0, order), 0.0, 1.0
-    if x0 >= 0.0:
-        jet, gauge, sign = _tau_jet_pos(k, ce, x0, order)
-    else:
-        cp = _reflected_c(k, ce)
-        v, gauge, sign = _tau_jet_pos(k, cp, -x0, order)
-        flip = (-1.0) ** np.arange(order + 1)
-        w = Jet(x0, v.coeffs * flip)
-        pre_log, pre_sign, pre_rate = _reflection_prefactor(k, ce)
-        jet = w * jet_exp(pre_rate, x0, order, unit=True)
-        gauge += pre_log + pre_rate * x0
-        sign *= pre_sign
-    return _normalize(jet, gauge, sign)
-
-
-def tau_det(cfg: SolitonConfig, rule: CoefficientRule | None, x: float, order: int) -> TauEval:
-    """Tau function at x via the gauged determinant of jet-valued entries."""
-    if order < 0:
-        raise ConfigError("jet order must be non-negative")
-    cfg = cfg.flowed()
-    k, ce = _effective(cfg, rule)
-    jet, gauge, sign = _tau_jet(k, ce, float(x), order)
-    if not math.isfinite(gauge):
-        raise RangeError(f"tau gauge overflow at x={x} (max |k*x| = {np.max(np.abs(k) * abs(x)):.3g})")
-    return TauEval(float(x), jet, gauge, sign)
-
-
 # ---------------------------------------------------------------------------
 # Hirota exponential-sum route (independent oracle)
 
@@ -341,7 +258,7 @@ def tau_hirota_grid(cfg: SolitonConfig, rule: CoefficientRule | None, xs) -> tup
     cfg = cfg.flowed()
     k, ce = _effective(cfg, rule)
     if len(k) > HIROTA_MAX_N:
-        raise ConfigError(f"2^N enumeration budget exceeded: N={len(k)} > {HIROTA_MAX_N}")
+        raise RangeError(f"2^N enumeration budget exceeded: N={len(k)} > {HIROTA_MAX_N}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     running_max = np.full(xs.shape, -np.inf)
     acc = np.zeros(xs.shape)
@@ -372,16 +289,6 @@ class TauGrid:
     coeffs: np.ndarray
     gauge: np.ndarray
     sign: np.ndarray
-
-    @staticmethod
-    def stack(evals) -> "TauGrid":
-        """Grid of per-point TauEvals (shared order)."""
-        return TauGrid(
-            np.array([e.x for e in evals]),
-            np.array([e.jet.coeffs for e in evals]),
-            np.array([e.gauge_exponent for e in evals]),
-            np.array([e.sign for e in evals]),
-        )
 
     @property
     def order(self) -> int:
@@ -503,11 +410,11 @@ def tau_jet_sum_grid(cfg: SolitonConfig, rule: CoefficientRule | None, xs, order
 
     Independent of the determinant route and accurate to ~1e-16 relative
     even for the sign-indefinite rewritten taus, whose term cancellation
-    costs the plain-double determinant several digits. The x-independent
+    would cost a plain-double evaluation several digits. The x-independent
     term prefactors are computed once per call; the points are then
     evaluated in blocks of at most _HIROTA_CHUNK terms. Every operation
     is elementwise, so each point's result is bitwise independent of the
-    grid it sits in. Budget N <= 12.
+    grid it sits in. Budget N <= 12; RangeError beyond it.
     """
     if order < 0:
         raise ConfigError("jet order must be non-negative")
@@ -521,7 +428,7 @@ def tau_jet_sum_grid(cfg: SolitonConfig, rule: CoefficientRule | None, xs, order
         coeffs[:, 0] = 1.0
         return TauGrid(xs, coeffs, np.zeros(npts), np.ones(npts))
     if n > _JET_SUM_MAX_N:
-        raise ConfigError(f"2^N jet-sum budget exceeded: N={n} > {_JET_SUM_MAX_N}")
+        raise RangeError(f"2^N jet-sum budget exceeded: N={n} > {_JET_SUM_MAX_N}")
     terms = _jet_sum_terms(tuple(k.tolist()), tuple(ce.tolist()))
     coeffs = np.empty((npts, order + 1))
     gauge = np.empty(npts)
@@ -537,14 +444,6 @@ def tau_jet_sum(cfg: SolitonConfig, rule: CoefficientRule | None, x: float, orde
     """Tau jet at x from the double-double exponential sum: the one-point
     grid of tau_jet_sum_grid."""
     return tau_jet_sum_grid(cfg, rule, [float(x)], order).at(0)
-
-
-def tau_grid(cfg: SolitonConfig, rule: CoefficientRule | None, xs, order: int) -> TauGrid:
-    """Tau jets over xs by the eigenfunction route: the compensated sum
-    within its budget N <= 12, the gauged determinant per point beyond."""
-    if cfg.n <= _JET_SUM_MAX_N:
-        return tau_jet_sum_grid(cfg, rule, xs, order)
-    return TauGrid.stack([tau_det(cfg, rule, float(x), order) for x in np.atleast_1d(xs)])
 
 
 # ---------------------------------------------------------------------------
@@ -605,16 +504,14 @@ def default_grid(cfg: SolitonConfig, npoints: int = 2001) -> np.ndarray:
 
 
 def potential(cfg: SolitonConfig, x: float) -> float:
-    """U(x) = -2 (log u)''(x), gauge-independent."""
-    te = tau_det(cfg, None, x, 2)
-    if te.sign <= 0:
-        raise RangeError(f"tau is not positive at x={x}; invalid parameters")
-    return -2.0 * jet_log_d2(te.jet)
+    """U(x) = -2 (log u)''(x): the one-point potential_fn."""
+    return potential_fn(cfg)(float(x))
 
 
 def potential_jet(cfg: SolitonConfig, x: float, order: int) -> Jet:
-    """Jet of U at x (coeffs up to U^(order)/order!)."""
-    te = tau_det(cfg, None, x, order + 2)
+    """Jet of U at x (coeffs up to U^(order)/order!), from the
+    double-double jet sum (N <= 12)."""
+    te = tau_jet_sum(cfg, None, x, order + 2)
     r = te.jet.derivative() / te.jet.truncate(order + 1)
     return r.derivative() * (-2.0)
 
@@ -623,12 +520,13 @@ def potential_fn(cfg: SolitonConfig) -> Callable:
     """Fast vectorized x -> U(x) closure built on the exponential-sum form.
 
     The returned callable accepts scalars or arrays and is what the
-    independent numerics consume as a black-box potential.
+    independent numerics consume as a black-box potential. Budget
+    N <= 24; RangeError beyond it.
     """
     cfg = cfg.flowed()
     k, ce = _effective(cfg, None)
     if len(k) > HIROTA_MAX_N:
-        raise ConfigError(f"2^N enumeration budget exceeded: N={len(k)}")
+        raise RangeError(f"2^N enumeration budget exceeded: N={len(k)} > {HIROTA_MAX_N}")
     consts = []
     rates = []
     for const, rate, sign in _hirota_chunks(k, ce):
@@ -661,7 +559,7 @@ def eigenfunction(cfg: SolitonConfig, j: int, x: float, order: int) -> Jet:
     asymptote e^{-k_j x} as x -> +infinity: the one-point case of
     eigenfunction_grid."""
     cfg = cfg.flowed()
-    return eigenfunction_grid(cfg, j, tau_grid(cfg, None, [float(x)], order)).at(0)
+    return eigenfunction_grid(cfg, j, tau_jet_sum_grid(cfg, None, [float(x)], order)).at(0)
 
 
 def eigenfunction_grid(cfg: SolitonConfig, j: int, den: TauGrid) -> Jet:
@@ -669,15 +567,14 @@ def eigenfunction_grid(cfg: SolitonConfig, j: int, den: TauGrid) -> Jet:
     batched over a grid; each point is bitwise eigenfunction(cfg, j, x,
     order).
 
-    den is the config's own tau over the grid, tau_grid(cfg, None, xs,
-    order); the grid and the jet order are taken from it, so one
+    den is the config's own tau over the grid, tau_jet_sum_grid(cfg,
+    None, xs, order); the grid and the jet order are taken from it, so one
     evaluation also serves the caller's other uses of tau. The rewritten
-    tau goes through tau_grid too: its sign-indefinite terms cost the
-    plain-double determinant several digits, so the compensated sum is
-    used within its budget."""
+    tau, whose terms have both signs, comes from the same double-double
+    sum (N <= 12; RangeError beyond it)."""
     cfg = cfg.flowed()
     _check_index(cfg, j)
-    num = tau_grid(cfg, eigenfunction_rule(cfg, j), den.xs, den.order)
+    num = tau_jet_sum_grid(cfg, eigenfunction_rule(cfg, j), den.xs, den.order)
     kj = cfg.k[j - 1]
     log_scale = num.gauge - den.gauge - kj * den.xs
     try:
@@ -709,11 +606,11 @@ def dt_potential(cfg: SolitonConfig, x: float) -> float:
     cfg = cfg.flowed()
     if cfg.n == 0:
         return 0.0
-    den = tau_det(cfg, None, x, 2)
+    den = tau_jet_sum(cfg, None, x, 2)
     q = Jet.constant(0.0, float(x), 2)
     for j in range(1, cfg.n + 1):
         kj = cfg.k[j - 1]
-        numj = tau_det(cfg, drop_rule(cfg.n, j), x, 2)
+        numj = tau_jet_sum(cfg, drop_rule(cfg.n, j), x, 2)
         diff = numj.gauge_exponent - den.gauge_exponent
         scale = numj.sign * den.sign * (math.exp(diff) if diff > -700.0 else 0.0)
         ratio = (numj.jet / den.jet) * scale

@@ -32,7 +32,6 @@ from .solitons import (
     eigenfunction,
     eigenfunction_grid,
     rescale_rule,
-    tau_grid,
     tau_jet_sum_grid,
 )
 
@@ -180,10 +179,10 @@ class SeedFunction:
 
 def eigenfunction_seed(cfg: SolitonConfig, j: int, den: TauGrid | None = None) -> SeedFunction:
     """The j-th bound state as a seed. On a grid it is one batched
-    eigenfunction_grid evaluation; den, the config's own tau over a grid
-    (tau_grid(cfg, None, xs, order)), is reused on that grid up to its
-    order, so seeds sharing it evaluate the config's tau once between
-    them."""
+    eigenfunction_grid evaluation; den, the config's own tau over a
+    grid (tau_jet_sum_grid(cfg, None, xs, order)), is reused on that grid
+    up to its order, so seeds sharing it evaluate the config's tau once
+    between them."""
     kj = cfg.k[j - 1]
 
     def ev(x, order):
@@ -191,7 +190,7 @@ def eigenfunction_seed(cfg: SolitonConfig, j: int, den: TauGrid | None = None) -
             return eigenfunction(cfg, j, x, order)
         if den is not None and order <= den.order and np.array_equal(x, den.xs):
             return eigenfunction_grid(cfg, j, den.truncate(order))
-        return eigenfunction_grid(cfg, j, tau_grid(cfg, None, x, order))
+        return eigenfunction_grid(cfg, j, tau_jet_sum_grid(cfg, None, x, order))
 
     return SeedFunction(evaluator=ev, energy=-kj * kj, label=f"bound[{j}]", config=cfg, index=j)
 
@@ -326,7 +325,8 @@ def generic_am(
     matrix is F_jl = (e_j + 1) delta_jl - sqrt(c_j c_l) T_jl(x) for
     addition and F_jl = sqrt(c_j c_l) T_jl(x) for deletion, where T is
     the tail integral of phi_j phi_l from x to +infinity (closed form,
-    no quadrature). The new potential is U - 2 (log det F)''.
+    no quadrature). The new potential is U - 2 (log det F)'', with
+    U = -2 (log u)'' from the order-2 tau u that the tails already use.
     """
     from .identities import row_gauged, tail_matrix_grid, tail_values  # late import: identities uses wronskian
 
@@ -368,9 +368,7 @@ def generic_am(
         if det.value[0] <= 0:
             raise RegularityError(f"overlap matrix not positive definite at x={x}")
 
-    from .solitons import potential as _potential
-
-    u_new = _potential(cfg, x) - 2.0 * jet_log_d2(det)[0]
+    u_new = -2.0 * (jet_log_d2(den.jet) + jet_log_d2(det))[0]
 
     tval = None
     if target is not None:

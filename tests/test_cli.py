@@ -107,6 +107,18 @@ class TestEigenAndEvolve:
         phi0 = float(rows[1][1])
         assert phi0 == pytest.approx(0.5, abs=1e-12)
 
+    def test_beyond_jet_sum_budget_is_numerical_error(self, cfg_file, capsys):
+        from solitonlab import solitons as S
+
+        cfg = S.random_config(np.random.default_rng(122), n=13, k_range=(0.2, 8.0))
+        path = cfg_file(cfg.k, cfg.c)
+        for argv in (["eigen", path, "--index", "2"], ["verify", path]):
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            assert code == cli.EXIT_NUMERICAL
+            assert captured.out == ""
+            assert "N=13" in captured.err
+
     def test_eigen_matches_per_point_eigenfunction(self, cfg_file, capsys):
         from solitonlab import solitons as S
 

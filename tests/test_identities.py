@@ -56,14 +56,18 @@ class TestInnerTail:
     def test_tail_matrix_symmetric_and_equal_to_single_entries(self, cfg4, order):
         idx = [1, 2, 3, 4]
         x = 0.37
-        tails = I.tail_matrix(cfg4, idx, idx, S.tau_jet_sum(cfg4, None, x, order))
+        den = S.tau_jet_sum_grid(cfg4, None, [x], order)
+        tails = I.tail_matrix_grid(cfg4, idx, idx, den)
         for a in idx:
             for b in idx:
                 jet, gauge, sign = tails[a - 1][b - 1]
                 assert jet.order == order
-                for other in (tails[b - 1][a - 1], I.inner_tail_gauged(cfg4, a, b, x, order)):
+                [[single]] = I.tail_matrix_grid(cfg4, [a], [b], den)
+                for other in (tails[b - 1][a - 1], single):
                     assert np.array_equal(jet.coeffs, other[0].coeffs)
-                    assert (gauge, sign) == other[1:]
+                    assert np.array_equal(gauge, other[1]) and np.array_equal(sign, other[2])
+                if order == 0:
+                    assert I.tail_values([[single]])[0, 0, 0] == I.inner_tail(cfg4, a, b, x)
 
 
 class TestIndividualIdentities:
