@@ -25,7 +25,8 @@ _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
 _LN2_HI = 6.931471805599452862e-01
 _LN2_LO = 2.319046813846299558e-17
 
-_EXP_ORDER = 26
+# Taylor terms of exp on |r| <= ln2/2: the first one left out is below 1e-33
+_EXP_ORDER = 22
 
 
 def _two_sum(a, b):

@@ -2,13 +2,13 @@
 
 Everything here consumes potentials only as black-box x -> U(x) maps and
 never touches the determinant machinery, so agreement with the closed
-forms is a genuine two-sided check: one batched fourth-order Magnus
-propagator gives reflection/transmission amplitudes at real k and the
-bound spectrum as the zeros of the Jost coefficient a(i kappa); adaptive
-quadrature serves as an oracle for the closed-form overlap integrals;
-and there are the KdV residual of the flowing potential and two-soliton
-phase shifts from located potential minima. Everything runs on numpy
-alone.
+forms is a genuine two-sided check. One Richardson step-doubling driver
+runs a batched Magnus propagator (amplitudes at real k; bound states as
+zeros of the Jost coefficient a(i kappa), bracketed by Sturm-count
+bisection) and Gauss-Legendre quadrature, the oracle for the closed-form
+overlap integrals. There are also the KdV residual of the flowing
+potential and two-soliton phase shifts from located potential minima.
+Everything runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -59,12 +59,17 @@ class ScatteringResult:
         return abs(abs(self.reflection_amp) ** 2 + abs(self.transmission_amp) ** 2 - 1.0)
 
 
-def _check_decay(potential: Callable, L: float, decay_tol: float) -> None:
+def _check_domain(potential: Callable, L: float, decay_tol: float) -> float:
+    """L as a float: ValueError unless positive and finite, DomainError unless U decayed at +-L."""
+    L = float(L)
+    if not 0.0 < L < math.inf:
+        raise ValueError(f"domain half-width must be positive and finite, not {L}")
     edge = max(abs(float(potential(-L))), abs(float(potential(L))))
     if edge > decay_tol:
         raise DomainError(
             f"potential magnitude {edge:.3g} at +-{L} exceeds {decay_tol:.0e}; enlarge the domain"
         )
+    return L
 
 
 #: step refinement beyond which the step-doubling loop gives up
@@ -79,15 +84,15 @@ _GAUSS_NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0]
 _MAGNUS_C = math.sqrt(3.0) / 12.0
 
 
-def _sample(potential: Callable, L: float, nsteps: int) -> tuple:
-    """U at both Gauss points of nsteps uniform steps from x = L to x = -L,
-    in one potential call, as [nsteps, 2], and the signed step h < 0."""
+def _sample(f: Callable, L: float, nsteps: int) -> tuple:
+    """f at both Gauss points of nsteps uniform steps from x = L to x = -L,
+    in one call, as [nsteps, 2], and the signed step h = -2L/nsteps."""
     h = -2.0 * L / nsteps
     xs = L + h * (np.arange(nsteps)[:, None] + _GAUSS_NODES[None, :])
-    u = np.asarray(potential(xs.ravel()), dtype=float)
+    u = np.asarray(f(xs.ravel()), dtype=float)
     if not np.all(np.isfinite(u)):
         bad = xs.ravel()[~np.isfinite(u)][0]
-        raise SolverError(f"potential is not finite at x={bad:.17g}")
+        raise SolverError(f"function is not finite at x={bad:.17g}")
     return u.reshape(nsteps, 2), h
 
 
@@ -162,44 +167,29 @@ def _jost_a(u: np.ndarray, h: float, kappa: np.ndarray) -> np.ndarray:
     return (kappa * psi - dpsi) / (2.0 * kappa)
 
 
-def _sturm_count(u: np.ndarray, h: float, kappa: float) -> int:
-    """Number of bound states below -kappa^2: the nodes of the solution
-    e^{-kappa x} of x > L (oscillation theorem). Its values at every step
-    end come from one batched prefix product of the step maps; beyond -L
-    it is A e^{kappa x} + B e^{-kappa x}, with one more node iff psi and
-    psi' - kappa psi have the same sign at -L (then sign B != sign psi)."""
-    p = _magnus_steps(u, h, np.array([-kappa * kappa]))[:, 0]
+def _sturm_count(u: np.ndarray, h: float, kappa) -> np.ndarray:
+    """Numbers of bound states below -kappa^2, one per kappa: the nodes of
+    the solution e^{-kappa x} of x > L (oscillation theorem). Its values
+    at every step end come from one batched prefix product of the step
+    maps; beyond -L it is A e^{kappa x} + B e^{-kappa x}, with one more
+    node iff psi and psi' - kappa psi have the same sign at -L (then
+    sign B != sign psi)."""
+    k = np.atleast_1d(np.asarray(kappa, dtype=float))
+    p = _magnus_steps(u, h, -k * k)
     d = 1
-    while d < p.shape[1]:
-        p[:, d:] = _mul(p[:, d:], p[:, :-d])
+    while d < p.shape[2]:
+        p[:, :, d:] = _mul(p[:, :, d:], p[:, :, :-d])
         d *= 2
-    psi = np.concatenate([[1.0], p[0] - kappa * p[1]])
-    nodes = np.count_nonzero(np.signbit(psi[1:]) != np.signbit(psi[:-1]))
-    dpsi = p[2, -1] - kappa * p[3, -1]
-    return int(nodes) + int(psi[-1] * (dpsi - kappa * psi[-1]) > 0)
+    # psi = 1 > 0 at x = L, then at every step end
+    psi = p[0] - k[:, None] * p[1]
+    nodes = np.count_nonzero(np.diff(np.signbit(psi), axis=1, prepend=False), axis=1)
+    dpsi = p[2, :, -1] - k * p[3, :, -1]
+    extra = psi[:, -1] * (dpsi - k * psi[:, -1]) > 0
+    return (nodes + extra).reshape(np.shape(kappa))
 
 
-#: kappa points of the first bracketing scan, rounds of local refinement
-#: of that scan, parts each refined interval is split into, and secant
-#: steps allowed per root
-_SCAN_POINTS = 32
-_SCAN_REFINEMENTS = 8
-_SCAN_SPLIT = 8
+#: secant steps allowed per root
 _SECANT_MAX_STEPS = 60
-
-
-def _refine_scan(ks: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """New kappa points splitting each interval next to a local minimum of
-    |a(i kappa)| into _SCAN_SPLIT parts: a pair of roots inside one
-    interval leaves no sign change but a dip of |a| towards zero."""
-    m = np.abs(a)
-    left = np.concatenate([[True], m[1:] <= m[:-1]])
-    right = np.concatenate([m[:-1] <= m[1:], [True]])
-    i = np.flatnonzero(left & right)
-    ivals = np.unique(np.concatenate([i - 1, i]))
-    ivals = ivals[(ivals >= 0) & (ivals < len(ks) - 1)]
-    frac = np.arange(1, _SCAN_SPLIT) / _SCAN_SPLIT
-    return (ks[ivals, None] + frac * (ks[ivals + 1] - ks[ivals])[:, None]).ravel()
 
 
 def _secant(u, h, lo, hi, flo, fhi) -> np.ndarray:
@@ -234,7 +224,9 @@ def _bound_kappas(
     the step is too coarse for the Sturm count (a node per step needs more
     than one radian of phase). prev, the roots of the previous step, are
     tried first in brackets of 1e-3 of their size (less than half their
-    spacing); only if one fails are the states counted and scanned anew."""
+    spacing). Otherwise every interval of [floor, sqrt(max(-U))] whose
+    Sturm count drops by more than one is halved, all at once, until each
+    holds one state; the brackets go to _secant."""
     depth = max(float(np.max(-u)), 0.0)
     if abs(h) * math.sqrt(depth) > 1.0:
         return None
@@ -247,41 +239,51 @@ def _bound_kappas(
         flo, fhi = np.split(_jost_a(u, h, np.concatenate([lo, hi])), 2)
         if np.all(np.signbit(flo) != np.signbit(fhi)):
             return _secant(u, h, lo, hi, flo, fhi)
-    count = _sturm_count(u, h, floor)
-    if count == 0:
+    ks = np.array([floor, max(math.sqrt(depth), floor)])
+    n = _sturm_count(u, h, ks)
+    if n[-1]:
+        raise SolverError(f"Sturm count {n[-1]} at kappa = sqrt(max(-U)), below every state")
+    if not n[0]:
         return np.empty(0)
-    ks = np.linspace(floor, max(math.sqrt(depth), floor), _SCAN_POINTS)
-    a = _jost_a(u, h, ks)
-    for _ in range(_SCAN_REFINEMENTS):
-        if np.count_nonzero(np.signbit(a[1:]) != np.signbit(a[:-1])) >= count:
+    while True:
+        drop = n[:-1] - n[1:]
+        if np.any(drop < 0):
+            raise SolverError("Sturm count rises with kappa")
+        split = np.flatnonzero(drop > 1)
+        if not len(split):
             break
-        new = _refine_scan(ks, a)
-        ks, order = np.unique(np.concatenate([ks, new]), return_index=True)
-        a = np.concatenate([a, _jost_a(u, h, new)])[order]
-    b = np.flatnonzero(np.signbit(a[1:]) != np.signbit(a[:-1]))
-    if len(b) != count:
-        raise SolverError(
-            f"{len(b)} sign changes of a(i kappa) for {count} bound states (Sturm count)"
-        )
-    return _secant(u, h, ks[b], ks[b + 1], a[b], a[b + 1])
+        mid = 0.5 * (ks[split] + ks[split + 1])
+        if np.any((mid == ks[split]) | (mid == ks[split + 1])):
+            raise SolverError(f"Sturm count does not separate {drop[split].max()} bound states")
+        ks = np.insert(ks, split + 1, mid)
+        n = np.insert(n, split + 1, _sturm_count(u, h, mid))
+    b = np.flatnonzero(drop)
+    lo, hi = ks[b], ks[b + 1]
+    flo, fhi = np.split(_jost_a(u, h, np.concatenate([lo, hi])), 2)
+    if np.any(np.signbit(flo) == np.signbit(fhi)):
+        raise SolverError("a(i kappa) keeps its sign across a bracket of one bound state")
+    return _secant(u, h, lo, hi, flo, fhi)
 
 
 def _step_doubling(
-    potential: Callable, L: float, h0: float, evaluate: Callable, rtol: float, what: str
+    f: Callable, L: float, h0: float, evaluate: Callable, tol: float, what: str
 ) -> tuple:
     """Values of evaluate(u, h) settled by step doubling.
 
-    Each level samples U once (`_sample`) on a uniform step, halving from
-    about h0. The method is fourth order, so (16 fine - coarse)/15 of
+    Each level samples f once (`_sample`) on a uniform step over [-L, L],
+    halving from about h0. evaluate is a fourth-order method in the step
+    (the Magnus propagator of scatter and bound_spectrum, or the
+    Gauss-Legendre rule of quadrature), so (16 fine - coarse)/15 of
     successive levels cancels the leading error; two successive such
-    extrapolations agreeing to rtol bound the error of the coarser one,
-    and the finer is returned with the step of its fine level. evaluate
-    may return None to ask for a finer step; a change of shape restarts
-    the comparison. Past _MAGNUS_MAX_STEPS steps SolverError is raised."""
+    extrapolations agreeing to tol (absolute) bound the error of the
+    coarser one, and the finer is returned with the step of its fine
+    level. evaluate may return None to ask for a finer step; a change of
+    shape restarts the comparison. Past _MAGNUS_MAX_STEPS steps
+    SolverError is raised."""
     nsteps = max(2, math.ceil(2.0 * L / h0))
     prev = prev_rich = None
     while nsteps <= _MAGNUS_MAX_STEPS:
-        u, h = _sample(potential, L, nsteps)
+        u, h = _sample(f, L, nsteps)
         val = evaluate(u, h)
         nsteps *= 2
         if val is None:
@@ -289,10 +291,10 @@ def _step_doubling(
         rich = None
         if prev is not None and prev.shape == val.shape:
             rich = (16.0 * val - prev) / 15.0
-            if prev_rich is not None and np.all(np.abs(rich - prev_rich) <= rtol):
+            if prev_rich is not None and np.all(np.abs(rich - prev_rich) <= tol):
                 return rich, abs(h)
         prev, prev_rich = val, rich
-    raise SolverError(f"{what} did not settle to rtol={rtol:.0e} within {_MAGNUS_MAX_STEPS} steps")
+    raise SolverError(f"{what} did not settle to {tol:.0e} within {_MAGNUS_MAX_STEPS} steps")
 
 
 #: the step-doubling tolerance of scatter and bound_spectrum
@@ -308,23 +310,27 @@ def bound_spectrum(
     """Bound-state energies -kappa^2 of -d^2/dx^2 + U, with U taken as 0
     beyond [-L, L], as the zeros of the Jost coefficient a(i kappa).
 
-    At each step, a(i kappa) (`_jost_a`, the Magnus kernel of scatter at
-    E = -kappa^2) is scanned on kappa in (1/L, sqrt(max(-U))]; its sign
-    changes bracket the roots, refined together by secant steps kept in
-    their brackets. The search floor 1/L leaves out only states whose
-    decay length exceeds the domain. The number of states below -1/L^2
-    comes from a Sturm count (`_sturm_count`); while fewer roots are
-    bracketed, the scan is refined near the dips of |a|, and if the count
-    is still not met SolverError is raised: the result never misses a
-    state silently. grid_step is the starting Magnus step (made finer if
-    a step would span more than one radian of oscillation); it is halved
-    until two successive Richardson extrapolations of the energies agree
-    to 1e-10, and the returned grid_step is the finest step used. A
-    non-finite U or more than _MAGNUS_MAX_STEPS steps raise SolverError.
+    At each step, the Sturm node count (`_sturm_count`) of the states
+    below -kappa^2 is bisected on kappa in (1/L, sqrt(max(-U))], for all
+    intervals at once, until each interval holds at most one state; on
+    each one-state bracket the root of a(i kappa) (`_jost_a`, the Magnus
+    kernel of scatter at E = -kappa^2) is refined by secant steps kept in
+    the bracket. The search floor 1/L leaves out only states whose decay
+    length exceeds the domain. A count that is not 0 at sqrt(max(-U)),
+    rises with kappa or never separates two states, or a one-state bracket
+    without a sign change of a, raises SolverError: the result never
+    misses a state silently. grid_step is the starting Magnus step (made
+    finer if a step would span more than one radian of oscillation); it
+    is halved until two successive Richardson extrapolations of the
+    energies agree to 1e-10, and the returned grid_step is the finest
+    step used. A non-finite U or more than _MAGNUS_MAX_STEPS steps raise
+    SolverError; a domain_halfwidth or grid_step that is not positive and
+    finite raises ValueError.
 
     `potential` must accept an array of x values."""
-    L = float(domain_halfwidth)
-    _check_decay(potential, L, decay_tol)
+    L = _check_domain(potential, domain_halfwidth, decay_tol)
+    if not 0.0 < float(grid_step) < math.inf:
+        raise ValueError(f"grid step must be positive and finite, not {grid_step}")
     floor = 1.0 / L
     prev = None
 
@@ -372,14 +378,14 @@ def scatter(
     successive Richardson extrapolations (16 fine - coarse)/15 of (r, t)
     agree to rtol, which bounds the error of the coarser one; the finer
     is returned. Past _MAGNUS_MAX_STEPS steps, or on a non-finite U,
-    SolverError is raised.
+    SolverError is raised; a k or domain_halfwidth that is not positive
+    and finite raises ValueError.
 
     `potential` must accept an array of x values: each refinement
     evaluates U at all its Gauss points in one call."""
-    if k <= 0:
-        raise ValueError("wavenumber must be positive")
-    L = float(domain_halfwidth)
-    _check_decay(potential, L, decay_tol)
+    if not 0.0 < k < math.inf:
+        raise ValueError(f"wavenumber must be positive and finite, not {k}")
+    L = _check_domain(potential, domain_halfwidth, decay_tol)
 
     def amplitudes(u, h):
         return np.array(_amplitudes(_magnus_propagator(u, h, np.array([k * k]))[:, 0], k, L))
@@ -398,33 +404,23 @@ def transmission_product(cfg: SolitonConfig, k: float) -> complex:
     return t
 
 
-def quadrature(f: Callable, a: float, b: float, tol: float = 1e-10, max_depth: int = 48) -> float:
-    """Adaptive Simpson integral of f over [a, b]."""
+def quadrature(f: Callable, a: float, b: float, tol: float = 1e-10) -> float:
+    """Integral of f from a to b (so a > b gives the negated integral) by
+    two-point Gauss-Legendre steps, h/2 (f(g1) + f(g2)) per step, on the
+    step-doubling driver of scatter: each level calls f once on all its
+    nodes, and the step halves from (b - a)/2 until two successive
+    Richardson extrapolations agree to the absolute tolerance tol. Past
+    _MAGNUS_MAX_STEPS steps, or on a non-finite f (its message gives x as
+    the offset from (a + b)/2), SolverError is raised.
 
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
-        xm = 0.5 * (x0 + x2)
-        xl = 0.5 * (x0 + xm)
-        xr = 0.5 * (xm + x2)
-        fl = f(xl)
-        fr = f(xr)
-        left = simpson(x0, xm, f0, fl, f1)
-        right = simpson(xm, x2, f1, fr, f2)
-        if depth >= max_depth:
-            raise SolverError(f"quadrature did not converge on [{x0}, {x2}]")
-        if abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(x0, xm, f0, fl, f1, left, eps / 2.0, depth + 1) + recurse(
-            xm, x2, f1, fr, f2, right, eps / 2.0, depth + 1
-        )
-
-    a = float(a)
-    b = float(b)
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
+    f must accept an array of x values."""
+    a, b = float(a), float(b)
+    if a == b:
+        return 0.0
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    # the driver samples [-half, half]; -h/2 is the signed weight of a node
+    rule = lambda u, h: -0.5 * h * u.sum()
+    return float(_step_doubling(lambda t: f(mid + t), half, 2 * half, rule, tol, "quadrature")[0])
 
 
 def kdv_residual(cfg: SolitonConfig, x: float, t: float | None = None) -> float:

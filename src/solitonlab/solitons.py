@@ -54,8 +54,9 @@ class ConfigError(ValueError):
 
 class RangeError(ArithmeticError):
     """A valid config beyond the numerical reach of a route: exponent
-    overflow that no gauge can absorb, or more solitons than a 2^N
-    enumeration budget allows (the message names N)."""
+    overflow that no gauge can absorb, a time flow that takes a norming
+    constant beyond exp(+-700), or more solitons than a 2^N enumeration
+    budget allows (the message names N)."""
 
 
 @dataclass(frozen=True)
@@ -593,8 +594,8 @@ def apply_time_flows(cfg: SolitonConfig) -> SolitonConfig:
     newc = []
     for kj, cj in zip(cfg.k, cfg.c):
         expo = sum((2.0 * kj) ** n * t for n, t in cfg.times.items())
-        if expo > 700.0 or math.log(cj) + expo > 700.0:
-            raise RangeError(f"time-flow exponent overflow for k={kj}")
+        if abs(expo) > 700.0 or abs(math.log(cj) + expo) > 700.0:
+            raise RangeError(f"time-flow exponent out of range for k={kj}")
         newc.append(cj * math.exp(expo))
     return SolitonConfig(cfg.k, tuple(newc))
 

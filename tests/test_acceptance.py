@@ -216,16 +216,12 @@ def test_11_normalization():
     rng = np.random.default_rng(107)
     cfg = S.random_config(rng, n=2, k_range=(0.7, 2.5))
     L = 28.0 / cfg.k[0]
+    phi = lambda j, y: S.eigenfunction_grid(cfg, j, S.tau_jet_sum_grid(cfg, None, y, 0)).value
     worst_diag = worst_off = 0.0
     for j in (1, 2):
-        q = N.quadrature(
-            lambda y, j=j: S.eigenfunction(cfg, j, float(y), 0).coeffs[0] ** 2,
-            -L, L, 1e-10)
+        q = N.quadrature(lambda y, j=j: phi(j, y) ** 2, -L, L, 1e-10)
         worst_diag = max(worst_diag, abs(q - 1.0 / cfg.c[j - 1]))
-    q = N.quadrature(
-        lambda y: S.eigenfunction(cfg, 1, float(y), 0).coeffs[0]
-        * S.eigenfunction(cfg, 2, float(y), 0).coeffs[0],
-        -L, L, 1e-10)
+    q = N.quadrature(lambda y: phi(1, y) * phi(2, y), -L, L, 1e-10)
     worst_off = abs(q)
     ok = worst_diag < 1e-8 and worst_off < 1e-8
     _report(11, "normalization and orthogonality", ok,

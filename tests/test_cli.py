@@ -160,6 +160,10 @@ class TestEigenAndEvolve:
         path = cfg_file([1.0, 2.0], [6.0, 12.0])
         code, _ = run(capsys, "evolve", path, "--t-values", "1e6")
         assert code == 3
+        # a flow that takes c_2 below exp(-700), not to 0 ("must be positive")
+        path = cfg_file([1.0, 2.0], [1.0, 1.0], times={"3": -12}, name="underflow.json")
+        code, _ = run(capsys, "potential", path)
+        assert code == 3
 
 
 class TestScatterAndSpectrum:
@@ -173,8 +177,18 @@ class TestScatterAndSpectrum:
 
     def test_scatter_invalid_wavenumber(self, cfg_file, capsys):
         path = cfg_file([1.0], [2.0])
-        code, _ = run(capsys, "scatter", path, "--k", "-1.0")
-        assert code == 2
+        # a wavenumber, step or half-width that is not positive and finite
+        for argv in (
+            ["scatter", path, "--k", "-1.0"],
+            ["scatter", path, "--k", "inf"],
+            ["scatter", path, "--k", "nan"],
+            ["spectrum", path, "--step", "0"],
+            ["spectrum", path, "--step", "-1"],
+            ["spectrum", path, "--step", "nan"],
+            ["spectrum", path, "--halfwidth", "-12"],
+        ):
+            code, _ = run(capsys, *argv)
+            assert code == 2
 
     def test_spectrum_energies(self, cfg_file, capsys):
         path = cfg_file([1.0, 2.0], [6.0, 12.0])

@@ -45,10 +45,12 @@ class TestInnerTail:
             j = int(rng.integers(1, 5))
             l = int(rng.integers(1, 5))
             x = float(rng.uniform(-2.0, 2.0))
-            f = lambda y: (
-                S.eigenfunction(cfg4, j, float(y), 0).coeffs[0]
-                * S.eigenfunction(cfg4, l, float(y), 0).coeffs[0]
-            )
+
+            def f(y, j=j, l=l):
+                den = S.tau_jet_sum_grid(cfg4, None, y, 0)
+                phi = [S.eigenfunction_grid(cfg4, i, den).value for i in (j, l)]
+                return phi[0] * phi[1]
+
             q = numerics.quadrature(f, x, hi, 1e-11)
             assert abs(q - I.inner_tail(cfg4, j, l, x)) < 1e-8
 

@@ -56,8 +56,8 @@ def _counting(ufn, sizes):
     return wrapped
 
 
-#: k_2 - k_1 = 1e-3: the first 32-point scan of a(i kappa) shows no sign
-#: change between the two roots
+#: k_2 - k_1 = 1e-3: the Sturm count separates the two roots only after
+#: about eleven bisections of [1/L, sqrt(max(-U))]
 NEAR_DEGENERATE = SolitonConfig((1.0, 1.001), (1.0, 1.0))
 
 
@@ -98,14 +98,13 @@ class TestSpectrum:
         ufn = S.potential_fn(cfg)
         u, h = N._sample(ufn, L, math.ceil(2.0 * L / 0.05))
         assert N._sturm_count(u, h, 1.0 / L) == cfg.n
-        a = N._jost_a(u, h, np.linspace(1.0 / L, math.sqrt(np.max(-u)), N._SCAN_POINTS))
-        assert np.count_nonzero(np.diff(np.signbit(a))) == cfg.n - 2
         sp = N.bound_spectrum(ufn, L)
         assert np.max(np.abs(np.array(sp.energies) - sorted(cfg.energies))) <= 1e-9
 
     def test_wrong_previous_roots_fall_back_to_the_scan(self):
         # finer levels try the previous roots first; brackets around wrong
-        # ones show no sign change, and the states are counted and scanned
+        # ones show no sign change, and the states are bracketed anew by
+        # Sturm-count bisection
         u, h = N._sample(S.potential_fn(SolitonConfig((1.0, 2.0), (6.0, 12.0))), 12.0, 960)
         kappa = N._bound_kappas(u, h, 1.0 / 12.0, np.array([0.5, 2.5]))
         assert kappa == pytest.approx([1.0, 2.0], abs=1e-6)
@@ -133,16 +132,30 @@ class TestSpectrum:
         with pytest.raises(N.SolverError):
             N.bound_spectrum(ufn, 20.0)
 
-    def test_unresolved_pair_is_solver_error(self, monkeypatch):
-        # without scan refinement the pair stays in one bracket: 0 of 2
-        monkeypatch.setattr(N, "_SCAN_REFINEMENTS", 0)
-        with pytest.raises(N.SolverError, match="0 sign changes .* 2 bound states"):
-            N.bound_spectrum(S.potential_fn(NEAR_DEGENERATE), 24.0)
+    def test_count_that_never_separates_is_solver_error(self, monkeypatch):
+        # two states at one kappa: bisection halves the bracket around 1.5
+        # until its midpoint meets an endpoint, then gives up
+        monkeypatch.setattr(N, "_sturm_count", lambda u, h, kappa: np.where(kappa < 1.5, 2, 0))
+        with pytest.raises(N.SolverError, match="does not separate 2 bound states"):
+            N.bound_spectrum(S.potential_fn(SolitonConfig((1.0, 2.0), (6.0, 12.0))), 12.0)
+
+    def test_count_rising_with_kappa_is_solver_error(self, monkeypatch):
+        # 2 at the floor, 0 at sqrt(max(-U)) = 2.45, but 3 at the midpoint
+        count = lambda u, h, kappa: np.where(kappa < 0.5, 2, np.where(kappa < 1.3, 3, 0))
+        monkeypatch.setattr(N, "_sturm_count", count)
+        with pytest.raises(N.SolverError, match="rises with kappa"):
+            N.bound_spectrum(S.potential_fn(SolitonConfig((1.0, 2.0), (6.0, 12.0))), 12.0)
+
+    def test_bracket_without_sign_change_is_solver_error(self, monkeypatch):
+        # a count of 1 over [1/L, sqrt(max(-U))], which holds both roots
+        monkeypatch.setattr(N, "_sturm_count", lambda u, h, kappa: np.where(kappa < 2.4, 1, 0))
+        with pytest.raises(N.SolverError, match="keeps its sign"):
+            N.bound_spectrum(S.potential_fn(SolitonConfig((1.0, 2.0), (6.0, 12.0))), 12.0)
 
     def test_count_above_roots_is_solver_error(self, monkeypatch):
         # a Sturm count of 3 for two states: an error, never a short list
-        monkeypatch.setattr(N, "_sturm_count", lambda u, h, kappa: 3)
-        with pytest.raises(N.SolverError, match="2 sign changes .* 3 bound states"):
+        monkeypatch.setattr(N, "_sturm_count", lambda u, h, kappa: np.full(np.shape(kappa), 3))
+        with pytest.raises(N.SolverError, match="Sturm count 3 at kappa = sqrt"):
             N.bound_spectrum(S.potential_fn(SolitonConfig((1.0, 2.0), (6.0, 12.0))), 12.0)
 
     def test_unsettled_energies_are_solver_error(self, monkeypatch):
@@ -154,6 +167,14 @@ class TestSpectrum:
     def test_undecayed_potential_rejected(self):
         with pytest.raises(N.DomainError):
             N.bound_spectrum(lambda x: np.full_like(np.asarray(x, dtype=float), -1.0), 10.0)
+
+    def test_nonpositive_or_nonfinite_domain_or_step_rejected(self):
+        ufn = S.potential_fn(SolitonConfig((1.0,), (2.0,)))
+        bad = [(0.0, 0.05), (-12.0, 0.05), (math.inf, 0.05)]
+        bad += [(12.0, 0.0), (12.0, -1.0), (12.0, math.nan)]
+        for L, step in bad:
+            with pytest.raises(ValueError, match="positive and finite"):
+                N.bound_spectrum(ufn, L, step)
 
 
 class TestMagnusKernel:
@@ -224,8 +245,12 @@ class TestScattering:
         assert res.transmission_amp == pytest.approx(1.0, abs=1e-8)
 
     def test_invalid_wavenumber(self):
-        with pytest.raises(ValueError):
-            N.scatter(lambda x: 0.0, -1.0, 10.0)
+        # a wavenumber or domain half-width that is not positive and finite
+        bad = [(-1.0, 10.0), (math.nan, 10.0), (math.inf, 10.0)]
+        bad += [(1.0, 0.0), (1.0, -10.0), (1.0, math.inf), (1.0, math.nan)]
+        for k, L in bad:
+            with pytest.raises(ValueError, match="positive and finite"):
+                N.scatter(lambda x: 0.0, k, L)
 
     @pytest.mark.parametrize("k", [0.5, 3.1])
     def test_matches_transmission_product_n4(self, k):
@@ -257,12 +282,26 @@ class TestQuadrature:
 
     def test_eigenfunction_norm(self):
         cfg = SolitonConfig((1.0,), (2.0,))
-        f = lambda y: S.eigenfunction(cfg, 1, float(y), 0).coeffs[0] ** 2
+        f = lambda y: S.eigenfunction_grid(cfg, 1, S.tau_jet_sum_grid(cfg, None, y, 0)).value ** 2
         assert N.quadrature(f, -30.0, 30.0, 1e-10) == pytest.approx(0.5, abs=1e-8)
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(N, "_MAGNUS_MAX_STEPS", 1 << 10)
         with pytest.raises(N.SolverError):
-            N.quadrature(lambda x: math.sin(1.0 / (abs(x) + 1e-14)), -1.0, 1.0, 1e-14, max_depth=4)
+            N.quadrature(lambda x: np.sin(1.0 / (np.abs(x) + 1e-14)), -1.0, 1.0, 1e-14)
+
+    def test_narrow_off_centre_bump(self):
+        # width 0.01 at x = 0.3: no node of the first two levels comes near it
+        f = lambda x: np.exp(-(((x - 0.3) / 0.01) ** 2))
+        assert N.quadrature(f, -1.0, 1.0) == pytest.approx(0.01 * math.sqrt(math.pi), abs=1e-10)
+
+    def test_empty_and_reversed_interval(self):
+        assert N.quadrature(np.exp, 0.7, 0.7) == 0.0
+        assert N.quadrature(np.exp, 1.0, 0.0) == pytest.approx(1.0 - math.e, abs=1e-10)
+
+    def test_nonfinite_integrand_is_solver_error(self):
+        with pytest.raises(N.SolverError, match="function is not finite"):
+            N.quadrature(lambda x: np.where(x > 0.5, np.nan, 1.0), 0.0, 1.0)
 
 
 class TestKdV:

@@ -483,9 +483,11 @@ class TestFlows:
         assert S.apply_time_flows(cfg).c[0] == pytest.approx(math.exp(0.32))
 
     def test_flow_overflow(self):
-        cfg = SolitonConfig((4.0,), (1.0,), times={3: 10.0})
-        with pytest.raises(RangeError):
-            S.apply_time_flows(cfg)
+        # t = -10 would make c underflow to 0 instead
+        for t in (10.0, -10.0):
+            cfg = SolitonConfig((4.0,), (1.0,), times={3: t})
+            with pytest.raises(RangeError):
+                S.apply_time_flows(cfg)
 
     def test_dt_potential_trivial(self):
         assert S.dt_potential(SolitonConfig((), ()), 0.3) == 0.0
