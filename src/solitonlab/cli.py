@@ -264,12 +264,14 @@ def cmd_hirota_check(args, out) -> int:
     xs = _grid_from_args(args, cfg)
     ld, sd = tau_logdet_grid(cfg, None, xs)
     lh, sh = tau_hirota_grid(cfg, None, xs)
-    dev = float(np.max(np.abs(ld - lh))) if cfg.n else 0.0
+    worst = int(np.argmax(np.abs(ld - lh)))
+    dev = float(abs(ld[worst] - lh[worst]))
     signs_ok = bool(np.all(sd == sh))
     tol = args.tol if args.tol is not None else 1e-11
     ok = signs_ok and dev <= tol
     out.write(json.dumps({
-        "max_log_deviation": dev, "signs_match": signs_ok, "tolerance": tol, "pass": ok
+        "max_log_deviation": dev, "signs_match": signs_ok, "tolerance": tol, "pass": ok,
+        "worst_x": float(xs[worst]) if cfg.n else None, "route": "cauchy-elimination",
     }) + "\n")
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 

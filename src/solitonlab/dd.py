@@ -1,21 +1,17 @@
 """Vectorized double-double (compensated) arithmetic.
 
-Tau-function determinants of closely spaced wavenumbers are Cauchy-matrix
-conditioned: a float64 factorization loses up to ~10 digits at N=10, which
-is not enough to cross-check the determinant against the Hirota expansion
-at the 1e-11 level. Each value here is carried as an unevaluated sum hi+lo
-of two float64 arrays (~32 significant digits), which restores full
-headroom.
+The exponential-sum tau jets (solitons.tau_jet_sum_grid) sum 2^N terms
+whose rewritten forms cancel and whose Taylor coefficients need more
+than float64 carries. Each value here is carried as an unevaluated sum
+hi+lo of two float64 arrays (~32 significant digits), which restores
+full headroom.
 
-Only the handful of operations the determinant route needs are provided:
-elementary ops, exp, log_abs and slogdet, an LDL^T without pivoting for
-batches of symmetric positive-definite matrices. All functions but slogdet
-broadcast like the underlying numpy ufuncs.
+Only the handful of operations that sum needs are provided: elementary
+ops, exp and log_abs. All of them broadcast like the underlying numpy
+ufuncs.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -129,36 +125,3 @@ def log_abs(xh, xl):
         out = np.log(np.abs(xh)) + np.log1p(np.where(xh != 0.0, xl / xh, 0.0))
     return np.where(xh == 0.0, -np.inf, out)
 
-
-def slogdet(ah, al):
-    """Sign and log|det| of a batch of symmetric positive-definite
-    double-double matrices of shape (..., n, n); only the lower triangle
-    is read.
-
-    LDL^T without pivoting, backward stable on such matrices (Higham,
-    Accuracy and Stability of Numerical Algorithms, ch. 10), on the lower
-    triangle packed column by column with the batch axis last. The sign
-    is the product of the pivot signs, so a matrix that is not positive
-    definite shows as a sign other than 1; a zero pivot yields sign 0 and
-    logabs -inf.
-    """
-    n, batch_shape = np.shape(ah)[-1], np.shape(ah)[:-2]
-    cols, rows = np.triu_indices(n)
-    ph, pl = (np.moveaxis(np.asarray(a, dtype=float).reshape(-1, n, n), 0, -1)[rows, cols] for a in (ah, al))
-    start = np.concatenate(([0], np.cumsum(np.arange(n, 0, -1))))  # column k at start[k]
-    sign = np.ones(ph.shape[1])
-    logabs = np.zeros(ph.shape[1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(n):
-            dh, dl = ph[start[k]], pl[start[k]]
-            logabs += log_abs(dh, dl)
-            sign *= np.sign(dh)
-            vh, vl = ph[start[k] + 1 : start[k + 1]], pl[start[k] + 1 : start[k + 1]]
-            mh, ml = div(vh, vl, dh, dl)
-            # trailing column j, rows j..n-1: subtract (v_i / d) v_j
-            for r, j in enumerate(range(k + 1, n)):
-                c = slice(start[j], start[j + 1])
-                ph[c], pl[c] = sub(ph[c], pl[c], *mul(mh[r:], ml[r:], vh[r], vl[r]))
-    broken = np.abs(sign) != 1.0
-    sign[broken], logabs[broken] = 0.0, -np.inf
-    return sign.reshape(batch_shape), logabs.reshape(batch_shape)

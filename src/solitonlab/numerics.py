@@ -194,22 +194,23 @@ _SECANT_MAX_STEPS = 60
 
 def _secant(u, h, lo, hi, flo, fhi) -> np.ndarray:
     """Roots of a(i kappa), one in each bracket [lo, hi] (a of opposite
-    signs at the ends), by batched secant steps; a step that leaves its
-    bracket is replaced by bisection, and each evaluation shrinks it. A
-    root is settled, at its last iterate, once the next step is below
-    1e-13 of it."""
+    signs at the ends), by batched secant steps in s = log kappa, where the
+    factors tanh((s - log k_j)/2) of a are odd about their roots; a step
+    out of its bracket becomes a bisection, and each evaluation shrinks it.
+    A root is settled, at its last iterate, once the next step in s is below 1e-13."""
+    lo, hi = np.log(lo), np.log(hi)
     x0, f0, x1, f1 = lo, flo, hi, fhi
     done = np.zeros(len(lo), dtype=bool)
     for _ in range(_SECANT_MAX_STEPS):
         with np.errstate(divide="ignore", invalid="ignore"):
             x = x1 - f1 * (x1 - x0) / (f1 - f0)
-        done |= (np.abs(x - x1) <= 1e-13 * np.maximum(x1, 1.0)) | (f1 == 0.0)
+        done |= (np.abs(x - x1) <= 1e-13) | (f1 == 0.0)
         if done.all():
-            return x1
+            return np.exp(x1)
         x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
         x[done] = x1[done]
         f = f1.copy()
-        f[~done] = _jost_a(u, h, x[~done])
+        f[~done] = _jost_a(u, h, np.exp(x[~done]))
         same = np.signbit(f) == np.signbit(flo)
         lo, flo = np.where(same, x, lo), np.where(same, f, flo)
         hi, fhi = np.where(same, hi, x), np.where(same, fhi, f)

@@ -10,11 +10,12 @@ has an independent 2^N-term exponential-sum expansion (Hirota form) with
 pairwise interaction factors ((k_j-k_l)/(k_j+k_l))^2.
 
 Two independent routes evaluate u, each over a grid of points. The
-determinant runs in double-double arithmetic and gives values only
-(tau_logdet_grid). The exponential sum runs in plain double for values
-and the potential (tau_hirota_grid, potential_fn) and in double-double
-for jets (tau_jet_sum_grid), which serves every eigenfunction, tail
-integral and scalar tau jet. The scalar entry points are one-point grids.
+determinant is a float64 elimination on the generators of its Cauchy
+structure and gives values only (tau_logdet_grid). The exponential sum
+runs in plain double for values and the potential (tau_hirota_grid,
+potential_fn) and in double-double for jets (tau_jet_sum_grid), which
+serves every eigenfunction, tail integral and scalar tau jet. The scalar
+entry points are one-point grids.
 
 Every tilde-variant of u used by the deformation schemes is a pointwise
 rewrite c_m -> factor_m * c_m, represented by CoefficientRule.
@@ -56,7 +57,7 @@ class RangeError(ArithmeticError):
     """A valid config beyond the numerical reach of a route: exponent
     overflow that no gauge can absorb, a time flow that takes a norming
     constant beyond exp(+-700), or more solitons than a 2^N enumeration
-    budget allows (the message names N)."""
+    budget or the determinant's measured reach allows (names N)."""
 
 
 @dataclass(frozen=True)
@@ -448,50 +449,83 @@ def tau_jet_sum(cfg: SolitonConfig, rule: CoefficientRule | None, x: float, orde
 
 
 # ---------------------------------------------------------------------------
-# High-precision determinant route over a grid (value only)
+# Determinant route over a grid (value only)
 
 
 def tau_logdet_grid(cfg: SolitonConfig, rule: CoefficientRule | None, xs) -> tuple:
     """(log|u|, sign) of the determinant over a grid of x values.
 
     Needs every effective c > 0 (ConfigError naming the rule otherwise):
-    then u = det(I + E K E), E = diag(sqrt(c_m) exp(-k_m x)), with the
-    Gram matrix K_mn = 1/(k_m + k_n), positive definite. Rows and columns
-    with e_m > 1 are divided by e_m, leaving H = diag(1/max(e, 1)^2) +
-    W K W, w = min(e, 1), with O(1) entries and gauge sum_{e_m > 1}
-    2 log e_m. Entries and dd.slogdet run in double-double, because the
-    determinant of close wavenumbers is Cauchy-conditioned. Measured
-    max |log|u| - tau_hirota_grid| on 401 points of random_config draws
-    with k in (0.2, 6): at most 5.7e-13 at N = 13, 6.0e-11 at N = 14 and
-    1.4e-9 at N = 16, the error of this route (60-digit check at N = 14).
+    then u = det(I + E K E), E = diag(e), e_m = sqrt(c_m) e^{-k_m x}, with
+    the Cauchy Gram matrix K_mn = 1/(k_m + k_n). Rows and columns with
+    e_m > 1 are divided by e_m: H = diag(delta) + K o (g g^T), delta =
+    1/max(e, 1)^2, g = min(e, 1), and the gauge sum_{e_m > 1} 2 log e_m is
+    summed without rounding error; nothing overflows. Eliminating pivot p
+    keeps that form (Gohberg, Kailath & Olshevsky 1995). The pivot
+    S = delta_p + a, a = |g_p|^2/(2 k_p), is a sum of positive terms; a
+    Householder reflection takes g_p to (-+|g_p|, 0, ...), and the other
+    rows' component alpha along g_p becomes alpha sqrt(delta_p/S) plus a
+    new column alpha r sqrt(a/S), r_i = (k_i - k_p)/(k_i + k_p) (the
+    paper's deletion factor). Each point pivots on the largest ungauged
+    diagonal, in float64. The sign is 1, or 0 (log|u| = -inf) where a
+    pivot underflows to 0. Measured max |log|u| - tau_hirota_grid| on 401
+    points of random_config draws with k in (0.2, 6): 4.5e-13 at N = 13,
+    4.0e-12 at N = 14 and 5.5e-12 at N = 16. Past N = 16 the error of the
+    generator update grows fast (3e-7 at N = 18, O(1) at N = 24 against a
+    300-digit determinant), so RangeError names such an N.
     """
     cfg = cfg.flowed()
     k, ce = _effective(cfg, rule)
     if np.any(ce < 0.0):
         raise ConfigError(f"tau_logdet_grid needs every effective c > 0; {rule!r} gives c = {ce.tolist()}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    n = len(k)
-    if n == 0:
-        return np.zeros(xs.shape), np.ones(xs.shape)
-    # e_m(x) = sqrt(c_m) exp(-k_m x), [n, points], in double-double
-    rh = np.sqrt(ce)
-    ph, pl = dd._two_prod(rh, rh)
-    rl = ((ce - ph) - pl) / (2.0 * rh)
-    eh, el = dd.mul(*dd.exp(*dd._two_prod(-k[:, None], xs[None, :])), rh[:, None], rl[:, None])
-    big = eh > 1.0
-    ih, il = dd.div(np.float64(1.0), np.float64(0.0), eh, el)
-    gh, gl = dd.mul(ih, il, ih, il)
-    wh, wl = np.where(big, 1.0, eh), np.where(big, 0.0, el)
-    # lower triangle of H, [n, n, points], row by row (dd.slogdet reads no other)
-    kh, kl = dd.div(np.float64(1.0), np.float64(0.0), *dd._two_sum(k[:, None], k[None, :]))
-    hh, hl = np.empty((n, n, len(xs))), np.empty((n, n, len(xs)))
-    for i in range(n):
-        row = dd.mul(wh[: i + 1], wl[: i + 1], kh[i, : i + 1, None], kl[i, : i + 1, None])
-        hh[i, : i + 1], hl[i, : i + 1] = dd.mul(*row, wh[i], wl[i])
-    d = np.arange(n)
-    hh[d, d], hl[d, d] = dd.add(hh[d, d], hl[d, d], np.where(big, gh, 1.0), np.where(big, gl, 0.0))
-    s, ld = dd.slogdet(np.moveaxis(hh, -1, 0), np.moveaxis(hl, -1, 0))
-    return 2.0 * np.sum(np.where(big, dd.log_abs(eh, el), 0.0), axis=0) + ld, s
+    n, npts = len(k), len(xs)
+    if n > 16:
+        raise RangeError(f"tau_logdet_grid is accurate only up to N = 16: N={n}")
+    # log e_m = log(sqrt(c_m) exp(-k_m x)) as an unevaluated sum hi + lo, [n, points]
+    hi, lo = dd._two_prod(-k[:, None], xs)
+    hi, err = dd._two_sum(hi, 0.5 * np.log(ce)[:, None])
+    lo += err
+    big = hi > 0.0  # rows and columns gauged by 1/e_m
+    t = np.exp(-np.abs(hi)) * (1.0 - np.where(big, lo, -lo))  # e^{-|log e_m|}
+    delta = np.where(big, t * t, 1.0)
+    g = np.zeros((n, max(n, 1), npts))  # generator [rows, cols, points]
+    g[:, 0] = np.where(big, 1.0, t)
+    up = 2.0 * np.where(big, hi, 0.0)
+    kk = np.repeat(k[:, None], npts, axis=1)  # rows are permuted per point
+    gauge, ld = np.zeros(npts), 2.0 * np.sum(np.where(big, lo, 0.0), axis=0)
+    for m in range(n):  # summed without rounding error: ld takes each one
+        gauge, err = dd._two_sum(gauge, up[m])
+        ld += err
+    pts = np.arange(npts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for m in range(n, 0, -1):  # m active rows, n - m + 1 generator columns
+            cols = n - m + 1
+            act = g[:m, :cols]
+            diag_a = np.einsum("icp,icp->ip", act, act) / (2.0 * kk[:m])
+            p = np.argmax(np.log(delta[:m] + diag_a) + up[:m], axis=0)
+            a, dp, kp = diag_a[p, pts], delta[p, pts], kk[p, pts]
+            s = dp + a
+            ld += np.log(s)
+            if m == 1:
+                break
+            g_p = g[p, :cols, pts].T  # pivot generator row, [cols, points]
+            last = m - 1
+            for arr in (delta, up, kk):  # the last active row fills the pivot's slot
+                arr[p, pts] = arr[last]
+            g[p, :cols, pts] = g[last, :cols].T
+            rows = g[:last, :cols]
+            norm = np.sqrt(2.0 * kp * a)
+            alpha = np.einsum("icp,cp->ip", rows, g_p) / np.where(norm > 0.0, norm, 1.0)
+            # reflect by v = g_p + sgn |g_p| e_0: rows -= (rows.v) 2/|v|^2 v,
+            # with rows.v = |g_p| (alpha + sgn rows_0) and |v|^2 = 2 |g_p| |v_0|
+            sgn = np.copysign(1.0, g_p[0])
+            v0 = np.abs(g_p[0]) + norm
+            rows[:, 1:] -= ((alpha + sgn * rows[:, 0]) / np.where(v0 > 0.0, v0, 1.0))[:, None] * g_p[1:]
+            g[:last, cols] = alpha * (kk[:last] - kp) / (kk[:last] + kp) * np.sqrt(a / s)
+            rows[:, 0] = alpha * np.sqrt(dp / s)
+    ok = gauge + ld > -np.inf  # a pivot that underflowed to 0 leaves -inf or NaN
+    return np.where(ok, gauge + ld, -np.inf), ok * 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from solitonlab import cli
-from solitonlab.solitons import SolitonConfig
+from solitonlab.solitons import SolitonConfig, default_grid, tau_hirota_grid, tau_logdet_grid
 
 
 @pytest.fixture()
@@ -305,6 +305,20 @@ class TestChecks:
         rep = json.loads(out)
         assert rep["pass"] is True
         assert rep["max_log_deviation"] < 1e-11
+        assert rep["route"] == "cauchy-elimination"
+        cfg = SolitonConfig((0.5, 1.1, 2.0, 3.1), (0.3, 2.0, 5.0, 1.0))
+        xs = default_grid(cfg)
+        ld, _ = tau_logdet_grid(cfg, None, xs)
+        lh, _ = tau_hirota_grid(cfg, None, xs)
+        dev = np.abs(ld - lh)
+        assert rep["worst_x"] in xs
+        assert dev[np.flatnonzero(xs == rep["worst_x"])[0]] == dev.max() == rep["max_log_deviation"]
+
+    def test_hirota_check_empty_config(self, cfg_file, capsys):
+        code, out = run(capsys, "hirota-check", cfg_file([], []))
+        assert code == 0
+        rep = json.loads(out)
+        assert (rep["max_log_deviation"], rep["worst_x"], rep["pass"]) == (0.0, None, True)
 
     def test_phase_shift(self, cfg_file, capsys):
         path = cfg_file([1.0, 2.0], [1.0, 1.0])

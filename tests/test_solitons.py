@@ -226,17 +226,33 @@ class TestTau:
         assert np.all(sd == sh)
         assert np.max(np.abs(ld - lh)) < 1e-11
 
-    @pytest.mark.parametrize("n, bound", [(13, 5e-12), (14, 6e-10), (16, 2e-9)])
+    @pytest.mark.parametrize("n, bound", [(13, 1e-12), (14, 1e-11), (16, 1e-11)])
     def test_logdet_reach(self, n, bound):
         """Beyond the exponential sum's N <= 12 budget, on 401 points:
-        measured max |ld - lh| 4.6e-13 at N = 13, 6.0e-11 at N = 14 and
-        2.1e-10 at N = 16; the bounds are 5e-12, 6e-10 and 2e-9."""
+        measured max |ld - lh| 3.4e-13 at N = 13, 3.7e-12 at N = 14 and
+        4.3e-12 at N = 16; the bounds are 1e-12, 1e-11 and 1e-11."""
         cfg = S.random_config(np.random.default_rng(n), n=n, k_range=(0.2, 6.0))
         xs = S.default_grid(cfg, 401)
         ld, sd = S.tau_logdet_grid(cfg, None, xs)
         lh, sh = S.tau_hirota_grid(cfg, None, xs)
         assert np.all(sd == sh)
         assert np.max(np.abs(ld - lh)) < bound
+
+    def test_logdet_beyond_reach_is_range_error(self):
+        cfg = S.random_config(np.random.default_rng(17), n=17, k_range=(0.2, 8.0))
+        with pytest.raises(RangeError, match="N=17"):
+            S.tau_logdet_grid(cfg, None, [0.0])
+
+    def test_logdet_far_from_the_cores(self):
+        """At |x| up to 800 the entries e^{-k x} leave float64 range; the
+        gauge is carried in logs, so the determinant still matches the
+        exponential sum (log tau = 5594.3 at x = -800)."""
+        cfg = SolitonConfig((0.5, 1.0, 2.0), (1.0, 2.0, 3.0))
+        xs = np.array([-800.0, -400.0, -200.0, 200.0, 400.0, 800.0])
+        ld, sd = S.tau_logdet_grid(cfg, None, xs)
+        lh, sh = S.tau_hirota_grid(cfg, None, xs)
+        assert np.array_equal(sd, sh)
+        assert np.all(np.abs(ld - lh) <= 1e-12 * np.maximum(1.0, np.abs(lh)))
 
     @pytest.mark.parametrize(
         "make_rule",
@@ -419,6 +435,20 @@ class TestNearDegenerate:
             assert abs(S.potential(cfg, float(x)) + 2.0 * float(d2)) < 1e-11
             assert abs(S.potential_jet(cfg, float(x), 1).deriv(1) + 2.0 * float(d3)) < 1e-11
             assert abs(S.dt_potential(cfg, float(x)) + 2.0 * float(dt)) < 1e-11
+
+    @pytest.mark.parametrize(
+        "k, c",
+        [((1.0, 1.0 + 1e-6, 2.0), (1.0, 1.0, 1.0)), ((1.0, 1.0 + 1e-8, 1.5, 3.0), (2.0, 0.5, 1.0, 4.0))],
+    )
+    def test_logdet_matches_mpmath_determinant(self, k, c):
+        """tau_logdet_grid against a 60-digit determinant on 21 points of
+        [-10, 10]: measured 3.6e-15 and 7.1e-15; bound 1e-13."""
+        xs = np.linspace(-10.0, 10.0, 21)
+        ld, sd = S.tau_logdet_grid(SolitonConfig(k, c), None, xs)
+        with mpmath.workdps(60):
+            ref = np.array([float(mp_log_tau(k, c, x)) for x in xs])
+        assert np.all(sd == 1.0)
+        assert np.max(np.abs(ld - ref)) < 1e-13
 
     @given(st.integers(0, 2**31), st.integers(2, 6), st.floats(2.0, 8.0))
     @settings(max_examples=60, deadline=None)
