@@ -229,8 +229,8 @@ class TestTau:
     @pytest.mark.parametrize("n, bound", [(13, 1e-12), (14, 1e-11), (16, 1e-11)])
     def test_logdet_reach(self, n, bound):
         """Beyond the exponential sum's N <= 12 budget, on 401 points:
-        measured max |ld - lh| 3.4e-13 at N = 13, 3.7e-12 at N = 14 and
-        4.3e-12 at N = 16; the bounds are 1e-12, 1e-11 and 1e-11."""
+        measured max |ld - lh| 4.5e-13 at N = 13, 4.0e-12 at N = 14 and
+        5.5e-12 at N = 16; the bounds are 1e-12, 1e-11 and 1e-11."""
         cfg = S.random_config(np.random.default_rng(n), n=n, k_range=(0.2, 6.0))
         xs = S.default_grid(cfg, 401)
         ld, sd = S.tau_logdet_grid(cfg, None, xs)
@@ -442,7 +442,7 @@ class TestNearDegenerate:
     )
     def test_logdet_matches_mpmath_determinant(self, k, c):
         """tau_logdet_grid against a 60-digit determinant on 21 points of
-        [-10, 10]: measured 3.6e-15 and 7.1e-15; bound 1e-13."""
+        [-10, 10]: measured 3.6e-15 and 1.4e-14; bound 1e-13."""
         xs = np.linspace(-10.0, 10.0, 21)
         ld, sd = S.tau_logdet_grid(SolitonConfig(k, c), None, xs)
         with mpmath.workdps(60):
