@@ -20,13 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .solitons import (
-    SolitonConfig,
-    apply_time_flows,
-    dt_potential,
-    potential_fn,
-    potential_jet,
-)
+from .solitons import SolitonConfig, _log_tau_cumulants, apply_time_flows, potential_fn
 
 
 #: largest |U| accepted at the ends of a truncated domain
@@ -425,21 +419,15 @@ def quadrature(f: Callable, a: float, b: float, tol: float = 1e-10) -> float:
 
 
 def kdv_residual(cfg: SolitonConfig, x: float, t: float | None = None) -> float:
-    """|dU/dt - 6 U dU/dx + d^3U/dx^3| at (x, t) for the lowest flow;
-    spatial derivatives from an order-3 jet of U, the time derivative
-    analytic (never finite-differenced)."""
+    """|dU/dt - 6 U dU/dx + d^3U/dx^3| at (x, t) for the lowest flow, from
+    one pass over u = sum_S w_S e^{R_S x + T_S t} (never finite-differenced):
+    U^(n) = -2 kappa_{n+2}(R), dU/dt = -2 E[(T - Tbar)(R - Rbar)^2]; N <= 24."""
     if t is not None:
         times = dict(cfg.times or {})
         times[3] = times.get(3, 0.0) + float(t)
         cfg = SolitonConfig(cfg.k, cfg.c, times)
-    if cfg.n == 0:
-        return 0.0
-    uj = potential_jet(cfg, float(x), 3)
-    u = float(uj.coeffs[0])
-    ux = float(uj.deriv(1))
-    uxxx = float(uj.deriv(3))
-    ut = dt_potential(cfg, float(x))
-    return abs(ut - 6.0 * u * ux + uxxx)
+    u, ux, _, uxxx, ut = -2.0 * _log_tau_cumulants(cfg, [float(x)], 3, dt=True)[0]
+    return float(abs(ut - 6.0 * u * ux + uxxx))
 
 
 def _potential_minimum(ufn: Callable, lo: float, hi: float) -> float:

@@ -12,18 +12,14 @@ pairwise interaction factors ((k_j-k_l)/(k_j+k_l))^2.
 Two independent routes evaluate u, each over a grid of points. The
 determinant is a float64 elimination on the generators of its Cauchy
 structure and gives values only (tau_logdet_grid). The exponential sum
-runs in plain double for values and the potential (tau_hirota_grid,
-potential_fn) and in double-double for jets (tau_jet_sum_grid), which
-serves every eigenfunction, tail integral and scalar tau jet. The scalar
-entry points are one-point grids.
+gives values (tau_hirota_grid), double-double jets of the rewritten taus
+(tau_jet_sum_grid) for eigenfunctions and tail integrals, and U, its
+x-jets and dU/dt (potential_fn, potential_jet, dt_potential) as moments of
+the config's own positive terms. Scalar entry points are one-point grids.
 
 Every tilde-variant of u used by the deformation schemes is a pointwise
-rewrite c_m -> factor_m * c_m, represented by CoefficientRule.
-
-Evaluations carry a log gauge: tau values span hundreds of orders of
-magnitude across the line, so TauEval stores a jet with O(1) constant
-term together with sign and gauge_exponent such that the true value is
-sign * exp(gauge_exponent) * jet.
+rewrite c_m -> factor_m * c_m, represented by CoefficientRule. Tau jets
+carry a log gauge (TauGrid), as tau spans hundreds of orders of magnitude.
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import dd
-from .jets import Jet, _pointwise, jet_exp, jet_log_d2
+from .jets import Jet, _pointwise, jet_exp
 
 #: enumeration budget for the 2^N exponential-sum oracle
 HIROTA_MAX_N = 24
@@ -232,8 +228,8 @@ def _point_blocks(npts: int, nterms: int):
 
 
 def _hirota_chunks(k: np.ndarray, ce: np.ndarray, chunk: int = _HIROTA_CHUNK):
-    """Yield (const, rate, sign) arrays over the 2^N expansion terms, where
-    each term is sign * exp(const + rate * x)."""
+    """Yield (const, rate, sign, bits) arrays over the 2^N expansion terms:
+    sign * exp(const + rate * x), over the solitons that bits marks 1."""
     n = len(k)
     logc = np.log(np.abs(ce) / (2.0 * k)) if n else np.zeros(0)
     neg = (ce < 0).astype(np.int64)
@@ -251,7 +247,7 @@ def _hirota_chunks(k: np.ndarray, ce: np.ndarray, chunk: int = _HIROTA_CHUNK):
         rate = bits @ (-2.0 * k)
         parity = (bits.astype(np.int64) @ neg) % 2
         sign = np.where(parity == 1, -1.0, 1.0)
-        yield const, rate, sign
+        yield const, rate, sign, bits
 
 
 def tau_hirota_grid(cfg: SolitonConfig, rule: CoefficientRule | None, xs) -> tuple:
@@ -264,7 +260,7 @@ def tau_hirota_grid(cfg: SolitonConfig, rule: CoefficientRule | None, xs) -> tup
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     running_max = np.full(xs.shape, -np.inf)
     acc = np.zeros(xs.shape)
-    for const, rate, sign in _hirota_chunks(k, ce):
+    for const, rate, sign, _ in _hirota_chunks(k, ce):
         for b in _point_blocks(len(xs), len(const)):
             logs = const[None, :] + xs[b, None] * rate[None, :]
             m = np.max(logs, axis=1)
@@ -334,7 +330,7 @@ def _jet_sum_terms(k: tuple, ce: tuple):
     prefactor prod c_j/(2k_j) * prod pair factors (ph, pl), its log and
     sign, and the decay rate -2 sum_j k_j (rh, rl).
 
-    Memoized on the effective (k, c), since the one-point tau_jet_sum
+    Memoized on the effective (k, c), since the one-point eigenfunction
     reaches the same terms at every point; the arrays are read-only, as
     every caller shares them."""
     k = np.asarray(k)
@@ -543,12 +539,53 @@ def potential(cfg: SolitonConfig, x: float) -> float:
     return potential_fn(cfg)(float(x))
 
 
+def _positive_terms(cfg: SolitonConfig) -> tuple:
+    """(const, R, T) of the 2^N terms exp(const + R x + T t) of the config's
+    u, t the lowest flow time: R_S = -2 sum_{j in S} k_j, T_S = sum_{j in S}
+    8 k_j^3. All are positive for valid data (ConfigError otherwise)."""
+    cfg = cfg.flowed()
+    k, ce = _effective(cfg, None)
+    if len(k) > HIROTA_MAX_N:
+        raise RangeError(f"2^N enumeration budget exceeded: N={len(k)} > {HIROTA_MAX_N}")
+    if np.any(ce < 0):
+        raise ConfigError("the positive-weight sum requires positive norming constants")
+    tables = [(const, rate, bits @ (8.0 * k**3)) for const, rate, _, bits in _hirota_chunks(k, ce)]
+    return tuple(np.concatenate(a) for a in zip(*tables))
+
+
+def _log_tau_cumulants(cfg: SolitonConfig, xs, order: int, dt: bool = False) -> np.ndarray:
+    """Cumulants kappa_2 .. kappa_{order+2} of R over the grid xs, shape
+    [points, order + 1], and a last column E[(T - Tbar)(R - Rbar)^2] if dt:
+    log u generates the cumulants of the normalized positive terms, so
+    (log u)^(n) = kappa_n(R) and d/dt (log u)'' is that joint moment. From
+    central moments about the corrected two-pass mean (Chan, Golub &
+    LeVeque 1983), kappa_n = mu_n - sum_{m=2}^{n-2} C(n-1, m-1) kappa_m
+    mu_{n-m}; N = 0 gives exactly 0. N <= 24; RangeError beyond it."""
+    if order < 0:
+        raise ConfigError("jet order must be non-negative")
+    const, rate, speed = _positive_terms(cfg)
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    out = np.empty((len(xs), order + 1 + dt))
+    for b in _point_blocks(len(xs), len(const)):
+        logs = const[None, :] + xs[b, None] * rate[None, :]
+        w = np.exp(logs - np.max(logs, axis=1, keepdims=True))
+        w /= np.sum(w, axis=1, keepdims=True)
+        d = rate[None, :] - (w @ rate)[:, None]
+        d -= np.sum(w * d, axis=1, keepdims=True)
+        mu = [0.0, 0.0] + [np.sum(w * d**n, axis=1) for n in range(2, order + 3)]
+        kappa = mu[:]
+        for n in range(4, order + 3):
+            kappa[n] -= sum(math.comb(n - 1, m - 1) * kappa[m] * mu[n - m] for m in range(2, n - 1))
+        joint = [np.sum(w * d * d * (speed[None, :] - (w @ speed)[:, None]), axis=1)] if dt else []
+        out[b] = np.stack(kappa[2:] + joint, axis=1)
+    return out
+
+
 def potential_jet(cfg: SolitonConfig, x: float, order: int) -> Jet:
-    """Jet of U at x (coeffs up to U^(order)/order!), from the
-    double-double jet sum (N <= 12)."""
-    te = tau_jet_sum(cfg, None, x, order + 2)
-    r = te.jet.derivative() / te.jet.truncate(order + 1)
-    return r.derivative() * (-2.0)
+    """Jet of U at x, coeffs U^(n)/n! for n <= order, with U^(n) = -2
+    kappa_{n+2}(R) (N <= 24; RangeError beyond, ConfigError if order < 0)."""
+    kappa = _log_tau_cumulants(cfg, [float(x)], order)[0]
+    return Jet(float(x), -2.0 * kappa / [math.factorial(n) for n in range(order + 1)])
 
 
 def potential_fn(cfg: SolitonConfig) -> Callable:
@@ -558,19 +595,7 @@ def potential_fn(cfg: SolitonConfig) -> Callable:
     independent numerics consume as a black-box potential. Budget
     N <= 24; RangeError beyond it.
     """
-    cfg = cfg.flowed()
-    k, ce = _effective(cfg, None)
-    if len(k) > HIROTA_MAX_N:
-        raise RangeError(f"2^N enumeration budget exceeded: N={len(k)} > {HIROTA_MAX_N}")
-    consts = []
-    rates = []
-    for const, rate, sign in _hirota_chunks(k, ce):
-        if np.any(sign < 0):  # valid configs have all-positive terms
-            raise ConfigError("potential_fn requires positive norming constants")
-        consts.append(const)
-        rates.append(rate)
-    const = np.concatenate(consts) if consts else np.zeros(1)
-    rate = np.concatenate(rates) if rates else np.zeros(1)
+    const, rate, _ = _positive_terms(cfg)
 
     def u_potential(x):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -635,22 +660,9 @@ def apply_time_flows(cfg: SolitonConfig) -> SolitonConfig:
 
 
 def dt_potential(cfg: SolitonConfig, x: float) -> float:
-    """dU/dt for the lowest hierarchy flow (c_j rate 8 k_j^3), computed
-    analytically: u is affine in each c_j, so c_j du/dc_j = u - u|_{c_j=0}
-    and dU/dt = -2 (d/dt log u)''."""
-    cfg = cfg.flowed()
-    if cfg.n == 0:
-        return 0.0
-    den = tau_jet_sum(cfg, None, x, 2)
-    q = Jet.constant(0.0, float(x), 2)
-    for j in range(1, cfg.n + 1):
-        kj = cfg.k[j - 1]
-        numj = tau_jet_sum(cfg, drop_rule(cfg.n, j), x, 2)
-        diff = numj.gauge_exponent - den.gauge_exponent
-        scale = numj.sign * den.sign * (math.exp(diff) if diff > -700.0 else 0.0)
-        ratio = (numj.jet / den.jet) * scale
-        q = q + (1.0 - ratio) * (8.0 * kj**3)
-    return -4.0 * q.coeffs[2]
+    """dU/dt at x for the lowest flow (c_j rate 8 k_j^3), analytically:
+    -2 E[(T - Tbar)(R - Rbar)^2] over the positive-weight sum (N <= 24)."""
+    return float(-2.0 * _log_tau_cumulants(cfg, [float(x)], 0, dt=True)[0, 1])
 
 
 # ---------------------------------------------------------------------------

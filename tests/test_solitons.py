@@ -191,6 +191,10 @@ class TestTau:
             S.tau_hirota_grid(cfg, None, [0.0])
         with pytest.raises(RangeError, match="N=25"):
             S.potential_fn(cfg)
+        with pytest.raises(RangeError, match="N=25"):
+            S.potential_jet(cfg, 0.0, 3)
+        with pytest.raises(RangeError, match="N=25"):
+            S.dt_potential(cfg, 0.0)
 
     def test_det_matches_hirota_n3(self):
         rng = np.random.default_rng(5)
@@ -386,6 +390,24 @@ class TestPotential:
         fd = (S.potential(cfg, x0 + h) - S.potential(cfg, x0 - h)) / (2 * h)
         assert uj.deriv(1) == pytest.approx(fd, abs=1e-6)
 
+    @pytest.mark.parametrize("order", [-1, -3])
+    def test_negative_jet_order_is_config_error(self, order):
+        with pytest.raises(ConfigError):
+            S.potential_jet(SolitonConfig((1.0,), (2.0,)), 0.0, order)
+
+    def test_jet_and_dt_beyond_n12_match_mpmath_determinant(self):
+        """potential_jet(., 3) and dt_potential at N = 13 against a 60-digit
+        determinant on 5 points of [-8/k_1, 8/k_1], relative to
+        max(1, |ref|): measured 1.1e-12."""
+        cfg = S.random_config(np.random.default_rng(13), n=13, k_range=(0.2, 6.0))
+        for x in np.linspace(-8.0 / cfg.k[0], 8.0 / cfg.k[0], 5):
+            with mpmath.workdps(60):
+                _, _, d2, d3, d4, d5 = mpmath.diffs(lambda y: mp_log_tau(cfg.k, cfg.c, y), x, 5)
+                dt = mpmath.diff(lambda y, t: mp_log_tau(cfg.k, cfg.c, y, t), (x, 0), (2, 1))
+            ref = -2.0 * np.array([float(v) for v in (d2, d3, d4 / 2, d5 / 6, dt)])
+            got = np.append(S.potential_jet(cfg, float(x), 3).coeffs, S.dt_potential(cfg, float(x)))
+            assert np.all(np.abs(got - ref) <= 1e-11 * np.maximum(1.0, np.abs(ref)))
+
     def test_gauge_invariance_n1(self):
         # scaling c by e^{2kd} equals translating x by d
         k, c, d = 1.3, 0.7, 0.9
@@ -419,21 +441,40 @@ def tight_gap_config(seed, n, gap):
     return SolitonConfig(tuple(k), tuple(c))
 
 
+def nth_draw(seed, count, **kwargs):
+    """The count-th random_config draw from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        cfg = S.random_config(rng, **kwargs)
+    return cfg
+
+
+N8_DRAW = nth_draw(0, 24, n_range=(1, 8))
+
+
 class TestNearDegenerate:
     @pytest.mark.parametrize(
         "k, c",
-        [((1.0, 1.0 + 1e-6, 2.0), (1.0, 1.0, 1.0)), ((1.0, 1.0 + 1e-8, 1.5, 3.0), (2.0, 0.5, 1.0, 4.0))],
+        [
+            ((1.0, 1.0 + 1e-6, 2.0), (1.0, 1.0, 1.0)),
+            ((1.0, 1.0 + 1e-8, 1.5, 3.0), (2.0, 0.5, 1.0, 4.0)),
+            (N8_DRAW.k, N8_DRAW.c),
+        ],
     )
     def test_scalar_potentials_match_mpmath_determinant(self, k, c):
-        """U, U' and dU/dt against derivatives of log tau from a 40-digit
-        determinant, on 9 points of [-10, 10]: measured at most 8.0e-13."""
+        """U, the order-3 jet of U and dU/dt against derivatives of log tau
+        from a 40-digit determinant, on 9 points of [-10, 10]: measured at
+        most 3.5e-12, in dU/dt of the N = 8 draw. There the jet-quotient
+        route that served potential_jet was 5.3e-11 off in U' and 3.7e-8
+        in the order-3 coefficient."""
         cfg = SolitonConfig(k, c)
         for x in np.linspace(-10.0, 10.0, 9):
             with mpmath.workdps(40):
-                _, _, d2, d3 = mpmath.diffs(lambda y: mp_log_tau(k, c, y), x, 3)
+                _, _, d2, d3, d4, d5 = mpmath.diffs(lambda y: mp_log_tau(k, c, y), x, 5)
                 dt = mpmath.diff(lambda y, t: mp_log_tau(k, c, y, t), (x, 0), (2, 1))
             assert abs(S.potential(cfg, float(x)) + 2.0 * float(d2)) < 1e-11
-            assert abs(S.potential_jet(cfg, float(x), 1).deriv(1) + 2.0 * float(d3)) < 1e-11
+            want = -2.0 * np.array([float(v) for v in (d2, d3, d4 / 2, d5 / 6)])
+            assert np.max(np.abs(S.potential_jet(cfg, float(x), 3).coeffs - want)) < 1e-11
             assert abs(S.dt_potential(cfg, float(x)) + 2.0 * float(dt)) < 1e-11
 
     @pytest.mark.parametrize(
