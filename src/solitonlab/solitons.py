@@ -540,32 +540,31 @@ def potential(cfg: SolitonConfig, x: float) -> float:
 
 
 def _positive_terms(cfg: SolitonConfig) -> tuple:
-    """(const, R, T) of the 2^N terms exp(const + R x + T t) of the config's
-    u, t the lowest flow time: R_S = -2 sum_{j in S} k_j, T_S = sum_{j in S}
-    8 k_j^3. All are positive for valid data (ConfigError otherwise)."""
-    cfg = cfg.flowed()
-    k, ce = _effective(cfg, None)
+    """(k, chunks): the config's k and its _hirota_chunks, whose 2^N terms
+    exp(const + R x) are all positive for valid data (ConfigError
+    otherwise), R_S = -2 sum_{j in S} k_j. N <= 24; RangeError beyond it."""
+    k, ce = _effective(cfg.flowed(), None)
     if len(k) > HIROTA_MAX_N:
         raise RangeError(f"2^N enumeration budget exceeded: N={len(k)} > {HIROTA_MAX_N}")
     if np.any(ce < 0):
         raise ConfigError("the positive-weight sum requires positive norming constants")
-    tables = [(const, rate, bits @ (8.0 * k**3)) for const, rate, _, bits in _hirota_chunks(k, ce)]
-    return tuple(np.concatenate(a) for a in zip(*tables))
+    return k, _hirota_chunks(k, ce)
 
 
-def _log_tau_cumulants(cfg: SolitonConfig, xs, order: int, dt: bool = False) -> np.ndarray:
-    """Cumulants kappa_2 .. kappa_{order+2} of R over the grid xs, shape
-    [points, order + 1], and a last column E[(T - Tbar)(R - Rbar)^2] if dt:
-    log u generates the cumulants of the normalized positive terms, so
-    (log u)^(n) = kappa_n(R) and d/dt (log u)'' is that joint moment. From
-    central moments about the corrected two-pass mean (Chan, Golub &
-    LeVeque 1983), kappa_n = mu_n - sum_{m=2}^{n-2} C(n-1, m-1) kappa_m
-    mu_{n-m}; N = 0 gives exactly 0. N <= 24; RangeError beyond it."""
+def _log_tau_cumulants(cfg: SolitonConfig, xs, order: int) -> np.ndarray:
+    """Cumulants kappa_2 .. kappa_{order+2} of R over the grid xs, then
+    E[(T - Tbar)(R - Rbar)^2], T_S = sum_{j in S} 8 k_j^3: [points, order + 2].
+    log u generates the cumulants of the normalized positive terms: (log u)^(n)
+    = kappa_n(R), and d/dt (log u)'' is the joint moment. kappa_n = mu_n -
+    sum_{m=2}^{n-2} C(n-1, m-1) kappa_m mu_{n-m} from central moments about the
+    corrected two-pass mean (Chan, Golub & LeVeque 1983); N = 0 gives 0."""
     if order < 0:
         raise ConfigError("jet order must be non-negative")
-    const, rate, speed = _positive_terms(cfg)
+    k, chunks = _positive_terms(cfg)
+    tables = [(const, rate, bits @ (8.0 * k**3)) for const, rate, _, bits in chunks]
+    const, rate, speed = (np.concatenate(a) for a in zip(*tables))
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    out = np.empty((len(xs), order + 1 + dt))
+    out = np.empty((len(xs), order + 2))
     for b in _point_blocks(len(xs), len(const)):
         logs = const[None, :] + xs[b, None] * rate[None, :]
         w = np.exp(logs - np.max(logs, axis=1, keepdims=True))
@@ -575,16 +574,16 @@ def _log_tau_cumulants(cfg: SolitonConfig, xs, order: int, dt: bool = False) -> 
         mu = [0.0, 0.0] + [np.sum(w * d**n, axis=1) for n in range(2, order + 3)]
         kappa = mu[:]
         for n in range(4, order + 3):
-            kappa[n] -= sum(math.comb(n - 1, m - 1) * kappa[m] * mu[n - m] for m in range(2, n - 1))
-        joint = [np.sum(w * d * d * (speed[None, :] - (w @ speed)[:, None]), axis=1)] if dt else []
-        out[b] = np.stack(kappa[2:] + joint, axis=1)
+            kappa[n] = mu[n] - sum(math.comb(n - 1, m - 1) * kappa[m] * mu[n - m] for m in range(2, n - 1))
+        joint = np.sum(w * d * d * (speed[None, :] - (w @ speed)[:, None]), axis=1)
+        out[b] = np.stack(kappa[2:] + [joint], axis=1)
     return out
 
 
 def potential_jet(cfg: SolitonConfig, x: float, order: int) -> Jet:
     """Jet of U at x, coeffs U^(n)/n! for n <= order, with U^(n) = -2
     kappa_{n+2}(R) (N <= 24; RangeError beyond, ConfigError if order < 0)."""
-    kappa = _log_tau_cumulants(cfg, [float(x)], order)[0]
+    kappa = _log_tau_cumulants(cfg, [float(x)], order)[0, :-1]
     return Jet(float(x), -2.0 * kappa / [math.factorial(n) for n in range(order + 1)])
 
 
@@ -595,7 +594,8 @@ def potential_fn(cfg: SolitonConfig) -> Callable:
     independent numerics consume as a black-box potential. Budget
     N <= 24; RangeError beyond it.
     """
-    const, rate, _ = _positive_terms(cfg)
+    _, chunks = _positive_terms(cfg)
+    const, rate = (np.concatenate(a) for a in zip(*[(c, r) for c, r, _, _ in chunks]))
 
     def u_potential(x):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -662,7 +662,7 @@ def apply_time_flows(cfg: SolitonConfig) -> SolitonConfig:
 def dt_potential(cfg: SolitonConfig, x: float) -> float:
     """dU/dt at x for the lowest flow (c_j rate 8 k_j^3), analytically:
     -2 E[(T - Tbar)(R - Rbar)^2] over the positive-weight sum (N <= 24)."""
-    return float(-2.0 * _log_tau_cumulants(cfg, [float(x)], 0, dt=True)[0, 1])
+    return float(-2.0 * _log_tau_cumulants(cfg, [float(x)], 0)[0, -1])
 
 
 # ---------------------------------------------------------------------------
