@@ -99,8 +99,10 @@ def _inv_factorials(order):
 _INV_FACT = _inv_factorials(_EXP_ORDER)
 
 
-def exp(xh, xl):
-    """exp of a double-double, accurate to ~30 digits for |x| < ~700."""
+def exp(xh, xl, scale=0):
+    """exp(x) 2^scale of a double-double x and an integer scale: accurate
+    to ~30 digits wherever the result is a normal double, as the scale
+    joins the power of two of the range reduction."""
     xh = np.asarray(xh, dtype=float)
     xl = np.asarray(xl, dtype=float)
     n = np.rint(xh / _LN2_HI)
@@ -115,7 +117,7 @@ def exp(xh, xl):
         sh, sl = add(sh, sl, np.float64(_INV_FACT[j][0]), np.float64(_INV_FACT[j][1]))
     sh, sl = mul(sh, sl, rh, rl)
     sh, sl = add(sh, sl, np.float64(1.0), np.float64(0.0))
-    ni = n.astype(np.int64)
+    ni = n.astype(np.int64) + scale
     return np.ldexp(sh, ni), np.ldexp(sl, ni)
 
 

@@ -12,10 +12,11 @@ pairwise interaction factors ((k_j-k_l)/(k_j+k_l))^2.
 Two independent routes evaluate u, each over a grid of points. The
 determinant is a float64 elimination on the generators of its Cauchy
 structure and gives values only (tau_logdet_grid). The exponential sum
-gives values (tau_hirota_grid), double-double jets of the rewritten taus
-(tau_jet_sum_grid) for eigenfunctions and tail integrals, and U, its
-x-jets and dU/dt (potential_fn, potential_jet, dt_potential) as moments of
-the config's own positive terms. Scalar entry points are one-point grids.
+gives values (tau_hirota_grid) and U (potential_fn) as a bilinear form over
+two halves of the solitons, double-double jets of the rewritten taus
+(tau_jet_sum_grid) for eigenfunctions and tail integrals, and U's x-jets
+and dU/dt (potential_jet, dt_potential) as cumulants of the config's own
+positive terms. Scalar entry points are one-point grids.
 
 Every tilde-variant of u used by the deformation schemes is a pointwise
 rewrite c_m -> factor_m * c_m, represented by CoefficientRule. Tau jets
@@ -37,11 +38,12 @@ from .jets import Jet, _pointwise, jet_exp
 #: enumeration budget for the 2^N exponential-sum oracle
 HIROTA_MAX_N = 24
 
+#: [points, terms] elements per block of the double-double jet sum
 _HIROTA_CHUNK = 1 << 18
 
-#: [points, terms] elements per block of the plain-double exponential
-#: sums: small enough to stay in the heap and the cache, where larger
-#: temporaries are mapped and unmapped on every call
+#: [terms, points] elements per block of the plain-double sums: small
+#: enough to stay in the heap and the cache, where larger temporaries are
+#: mapped and unmapped on every call
 _POINT_BLOCK = 1 << 14
 
 
@@ -216,62 +218,77 @@ def _effective(cfg: SolitonConfig, rule: CoefficientRule | None):
 
 def _point_blocks(npts: int, nterms: int):
     """Slices of _POINT_BLOCK // nterms points (at least one) covering
-    range(npts), the remainder folded into the last slice. A short last
-    slice would send its rows through other BLAS kernels than one call
-    over the whole grid does; folded, and while a slice holds at least
-    four points (N <= 12), each point's result is that of a single-
-    threaded whole-grid call."""
+    range(npts)."""
     step = max(1, _POINT_BLOCK // nterms)
-    nblocks = max(1, npts // step)
-    for i in range(nblocks):
-        yield slice(i * step, npts if i == nblocks - 1 else (i + 1) * step)
+    return [slice(i, i + step) for i in range(0, npts, step)]
 
 
-def _hirota_chunks(k: np.ndarray, ce: np.ndarray, chunk: int = _HIROTA_CHUNK):
-    """Yield (const, rate, sign, bits) arrays over the 2^N expansion terms:
-    sign * exp(const + rate * x), over the solitons that bits marks 1."""
+def _split_tables(k: np.ndarray, ce: np.ndarray) -> tuple:
+    """(low, high, logx, cut): the 2^N terms as a bilinear form over the low
+    solitons L = k[:h] and the high ones H. Term S = A u B is sign_A sign_B
+    X_AB e^{const_A + R_A x} e^{const_B + R_B x}, so tau = a^T X b. A half
+    is (const, R, T, sign) over its subsets: const sums log|c_j|/(2 k_j)
+    and the half's pair logs 2 log|(k_j - k_l)/(k_j + k_l)|, R = -2 sum k_j,
+    T = sum 8 k_j^3; logx sums the cross pair logs, so X is in (0, 1] and
+    smallest, e^-s, at A = L, B = H. h is the largest h <= N // 2 with s
+    <= 600: a positive sum gauged by its largest half terms (each <= 1)
+    holds a term >= e^-s, and nothing overflows. _half_weights raises
+    terms below e^-cut, cut = s + (N + 64) log 2 <= 661, to e^-cut: the
+    2^(N+1) changes sum below 2^-10 ulp and keep exp and BLAS off the
+    subnormals below e^-708, which are tens of times slower. h = 0 (the
+    direct sum) always qualifies. N <= 24; RangeError beyond it."""
     n = len(k)
-    logc = np.log(np.abs(ce) / (2.0 * k)) if n else np.zeros(0)
-    neg = (ce < 0).astype(np.int64)
-    pair = np.zeros((n, n))
-    for j in range(n):
-        for l in range(j + 1, n):
-            a = 2.0 * math.log(abs(k[j] - k[l]) / (k[j] + k[l]))
-            pair[j, l] = pair[l, j] = a
-    total = 1 << n
-    shifts = np.arange(n, dtype=np.uint64)
-    for start in range(0, total, chunk):
-        masks = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-        bits = ((masks[:, None] >> shifts[None, :]) & np.uint64(1)).astype(float)
-        const = bits @ logc + 0.5 * np.einsum("ij,jk,ik->i", bits, pair, bits)
-        rate = bits @ (-2.0 * k)
-        parity = (bits.astype(np.int64) @ neg) % 2
-        sign = np.where(parity == 1, -1.0, 1.0)
-        yield const, rate, sign, bits
+    if n > HIROTA_MAX_N:
+        raise RangeError(f"2^N enumeration budget exceeded: N={n} > {HIROTA_MAX_N}")
+    # pair logs off the diagonal, 2 log(|c_j|/(2 k_j)) on it: const = b^T q b / 2
+    num = np.abs(k[:, None] - k)
+    np.fill_diagonal(num, 1.0)
+    q = 2.0 * np.log(num / (k[:, None] + k))
+    np.fill_diagonal(q, 2.0 * (np.log(np.abs(ce)) - np.log(2.0 * k)))
+    h = n // 2
+    while np.sum(q[:h, h:]) < -600.0:
+        h -= 1
+    bits = ((np.arange(1 << (n - h))[:, None] >> np.arange(n - h)) & 1).astype(float)
+    low, high = bits[: 1 << h, :h], bits[:, : n - h]  # bit i of a row: the half's i-th soliton
+    halves = [(0.5 * np.sum((b @ q[p, p]) * b, axis=1), b @ (-2.0 * k[p]), b @ (8.0 * k[p] ** 3),
+               (-1.0) ** (b @ (ce[p] < 0))) for b, p in ((low, slice(0, h)), (high, slice(h, n)))]
+    logx = low @ (q[:h, h:] @ high.T)
+    return (*halves, logx, (n + 64) * math.log(2.0) - logx[-1, -1])
+
+
+def _half_weights(const: np.ndarray, rate: np.ndarray, xs: np.ndarray, cut: float) -> np.ndarray:
+    """The half terms e^{max(const + R x - m, -cut)} [terms, points],
+    gauged by their largest exponent m per point."""
+    e = rate[:, None] * xs + const[:, None]
+    e -= np.max(e, axis=0)
+    np.maximum(e, -cut, out=e)
+    return np.exp(e, out=e)
 
 
 def tau_hirota_grid(cfg: SolitonConfig, rule: CoefficientRule | None, xs) -> tuple:
-    """Tau over xs by signed log-sum-exp over the 2^N expansion terms:
-    returns (log_abs, sign) arrays; N = 0 gives (0, 1)."""
-    cfg = cfg.flowed()
-    k, ce = _effective(cfg, rule)
-    if len(k) > HIROTA_MAX_N:
-        raise RangeError(f"2^N enumeration budget exceeded: N={len(k)} > {HIROTA_MAX_N}")
+    """(log_abs, sign) of tau over xs as a^T X b (_split_tables): 2 *
+    2^(N/2) exponentials and a matrix product per point; N = 0 gives (0,
+    1). log|tau| = m_a + m_b + log|a^T X b|, the half gauges m = const +
+    R x at the terms of weight 1 formed and summed compensated, so its
+    error is that of the tables and the sum. N <= 24; RangeError beyond."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    running_max = np.full(xs.shape, -np.inf)
-    acc = np.zeros(xs.shape)
-    for const, rate, sign, _ in _hirota_chunks(k, ce):
-        for b in _point_blocks(len(xs), len(const)):
-            logs = const[None, :] + xs[b, None] * rate[None, :]
-            m = np.max(logs, axis=1)
-            prev = running_max[b]
-            top = np.maximum(m, prev)
-            scale = np.where(m > prev, np.exp(np.where(np.isfinite(prev), prev, m) - top), 1.0)
-            acc[b] = acc[b] * scale + np.einsum("pt,t->p", np.exp(logs - top[:, None]), sign)
-            running_max[b] = top
-    with np.errstate(divide="ignore"):
-        log_abs = running_max + np.log(np.abs(acc))
-    return log_abs, np.sign(acc)
+    (ca, ra, _, sa), (cb, rb, _, sb), logx, cut = _split_tables(*_effective(cfg.flowed(), rule))
+    xt = np.exp(logx, out=logx).T  # X^T, [2^(N-h), 2^h]
+    xt *= sb[:, None]
+    xt *= sa
+    log_abs, sign = np.empty(xs.shape), np.empty(xs.shape)
+    for blk in _point_blocks(len(xs), xt.shape[0]):
+        a, b = _half_weights(ca, ra, xs[blk], cut), _half_weights(cb, rb, xs[blk], cut)
+        acc = np.einsum("bp,bp->p", xt @ a, b)
+        top_a, top_b = np.argmax(a, axis=0), np.argmax(b, axis=0)
+        mh, ml = dd._two_prod(np.stack([ra[top_a], rb[top_b]]), xs[blk])
+        mh, err = dd._two_sum(mh, np.stack([ca[top_a], cb[top_b]]))
+        g, e1 = dd._two_sum(mh[0], mh[1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g, e2 = dd._two_sum(g, np.log(np.abs(acc)))
+            log_abs[blk] = np.where(acc != 0.0, g + (e1 + e2 + np.sum(ml + err, axis=0)), -np.inf)
+        sign[blk] = np.sign(acc)
+    return log_abs, sign
 
 
 #: 2^N budget for the compensated jet-sum route
@@ -327,46 +344,51 @@ def _dd_tree_sum(h, l):
 @functools.lru_cache(maxsize=32)
 def _jet_sum_terms(k: tuple, ce: tuple):
     """x-independent data of the 2^N expansion terms, in double-double:
-    prefactor prod c_j/(2k_j) * prod pair factors (ph, pl), its log and
-    sign, and the decay rate -2 sum_j k_j (rh, rl).
+    prefactor prod c_j/(2k_j) * prod pair factors (ph, pl) times 2^pe, its
+    log and sign, and the decay rate -2 sum_j k_j (rh, rl). pe is 0 unless
+    the factors' logs sum past 600 in magnitude; then each product is
+    renormalized by the exact frexp, and pe folded back where 2^pe ph is
+    well in range, bitwise the plain product there.
 
     Memoized on the effective (k, c), since the one-point eigenfunction
     reaches the same terms at every point; the arrays are read-only, as
     every caller shares them."""
+    n = len(k)
+    ratios = {(j, l): (k[j] - k[l]) / (k[j] + k[l]) for j in range(n) for l in range(j + 1, n)}
+    scaled = sum(abs(math.log(abs(c)) - math.log(2.0 * kj)) for c, kj in zip(ce, k)) + sum(
+        -2.0 * math.log(abs(r)) for r in ratios.values()) > 600.0
     k = np.asarray(k)
     ce = np.asarray(ce)
-    n = len(k)
     m = 1 << n
     bits = ((np.arange(m, dtype=np.uint64)[:, None] >> np.arange(n, dtype=np.uint64)) & 1).astype(bool)
-    ph = np.ones(m)
-    pl = np.zeros(m)
-    sgn = np.ones(m)
+    factors = []  # (terms it multiplies, double-double factor, power of two)
     for j in range(n):
-        fh, fl = dd.div(*dd.from_float(abs(ce[j])), *dd._two_prod(np.float64(2.0), np.float64(k[j])))
+        cm, cx = math.frexp(abs(ce[j])) if scaled else (abs(ce[j]), 0)
+        factors.append((bits[:, j], dd.div(*dd.from_float(cm), *dd._two_prod(np.float64(2.0), np.float64(k[j]))), cx))
+    for j, l in ratios:
+        rh, rl = dd.div(*dd._two_sum(np.float64(k[j]), np.float64(-k[l])),
+                        *dd._two_sum(np.float64(k[j]), np.float64(k[l])))
+        factors.append((bits[:, j] & bits[:, l], dd.mul(rh, rl, rh, rl), 0))
+    ph, pl, pe = np.ones(m), np.zeros(m), np.zeros(m, dtype=np.int64)
+    for sel, (fh, fl), fe in factors:
         mh, ml = dd.mul(ph, pl, fh, fl)
-        sel = bits[:, j]
+        if scaled:
+            mh, ex = np.frexp(mh)
+            ml = np.ldexp(ml, -ex)
+            pe = np.where(sel, pe + ex + fe, pe)
         ph = np.where(sel, mh, ph)
         pl = np.where(sel, ml, pl)
-        if ce[j] < 0:
-            sgn = np.where(sel, -sgn, sgn)
-    for j in range(n):
-        for l in range(j + 1, n):
-            rh, rl = dd.div(*dd._two_sum(np.float64(k[j]), np.float64(-k[l])),
-                            *dd._two_sum(np.float64(k[j]), np.float64(k[l])))
-            ah, al = dd.mul(rh, rl, rh, rl)
-            sel = bits[:, j] & bits[:, l]
-            mh, ml = dd.mul(ph, pl, ah, al)
-            ph = np.where(sel, mh, ph)
-            pl = np.where(sel, ml, pl)
-    rh = np.zeros(m)
-    rl = np.zeros(m)
+    if scaled:
+        fold = np.where(np.abs(pe) < 960, pe, 0)
+        ph, pl, pe = np.ldexp(ph, fold), np.ldexp(pl, fold), pe - fold
+    sgn = (-1.0) ** (bits @ (ce < 0).astype(float))
+    rh, rl = np.zeros(m), np.zeros(m)
     for j in range(n):
         th, tl = dd.add(rh, rl, *dd._two_prod(np.float64(-2.0), np.float64(k[j])))
         rh = np.where(bits[:, j], th, rh)
         rl = np.where(bits[:, j], tl, rl)
-    with np.errstate(divide="ignore"):
-        logp = np.log(np.abs(ph))
-    terms = (ph, pl, logp, sgn, rh, rl)
+    logp = np.log(np.abs(ph)) + pe * math.log(2.0)
+    terms = (ph, pl, pe, logp, sgn, rh, rl)
     for a in terms:
         a.flags.writeable = False
     return terms
@@ -375,10 +397,10 @@ def _jet_sum_terms(k: tuple, ce: tuple):
 def _jet_sum_block(terms, xs: np.ndarray, order: int):
     """(coeffs, gauge, sign) of the normalized tau jets at the points xs,
     all terms evaluated as one [len(xs), 2^N] block."""
-    ph, pl, logp, sgn, rh, rl = terms
+    ph, pl, pe, logp, sgn, rh, rl = terms
     argh, argl = dd.mul(rh, rl, xs[:, None], np.float64(0.0))
     gauge0 = np.max(argh + logp, axis=1)
-    eh, el = dd.exp(*dd.add(argh, argl, -gauge0[:, None], np.float64(0.0)))
+    eh, el = dd.exp(*dd.add(argh, argl, -gauge0[:, None], np.float64(0.0)), pe)
     th, tl = dd.mul(ph, pl, eh, el)
     th *= sgn
     tl *= sgn
@@ -416,8 +438,7 @@ def tau_jet_sum_grid(cfg: SolitonConfig, rule: CoefficientRule | None, xs, order
     """
     if order < 0:
         raise ConfigError("jet order must be non-negative")
-    cfg = cfg.flowed()
-    k, ce = _effective(cfg, rule)
+    k, ce = _effective(cfg.flowed(), rule)
     n = len(k)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     npts = len(xs)
@@ -428,9 +449,7 @@ def tau_jet_sum_grid(cfg: SolitonConfig, rule: CoefficientRule | None, xs, order
     if n > _JET_SUM_MAX_N:
         raise RangeError(f"2^N jet-sum budget exceeded: N={n} > {_JET_SUM_MAX_N}")
     terms = _jet_sum_terms(tuple(k.tolist()), tuple(ce.tolist()))
-    coeffs = np.empty((npts, order + 1))
-    gauge = np.empty(npts)
-    sign = np.empty(npts)
+    coeffs, gauge, sign = np.empty((npts, order + 1)), np.empty(npts), np.empty(npts)
     step = max(1, _HIROTA_CHUNK >> n)
     for i in range(0, npts, step):
         block = slice(i, i + step)
@@ -539,16 +558,13 @@ def potential(cfg: SolitonConfig, x: float) -> float:
     return potential_fn(cfg)(float(x))
 
 
-def _positive_terms(cfg: SolitonConfig) -> tuple:
-    """(k, chunks): the config's k and its _hirota_chunks, whose 2^N terms
-    exp(const + R x) are all positive for valid data (ConfigError
-    otherwise), R_S = -2 sum_{j in S} k_j. N <= 24; RangeError beyond it."""
+def _positive_split(cfg: SolitonConfig) -> tuple:
+    """The config's _split_tables, whose 2^N terms are all positive for
+    valid data (ConfigError otherwise). N <= 24; RangeError beyond it."""
     k, ce = _effective(cfg.flowed(), None)
-    if len(k) > HIROTA_MAX_N:
-        raise RangeError(f"2^N enumeration budget exceeded: N={len(k)} > {HIROTA_MAX_N}")
     if np.any(ce < 0):
         raise ConfigError("the positive-weight sum requires positive norming constants")
-    return k, _hirota_chunks(k, ce)
+    return _split_tables(k, ce)
 
 
 def _log_tau_cumulants(cfg: SolitonConfig, xs, order: int) -> np.ndarray:
@@ -557,12 +573,13 @@ def _log_tau_cumulants(cfg: SolitonConfig, xs, order: int) -> np.ndarray:
     log u generates the cumulants of the normalized positive terms: (log u)^(n)
     = kappa_n(R), and d/dt (log u)'' is the joint moment. kappa_n = mu_n -
     sum_{m=2}^{n-2} C(n-1, m-1) kappa_m mu_{n-m} from central moments about the
-    corrected two-pass mean (Chan, Golub & LeVeque 1983); N = 0 gives 0."""
+    corrected two-pass mean (Chan, Golub & LeVeque 1983); N = 0 gives 0. The
+    flat 2^N term table is the outer sum of the _split_tables halves."""
     if order < 0:
         raise ConfigError("jet order must be non-negative")
-    k, chunks = _positive_terms(cfg)
-    tables = [(const, rate, bits @ (8.0 * k**3)) for const, rate, _, bits in chunks]
-    const, rate, speed = (np.concatenate(a) for a in zip(*tables))
+    low, high, logx, _ = _positive_split(cfg)
+    const = (np.add.outer(low[0], high[0]) + logx).ravel()
+    rate, speed = (np.add.outer(lo, hi).ravel() for lo, hi in zip(low[1:3], high[1:3]))
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     out = np.empty((len(xs), order + 2))
     for b in _point_blocks(len(xs), len(const)):
@@ -591,24 +608,25 @@ def potential_fn(cfg: SolitonConfig) -> Callable:
     """Fast vectorized x -> U(x) closure built on the exponential-sum form.
 
     The returned callable accepts scalars or arrays and is what the
-    independent numerics consume as a black-box potential. Budget
-    N <= 24; RangeError beyond it.
-    """
-    _, chunks = _positive_terms(cfg)
-    const, rate = (np.concatenate(a) for a in zip(*[(c, r) for c, r, _, _ in chunks]))
+    independent numerics consume as a black-box potential. U = -2 Var(R)
+    from raw moments of R_A + R_B about their means under a and b alone,
+    dA + dB, in the bilinear form of _split_tables: sums of a dA^i X b
+    dB^j, which cancel little. Budget N <= 24; RangeError beyond it."""
+    (ca, ra, _, _), (cb, rb, _, _), logx, cut = _positive_split(cfg)
+    xmat = np.exp(logx, out=logx)
 
     def u_potential(x):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.empty(xs.shape)
-        for b in _point_blocks(len(xs), len(const)):
-            xx = xs[b, None]
-            logs = const[None, :] + xx * rate[None, :]
-            logs -= np.max(logs, axis=1, keepdims=True)
-            w = np.exp(logs)
-            u0 = np.sum(w, axis=1)
-            r1 = (w @ rate) / u0
-            r2 = (w @ (rate * rate)) / u0
-            out[b] = -2.0 * (r2 - r1 * r1)
+        for blk in _point_blocks(len(xs), 3 * xmat.shape[1]):
+            a, b = _half_weights(ca, ra, xs[blk], cut), _half_weights(cb, rb, xs[blk], cut)
+            da, db = (r[:, None] - (r @ v) / np.sum(v, axis=0) for r, v in ((ra, a), (rb, b)))
+            # w[A, j] = a_A sum_B X_AB b_B dB^j, and m_i[j] = sum_A w[A, j] dA^i
+            w = (xmat @ np.concatenate([b, db * b, db * db * b], axis=1)).reshape(len(a), 3, -1) * a[:, None]
+            m0, m1 = np.sum(w, axis=0), np.sum(w * da[:, None], axis=0)
+            d1 = (m1[0] + m0[1]) / m0[0]
+            d2 = (np.sum(w[:, 0] * da * da, axis=0) + 2.0 * m1[1] + m0[2]) / m0[0]
+            out[blk] = -2.0 * (d2 - d1 * d1)
         return out if np.ndim(x) else float(out[0])
 
     return u_potential

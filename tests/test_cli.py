@@ -135,6 +135,18 @@ class TestEigenAndEvolve:
                 lines.append(",".join(repr(float(v)) for v in (x, jet.coeffs[0], jet.deriv(1))))
             assert out == "\n".join(lines) + "\n"
 
+    def test_eigen_with_prefactors_beyond_float_range(self, cfg_file, capsys):
+        """c_j = 1e40 takes the Hirota prefactors past 1e308: the rows
+        are finite, or the run is a numerical failure; never NaN with
+        exit 0."""
+        path = cfg_file([1.0 + 0.5 * j for j in range(8)], [1e40] * 8)
+        for index in ("1", "8"):
+            code, out = run(capsys, "eigen", path, "--index", index)
+            assert code in (cli.EXIT_OK, cli.EXIT_NUMERICAL)
+            if code == cli.EXIT_OK:
+                rows = np.array([[float(v) for v in line.split(",")] for line in out.splitlines()[1:]])
+                assert rows.shape == (2001, 3) and np.all(np.isfinite(rows))
+
     def test_eigen_bad_index(self, cfg_file, capsys):
         path = cfg_file([1.0], [2.0])
         code, _ = run(capsys, "eigen", path, "--index", "4")

@@ -232,7 +232,8 @@ class TestTau:
 
     @pytest.mark.parametrize("n, bound", [(13, 1e-12), (14, 1e-11), (16, 1e-11)])
     def test_logdet_reach(self, n, bound):
-        """Beyond the exponential sum's N <= 12 budget, on 401 points:
+        """Beyond the jet sum's N <= 12 budget (tau_hirota_grid reaches
+        N = 24), on 401 points:
         measured max |ld - lh| 4.5e-13 at N = 13, 4.0e-12 at N = 14 and
         5.5e-12 at N = 16; the bounds are 1e-12, 1e-11 and 1e-11."""
         cfg = S.random_config(np.random.default_rng(n), n=n, k_range=(0.2, 6.0))
@@ -291,6 +292,66 @@ class TestTau:
                 assert S.tau_jet_sum(cfg, None, float(x), 0).sign == 1.0
 
 
+SPLIT_CASES = {
+    "n12": SolitonConfig(tuple(1.0 + 1e-5 * j for j in range(1, 13)), (1.0,) * 12),
+    "n16": SolitonConfig(tuple(1.0 + 5e-4 * j for j in range(1, 17)), (1.0,) * 16),
+}
+
+
+class TestBilinearHirota:
+    @pytest.mark.parametrize("name", SPLIT_CASES)
+    def test_split_rule_keeps_far_points_finite(self, name):
+        """Wavenumbers 1e-5 (N = 12) and 5e-4 (N = 16) apart: the balanced
+        split's smallest cross factor is e^-758 and e^-810, and its sum
+        underflows to 0 at x = -4000 (N = 12) and x <= -100 (N = 16). The
+        split rule takes h = 3. Against the 40-digit sum, relative to
+        max(1, |ref|): log tau measured 2.9e-16, U 2.4e-14."""
+        cfg = SPLIT_CASES[name]
+        xs = np.array([-4000.0, -100.0, -10.0, 0.0])
+        lh, sh = S.tau_hirota_grid(cfg, None, xs)
+        u = S.potential_fn(cfg)(xs)
+        assert np.all(np.isfinite(lh)) and np.all(sh == 1.0) and np.all(np.isfinite(u))
+        ref = mp_hirota(cfg.k, cfg.c, xs)
+        assert np.all(np.abs(lh - ref[:, 0]) <= 1e-12 * np.maximum(1.0, np.abs(ref[:, 0])))
+        assert np.max(np.abs(u - ref[:, 1])) <= 1e-12 * max(1.0, np.max(np.abs(ref[:, 1])))
+        if cfg.n <= 12:
+            jet = S.tau_jet_sum_grid(cfg, None, xs, 0).log_abs
+            assert np.all(np.abs(lh - jet) <= 1e-12 * np.maximum(1.0, np.abs(jet)))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: S.random_config(np.random.default_rng(8), n=8, k_range=(0.2, 6.0)),
+            lambda: S.random_config(np.random.default_rng(12), n=12, k_range=(0.2, 6.0)),
+            lambda: tight_gap_config(12, 12, 1e-6),
+        ],
+        ids=["random-n8", "random-n12", "tight-gap-n12"],
+    )
+    def test_matches_mp_hirota_sum(self, make):
+        """log tau and U on 5 points of [-10/k_1, 10/k_1] against the
+        40-digit sum, where |log tau| reaches 1311. Measured relative to
+        max(1, |ref|): log tau 3.6e-16, U 1.8e-15 (relative to max |U|)."""
+        cfg = make()
+        xs = np.linspace(-10.0 / cfg.k[0], 10.0 / cfg.k[0], 5)
+        ref = mp_hirota(cfg.k, cfg.c, xs)
+        lh, sh = S.tau_hirota_grid(cfg, None, xs)
+        u = S.potential_fn(cfg)(xs)
+        assert np.all(sh == 1.0)
+        assert np.all(np.abs(lh - ref[:, 0]) <= 1e-15 * np.maximum(1.0, np.abs(ref[:, 0])))
+        assert np.max(np.abs(u - ref[:, 1])) <= 1e-12 * max(1.0, np.max(np.abs(ref[:, 1])))
+
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_scalar_potential_matches_grid(self, n):
+        """A one-point call takes other BLAS kernels than a grid, so the
+        two agree to rounding, not bitwise: measured at most 1.3e-14 of
+        max |U| on 301 points; bound 1e-13."""
+        cfg = S.random_config(np.random.default_rng(30 + n), n=n, k_range=(0.2, 6.0))
+        xs = S.default_grid(cfg, 301)
+        grid = S.potential_fn(cfg)(xs)
+        scalar = np.array([S.potential(cfg, x) for x in xs])
+        assert np.max(np.abs(grid - scalar)) <= 1e-13 * max(1.0, np.max(np.abs(grid)))
+
+
 class TestTauJetSumGrid:
     XS = (-7.5, -1.3, -0.0, 0.0, 0.4, 2.9, 11.0)
 
@@ -336,6 +397,28 @@ class TestTauJetSumGrid:
         for shared, fresh in zip(terms, S._jet_sum_terms.__wrapped__(*key)):
             assert np.array_equal(shared, fresh)
             assert not shared.flags.writeable
+
+    @pytest.mark.parametrize(
+        "cfg, xs",
+        [
+            (SolitonConfig(tuple(1.0 + 0.5 * j for j in range(8)), (1e40,) * 8), None),
+            (SolitonConfig((1.0, 1.5, 2.0, 2.5), (1e100,) * 4), None),
+            (SolitonConfig(tuple(1.0 + 1e-3 * j for j in range(1, 13)), (1.0,) * 12), [-400.0, -150.0, -100.0]),
+            (SolitonConfig((0.1, 0.2), (5e-324, 1.7e308)), [-3000.0, 0.0, 3000.0]),
+        ],
+        ids=["c1e40", "c1e100", "tight-n12", "c-range-ends"],
+    )
+    def test_prefactors_beyond_float_range(self, cfg, xs):
+        """Prefactors past 1e308 (c_j = 1e40 at N = 8, 1e100 at N = 4) or
+        below 1e-308 (66 pair factors ((k_j - k_l)/(k_j + k_l))^2 with k
+        1e-3 apart) are carried as mantissa times 2^pe, and c_j/(2 k_j) at
+        either end of float64's range as logs in the bilinear sum; both
+        routes gave NaN. Measured 2.3e-16 relative to max(1, |ref|)."""
+        xs = S.default_grid(cfg, 11) if xs is None else np.array(xs)
+        grid = S.tau_jet_sum_grid(cfg, None, xs, 2)
+        ref, sign = S.tau_hirota_grid(cfg, None, xs)
+        assert np.all(np.isfinite(grid.coeffs)) and np.array_equal(grid.sign, sign)
+        assert np.all(np.abs(grid.log_abs - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
     def test_budget(self):
         cfg = S.random_config(np.random.default_rng(121), n=13, k_range=(0.2, 8.0))
@@ -427,6 +510,35 @@ def mp_log_tau(k, c, x, t=0):
         for l in range(n):
             a[m, l] = (m == l) + c[m] * mpmath.exp(-(k[m] + k[l]) * x) / (k[m] + k[l])
     return mpmath.log(mpmath.det(a))
+
+
+def mp_hirota(k, c, xs, dps=40):
+    """[points, 2] array of (log tau, U) from the 2^N positive Hirota terms
+    at dps digits, from the float data as given. A float64 screen leaves
+    out the terms below e^-80 of the largest: all 2^N of them sum below
+    1e-29 of tau for N <= 16."""
+    with mpmath.workdps(dps):
+        k = [mpmath.mpf(v) for v in k]
+        logw = np.array([mpmath.mpf(0)], dtype=object)
+        rate = np.array([mpmath.mpf(0)], dtype=object)
+        for j, (kj, cj) in enumerate(zip(k, c)):
+            cross = np.array([mpmath.mpf(0)], dtype=object)  # pair logs with the solitons below j
+            for kl in k[:j]:
+                cross = np.concatenate([cross, cross + 2 * mpmath.log(abs((kl - kj) / (kl + kj)))])
+            logw = np.concatenate([logw, logw + (mpmath.log(mpmath.mpf(cj) / (2 * kj)) + cross)])
+            rate = np.concatenate([rate, rate - 2 * kj])
+        screen_w, screen_r = logw.astype(float), rate.astype(float)
+        out = []
+        for x in xs:
+            approx = screen_w + screen_r * x
+            keep = np.flatnonzero(approx > approx.max() - 80.0)
+            logs = logw[keep] + rate[keep] * mpmath.mpf(x)
+            top = max(logs)
+            w = [mpmath.exp(v - top) for v in logs]
+            r = rate[keep]
+            s0, s1, s2 = mpmath.fsum(w), mpmath.fdot(w, r), mpmath.fdot(w, r * r)
+            out.append((float(top + mpmath.log(s0)), float(-2 * (s2 / s0 - (s1 / s0) ** 2))))
+    return np.array(out)
 
 
 def tight_gap_config(seed, n, gap):
