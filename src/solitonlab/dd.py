@@ -117,7 +117,9 @@ def exp(xh, xl, scale=0):
         sh, sl = add(sh, sl, np.float64(_INV_FACT[j][0]), np.float64(_INV_FACT[j][1]))
     sh, sl = mul(sh, sl, rh, rl)
     sh, sl = add(sh, sl, np.float64(1.0), np.float64(0.0))
-    ni = n.astype(np.int64) + scale
+    ni = n.astype(np.int64)
+    if np.any(scale):
+        ni += scale
     return np.ldexp(sh, ni), np.ldexp(sl, ni)
 
 

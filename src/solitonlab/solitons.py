@@ -223,16 +223,27 @@ def _point_blocks(npts: int, nterms: int):
     return [slice(i, i + step) for i in range(0, npts, step)]
 
 
+def _subset_sums(v, pairs=None) -> np.ndarray:
+    """sum_{j in S} v[j] (+ sum_{j < l in S} pairs[j, l]) over the subsets S of
+    range(len(v)), bit j of the index marking j: [2^len(v), ...], by doubling."""
+    v = np.asarray(v, dtype=float)
+    out = np.zeros((1 << len(v),) + v.shape[1:])
+    for j in range(len(v)):
+        step = v[j] if pairs is None else _subset_sums(pairs[:j, j]) + v[j]
+        np.add(out[: 1 << j], step, out=out[1 << j : 2 << j])
+    return out
+
+
 def _split_tables(k: np.ndarray, ce: np.ndarray) -> tuple:
-    """(low, high, logx, cut): the 2^N terms as a bilinear form over the low
-    solitons L = k[:h] and the high ones H. Term S = A u B is sign_A sign_B
-    X_AB e^{const_A + R_A x} e^{const_B + R_B x}, so tau = a^T X b. A half
-    is (const, R, T, sign) over its subsets: const sums log|c_j|/(2 k_j)
-    and the half's pair logs 2 log|(k_j - k_l)/(k_j + k_l)|, R = -2 sum k_j,
-    T = sum 8 k_j^3; logx sums the cross pair logs, so X is in (0, 1] and
-    smallest, e^-s, at A = L, B = H. h is the largest h <= N // 2 with s
-    <= 600: a positive sum gauged by its largest half terms (each <= 1)
-    holds a term >= e^-s, and nothing overflows. _half_weights raises
+    """(h, low, high, logxt, cut): the 2^N terms as a bilinear form over the
+    low solitons L = k[:h] and the high ones H. Term S = A u B is sign_A
+    sign_B X_AB e^{const_A + R_A x} e^{const_B + R_B x}, so tau = a^T X b. A
+    half is (const, R), _subset_sums over its subsets: const of log|c_j|/(2
+    k_j) and the pair logs 2 log|(k_j - k_l)/(k_j + k_l)|, R of -2 k_j.
+    logxt [2^(N-h), 2^h] = log X^T sums the cross pair logs, so X is in (0,
+    1] and smallest, e^-s, at A = L, B = H. h is the largest h <= N // 2
+    with s <= 600: a positive sum gauged by its largest half terms (each
+    <= 1) holds a term >= e^-s, and nothing overflows. _half_weights raises
     terms below e^-cut, cut = s + (N + 64) log 2 <= 661, to e^-cut: the
     2^(N+1) changes sum below 2^-10 ulp and keep exp and BLAS off the
     subnormals below e^-708, which are tens of times slower. h = 0 (the
@@ -240,20 +251,15 @@ def _split_tables(k: np.ndarray, ce: np.ndarray) -> tuple:
     n = len(k)
     if n > HIROTA_MAX_N:
         raise RangeError(f"2^N enumeration budget exceeded: N={n} > {HIROTA_MAX_N}")
-    # pair logs off the diagonal, 2 log(|c_j|/(2 k_j)) on it: const = b^T q b / 2
-    num = np.abs(k[:, None] - k)
-    np.fill_diagonal(num, 1.0)
-    q = 2.0 * np.log(num / (k[:, None] + k))
-    np.fill_diagonal(q, 2.0 * (np.log(np.abs(ce)) - np.log(2.0 * k)))
+    with np.errstate(divide="ignore"):  # pair logs; the diagonal, log 0, is never read
+        q = 2.0 * np.log(np.abs(k[:, None] - k) / (k[:, None] + k))
+    logc = np.log(np.abs(ce)) - np.log(2.0 * k)
     h = n // 2
     while np.sum(q[:h, h:]) < -600.0:
         h -= 1
-    bits = ((np.arange(1 << (n - h))[:, None] >> np.arange(n - h)) & 1).astype(float)
-    low, high = bits[: 1 << h, :h], bits[:, : n - h]  # bit i of a row: the half's i-th soliton
-    halves = [(0.5 * np.sum((b @ q[p, p]) * b, axis=1), b @ (-2.0 * k[p]), b @ (8.0 * k[p] ** 3),
-               (-1.0) ** (b @ (ce[p] < 0))) for b, p in ((low, slice(0, h)), (high, slice(h, n)))]
-    logx = low @ (q[:h, h:] @ high.T)
-    return (*halves, logx, (n + 64) * math.log(2.0) - logx[-1, -1])
+    halves = [(_subset_sums(logc[p], q[p, p]), _subset_sums(-2.0 * k[p])) for p in (slice(0, h), slice(h, n))]
+    logxt = _subset_sums(_subset_sums(q[:h, h:]).T)
+    return (h, *halves, logxt, (n + 64) * math.log(2.0) - logxt[-1, -1])
 
 
 def _half_weights(const: np.ndarray, rate: np.ndarray, xs: np.ndarray, cut: float) -> np.ndarray:
@@ -272,14 +278,15 @@ def tau_hirota_grid(cfg: SolitonConfig, rule: CoefficientRule | None, xs) -> tup
     R x at the terms of weight 1 formed and summed compensated, so its
     error is that of the tables and the sum. N <= 24; RangeError beyond."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    (ca, ra, _, sa), (cb, rb, _, sb), logx, cut = _split_tables(*_effective(cfg.flowed(), rule))
-    xt = np.exp(logx, out=logx).T  # X^T, [2^(N-h), 2^h]
-    xt *= sb[:, None]
-    xt *= sa
+    k, ce = _effective(cfg.flowed(), rule)
+    h, (ca, ra), (cb, rb), xt, cut = _split_tables(k, ce)
+    xt = np.exp(xt, out=xt)  # X^T times the signs, [2^(N-h), 2^h]
+    xt *= ((-1.0) ** _subset_sums(ce[h:] < 0))[:, None]
+    xt *= (-1.0) ** _subset_sums(ce[:h] < 0)
     log_abs, sign = np.empty(xs.shape), np.empty(xs.shape)
     for blk in _point_blocks(len(xs), xt.shape[0]):
         a, b = _half_weights(ca, ra, xs[blk], cut), _half_weights(cb, rb, xs[blk], cut)
-        acc = np.einsum("bp,bp->p", xt @ a, b)
+        acc = np.einsum("ap,ap->p", a, xt.T @ b)
         top_a, top_b = np.argmax(a, axis=0), np.argmax(b, axis=0)
         mh, ml = dd._two_prod(np.stack([ra[top_a], rb[top_b]]), xs[blk])
         mh, err = dd._two_sum(mh, np.stack([ca[top_a], cb[top_b]]))
@@ -345,49 +352,46 @@ def _dd_tree_sum(h, l):
 def _jet_sum_terms(k: tuple, ce: tuple):
     """x-independent data of the 2^N expansion terms, in double-double:
     prefactor prod c_j/(2k_j) * prod pair factors (ph, pl) times 2^pe, its
-    log and sign, and the decay rate -2 sum_j k_j (rh, rl). pe is 0 unless
-    the factors' logs sum past 600 in magnitude; then each product is
-    renormalized by the exact frexp, and pe folded back where 2^pe ph is
-    well in range, bitwise the plain product there.
+    log and sign, and the decay rate -2 sum_j k_j (rh, rl). Each factor is
+    scaled into [1/2, 1) by the exact frexp, and pe sums their powers of
+    two; 2^e commutes with dd.mul among normal doubles, so this is bitwise
+    the plain product, folded back where |pe| < 768 (pe = 0 for prefactors
+    within e^+-470, leaving dd.exp's scale unused).
 
     Memoized on the effective (k, c), since the one-point eigenfunction
     reaches the same terms at every point; the arrays are read-only, as
     every caller shares them."""
     n = len(k)
-    ratios = {(j, l): (k[j] - k[l]) / (k[j] + k[l]) for j in range(n) for l in range(j + 1, n)}
-    scaled = sum(abs(math.log(abs(c)) - math.log(2.0 * kj)) for c, kj in zip(ce, k)) + sum(
-        -2.0 * math.log(abs(r)) for r in ratios.values()) > 600.0
     k = np.asarray(k)
     ce = np.asarray(ce)
     m = 1 << n
     bits = ((np.arange(m, dtype=np.uint64)[:, None] >> np.arange(n, dtype=np.uint64)) & 1).astype(bool)
-    factors = []  # (terms it multiplies, double-double factor, power of two)
+    factors = []  # (solitons j <= l of the terms it multiplies, double-double factor, power of two)
     for j in range(n):
-        cm, cx = math.frexp(abs(ce[j])) if scaled else (abs(ce[j]), 0)
-        factors.append((bits[:, j], dd.div(*dd.from_float(cm), *dd._two_prod(np.float64(2.0), np.float64(k[j]))), cx))
-    for j, l in ratios:
-        rh, rl = dd.div(*dd._two_sum(np.float64(k[j]), np.float64(-k[l])),
-                        *dd._two_sum(np.float64(k[j]), np.float64(k[l])))
-        factors.append((bits[:, j] & bits[:, l], dd.mul(rh, rl, rh, rl), 0))
-    ph, pl, pe = np.ones(m), np.zeros(m), np.zeros(m, dtype=np.int64)
-    for sel, (fh, fl), fe in factors:
-        mh, ml = dd.mul(ph, pl, fh, fl)
-        if scaled:
-            mh, ex = np.frexp(mh)
-            ml = np.ldexp(ml, -ex)
-            pe = np.where(sel, pe + ex + fe, pe)
+        cm, cx = math.frexp(abs(ce[j]))
+        factors.append((j, j, dd.div(*dd.from_float(cm), *dd._two_prod(np.float64(2.0), np.float64(k[j]))), cx))
+    for j in range(n):
+        for l in range(j + 1, n):
+            rh, rl = dd.div(*dd._two_sum(np.float64(k[j]), np.float64(-k[l])),
+                            *dd._two_sum(np.float64(k[j]), np.float64(k[l])))
+            factors.append((j, l, dd.mul(rh, rl, rh, rl), 0))
+    ph, pl, expo = np.ones(m), np.zeros(m), np.zeros((n, n))
+    for j, l, (fh, fl), fe in factors:
+        fh, ex = math.frexp(fh)
+        expo[j, l] = fe + ex
+        sel = bits[:, j] & bits[:, l]
+        mh, ml = dd.mul(ph, pl, fh, math.ldexp(fl, -ex))
         ph = np.where(sel, mh, ph)
         pl = np.where(sel, ml, pl)
-    if scaled:
-        fold = np.where(np.abs(pe) < 960, pe, 0)
-        ph, pl, pe = np.ldexp(ph, fold), np.ldexp(pl, fold), pe - fold
-    sgn = (-1.0) ** (bits @ (ce < 0).astype(float))
-    rh, rl = np.zeros(m), np.zeros(m)
-    for j in range(n):
-        th, tl = dd.add(rh, rl, *dd._two_prod(np.float64(-2.0), np.float64(k[j])))
-        rh = np.where(bits[:, j], th, rh)
-        rl = np.where(bits[:, j], tl, rl)
+    pe = _subset_sums(np.diag(expo), expo).astype(np.int64)  # integer sums: exact
+    fold = np.where(np.abs(pe) < 768, pe, 0)
+    ph, pl, pe = np.ldexp(ph, fold), np.ldexp(pl, fold), pe - fold
     logp = np.log(np.abs(ph)) + pe * math.log(2.0)
+    sgn = (-1.0) ** _subset_sums(ce < 0)
+    rh, rl = np.zeros(m), np.zeros(m)
+    for j in range(n):  # doubling: the sum with j adds -2 k_j to the one without it
+        s = 1 << j
+        rh[s : 2 * s], rl[s : 2 * s] = dd.add(rh[:s], rl[:s], *dd._two_prod(np.float64(-2.0), np.float64(k[j])))
     terms = (ph, pl, pe, logp, sgn, rh, rl)
     for a in terms:
         a.flags.writeable = False
@@ -559,12 +563,12 @@ def potential(cfg: SolitonConfig, x: float) -> float:
 
 
 def _positive_split(cfg: SolitonConfig) -> tuple:
-    """The config's _split_tables, whose 2^N terms are all positive for
+    """k and the config's _split_tables, whose 2^N terms are all positive for
     valid data (ConfigError otherwise). N <= 24; RangeError beyond it."""
     k, ce = _effective(cfg.flowed(), None)
     if np.any(ce < 0):
         raise ConfigError("the positive-weight sum requires positive norming constants")
-    return _split_tables(k, ce)
+    return (k, *_split_tables(k, ce))
 
 
 def _log_tau_cumulants(cfg: SolitonConfig, xs, order: int) -> np.ndarray:
@@ -577,9 +581,10 @@ def _log_tau_cumulants(cfg: SolitonConfig, xs, order: int) -> np.ndarray:
     flat 2^N term table is the outer sum of the _split_tables halves."""
     if order < 0:
         raise ConfigError("jet order must be non-negative")
-    low, high, logx, _ = _positive_split(cfg)
-    const = (np.add.outer(low[0], high[0]) + logx).ravel()
-    rate, speed = (np.add.outer(lo, hi).ravel() for lo, hi in zip(low[1:3], high[1:3]))
+    k, h, low, high, const, _ = _positive_split(cfg)
+    const = (const + np.add.outer(high[0], low[0])).ravel()
+    rate = np.add.outer(high[1], low[1]).ravel()
+    speed = np.add.outer(_subset_sums(8.0 * k[h:] ** 3), _subset_sums(8.0 * k[:h] ** 3)).ravel()
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     out = np.empty((len(xs), order + 2))
     for b in _point_blocks(len(xs), len(const)):
@@ -612,8 +617,8 @@ def potential_fn(cfg: SolitonConfig) -> Callable:
     from raw moments of R_A + R_B about their means under a and b alone,
     dA + dB, in the bilinear form of _split_tables: sums of a dA^i X b
     dB^j, which cancel little. Budget N <= 24; RangeError beyond it."""
-    (ca, ra, _, _), (cb, rb, _, _), logx, cut = _positive_split(cfg)
-    xmat = np.exp(logx, out=logx)
+    _, _, (ca, ra), (cb, rb), xt, cut = _positive_split(cfg)
+    xmat = np.exp(xt, out=xt).T
 
     def u_potential(x):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -622,7 +627,7 @@ def potential_fn(cfg: SolitonConfig) -> Callable:
             a, b = _half_weights(ca, ra, xs[blk], cut), _half_weights(cb, rb, xs[blk], cut)
             da, db = (r[:, None] - (r @ v) / np.sum(v, axis=0) for r, v in ((ra, a), (rb, b)))
             # w[A, j] = a_A sum_B X_AB b_B dB^j, and m_i[j] = sum_A w[A, j] dA^i
-            w = (xmat @ np.concatenate([b, db * b, db * db * b], axis=1)).reshape(len(a), 3, -1) * a[:, None]
+            w = np.stack([xmat @ b, xmat @ (db * b), xmat @ (db * db * b)], axis=1) * a[:, None]
             m0, m1 = np.sum(w, axis=0), np.sum(w * da[:, None], axis=0)
             d1 = (m1[0] + m0[1]) / m0[0]
             d2 = (np.sum(w[:, 0] * da * da, axis=0) + 2.0 * m1[1] + m0[2]) / m0[0]

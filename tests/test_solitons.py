@@ -340,6 +340,23 @@ class TestBilinearHirota:
         assert np.all(np.abs(lh - ref[:, 0]) <= 1e-15 * np.maximum(1.0, np.abs(ref[:, 0])))
         assert np.max(np.abs(u - ref[:, 1])) <= 1e-12 * max(1.0, np.max(np.abs(ref[:, 1])))
 
+    def test_tables_match_subset_definition(self):
+        """The doubling builds of _split_tables against each subset's sums
+        taken term by term (N = 7, split h = 3): const_A + const_B +
+        log X_AB is sum_{j in S} log(c_j/(2 k_j)) + sum_{j<l in S}
+        2 log|(k_j - k_l)/(k_j + k_l)|, and R_A + R_B = -2 sum_{j in S} k_j."""
+        cfg = S.random_config(np.random.default_rng(7), n=7, k_range=(0.2, 6.0))
+        k, c = np.array(cfg.k), np.array(cfg.c)
+        h, (ca, ra), (cb, rb), logxt, _ = S._split_tables(k, c)
+        assert h == 3 and logxt.shape == (16, 8)
+        for s in range(1 << 7):
+            members = [j for j in range(7) if s >> j & 1]
+            const = sum(math.log(c[j] / (2.0 * k[j])) for j in members) + sum(
+                2.0 * math.log(abs(k[j] - k[l]) / (k[j] + k[l])) for j in members for l in members if j < l)
+            a, b = s & 7, s >> 3
+            assert ca[a] + cb[b] + logxt[b, a] == pytest.approx(const, rel=1e-14, abs=1e-13)
+            assert ra[a] + rb[b] == pytest.approx(-2.0 * sum(k[members]), rel=1e-15, abs=1e-15)
+
     @pytest.mark.parametrize("n", [4, 8, 12])
     def test_scalar_potential_matches_grid(self, n):
         """A one-point call takes other BLAS kernels than a grid, so the
