@@ -383,11 +383,11 @@ def _jet_sum_terms(k: tuple, ce: tuple):
         mh, ml = dd.mul(ph, pl, fh, math.ldexp(fl, -ex))
         ph = np.where(sel, mh, ph)
         pl = np.where(sel, ml, pl)
-    pe = _subset_sums(np.diag(expo), expo).astype(np.int64)  # integer sums: exact
+    pe = np.sum((bits @ expo) * bits, axis=1).astype(np.int64)  # sums of small integers: exact
     fold = np.where(np.abs(pe) < 768, pe, 0)
     ph, pl, pe = np.ldexp(ph, fold), np.ldexp(pl, fold), pe - fold
     logp = np.log(np.abs(ph)) + pe * math.log(2.0)
-    sgn = (-1.0) ** _subset_sums(ce < 0)
+    sgn = (-1.0) ** (bits @ (ce < 0).astype(float))
     rh, rl = np.zeros(m), np.zeros(m)
     for j in range(n):  # doubling: the sum with j adds -2 k_j to the one without it
         s = 1 << j
