@@ -562,26 +562,19 @@ def potential(cfg: SolitonConfig, x: float) -> float:
     return potential_fn(cfg)(float(x))
 
 
-def _positive_split(cfg: SolitonConfig) -> tuple:
-    """k and the config's _split_tables, whose 2^N terms are all positive for
-    valid data (ConfigError otherwise). N <= 24; RangeError beyond it."""
-    k, ce = _effective(cfg.flowed(), None)
-    if np.any(ce < 0):
-        raise ConfigError("the positive-weight sum requires positive norming constants")
-    return (k, *_split_tables(k, ce))
-
-
 def _log_tau_cumulants(cfg: SolitonConfig, xs, order: int) -> np.ndarray:
     """Cumulants kappa_2 .. kappa_{order+2} of R over the grid xs, then
     E[(T - Tbar)(R - Rbar)^2], T_S = sum_{j in S} 8 k_j^3: [points, order + 2].
-    log u generates the cumulants of the normalized positive terms: (log u)^(n)
-    = kappa_n(R), and d/dt (log u)'' is the joint moment. kappa_n = mu_n -
+    log u generates the cumulants of its normalized terms, positive as
+    SolitonConfig takes every c > 0: (log u)^(n) = kappa_n(R), and d/dt
+    (log u)'' is the joint moment. kappa_n = mu_n -
     sum_{m=2}^{n-2} C(n-1, m-1) kappa_m mu_{n-m} from central moments about the
     corrected two-pass mean (Chan, Golub & LeVeque 1983); N = 0 gives 0. The
     flat 2^N term table is the outer sum of the _split_tables halves."""
     if order < 0:
         raise ConfigError("jet order must be non-negative")
-    k, h, low, high, const, _ = _positive_split(cfg)
+    k, ce = _effective(cfg.flowed(), None)
+    h, low, high, const, _ = _split_tables(k, ce)
     const = (const + np.add.outer(high[0], low[0])).ravel()
     rate = np.add.outer(high[1], low[1]).ravel()
     speed = np.add.outer(_subset_sums(8.0 * k[h:] ** 3), _subset_sums(8.0 * k[:h] ** 3)).ravel()
@@ -617,7 +610,7 @@ def potential_fn(cfg: SolitonConfig) -> Callable:
     from raw moments of R_A + R_B about their means under a and b alone,
     dA + dB, in the bilinear form of _split_tables: sums of a dA^i X b
     dB^j, which cancel little. Budget N <= 24; RangeError beyond it."""
-    _, _, (ca, ra), (cb, rb), xt, cut = _positive_split(cfg)
+    _, (ca, ra), (cb, rb), xt, cut = _split_tables(*_effective(cfg.flowed(), None))
     xmat = np.exp(xt, out=xt).T
 
     def u_potential(x):
