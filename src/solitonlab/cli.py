@@ -289,66 +289,40 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="Reflectionless potential workbench")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, grid=True):
+    def command(name, func, help, grid=True, fmt=False, tol=False):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(func=func)
         sp.add_argument("config", help="JSON config file")
         sp.add_argument("--output", default=None, help="output file (default: stdout)")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        if fmt:
+            sp.add_argument("--format", choices=("csv", "json"), default="csv")
         if grid:
-            sp.add_argument("--grid", nargs=3, type=float, metavar=("XMIN", "XMAX", "N"),
-                            default=None)
+            sp.add_argument("--grid", nargs=3, type=float, metavar=("XMIN", "XMAX", "N"), default=None)
+        if tol:
+            sp.add_argument("--tol", type=float, default=None)
+        return sp
 
-    sp = sub.add_parser("potential", help="potential on a grid")
-    common(sp)
-    sp.set_defaults(func=cmd_potential)
-
-    sp = sub.add_parser("eigen", help="bound-state eigenfunction on a grid")
-    common(sp)
+    command("potential", cmd_potential, "potential on a grid", fmt=True)
+    sp = command("eigen", cmd_eigen, "bound-state eigenfunction on a grid", fmt=True)
     sp.add_argument("--index", type=int, required=True, help="state index j (1..N)")
-    sp.set_defaults(func=cmd_eigen)
-
-    sp = sub.add_parser("evolve", help="potential grids over a series of times")
-    common(sp)
+    sp = command("evolve", cmd_evolve, "potential grids over a series of times")
     sp.add_argument("--t-values", required=True, help="comma-separated t offsets")
-    sp.set_defaults(func=cmd_evolve)
-
-    sp = sub.add_parser("scatter", help="reflection/transmission at one wavenumber")
-    common(sp, grid=False)
+    sp = command("scatter", cmd_scatter, "reflection/transmission at one wavenumber", grid=False, fmt=True)
     sp.add_argument("--k", type=float, required=True)
-    sp.set_defaults(func=cmd_scatter)
-
-    sp = sub.add_parser("spectrum", help="bound-state energies")
-    common(sp, grid=False)
+    sp = command("spectrum", cmd_spectrum, "bound-state energies", grid=False, fmt=True)
     sp.add_argument("--halfwidth", type=float, default=None)
     sp.add_argument("--step", type=float, default=0.05,
                     help="starting Magnus step, halved until the energies settle to 1e-10 "
                          "(JSON grid_step reports the accepted step)")
-    sp.set_defaults(func=cmd_spectrum)
-
-    sp = sub.add_parser("transform", help="apply a deformation scheme")
-    common(sp, grid=False)
-    sp.add_argument("--scheme", required=True,
-                    choices=("darboux-ground", "krein-adler", "am-delete", "am-add"))
+    sp = command("transform", cmd_transform, "apply a deformation scheme", grid=False)
+    sp.add_argument("--scheme", required=True, choices=("darboux-ground", "krein-adler", "am-delete", "am-add"))
     sp.add_argument("--delete", default=None, help="comma-separated indices")
     sp.add_argument("--e", action="append", default=None, metavar="J=VALUE")
-    sp.add_argument("--unsafe", action="store_true",
-                    help="skip the Krein-Adler sign condition")
-    sp.set_defaults(func=cmd_transform)
-
-    sp = sub.add_parser("verify", help="run the identity checks on a config")
-    common(sp, grid=False)
-    sp.add_argument("--tol", type=float, default=None)
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("hirota-check", help="determinant vs exponential-sum tau")
-    common(sp)
-    sp.add_argument("--tol", type=float, default=None)
-    sp.set_defaults(func=cmd_hirota_check)
-
-    sp = sub.add_parser("phase-shift", help="two-soliton collision phase shift")
-    common(sp, grid=False)
+    sp.add_argument("--unsafe", action="store_true", help="skip the Krein-Adler sign condition")
+    command("verify", cmd_verify, "run the identity checks on a config", grid=False, tol=True)
+    command("hirota-check", cmd_hirota_check, "determinant vs exponential-sum tau", tol=True)
+    sp = command("phase-shift", cmd_phase_shift, "two-soliton collision phase shift", grid=False, tol=True)
     sp.add_argument("--T", type=float, default=3.0)
-    sp.add_argument("--tol", type=float, default=None)
-    sp.set_defaults(func=cmd_phase_shift)
 
     return p
 

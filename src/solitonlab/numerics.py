@@ -426,7 +426,7 @@ def kdv_residual(cfg: SolitonConfig, x: float, t: float | None = None) -> float:
         times = dict(cfg.times or {})
         times[3] = times.get(3, 0.0) + float(t)
         cfg = SolitonConfig(cfg.k, cfg.c, times)
-    u, ux, _, uxxx, ut = -2.0 * _log_tau_cumulants(cfg, [float(x)], 3)[0]
+    u, ux, _, uxxx, ut = -2.0 * _log_tau_cumulants(cfg, 3, joint=True)(float(x))[0]
     return float(abs(ut - 6.0 * u * ux + uxxx))
 
 

@@ -12,11 +12,12 @@ pairwise interaction factors ((k_j-k_l)/(k_j+k_l))^2.
 Two independent routes evaluate u, each over a grid of points. The
 determinant is a float64 elimination on the generators of its Cauchy
 structure and gives values only (tau_logdet_grid). The exponential sum
-gives values (tau_hirota_grid) and U (potential_fn) as a bilinear form over
-two halves of the solitons, double-double jets of the rewritten taus
-(tau_jet_sum_grid) for eigenfunctions and tail integrals, and U's x-jets
-and dU/dt (potential_jet, dt_potential) as cumulants of the config's own
-positive terms. Scalar entry points are one-point grids.
+is a bilinear form over two halves of the solitons. It gives values
+(tau_hirota_grid), and U, its x-jets and dU/dt (potential_fn,
+potential_jet, dt_potential) from one core, as cumulants of the config's
+own positive terms. Its double-double form gives jets of the rewritten
+taus (tau_jet_sum_grid) for eigenfunctions and tail integrals. Scalar
+entry points are one-point grids.
 
 Every tilde-variant of u used by the deformation schemes is a pointwise
 rewrite c_m -> factor_m * c_m, represented by CoefficientRule. Tau jets
@@ -216,13 +217,6 @@ def _effective(cfg: SolitonConfig, rule: CoefficientRule | None):
 # Hirota exponential-sum route (independent oracle)
 
 
-def _point_blocks(npts: int, nterms: int):
-    """Slices of _POINT_BLOCK // nterms points (at least one) covering
-    range(npts)."""
-    step = max(1, _POINT_BLOCK // nterms)
-    return [slice(i, i + step) for i in range(0, npts, step)]
-
-
 def _subset_sums(v, pairs=None) -> np.ndarray:
     """sum_{j in S} v[j] (+ sum_{j < l in S} pairs[j, l]) over the subsets S of
     range(len(v)), bit j of the index marking j: [2^len(v), ...], by doubling."""
@@ -243,7 +237,7 @@ def _split_tables(k: np.ndarray, ce: np.ndarray) -> tuple:
     logxt [2^(N-h), 2^h] = log X^T sums the cross pair logs, so X is in (0,
     1] and smallest, e^-s, at A = L, B = H. h is the largest h <= N // 2
     with s <= 600: a positive sum gauged by its largest half terms (each
-    <= 1) holds a term >= e^-s, and nothing overflows. _half_weights raises
+    <= 1) holds a term >= e^-s, and nothing overflows. _half_blocks raises
     terms below e^-cut, cut = s + (N + 64) log 2 <= 661, to e^-cut: the
     2^(N+1) changes sum below 2^-10 ulp and keep exp and BLAS off the
     subnormals below e^-708, which are tens of times slower. h = 0 (the
@@ -262,13 +256,19 @@ def _split_tables(k: np.ndarray, ce: np.ndarray) -> tuple:
     return (h, *halves, logxt, (n + 64) * math.log(2.0) - logxt[-1, -1])
 
 
-def _half_weights(const: np.ndarray, rate: np.ndarray, xs: np.ndarray, cut: float) -> np.ndarray:
-    """The half terms e^{max(const + R x - m, -cut)} [terms, points],
-    gauged by their largest exponent m per point."""
-    e = rate[:, None] * xs + const[:, None]
-    e -= np.max(e, axis=0)
-    np.maximum(e, -cut, out=e)
-    return np.exp(e, out=e)
+def _half_blocks(xs: np.ndarray, low: tuple, high: tuple, cut: float, width: int):
+    """(blk, a, b) over blocks of _POINT_BLOCK // (width 2^(N-h)) points (at
+    least one) covering xs: the terms e^{max(const + R x - m, -cut)}
+    [terms, points] of the low and high halves, each gauged by its largest
+    exponent m per point."""
+    step = max(1, _POINT_BLOCK // (width * len(high[0])))
+    for i in range(0, len(xs), step):
+        blk, ab = slice(i, i + step), []
+        for const, rate in (low, high):
+            e = rate[:, None] * xs[blk] + const[:, None]
+            e -= e.max(axis=0)
+            ab.append(np.exp(np.maximum(e, -cut, out=e), out=e))
+        yield blk, *ab
 
 
 def tau_hirota_grid(cfg: SolitonConfig, rule: CoefficientRule | None, xs) -> tuple:
@@ -284,8 +284,7 @@ def tau_hirota_grid(cfg: SolitonConfig, rule: CoefficientRule | None, xs) -> tup
     xt *= ((-1.0) ** _subset_sums(ce[h:] < 0))[:, None]
     xt *= (-1.0) ** _subset_sums(ce[:h] < 0)
     log_abs, sign = np.empty(xs.shape), np.empty(xs.shape)
-    for blk in _point_blocks(len(xs), xt.shape[0]):
-        a, b = _half_weights(ca, ra, xs[blk], cut), _half_weights(cb, rb, xs[blk], cut)
+    for blk, a, b in _half_blocks(xs, (ca, ra), (cb, rb), cut, 1):
         acc = np.einsum("ap,ap->p", a, xt.T @ b)
         top_a, top_b = np.argmax(a, axis=0), np.argmax(b, axis=0)
         mh, ml = dd._two_prod(np.stack([ra[top_a], rb[top_b]]), xs[blk])
@@ -562,43 +561,84 @@ def potential(cfg: SolitonConfig, x: float) -> float:
     return potential_fn(cfg)(float(x))
 
 
-def _log_tau_cumulants(cfg: SolitonConfig, xs, order: int) -> np.ndarray:
-    """Cumulants kappa_2 .. kappa_{order+2} of R over the grid xs, then
-    E[(T - Tbar)(R - Rbar)^2], T_S = sum_{j in S} 8 k_j^3: [points, order + 2].
-    log u generates the cumulants of its normalized terms, positive as
-    SolitonConfig takes every c > 0: (log u)^(n) = kappa_n(R), and d/dt
-    (log u)'' is the joint moment. kappa_n = mu_n -
-    sum_{m=2}^{n-2} C(n-1, m-1) kappa_m mu_{n-m} from central moments about the
-    corrected two-pass mean (Chan, Golub & LeVeque 1983); N = 0 gives 0. The
-    flat 2^N term table is the outer sum of the _split_tables halves."""
+def _log_tau_cumulants(cfg: SolitonConfig, order: int, joint: bool = False) -> Callable:
+    """xs -> [points, order + 1 + joint]: the cumulants kappa_2 ..
+    kappa_{order+2} of R, then (if joint) E[(T - Tbar)(R - Rbar)^2], T_S =
+    sum_{j in S} 8 k_j^3. log u generates the cumulants of its normalized
+    terms, positive as SolitonConfig takes every c > 0: (log u)^(n) =
+    kappa_n(R), and d/dt (log u)'' is the joint moment.
+
+    Term A u B of _split_tables weighs a_A X_AB b_B, so the half marginals
+    are b (X^T a) and a (X b); dB and dA are R_B and R_A less their
+    marginal means. mu_n = E[dB^n] + sum_{i>0} C(n, i) E[dA^i dB^(n-i)]:
+    the B marginal gives the first term, one matrix product of X with the
+    columns b dB^j (and b eB dB^j, j < 2, eB = T_B alike) the rest. mu_1 is
+    the rounding left in the means, which kappa_n = mu_n - sum_{m=1}^{n-1}
+    C(n-1, m-1) kappa_m mu_{n-m} removes (kappa_2 = mu_2 - mu_1^2 is the
+    corrected two-pass of Chan, Golub & LeVeque 1983). The tables are built
+    once, here; N = 0 gives 0. N <= 24; RangeError beyond it."""
     if order < 0:
         raise ConfigError("jet order must be non-negative")
     k, ce = _effective(cfg.flowed(), None)
-    h, low, high, const, _ = _split_tables(k, ce)
-    const = (const + np.add.outer(high[0], low[0])).ravel()
-    rate = np.add.outer(high[1], low[1]).ravel()
-    speed = np.add.outer(_subset_sums(8.0 * k[h:] ** 3), _subset_sums(8.0 * k[:h] ** 3)).ravel()
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    out = np.empty((len(xs), order + 2))
-    for b in _point_blocks(len(xs), len(const)):
-        logs = const[None, :] + xs[b, None] * rate[None, :]
-        w = np.exp(logs - np.max(logs, axis=1, keepdims=True))
-        w /= np.sum(w, axis=1, keepdims=True)
-        d = rate[None, :] - (w @ rate)[:, None]
-        d -= np.sum(w * d, axis=1, keepdims=True)
-        mu = [0.0, 0.0] + [np.sum(w * d**n, axis=1) for n in range(2, order + 3)]
-        kappa = mu[:]
-        for n in range(4, order + 3):
-            kappa[n] = mu[n] - sum(math.comb(n - 1, m - 1) * kappa[m] * mu[n - m] for m in range(2, n - 1))
-        joint = np.sum(w * d * d * (speed[None, :] - (w @ speed)[:, None]), axis=1)
-        out[b] = np.stack(kappa[2:] + [joint], axis=1)
-    return out
+    h, low, high, xt, cut = _split_tables(k, ce)
+    xt = np.exp(xt, out=xt)  # X^T, [2^(N-h), 2^h]
+    ra, rb = low[1], high[1]
+    if joint:
+        ta, tb = _subset_sums(8.0 * k[:h] ** 3), _subset_sums(8.0 * k[h:] ** 3)
+    top = order + 2
+    powers = max(top, 3) if joint else top  # the columns b dB^j, j < powers
+    width = powers + 2 * joint
+    binom = np.array([[math.comb(n, i) for n in range(top + 1)] for i in range(top + 1)], dtype=float)[:, :, None]
+
+    def cumulants(xs):
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        out = np.empty((len(xs), order + 1 + joint))
+        for blk, a, b in _half_blocks(xs, low, high, cut, width + 1):
+            wb = (xt @ a) * b
+            zb = wb.sum(axis=0)
+            db = rb[:, None] - rb @ wb / zb
+            cols = np.empty((len(rb), width, len(zb)))
+            cols[:, 0] = b
+            for j in range(1, powers):
+                np.multiply(cols[:, j - 1], db, out=cols[:, j])
+            if joint:
+                eb = tb[:, None] - tb @ wb / zb
+                np.multiply(cols[:, :2], eb[:, None], out=cols[:, powers:])
+            # X (column j), as (cols^T X^T)^T: BLAS is several times slower on
+            # X^T's transposed layout once cols is skinny (large N, few points)
+            y = (cols.reshape(len(rb), -1).T @ xt).T.reshape(len(ra), width, -1)
+            wa = a * y[:, 0]
+            za = wa.sum(axis=0)
+            da = ra[:, None] - ra @ wa / za
+            mu, q = [zb], wb * db
+            for _ in range(top):
+                mu.append(q.sum(axis=0))
+                q *= db
+            mu = np.array(mu) / zb  # E[dB^n]
+            p = a
+            for i in range(1, top + 1):  # E[dA^i dB^j], j <= top - i
+                p = p * da
+                mu[i:] += binom[i, i:] * np.einsum("ap,ajp->jp", p, y[:, : top + 1 - i]) / za
+            kappa = list(mu)
+            for n in range(2, top + 1):
+                kappa[n] = mu[n] - sum(math.comb(n - 1, m - 1) * kappa[m] * mu[n - m] for m in range(1, n))
+            out[blk, : order + 1] = np.stack(kappa[2:], axis=1)
+            if joint:  # E[(eA + eB)(dA + dB)^2], eA centred with E[eB] and dA with mu_1
+                ea = ta[:, None] - ta @ wa / za
+                ea -= np.sum(wa * ea, axis=0) / za + np.sum(wb * eb, axis=0) / zb
+                da -= mu[1]
+                v = ea * (da * (da * y[:, 0] + 2.0 * y[:, 1]) + y[:, 2])
+                v += da * (da * y[:, powers] + 2.0 * y[:, powers + 1])
+                out[blk, -1] = np.sum(a * v, axis=0) / za + np.sum(wb * eb * db * db, axis=0) / zb
+        return out
+
+    return cumulants
 
 
 def potential_jet(cfg: SolitonConfig, x: float, order: int) -> Jet:
     """Jet of U at x, coeffs U^(n)/n! for n <= order, with U^(n) = -2
     kappa_{n+2}(R) (N <= 24; RangeError beyond, ConfigError if order < 0)."""
-    kappa = _log_tau_cumulants(cfg, [float(x)], order)[0, :-1]
+    kappa = _log_tau_cumulants(cfg, order)(float(x))[0]
     return Jet(float(x), -2.0 * kappa / [math.factorial(n) for n in range(order + 1)])
 
 
@@ -606,25 +646,13 @@ def potential_fn(cfg: SolitonConfig) -> Callable:
     """Fast vectorized x -> U(x) closure built on the exponential-sum form.
 
     The returned callable accepts scalars or arrays and is what the
-    independent numerics consume as a black-box potential. U = -2 Var(R)
-    from raw moments of R_A + R_B about their means under a and b alone,
-    dA + dB, in the bilinear form of _split_tables: sums of a dA^i X b
-    dB^j, which cancel little. Budget N <= 24; RangeError beyond it."""
-    _, (ca, ra), (cb, rb), xt, cut = _split_tables(*_effective(cfg.flowed(), None))
-    xmat = np.exp(xt, out=xt).T
+    independent numerics consume as a black-box potential. U = -2
+    kappa_2(R), the order-0 column of _log_tau_cumulants, whose tables are
+    built once per config. Budget N <= 24; RangeError beyond it."""
+    cumulants = _log_tau_cumulants(cfg, 0)
 
     def u_potential(x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty(xs.shape)
-        for blk in _point_blocks(len(xs), 3 * xmat.shape[1]):
-            a, b = _half_weights(ca, ra, xs[blk], cut), _half_weights(cb, rb, xs[blk], cut)
-            da, db = (r[:, None] - (r @ v) / np.sum(v, axis=0) for r, v in ((ra, a), (rb, b)))
-            # w[A, j] = a_A sum_B X_AB b_B dB^j, and m_i[j] = sum_A w[A, j] dA^i
-            w = np.stack([xmat @ b, xmat @ (db * b), xmat @ (db * db * b)], axis=1) * a[:, None]
-            m0, m1 = np.sum(w, axis=0), np.sum(w * da[:, None], axis=0)
-            d1 = (m1[0] + m0[1]) / m0[0]
-            d2 = (np.sum(w[:, 0] * da * da, axis=0) + 2.0 * m1[1] + m0[2]) / m0[0]
-            out[blk] = -2.0 * (d2 - d1 * d1)
+        out = -2.0 * cumulants(x)[:, 0]
         return out if np.ndim(x) else float(out[0])
 
     return u_potential
@@ -678,7 +706,7 @@ def apply_time_flows(cfg: SolitonConfig) -> SolitonConfig:
 def dt_potential(cfg: SolitonConfig, x: float) -> float:
     """dU/dt at x for the lowest flow (c_j rate 8 k_j^3), analytically:
     -2 E[(T - Tbar)(R - Rbar)^2] over the positive-weight sum (N <= 24)."""
-    return float(-2.0 * _log_tau_cumulants(cfg, [float(x)], 0)[0, -1])
+    return float(-2.0 * _log_tau_cumulants(cfg, 0, joint=True)(float(x))[0, -1])
 
 
 # ---------------------------------------------------------------------------

@@ -308,6 +308,16 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["pass"] is True
 
+    @pytest.mark.parametrize("argv", [
+        ["verify"], ["evolve", "--t-values=0"], ["transform", "--scheme", "darboux-ground"],
+        ["hirota-check"], ["phase-shift"],
+    ])
+    def test_format_is_usage_error_where_output_has_one_form(self, cfg_file, capsys, argv):
+        # these print one fixed form, so a --format they would ignore is refused
+        path = cfg_file([1.0, 2.0], [1.0, 1.0])
+        code, _ = run(capsys, argv[0], path, *argv[1:], "--format", "json")
+        assert code == 2
+
 
 class TestChecks:
     def test_hirota_check(self, cfg_file, capsys):

@@ -127,7 +127,18 @@ class TestIndividualIdentities:
 
     @pytest.mark.parametrize("j", [1, 2, 4])
     def test_tau_split_random(self, cfg4, j):
-        assert I.verify_tau_split(cfg4, j, grid_for(cfg4)).passed
+        # also against the per-point loop that the grid arithmetic replaced:
+        # np.exp may differ from math.exp in the last bit, so to 1e-15
+        grid = grid_for(cfg4)
+        rep = I.verify_tau_split(cfg4, j, grid)
+        assert rep.passed
+        u, uj, wj = (S.tau_jet_sum_grid(cfg4, r, grid, 0) for r in (None, S.drop_rule(4, j), S.pair_rule(cfg4, j, j)))
+        logc = math.log(cfg4.c[j - 1] / (2.0 * cfg4.k[j - 1]))
+        loop = max(
+            abs(1.0 - suj * math.exp(luj - lu) - swj * math.exp(logc - 2.0 * cfg4.k[j - 1] * x + lwj - lu))
+            for x, lu, luj, suj, lwj, swj in zip(grid, u.log_abs, uj.log_abs, uj.sign, wj.log_abs, wj.sign)
+        )
+        assert rep.max_abs_deviation == pytest.approx(loop, rel=0.0, abs=1e-15)
 
     def test_tau_split_n5(self):
         cfg = S.random_config(np.random.default_rng(34), n=5)

@@ -305,7 +305,7 @@ class TestBilinearHirota:
         split's smallest cross factor is e^-758 and e^-810, and its sum
         underflows to 0 at x = -4000 (N = 12) and x <= -100 (N = 16). The
         split rule takes h = 3. Against the 40-digit sum, relative to
-        max(1, |ref|): log tau measured 2.9e-16, U 2.4e-14."""
+        max(1, |ref|): log tau measured 2.9e-16, U 4.6e-15."""
         cfg = SPLIT_CASES[name]
         xs = np.array([-4000.0, -100.0, -10.0, 0.0])
         lh, sh = S.tau_hirota_grid(cfg, None, xs)
@@ -330,7 +330,7 @@ class TestBilinearHirota:
     def test_matches_mp_hirota_sum(self, make):
         """log tau and U on 5 points of [-10/k_1, 10/k_1] against the
         40-digit sum, where |log tau| reaches 1311. Measured relative to
-        max(1, |ref|): log tau 3.6e-16, U 1.8e-15 (relative to max |U|)."""
+        max(1, |ref|): log tau 3.6e-16, U 1.1e-15 (relative to max |U|)."""
         cfg = make()
         xs = np.linspace(-10.0 / cfg.k[0], 10.0 / cfg.k[0], 5)
         ref = mp_hirota(cfg.k, cfg.c, xs)
@@ -360,7 +360,7 @@ class TestBilinearHirota:
     @pytest.mark.parametrize("n", [4, 8, 12])
     def test_scalar_potential_matches_grid(self, n):
         """A one-point call takes other BLAS kernels than a grid, so the
-        two agree to rounding, not bitwise: measured at most 1.3e-14 of
+        two agree to rounding, not bitwise: measured at most 1.3e-15 of
         max |U| on 301 points; bound 1e-13."""
         cfg = S.random_config(np.random.default_rng(30 + n), n=n, k_range=(0.2, 6.0))
         xs = S.default_grid(cfg, 301)
@@ -498,7 +498,7 @@ class TestPotential:
     def test_jet_and_dt_beyond_n12_match_mpmath_determinant(self):
         """potential_jet(., 3) and dt_potential at N = 13 against a 60-digit
         determinant on 5 points of [-8/k_1, 8/k_1], relative to
-        max(1, |ref|): measured 1.1e-12."""
+        max(1, |ref|): measured 7.4e-14."""
         cfg = S.random_config(np.random.default_rng(13), n=13, k_range=(0.2, 6.0))
         for x in np.linspace(-8.0 / cfg.k[0], 8.0 / cfg.k[0], 5):
             with mpmath.workdps(60):
@@ -593,10 +593,11 @@ class TestNearDegenerate:
     def test_scalar_potentials_match_mpmath_determinant(self, k, c):
         """U, the order-5 jet of U and dU/dt against derivatives of log tau
         from a 40-digit determinant, on 9 points of [-10, 10]. Up to order
-        3 and in dU/dt measured at most 3.5e-12, in dU/dt of the N = 8 draw;
-        there the jet-quotient route that served potential_jet was 5.3e-11
-        off in U' and 3.7e-8 in the order-3 coefficient. The order-4 and -5
-        coefficients, which reach 873, measured at most 3.2e-13 relative to
+        3 and in dU/dt measured at most 4.4e-12 (the flat 2^N table that the
+        bilinear core replaced: 8.1e-12 in the same run); the jet-quotient
+        route that once served potential_jet was 5.3e-11 off in U' and
+        3.7e-8 in the order-3 coefficient. The order-4 and -5 coefficients,
+        which reach 873, measured at most 4.7e-14 relative to
         max(1, |ref|)."""
         cfg = SolitonConfig(k, c)
         for x in np.linspace(-10.0, 10.0, 9):
@@ -627,14 +628,23 @@ class TestNearDegenerate:
     @given(st.integers(0, 2**31), st.integers(2, 6), st.floats(2.0, 8.0))
     @settings(max_examples=60, deadline=None)
     def test_tight_gap_potential_routes_agree(self, seed, n, u):
-        """potential_fn against -2 (log tau)'' from the double-double jet
-        sum, with a pair at gap 10^-u, relative to max(1, max |U|) on 41
-        points. Bound 1e-12; measured worst over 300 draws 8.1e-14."""
+        """potential_fn and potential_jet's U' against -2 (log tau)'' and
+        -12 l_3 from the double-double jet sum, with a pair at gap 10^-u,
+        relative to max(1, max |U|) and max(1, max |U'|) on 41 points. l_3
+        = t_3 - t_1 t_2 + t_1^3/3 is the cubic coefficient of log tau, from
+        the normalized tau jet t. Bounds 1e-12 and 2e-11; measured worst
+        over 300 draws 8.1e-14 in U and 1.5e-12 in U' (the flat 2^N table
+        that the bilinear core replaced gave the same 1.5e-12)."""
         cfg = tight_gap_config(seed, n, 10.0**-u)
         xs = S.default_grid(cfg, 41)
         fast = S.potential_fn(cfg)(xs)
-        jet_sum = -2.0 * jet_log_d2(S.tau_jet_sum_grid(cfg, None, xs, 2).jet)
+        tau = S.tau_jet_sum_grid(cfg, None, xs, 3)
+        jet_sum = -2.0 * jet_log_d2(tau.truncate(2).jet)
         assert np.max(np.abs(fast - jet_sum)) <= 1e-12 * max(1.0, float(np.max(np.abs(fast))))
+        _, t1, t2, t3 = tau.coeffs.T
+        slope = np.array([S.potential_jet(cfg, float(x), 1).coeffs[1] for x in xs])
+        want = -12.0 * (t3 - t1 * t2 + t1**3 / 3.0)
+        assert np.max(np.abs(slope - want)) <= 2e-11 * max(1.0, float(np.max(np.abs(slope))))
 
 
 class TestEigenfunctions:
