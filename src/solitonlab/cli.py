@@ -86,13 +86,7 @@ def _grid_from_args(args, cfg: SolitonConfig) -> np.ndarray:
     return np.linspace(float(xmin), float(xmax), n)
 
 
-def _load(args) -> SolitonConfig:
-    with open(args.config, encoding="utf-8") as fh:
-        return parse_config(fh.read())
-
-
-def cmd_potential(args, out) -> int:
-    cfg = _load(args)
+def cmd_potential(cfg: SolitonConfig, args, out) -> int:
     xs = _grid_from_args(args, cfg)
     us = potential_fn(cfg)(xs)
     if args.format == "json":
@@ -102,8 +96,7 @@ def cmd_potential(args, out) -> int:
     return EXIT_OK
 
 
-def cmd_eigen(args, out) -> int:
-    cfg = _load(args)
+def cmd_eigen(cfg: SolitonConfig, args, out) -> int:
     xs = _grid_from_args(args, cfg)
     phi = eigenfunction_grid(cfg, args.index, tau_jet_sum_grid(cfg, None, xs, 1))
     rows = list(zip(xs.tolist(), phi.value.tolist(), phi.deriv(1).tolist()))
@@ -116,8 +109,7 @@ def cmd_eigen(args, out) -> int:
     return EXIT_OK
 
 
-def cmd_evolve(args, out) -> int:
-    cfg = _load(args)
+def cmd_evolve(cfg: SolitonConfig, args, out) -> int:
     xs = _grid_from_args(args, cfg)
     tvals = [float(t) for t in args.t_values.split(",")]
     base = dict(cfg.times or {})
@@ -146,8 +138,7 @@ def _default_halfwidth(cfg: SolitonConfig, ufn) -> float:
     return L
 
 
-def cmd_scatter(args, out) -> int:
-    cfg = _load(args)
+def cmd_scatter(cfg: SolitonConfig, args, out) -> int:
     ufn = potential_fn(cfg)
     res = numerics.scatter(ufn, args.k, _default_halfwidth(cfg, ufn))
     ref = numerics.transmission_product(cfg, args.k)
@@ -170,8 +161,7 @@ def cmd_scatter(args, out) -> int:
     return EXIT_OK
 
 
-def cmd_spectrum(args, out) -> int:
-    cfg = _load(args)
+def cmd_spectrum(cfg: SolitonConfig, args, out) -> int:
     ufn = potential_fn(cfg)
     L = args.halfwidth if args.halfwidth is not None else _default_halfwidth(cfg, ufn)
     res = numerics.bound_spectrum(ufn, L, args.step)
@@ -187,8 +177,7 @@ def cmd_spectrum(args, out) -> int:
     return EXIT_OK
 
 
-def cmd_transform(args, out) -> int:
-    cfg = _load(args)
+def cmd_transform(cfg: SolitonConfig, args, out) -> int:
     scheme = args.scheme
     if scheme == "darboux-ground":
         res = transforms.darboux_ground(cfg)
@@ -246,8 +235,7 @@ def _config_reports(cfg: SolitonConfig, tol_c: float, tol_p: float):
     return reports
 
 
-def cmd_verify(args, out) -> int:
-    cfg = _load(args)
+def cmd_verify(cfg: SolitonConfig, args, out) -> int:
     if cfg.n == 0:
         out.write(json.dumps({"reports": [], "pass": True}) + "\n")
         return EXIT_OK
@@ -259,8 +247,7 @@ def cmd_verify(args, out) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
-def cmd_hirota_check(args, out) -> int:
-    cfg = _load(args)
+def cmd_hirota_check(cfg: SolitonConfig, args, out) -> int:
     xs = _grid_from_args(args, cfg)
     ld, sd = tau_logdet_grid(cfg, None, xs)
     lh, sh = tau_hirota_grid(cfg, None, xs)
@@ -276,8 +263,7 @@ def cmd_hirota_check(args, out) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
-def cmd_phase_shift(args, out) -> int:
-    cfg = _load(args)
+def cmd_phase_shift(cfg: SolitonConfig, args, out) -> int:
     dev = numerics.phase_shift_check(cfg, (-args.T, args.T))
     tol = args.tol if args.tol is not None else 1e-3
     out.write(json.dumps({"max_deviation": dev, "tolerance": tol, "pass": dev <= tol}) + "\n")
@@ -339,7 +325,9 @@ def main(argv=None) -> int:
         if args.output:
             out = open(args.output, "w", encoding="utf-8", newline="")
             close = True
-        return args.func(args, out)
+        with open(args.config, encoding="utf-8") as fh:
+            cfg = parse_config(fh.read())
+        return args.func(cfg, args, out)
     except (RangeError, SingularJetError, ArithmeticError,
             numerics.SolverError, numerics.DomainError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

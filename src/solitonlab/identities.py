@@ -18,15 +18,11 @@ Wronskian engine on the left of the Wronskian and seed-Wronskian
 identities, which is itself under test, receives seed functions and
 evaluates each once over the whole grid.
 
-The tail-integral (overlap) matrices int_x^inf phi_j phi_l behind the
-Abraham-Moses deletion and addition determinants are built in one place,
-tail_matrix_grid. Every entry is a pair-rewritten tau over the config's
-own tau, so the caller evaluates that denominator once per grid and hands
-it to both the matrices and the tau-ratio side of the identity; each
-unordered pair is one grid tau. The deletion and addition checks over m
-indices therefore cost m(m+1)/2 + 2 grid taus, and the bilinear check
-four (three when j = l). inner_tail is its one-point 1x1 case, and
-transforms.generic_am consumes the same builder on a one-point grid.
+The tail-integral matrices of the Abraham-Moses deletion and addition
+determinants come from solitons.tail_matrix_grid; inner_tail is its
+one-point 1x1 case. The right sides of the Wronskian, deletion and
+addition checks are rewritten taus over the config's own tau times an
+exponential, TauGrid.over, as the tail entries are.
 
 Random-configuration fuzzing (run_identity_suite) is part of the module
 itself: sweeping these identities over random spectral data is the
@@ -44,17 +40,19 @@ from .jets import _pointwise, jet_exp
 from .solitons import (
     ConfigError,
     SolitonConfig,
-    TauGrid,
     drop_rule,
     eigenfunction_grid,
     pair_rule,
     deletion_rule,
     random_config,
     rescale_rule,
+    row_gauged,
+    tail_matrix_grid,
+    tail_values,
     tau_jet_sum,  # unused here, kept: perfbench/test_perfbench.py checks this name is traced
     tau_jet_sum_grid,
 )
-from .transforms import eigenfunction_seeds, wronskian
+from .transforms import eigenfunction_seeds, seed_config_from_free, wronskian
 
 #: magnitudes below this are excluded from ratio statistics
 UNDERFLOW_FLOOR = 1e-280
@@ -111,63 +109,6 @@ def _ratio_report(name, tag, grid, log_lhs, sign_lhs, log_rhs, sign_rhs, tol):
 # Closed-form tail integrals
 
 
-def tail_matrix_grid(cfg: SolitonConfig, rows, cols, den: TauGrid, pair_taus: dict | None = None) -> list:
-    """Gauged jets of the tail integrals T_ab = int_x^inf phi_a phi_b dy
-    for a in rows, b in cols over a grid, with closed form
-    (pair-rewritten tau / tau) e^{-(k_a+k_b)x}/(k_a+k_b).
-
-    den is the config's own tau over the grid, tau_jet_sum_grid(cfg, None,
-    xs, order); the grid and the jet order are taken from it, so one
-    evaluation serves every entry and the caller's other uses of tau.
-    pair_rule is symmetric, so each unordered pair is evaluated once, as
-    one grid, and T_ab is T_ba bitwise. Returns a nested list of entries
-    (jet, log_gauge, sign), the jet batched over the grid and the gauge
-    and sign arrays over it; true value = sign*e^gauge*jet.
-
-    pair_taus, if given, maps (j, l), j <= l, to pair taus already
-    evaluated over den's grid at den's order; it is read first and
-    receives the pairs evaluated here, so calls sharing it evaluate each
-    pair once."""
-    cfg = cfg.flowed()
-    pair_taus = {} if pair_taus is None else pair_taus
-    entries = {}
-
-    def entry(j, l):
-        j, l = min(j, l), max(j, l)
-        if (j, l) not in entries:
-            ksum = cfg.k[j - 1] + cfg.k[l - 1]
-            if (j, l) not in pair_taus:
-                pair_taus[j, l] = tau_jet_sum_grid(cfg, pair_rule(cfg, j, l), den.xs, den.order)
-            num = pair_taus[j, l]
-            jet = (num.jet / den.jet) * jet_exp(-ksum, den.xs, den.order, unit=True) * (1.0 / ksum)
-            entries[j, l] = (jet, num.gauge - den.gauge - ksum * den.xs, num.sign * den.sign)
-        return entries[j, l]
-
-    return [[entry(a, b) for b in cols] for a in rows]
-
-
-def row_gauged(tails) -> tuple:
-    """Square tail matrix as jet rows with each row's largest gauge
-    factored out: returns (rows, log_gauge), where det of the true matrix
-    is e^log_gauge * det(rows), per grid point."""
-    log_gauge = 0.0
-    rows = []
-    for row in tails:
-        g = np.max([t[1] for t in row], axis=0)
-        log_gauge += g
-        rows.append([jet * (sign * _pointwise(math.exp, gauge - g)) for jet, gauge, sign in row])
-    return rows, log_gauge
-
-
-def tail_values(tails) -> np.ndarray:
-    """True values sign*e^gauge*jet(x) of tail_matrix_grid entries, as an
-    array [P, rows, cols]."""
-    return np.stack([
-        np.stack([sign * _pointwise(math.exp, gauge) * jet.value for jet, gauge, sign in row], axis=-1)
-        for row in tails
-    ], axis=-2)
-
-
 def inner_tail(cfg: SolitonConfig, j: int, l: int, x: float) -> float:
     """Tail integral int_x^inf phi_j phi_l dy in closed form: the 1x1
     tail_matrix_grid on a one-point grid. As x -> -infinity this tends
@@ -180,12 +121,6 @@ def inner_tail(cfg: SolitonConfig, j: int, l: int, x: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Identity checks
-
-
-def _log_tau_ratio(num: TauGrid, den: TauGrid, rate: float) -> tuple:
-    """(log|.|, sign) arrays of (num / den) e^{rate x} over their common
-    grid: num a rewritten tau, den the config's own."""
-    return num.log_abs - den.log_abs + rate * den.xs, num.sign * den.sign
 
 
 def verify_wronskian_identity(cfg: SolitonConfig, deleted, grid, tol: float = CONSTANCY_TOL) -> VerificationReport:
@@ -203,10 +138,9 @@ def verify_wronskian_identity(cfg: SolitonConfig, deleted, grid, tol: float = CO
     log_l = np.full(w.shape, -np.inf)
     log_l[nonzero] = _pointwise(math.log, np.abs(w[nonzero]))
     sgn_l = np.where(nonzero, np.copysign(1.0, w), 0.0)
-    num = tau_jet_sum_grid(cfg, deletion_rule(cfg, dset, 1), den.xs, 0)
-    log_r, sgn_r = _log_tau_ratio(num, den.truncate(0), -ksum)
+    rhs = tau_jet_sum_grid(cfg, deletion_rule(cfg, dset, 1), den.xs, 0).over(den.truncate(0), -ksum)
     return _ratio_report(
-        f"wronskian_identity D={dset}", "wronskian_ratio", grid, log_l, sgn_l, log_r, sgn_r, tol
+        f"wronskian_identity D={dset}", "wronskian_ratio", grid, log_l, sgn_l, rhs.log_abs, rhs.sign, tol
     )
 
 
@@ -221,8 +155,8 @@ def verify_bilinear_derivative(cfg: SolitonConfig, j: int, l: int, grid, tol: fl
     phi_j = eigenfunction_grid(cfg, j, den0)
     phi_l = phi_j if l == j else eigenfunction_grid(cfg, l, den0)
     lhs = phi_j.value * phi_l.value
-    [[(jet, gauge, sign)]] = tail_matrix_grid(cfg, [j], [l], den)
-    rhs = -sign * _pointwise(math.exp, gauge) * jet.deriv(1)
+    [[tail]] = tail_matrix_grid(cfg, [j], [l], den)
+    rhs = -tail.values().deriv(1)
     scale = max(float(np.max(np.abs(lhs))), UNDERFLOW_FLOOR)
     dev = float(np.max(np.abs(lhs - rhs))) / scale
     return VerificationReport(
@@ -247,9 +181,9 @@ def verify_deletion_determinant(cfg: SolitonConfig, deleted, grid, tol: float = 
         num = pair_taus[dset[0], dset[0]]
     else:
         num = tau_jet_sum_grid(cfg, deletion_rule(cfg, dset, 2), den.xs, 0)
-    log_r, sgn_r = _log_tau_ratio(num, den, -2.0 * ksum)
+    rhs = num.over(den, -2.0 * ksum)
     return _ratio_report(
-        f"deletion_determinant D={dset}", "deletion_determinant", grid, log_l, sgn_l, log_r, sgn_r, tol
+        f"deletion_determinant D={dset}", "deletion_determinant", grid, log_l, sgn_l, rhs.log_abs, rhs.sign, tol
     )
 
 
@@ -270,10 +204,9 @@ def verify_addition_determinant(cfg: SolitonConfig, deleted, e, grid, tol: float
     den = tau_jet_sum_grid(cfg, None, grid, 0)
     fm = np.diag(np.add(e, 1.0)) - np.outer(sqc, sqc) * tail_values(tail_matrix_grid(cfg, dset, dset, den))
     sgn_l, log_l = np.linalg.slogdet(fm)
-    num = tau_jet_sum_grid(cfg, rule, den.xs, 0)
-    log_r, sgn_r = _log_tau_ratio(num, den, 0.0)
+    rhs = tau_jet_sum_grid(cfg, rule, den.xs, 0).over(den)
     return _ratio_report(
-        f"addition_determinant D={dset}", "addition_determinant", grid, log_l, sgn_l, log_r, sgn_r, tol
+        f"addition_determinant D={dset}", "addition_determinant", grid, log_l, sgn_l, rhs.log_abs, rhs.sign, tol
     )
 
 
@@ -297,8 +230,6 @@ def verify_seed_wronskian(k, ctilde, grid, tol: float = CONSTANCY_TOL) -> Verifi
     alternating sign pattern) equals prod_{j>l}(k_j-k_l) e^{sum k_j x}
     times the tau of the matched config — checked as ratio == 1, which
     also validates the ctilde -> c parameter map."""
-    from .transforms import seed_config_from_free
-
     k = [float(v) for v in k]
     ctilde = [float(v) for v in ctilde]
     cfg = seed_config_from_free(k, ctilde)  # validates the sign pattern

@@ -211,41 +211,10 @@ def jet_log_d2(a: Jet):
     return 2.0 * (_column(a.coeffs, 2) / a0) - r1 * r1
 
 
-def _det_laplace(m) -> Jet:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    acc = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        term = m[0][j] * _det_laplace(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
-
-
 def jet_det(matrix) -> Jet:
     """Determinant of a square matrix of jets (shared center and order),
-    one-point or batched over a grid.
-
-    3x3 and smaller go through the branch-free cofactor expansion, which
-    broadcasts over the batch as it stands; larger matrices go through LU
-    with partial pivoting on the constant terms, chosen per batch element.
-    """
-    m = [list(row) for row in matrix]
-    n = len(m)
-    if n == 0:
-        raise ValueError("empty matrix")
-    if n <= 3:
-        return _det_laplace(m)
-    return _det_lu(m)
-
-
-def _det_lu(m) -> Jet:
-    """LU determinant of an n x n jet matrix, batched.
+    one-point or batched over a grid, by LU with partial pivoting on the
+    constant terms, chosen per batch element.
 
     A pivot column whose constant terms all vanish (a sign-indefinite tau
     crossing zero) is h times a jet one order lower, h being the
@@ -256,6 +225,9 @@ def _det_lu(m) -> Jet:
     for that batch element only and the product of h's is applied at the
     end, so a singular pivot needs no second algorithm.
     """
+    m = [list(row) for row in matrix]
+    if not m:
+        raise ValueError("empty matrix")
     first = m[0][0]
     for row in m:
         for e in row:
@@ -292,7 +264,9 @@ def _det_lu(m) -> Jet:
         if k < n - 1:
             f = _quotient(a[:, k + 1 :, k], piv[:, None])
             a[:, k + 1 :, k + 1 :] -= _cauchy(f[:, :, None], a[:, None, k, k + 1 :])
-    for s in np.unique(shift[shift > 0]):  # s <= order + 1
+    # shifts run 0..order + 1; np.unique here would import numpy.ma on
+    # the first call, 10 ms of a cold process
+    for s in range(1, int(shift.max()) + 1):
         sel = shift == s
         det[sel, s:] = det[sel, : order + 1 - s]
         det[sel, :s] = 0.0

@@ -22,13 +22,26 @@ entry points are one-point grids.
 Every tilde-variant of u used by the deformation schemes is a pointwise
 rewrite c_m -> factor_m * c_m, represented by CoefficientRule. Tau jets
 carry a log gauge (TauGrid), as tau spans hundreds of orders of magnitude.
+Eigenfunctions, tail integrals and the right sides of the identities are
+each a rewritten tau over the config's own times an exponential,
+TauGrid.over, and TauGrid.values is the one place such a gauge is applied.
+
+The tail-integral (overlap) matrices int_x^inf phi_j phi_l behind the
+Abraham-Moses deletion and addition determinants are built in one place,
+tail_matrix_grid. Every entry is a pair-rewritten tau over the config's
+own tau, so the caller evaluates that denominator once per grid and hands
+it to both the matrices and the tau-ratio side of an identity; each
+unordered pair is one grid tau. The deletion and addition checks over m
+indices therefore cost m(m+1)/2 + 2 grid taus, and the bilinear check
+four (three when j = l). transforms.generic_am consumes the same builder
+on a one-point grid.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -332,6 +345,24 @@ class TauGrid:
         if order > self.order:
             raise ValueError("cannot extend a tau grid by truncation")
         return TauGrid(self.xs, self.coeffs[:, : order + 1], self.gauge, self.sign)
+
+    def over(self, den: "TauGrid", rate: float = 0.0) -> "TauGrid":
+        """The gauged jets of (self / den) e^{rate x} on their common grid
+        and jet order, for self a rewritten tau and den the config's own:
+        eigenfunctions, tail integrals and the right sides of the
+        identities are all such ratios. The gauges subtract and rate x
+        joins them, so the jets stay of order one."""
+        q = (self.jet / den.jet) * jet_exp(rate, den.xs, den.order, unit=True)
+        return TauGrid(den.xs, q.coeffs, self.gauge - den.gauge + rate * den.xs, self.sign * den.sign)
+
+    def values(self) -> Jet:
+        """The true jets sign * e^gauge * jet, batched over the grid;
+        RangeError where e^gauge overflows."""
+        try:
+            scale = _pointwise(math.exp, self.gauge)
+        except OverflowError as exc:
+            raise RangeError(f"tau ratio overflow at x={self.xs[np.argmax(self.gauge)]}") from exc
+        return self.jet * (self.sign * scale)
 
     def at(self, p: int) -> TauEval:
         x = float(self.xs[p])
@@ -679,14 +710,63 @@ def eigenfunction_grid(cfg: SolitonConfig, j: int, den: TauGrid) -> Jet:
     cfg = cfg.flowed()
     _check_index(cfg, j)
     num = tau_jet_sum_grid(cfg, eigenfunction_rule(cfg, j), den.xs, den.order)
-    kj = cfg.k[j - 1]
-    log_scale = num.gauge - den.gauge - kj * den.xs
-    try:
-        scale = _pointwise(math.exp, log_scale)
-    except OverflowError as exc:
-        raise RangeError(f"eigenfunction scale overflow at x={den.xs[np.argmax(log_scale)]}") from exc
-    q = num.jet / den.jet
-    return (q * jet_exp(-kj, den.xs, den.order, unit=True)) * (num.sign * den.sign * scale)
+    return num.over(den, -cfg.k[j - 1]).values()
+
+
+# ---------------------------------------------------------------------------
+# Tail integrals
+
+
+def tail_matrix_grid(cfg: SolitonConfig, rows, cols, den: TauGrid, pair_taus: dict | None = None) -> list:
+    """Tail integrals T_ab = int_x^inf phi_a phi_b dy for a in rows, b in
+    cols over a grid, with closed form (pair-rewritten tau / tau)
+    e^{-(k_a+k_b)x}/(k_a+k_b), as a nested list of TauGrids (their
+    values() are the true entries).
+
+    den is the config's own tau over the grid, tau_jet_sum_grid(cfg, None,
+    xs, order); the grid and the jet order are taken from it, so one
+    evaluation serves every entry and the caller's other uses of tau.
+    pair_rule is symmetric, so each unordered pair is evaluated once, as
+    one grid, and T_ab is T_ba bitwise.
+
+    pair_taus, if given, maps (j, l), j <= l, to pair taus already
+    evaluated over den's grid at den's order; it is read first and
+    receives the pairs evaluated here, so calls sharing it evaluate each
+    pair once."""
+    cfg = cfg.flowed()
+    pair_taus = {} if pair_taus is None else pair_taus
+    entries = {}
+
+    def entry(j, l):
+        j, l = min(j, l), max(j, l)
+        if (j, l) not in entries:
+            if (j, l) not in pair_taus:
+                pair_taus[j, l] = tau_jet_sum_grid(cfg, pair_rule(cfg, j, l), den.xs, den.order)
+            ksum = cfg.k[j - 1] + cfg.k[l - 1]
+            tail = pair_taus[j, l].over(den, -ksum)
+            entries[j, l] = replace(tail, coeffs=tail.coeffs * (1.0 / ksum))
+        return entries[j, l]
+
+    return [[entry(a, b) for b in cols] for a in rows]
+
+
+def row_gauged(tails) -> tuple:
+    """Square tail matrix as jet rows with each row's largest gauge
+    factored out: returns (rows, log_gauge), where det of the true matrix
+    is e^log_gauge * det(rows), per grid point."""
+    log_gauge = 0.0
+    rows = []
+    for row in tails:
+        g = np.max([t.gauge for t in row], axis=0)
+        log_gauge += g
+        rows.append([replace(t, gauge=t.gauge - g).values() for t in row])
+    return rows, log_gauge
+
+
+def tail_values(tails) -> np.ndarray:
+    """True values of tail_matrix_grid entries, as an array [P, rows,
+    cols]."""
+    return np.stack([np.stack([t.values().value for t in row], axis=-1) for row in tails], axis=-2)
 
 
 def apply_time_flows(cfg: SolitonConfig) -> SolitonConfig:

@@ -16,13 +16,12 @@ suite treats it as a falsifiable claim and checks it pointwise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .jets import Jet, SingularJetError, _pointwise, jet_det, jet_exp, jet_log_d2
+from .jets import Jet, SingularJetError, jet_det, jet_exp, jet_log_d2
 from .solitons import (
     ConfigError,
     CoefficientRule,
@@ -32,6 +31,9 @@ from .solitons import (
     eigenfunction,
     eigenfunction_grid,
     rescale_rule,
+    row_gauged,
+    tail_matrix_grid,
+    tail_values,
     tau_jet_sum_grid,
 )
 
@@ -168,8 +170,6 @@ class SeedFunction:
     origin so overlap integrals can use closed forms."""
 
     evaluator: Callable
-    energy: float
-    label: str
     config: SolitonConfig | None = None
     index: int | None = None
 
@@ -183,7 +183,6 @@ def eigenfunction_seed(cfg: SolitonConfig, j: int, den: TauGrid | None = None) -
     grid (tau_jet_sum_grid(cfg, None, xs, order)), is reused on that grid
     up to its order, so seeds sharing it evaluate the config's tau once
     between them."""
-    kj = cfg.k[j - 1]
 
     def ev(x, order):
         if np.ndim(x) == 0:
@@ -192,22 +191,21 @@ def eigenfunction_seed(cfg: SolitonConfig, j: int, den: TauGrid | None = None) -
             return eigenfunction_grid(cfg, j, den.truncate(order))
         return eigenfunction_grid(cfg, j, tau_jet_sum_grid(cfg, None, x, order))
 
-    return SeedFunction(evaluator=ev, energy=-kj * kj, label=f"bound[{j}]", config=cfg, index=j)
+    return SeedFunction(evaluator=ev, config=cfg, index=j)
 
 
 def eigenfunction_seeds(cfg: SolitonConfig, indices, den: TauGrid | None = None) -> list:
     return [eigenfunction_seed(cfg, j, den) for j in sorted(set(indices))]
 
 
-def free_seed(k: float, ctilde: float, j: int | None = None) -> SeedFunction:
+def free_seed(k: float, ctilde: float) -> SeedFunction:
     """Zero-potential solution e^{kx} + ctilde e^{-kx} at energy -k^2.
     Regular Wronskian chains need the signs (-1)^(j-1) ctilde > 0."""
 
     def ev(x, order):
         return jet_exp(k, x, order) + jet_exp(-k, x, order) * ctilde
 
-    lab = f"free[{j}]" if j is not None else "free"
-    return SeedFunction(evaluator=ev, energy=-k * k, label=lab)
+    return SeedFunction(evaluator=ev)
 
 
 def plane_wave_seed(k: float) -> SeedFunction:
@@ -221,7 +219,7 @@ def plane_wave_seed(k: float) -> SeedFunction:
             c[..., n] = c[..., n - 1] * rate / n
         return Jet(x, c)
 
-    return SeedFunction(evaluator=ev, energy=k * k, label="plane_wave")
+    return SeedFunction(evaluator=ev)
 
 
 def seed_config_from_free(k, ctilde) -> SolitonConfig:
@@ -328,8 +326,6 @@ def generic_am(
     no quadrature). The new potential is U - 2 (log det F)'', with
     U = -2 (log u)'' from the order-2 tau u that the tails already use.
     """
-    from .identities import row_gauged, tail_matrix_grid, tail_values  # late import: identities uses wronskian
-
     if mode not in ("add", "delete"):
         raise ConfigError(f"unknown mode {mode!r}; use 'add' or 'delete'")
     if not seeds:
@@ -360,8 +356,7 @@ def generic_am(
         if det.value[0] <= 0:
             raise RegularityError(f"overlap determinant not positive at x={x}")
     else:
-        rows = [[jet * (-(sqcc[a, b] * s * _pointwise(math.exp, g))) for b, (jet, g, s) in enumerate(row)]
-                for a, row in enumerate(tails)]
+        rows = [[t.values() * -sqcc[a, b] for b, t in enumerate(row)] for a, row in enumerate(tails)]
         for a in range(m):
             rows[a][a] = rows[a][a] + (e[a] + 1.0)
         det = jet_det(rows)

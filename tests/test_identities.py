@@ -62,12 +62,12 @@ class TestInnerTail:
         tails = I.tail_matrix_grid(cfg4, idx, idx, den)
         for a in idx:
             for b in idx:
-                jet, gauge, sign = tails[a - 1][b - 1]
-                assert jet.order == order
+                t = tails[a - 1][b - 1]
+                assert t.jet.order == order
                 [[single]] = I.tail_matrix_grid(cfg4, [a], [b], den)
                 for other in (tails[b - 1][a - 1], single):
-                    assert np.array_equal(jet.coeffs, other[0].coeffs)
-                    assert np.array_equal(gauge, other[1]) and np.array_equal(sign, other[2])
+                    assert np.array_equal(t.jet.coeffs, other.jet.coeffs)
+                    assert np.array_equal(t.gauge, other.gauge) and np.array_equal(t.sign, other.sign)
                 if order == 0:
                     assert I.tail_values([[single]])[0, 0, 0] == I.inner_tail(cfg4, a, b, x)
 

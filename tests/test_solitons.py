@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solitonlab import dd, solitons as S
-from solitonlab.jets import Jet, jet_log_d2
+from solitonlab.jets import Jet, jet_exp, jet_log_d2
 from solitonlab.solitons import (
     CoefficientRule,
     ConfigError,
@@ -441,6 +441,27 @@ class TestTauJetSumGrid:
         cfg = S.random_config(np.random.default_rng(121), n=13, k_range=(0.2, 8.0))
         with pytest.raises(RangeError, match="N=13"):
             S.tau_jet_sum_grid(cfg, None, [0.0], 0)
+
+
+class TestTauRatio:
+    @pytest.mark.parametrize("rate", [0.0, -1.7, 2.3])
+    @pytest.mark.parametrize("order", [0, 1, 3])
+    def test_over_itself_is_the_exponential(self, rate, order):
+        cfg = S.random_config(np.random.default_rng(130), n=4)
+        xs = np.linspace(-4.0, 4.0, 9)
+        g = S.tau_jet_sum_grid(cfg, None, xs, order)
+        r = g.over(g, rate)
+        assert np.array_equal(r.coeffs, jet_exp(rate, xs, order, unit=True).coeffs)
+        assert np.array_equal(r.gauge, rate * xs) and np.array_equal(r.sign, np.ones(len(xs)))
+
+    def test_values_beyond_float_range_is_range_error(self):
+        # e^gauge overflows past log(DBL_MAX) ~ 709.78; the error names the point
+        xs = np.array([-1.0, 0.25, 2.0])
+        g = S.TauGrid(xs, np.ones((3, 2)), np.array([0.0, 709.5, 710.0]), np.ones(3))
+        with pytest.raises(RangeError, match="x=2.0"):
+            g.values()
+        ok = S.TauGrid(xs[:2], g.coeffs[:2], g.gauge[:2], -g.sign[:2]).values()
+        assert np.array_equal(ok.value, [-1.0, -math.exp(709.5)])
 
 
 class TestPotential:

@@ -121,14 +121,14 @@ class TestWronskian:
     @pytest.mark.parametrize("order", [0, 1, 2])
     @pytest.mark.parametrize("kind", ["bound", "free", "plane_wave"])
     def test_grid_equals_per_point_loop(self, kind, order):
-        # each seed is evaluated once over the grid; four seeds take the
-        # batched LU determinant, fewer the cofactor form
+        # each seed is evaluated once over the grid and the determinant is
+        # one batched LU at every size
         cfg = S.random_config(np.random.default_rng(26), n=4)
         xs = np.linspace(-3.0, 2.0, 7)
         if kind == "bound":
             seeds = T.eigenfunction_seeds(cfg, [1, 2, 3, 4])
         elif kind == "free":
-            seeds = [T.free_seed(kj, (-1.0) ** j * (0.5 + j), j + 1) for j, kj in enumerate(cfg.k)]
+            seeds = [T.free_seed(kj, (-1.0) ** j * (0.5 + j)) for j, kj in enumerate(cfg.k)]
         else:
             seeds = [T.plane_wave_seed(kj) for kj in cfg.k]
         for m in range(1, 5):
@@ -188,7 +188,7 @@ class TestGenericDarboux:
         k = (0.8, 1.6)
         ctilde = (1.3, -0.9)
         cfg = T.seed_config_from_free(k, ctilde)
-        seeds = [T.free_seed(kj, ct, j + 1) for j, (kj, ct) in enumerate(zip(k, ctilde))]
+        seeds = [T.free_seed(kj, ct) for kj, ct in zip(k, ctilde)]
         kw = 1.1
         target = T.plane_wave_seed(kw)
         xr, xl = 12.0, -12.0
