@@ -322,11 +322,11 @@ def main(argv=None) -> int:
     out = sys.stdout
     close = False
     try:
-        if args.output:
-            out = open(args.output, "w", encoding="utf-8", newline="")
-            close = True
         with open(args.config, encoding="utf-8") as fh:
             cfg = parse_config(fh.read())
+        if args.output:  # only now: a bad config leaves no empty file behind
+            out = open(args.output, "w", encoding="utf-8", newline="")
+            close = True
         return args.func(cfg, args, out)
     except (RangeError, SingularJetError, ArithmeticError,
             numerics.SolverError, numerics.DomainError) as exc:

@@ -9,9 +9,10 @@ side has underflowed below 1e-280 are excluded and counted — a ratio of
 underflowed quantities is noise, not evidence.
 
 Every tau an identity needs is evaluated once per grid, not once per
-point: one tau_jet_sum_grid call returns the double-double exponential
-sum at all grid points, so a check's tau cost does not grow with the grid
-length. The jets built from those taus (eigenfunctions, tail entries,
+point, and all of a check's taus come from one solitons.tau_jet_sums
+call: the double-double exponential sums of every rule the check needs,
+at all grid points, with the exponentials formed once for all of them.
+The jets built from those taus (eigenfunctions, tail entries,
 Wronskians) are batched over the grid too, and the determinants of their
 constant terms are one stacked np.linalg.slogdet call. The generic
 Wronskian engine on the left of the Wronskian and seed-Wronskian
@@ -42,6 +43,7 @@ from .solitons import (
     SolitonConfig,
     drop_rule,
     eigenfunction_grid,
+    eigenfunction_rule,
     pair_rule,
     deletion_rule,
     random_config,
@@ -51,8 +53,9 @@ from .solitons import (
     tail_values,
     tau_jet_sum,  # unused here, kept: perfbench/test_perfbench.py checks this name is traced
     tau_jet_sum_grid,
+    tau_jet_sums,
 )
-from .transforms import eigenfunction_seeds, seed_config_from_free, wronskian
+from .transforms import eigenfunction_seed, seed_config_from_free, wronskian
 
 #: magnitudes below this are excluded from ratio statistics
 UNDERFLOW_FLOOR = 1e-280
@@ -123,22 +126,30 @@ def inner_tail(cfg: SolitonConfig, j: int, l: int, x: float) -> float:
 # Identity checks
 
 
+def _pairs(dset) -> list:
+    """The unordered index pairs (a, b), a <= b, of a tail matrix over dset."""
+    return [(a, b) for i, a in enumerate(dset) for b in dset[i:]]
+
+
 def verify_wronskian_identity(cfg: SolitonConfig, deleted, grid, tol: float = CONSTANCY_TOL) -> VerificationReport:
     """W[phi_{d1},...,phi_{dM}] is a constant multiple of
     (rewritten tau / tau) e^{-sum k_d x}. The left side runs through the
     generic Wronskian engine, its eigenfunction seeds sharing the config's
-    own tau at order M-1, whose order-0 part also serves the right side:
-    M+2 grid taus in all."""
+    own tau at order M-1, whose order-0 part also serves the right side,
+    and taking their numerators from the same tau_jet_sums call: one call
+    of M+2 rules."""
     cfg = cfg.flowed()
     dset = sorted(set(int(d) for d in deleted))
     ksum = sum(cfg.k[d - 1] for d in dset)
-    den = tau_jet_sum_grid(cfg, None, grid, len(dset) - 1)
-    w = wronskian(eigenfunction_seeds(cfg, dset, den), den.xs, 0).value
+    m = len(dset)
+    rules = [None, deletion_rule(cfg, dset, 1)] + [eigenfunction_rule(cfg, d) for d in dset]
+    den, rewritten, *nums = tau_jet_sums(cfg, rules, grid, [m - 1, 0] + [m - 1] * m)
+    w = wronskian([eigenfunction_seed(cfg, d, den, num) for d, num in zip(dset, nums)], den.xs, 0).value
     nonzero = w != 0
     log_l = np.full(w.shape, -np.inf)
     log_l[nonzero] = _pointwise(math.log, np.abs(w[nonzero]))
     sgn_l = np.where(nonzero, np.copysign(1.0, w), 0.0)
-    rhs = tau_jet_sum_grid(cfg, deletion_rule(cfg, dset, 1), den.xs, 0).over(den.truncate(0), -ksum)
+    rhs = rewritten.over(den.truncate(0), -ksum)
     return _ratio_report(
         f"wronskian_identity D={dset}", "wronskian_ratio", grid, log_l, sgn_l, rhs.log_abs, rhs.sign, tol
     )
@@ -147,15 +158,17 @@ def verify_wronskian_identity(cfg: SolitonConfig, deleted, grid, tol: float = CO
 def verify_bilinear_derivative(cfg: SolitonConfig, j: int, l: int, grid, tol: float = POINTWISE_TOL) -> VerificationReport:
     """phi_j phi_l equals minus the x-derivative of the closed-form tail
     antiderivative, pointwise. The order-1 tau of the tail also serves
-    the order-0 eigenfunctions, so the check costs four grid taus (three
-    for j = l)."""
+    the order-0 eigenfunctions, so the check is one tau_jet_sums call of
+    four rules (three for j = l): that tau, the tail's pair tau and the
+    eigenfunction numerators."""
     cfg = cfg.flowed()
-    den = tau_jet_sum_grid(cfg, None, grid, 1)
-    den0 = den.truncate(0)
-    phi_j = eigenfunction_grid(cfg, j, den0)
-    phi_l = phi_j if l == j else eigenfunction_grid(cfg, l, den0)
-    lhs = phi_j.value * phi_l.value
-    [[tail]] = tail_matrix_grid(cfg, [j], [l], den)
+    pair = min(j, l), max(j, l)
+    idx = sorted(set(pair))
+    rules = [None, pair_rule(cfg, *pair)] + [eigenfunction_rule(cfg, i) for i in idx]
+    den, tau, *nums = tau_jet_sums(cfg, rules, grid, [1, 1] + [0] * len(idx))
+    phi = {i: eigenfunction_grid(cfg, i, den.truncate(0), num).value for i, num in zip(idx, nums)}
+    lhs = phi[j] * phi[l]
+    [[tail]] = tail_matrix_grid(cfg, [j], [l], den, {pair: tau})
     rhs = -tail.values().deriv(1)
     scale = max(float(np.max(np.abs(lhs))), UNDERFLOW_FLOOR)
     dev = float(np.max(np.abs(lhs - rhs))) / scale
@@ -166,22 +179,23 @@ def verify_bilinear_derivative(cfg: SolitonConfig, j: int, l: int, grid, tol: fl
 
 def verify_deletion_determinant(cfg: SolitonConfig, deleted, grid, tol: float = CONSTANCY_TOL) -> VerificationReport:
     """det of the tail-integral matrix over the deleted set is a constant
-    multiple of (squared-rewrite tau / tau) e^{-2 sum k_d x}. For one
-    index d the squared rewrite is pair_rule(d, d) with bitwise-equal
-    factors, so the tail's pair tau serves the right side too."""
+    multiple of (squared-rewrite tau / tau) e^{-2 sum k_d x}: one
+    tau_jet_sums call of the config's own tau, the m(m+1)/2 pair taus and
+    the squared rewrite. For one index d the squared rewrite is
+    pair_rule(d, d) with bitwise-equal factors, so the tail's pair tau
+    serves the right side too."""
     cfg = cfg.flowed()
     dset = sorted(set(int(d) for d in deleted))
     ksum = sum(cfg.k[d - 1] for d in dset)
-    den = tau_jet_sum_grid(cfg, None, grid, 0)
-    pair_taus = {}
-    rows, log_gauge = row_gauged(tail_matrix_grid(cfg, dset, dset, den, pair_taus))
+    pairs = _pairs(dset)
+    rules = [None] + [pair_rule(cfg, *p) for p in pairs]
+    if len(dset) > 1:
+        rules.append(deletion_rule(cfg, dset, 2))
+    den, *taus = tau_jet_sums(cfg, rules, grid, [0] * len(rules))
+    rows, log_gauge = row_gauged(tail_matrix_grid(cfg, dset, dset, den, dict(zip(pairs, taus))))
     sgn_l, logabs = np.linalg.slogdet(np.stack([np.stack([r.value for r in row], -1) for row in rows], -2))
     log_l = log_gauge + logabs
-    if len(dset) == 1:
-        num = pair_taus[dset[0], dset[0]]
-    else:
-        num = tau_jet_sum_grid(cfg, deletion_rule(cfg, dset, 2), den.xs, 0)
-    rhs = num.over(den, -2.0 * ksum)
+    rhs = taus[-1].over(den, -2.0 * ksum)  # the squared rewrite, or the one pair tau
     return _ratio_report(
         f"deletion_determinant D={dset}", "deletion_determinant", grid, log_l, sgn_l, rhs.log_abs, rhs.sign, tol
     )
@@ -190,7 +204,8 @@ def verify_deletion_determinant(cfg: SolitonConfig, deleted, grid, tol: float = 
 def verify_addition_determinant(cfg: SolitonConfig, deleted, e, grid, tol: float = CONSTANCY_TOL) -> VerificationReport:
     """det(e_j delta_jl + overlap of unit-normalized bound states up to x)
     is a constant multiple of (rescaled tau / tau); the rescale is
-    c_d -> e_d/(e_d+1) c_d."""
+    c_d -> e_d/(e_d+1) c_d. One tau_jet_sums call of the config's own tau,
+    the m(m+1)/2 pair taus and the rescaled tau."""
     cfg = cfg.flowed()
     dset = sorted(set(int(d) for d in deleted))
     e = [float(v) for v in e]
@@ -201,10 +216,12 @@ def verify_addition_determinant(cfg: SolitonConfig, deleted, e, grid, tol: float
         r = rescale_rule(cfg.n, d, ed / (ed + 1.0))
         rule = r if rule is None else rule.compose(r)
     sqc = np.sqrt([cfg.c[d - 1] for d in dset])
-    den = tau_jet_sum_grid(cfg, None, grid, 0)
-    fm = np.diag(np.add(e, 1.0)) - np.outer(sqc, sqc) * tail_values(tail_matrix_grid(cfg, dset, dset, den))
-    sgn_l, log_l = np.linalg.slogdet(fm)
-    rhs = tau_jet_sum_grid(cfg, rule, den.xs, 0).over(den)
+    pairs = _pairs(dset)
+    rules = [None] + [pair_rule(cfg, *p) for p in pairs] + [rule]
+    den, *taus, num = tau_jet_sums(cfg, rules, grid, [0] * len(rules))
+    tails = tail_values(tail_matrix_grid(cfg, dset, dset, den, dict(zip(pairs, taus))))
+    sgn_l, log_l = np.linalg.slogdet(np.diag(np.add(e, 1.0)) - np.outer(sqc, sqc) * tails)
+    rhs = num.over(den)
     return _ratio_report(
         f"addition_determinant D={dset}", "addition_determinant", grid, log_l, sgn_l, rhs.log_abs, rhs.sign, tol
     )
@@ -212,13 +229,12 @@ def verify_addition_determinant(cfg: SolitonConfig, deleted, e, grid, tol: float
 
 def verify_tau_split(cfg: SolitonConfig, j: int, grid, tol: float = POINTWISE_TOL) -> VerificationReport:
     """tau = tau|_{c_j->0} + (c_j/2k_j) e^{-2 k_j x} * squared-rewrite
-    tau, checked as a relative residual in a common gauge."""
+    tau, checked as a relative residual in a common gauge; the three taus
+    are one tau_jet_sums call."""
     cfg = cfg.flowed()
     kj = cfg.k[j - 1]
     cj = cfg.c[j - 1]
-    u = tau_jet_sum_grid(cfg, None, grid, 0)
-    uj = tau_jet_sum_grid(cfg, drop_rule(cfg.n, j), grid, 0)
-    wj = tau_jet_sum_grid(cfg, pair_rule(cfg, j, j), grid, 0)
+    u, uj, wj = tau_jet_sums(cfg, [None, drop_rule(cfg.n, j), pair_rule(cfg, j, j)], grid, [0, 0, 0])
     a = uj.sign * np.exp(uj.log_abs - u.log_abs)
     logb = math.log(cj / (2.0 * kj)) - 2.0 * kj * u.xs + wj.log_abs - u.log_abs
     dev = float(np.max(np.abs(1.0 - a - wj.sign * np.exp(logb))))

@@ -16,8 +16,10 @@ is a bilinear form over two halves of the solitons. It gives values
 (tau_hirota_grid), and U, its x-jets and dU/dt (potential_fn,
 potential_jet, dt_potential) from one core, as cumulants of the config's
 own positive terms. Its double-double form gives jets of the rewritten
-taus (tau_jet_sum_grid) for eigenfunctions and tail integrals. Scalar
-entry points are one-point grids.
+taus for eigenfunctions and tail integrals: tau_jet_sums evaluates
+several rules of one config on one grid, sharing the exponentials
+between them, and tau_jet_sum_grid is its one-rule case. Scalar entry
+points are one-point grids.
 
 Every tilde-variant of u used by the deformation schemes is a pointwise
 rewrite c_m -> factor_m * c_m, represented by CoefficientRule. Tau jets
@@ -31,10 +33,11 @@ Abraham-Moses deletion and addition determinants are built in one place,
 tail_matrix_grid. Every entry is a pair-rewritten tau over the config's
 own tau, so the caller evaluates that denominator once per grid and hands
 it to both the matrices and the tau-ratio side of an identity; each
-unordered pair is one grid tau. The deletion and addition checks over m
-indices therefore cost m(m+1)/2 + 2 grid taus, and the bilinear check
-four (three when j = l). transforms.generic_am consumes the same builder
-on a one-point grid.
+unordered pair is one grid tau, and a caller may pass pair taus it has
+already evaluated. The deletion and addition checks over m indices
+therefore cost one core call holding m(m+1)/2 + 2 rules, and the
+bilinear check one holding four (three when j = l).
+transforms.generic_am consumes the same builder on a one-point grid.
 """
 
 from __future__ import annotations
@@ -52,7 +55,8 @@ from .jets import Jet, _pointwise, jet_exp
 #: enumeration budget for the 2^N exponential-sum oracle
 HIROTA_MAX_N = 24
 
-#: [points, terms] elements per block of the double-double jet sum
+#: [orders, rules, points, terms] elements per block of the double-double
+#: jet sum
 _HIROTA_CHUNK = 1 << 18
 
 #: [terms, points] elements per block of the plain-double sums: small
@@ -378,117 +382,137 @@ def _dd_tree_sum(h, l):
     return h[..., 0], l[..., 0]
 
 
-@functools.lru_cache(maxsize=32)
-def _jet_sum_terms(k: tuple, ce: tuple):
-    """x-independent data of the 2^N expansion terms, in double-double:
-    prefactor prod c_j/(2k_j) * prod pair factors (ph, pl) times 2^pe, its
-    log and sign, and the decay rate -2 sum_j k_j (rh, rl). Each factor is
-    scaled into [1/2, 1) by the exact frexp, and pe sums their powers of
-    two; 2^e commutes with dd.mul among normal doubles, so this is bitwise
-    the plain product, folded back where |pe| < 768 (pe = 0 for prefactors
-    within e^+-470, leaving dd.exp's scale unused).
+def _frexp_dd(h, l) -> tuple:
+    """(m, ml, e) with h + l = (m + ml) 2^e and |m| in [1/2, 1) (m = 0 for
+    h = 0), by the exact frexp."""
+    m, e = np.frexp(h)
+    return m, np.ldexp(l, -e), e
 
-    Memoized on the effective (k, c), since the one-point eigenfunction
-    reaches the same terms at every point; the arrays are read-only, as
-    every caller shares them."""
-    n = len(k)
-    k = np.asarray(k)
-    ce = np.asarray(ce)
-    m = 1 << n
-    bits = ((np.arange(m, dtype=np.uint64)[:, None] >> np.arange(n, dtype=np.uint64)) & 1).astype(bool)
-    factors = []  # (solitons j <= l of the terms it multiplies, double-double factor, power of two)
-    for j in range(n):
-        cm, cx = math.frexp(abs(ce[j]))
-        factors.append((j, j, dd.div(*dd.from_float(cm), *dd._two_prod(np.float64(2.0), np.float64(k[j]))), cx))
-    for j in range(n):
-        for l in range(j + 1, n):
-            rh, rl = dd.div(*dd._two_sum(np.float64(k[j]), np.float64(-k[l])),
-                            *dd._two_sum(np.float64(k[j]), np.float64(k[l])))
-            factors.append((j, l, dd.mul(rh, rl, rh, rl), 0))
-    ph, pl, expo = np.ones(m), np.zeros(m), np.zeros((n, n))
-    for j, l, (fh, fl), fe in factors:
-        fh, ex = math.frexp(fh)
-        expo[j, l] = fe + ex
-        sel = bits[:, j] & bits[:, l]
-        mh, ml = dd.mul(ph, pl, fh, math.ldexp(fl, -ex))
-        ph = np.where(sel, mh, ph)
-        pl = np.where(sel, ml, pl)
-    pe = np.sum((bits @ expo) * bits, axis=1).astype(np.int64)  # sums of small integers: exact
-    fold = np.where(np.abs(pe) < 768, pe, 0)
-    ph, pl, pe = np.ldexp(ph, fold), np.ldexp(pl, fold), pe - fold
-    logp = np.log(np.abs(ph)) + pe * math.log(2.0)
-    sgn = (-1.0) ** (bits @ (ce < 0).astype(float))
-    rh, rl = np.zeros(m), np.zeros(m)
-    for j in range(n):  # doubling: the sum with j adds -2 k_j to the one without it
+
+def _subset_products(h, l, e):
+    """prod_{j in S} (h_j + l_j) 2^e_j of the double-double factors [...,
+    n] over the subsets S of range(n), bit j of the index marking j: [...,
+    2^n] as (mantissa h, l in [1/2, 1), power of two e), by doubling. The
+    powers of two are summed as integers; the mantissas, products of at
+    most 12 factors in [1/2, sqrt 2], cannot underflow and are renormalised
+    by the exact frexp once, at the end."""
+    shape = h.shape[:-1] + (1 << h.shape[-1],)
+    ph, pl, pe = np.ones(shape), np.zeros(shape), np.zeros(shape, dtype=np.int64)
+    for j in range(h.shape[-1]):
         s = 1 << j
+        ph[..., s : 2 * s], pl[..., s : 2 * s] = dd.mul(ph[..., :s], pl[..., :s], h[..., j, None], l[..., j, None])
+        pe[..., s : 2 * s] = pe[..., :s] + e[..., j, None]
+    mh, ml, ex = _frexp_dd(ph, pl)
+    return mh, ml, pe + ex
+
+
+@functools.lru_cache(maxsize=32)
+def _jet_sum_table(k: tuple):
+    """Rule-independent data of the 2^N expansion terms, memoized on the
+    wavenumbers: the pair products prod_{j < l in S} ((k_j - k_l)/(k_j +
+    k_l))^2 (qh, ql) times 2^qe, each pair factor a double-double quotient,
+    and the decay rates R_S = -2 sum_{j in S} k_j (rh, rl). The arrays are
+    read-only, as every caller shares them."""
+    k = np.asarray(k)
+    m = 1 << len(k)
+    fh, fl = dd.div(*dd._two_sum(k[:, None], -k), *dd._two_sum(k[:, None], k))
+    fh, fl, ex = _frexp_dd(*dd.mul(fh, fl, fh, fl))  # [N, N]; the diagonal, 0, is never read
+    qh, ql, qe = np.ones(m), np.zeros(m), np.zeros(m, dtype=np.int64)
+    rh, rl = np.zeros(m), np.zeros(m)
+    for j in range(len(k)):  # doubling: the subsets with j from those without
+        s = 1 << j
+        wh, wl, we = _subset_products(fh[:j, j], fl[:j, j], ex[:j, j])
+        qh[s : 2 * s], ql[s : 2 * s] = dd.mul(qh[:s], ql[:s], wh, wl)
+        qe[s : 2 * s] = qe[:s] + we
         rh[s : 2 * s], rl[s : 2 * s] = dd.add(rh[:s], rl[:s], *dd._two_prod(np.float64(-2.0), np.float64(k[j])))
-    terms = (ph, pl, pe, logp, sgn, rh, rl)
-    for a in terms:
+    qh, ql, ex = _frexp_dd(qh, ql)
+    table = (qh, ql, qe + ex, rh, rl)
+    for a in table:
         a.flags.writeable = False
-    return terms
+    return table
 
 
-def _jet_sum_block(terms, xs: np.ndarray, order: int):
-    """(coeffs, gauge, sign) of the normalized tau jets at the points xs,
-    all terms evaluated as one [len(xs), 2^N] block."""
-    ph, pl, pe, logp, sgn, rh, rl = terms
-    argh, argl = dd.mul(rh, rl, xs[:, None], np.float64(0.0))
-    gauge0 = np.max(argh + logp, axis=1)
-    eh, el = dd.exp(*dd.add(argh, argl, -gauge0[:, None], np.float64(0.0)), pe)
-    th, tl = dd.mul(ph, pl, eh, el)
-    th *= sgn
-    tl *= sgn
-    sums = []
-    cur_h, cur_l = th, tl
-    for q in range(order + 1):
-        if q:
-            cur_h, cur_l = dd.mul(cur_h, cur_l, rh, rl)
-            cur_h, cur_l = dd.div(cur_h, cur_l, np.float64(q), np.float64(0.0))
-        sums.append(_dd_tree_sum(cur_h, cur_l))
-    s0h, s0l = sums[0]
-    # a vanishing sum is returned raw, in the gauge e^gauge0 and with sign 1
-    zero = s0h == 0.0
-    coeffs = np.empty((len(xs), order + 1))
-    coeffs[:, 0] = np.where(zero, s0h, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for q in range(1, order + 1):
-            coeffs[:, q] = np.where(zero, sums[q][0], dd.div(*sums[q], s0h, s0l)[0])
-    gauge = np.where(zero, gauge0, gauge0 + dd.log_abs(s0h, s0l))
-    sign = np.where(zero, 1.0, np.copysign(1.0, s0h))
-    return coeffs, gauge, sign
-
-
-def tau_jet_sum_grid(cfg: SolitonConfig, rule: CoefficientRule | None, xs, order: int) -> TauGrid:
-    """Tau jets over the grid xs from the 2^N exponential-sum form in
-    double-double arithmetic.
+def tau_jet_sums(cfg: SolitonConfig, rules, xs, orders) -> list:
+    """Tau jets of several rewrites of one config over the grid xs, one
+    TauGrid per rule (None for the config's own tau) at the matching jet
+    order, from the 2^N exponential-sum form in double-double arithmetic.
 
     Independent of the determinant route and accurate to ~1e-16 relative
     even for the sign-indefinite rewritten taus, whose term cancellation
-    would cost a plain-double evaluation several digits. The x-independent
-    term prefactors are computed once per call; the points are then
-    evaluated in blocks of at most _HIROTA_CHUNK terms. Every operation
-    is elementwise, so each point's result is bitwise independent of the
-    grid it sits in. Budget N <= 12; RangeError beyond it.
-    """
-    if order < 0:
+    would cost a plain-double evaluation several digits. Term S of rule r
+    at x is A_rS Q_S E_S(x): A_rS the product over j in S of the rewritten
+    c_j f_rj / (2 k_j), signs included, Q_S that of the pair factors ((k_j -
+    k_l)/(k_j + k_l))^2 and E_S = e^{R_S x} that of e^{-2 k_j x}. Each is a
+    double-double mantissa times an integer power of two, built by
+    doubling (_subset_products): Q_S and R_S once per k (_jet_sum_table), A
+    over the rules, E from one dd.exp per soliton and point, so a call
+    costs P N exponentials however many rules it holds. Each rule's gauge
+    at a point is the power of two of its own largest term, so a rule far
+    below another loses nothing. Jet coefficient q sums the terms times
+    R_S^q/q!, all orders and rules at once over blocks of points holding
+    at most _HIROTA_CHUNK [orders, rules, points, 2^N] elements. Every
+    operation is elementwise, so a rule's result is bitwise independent of
+    the grid it sits in, the other rules of the call and its order.
+    Solitons every rule removes are left out; budget N <= 12 for the rest,
+    RangeError beyond it."""
+    cfg = cfg.flowed()
+    orders = [int(q) for q in orders]
+    if len(orders) != len(rules):
+        raise ConfigError(f"{len(rules)} rules but {len(orders)} jet orders")
+    if any(q < 0 for q in orders):
         raise ConfigError("jet order must be non-negative")
-    k, ce = _effective(cfg.flowed(), rule)
-    n = len(k)
+    ce = np.array([cfg.c if rule is None else rule.apply(cfg) for rule in rules]).reshape(len(rules), cfg.n)
+    keep = np.any(ce != 0.0, axis=0)
+    k, ce = np.asarray(cfg.k)[keep], ce[:, keep]
+    if len(k) > _JET_SUM_MAX_N:
+        raise RangeError(f"2^N jet-sum budget exceeded: N={len(k)} > {_JET_SUM_MAX_N}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    npts = len(xs)
-    if n == 0:
-        coeffs = np.zeros((npts, order + 1))
-        coeffs[:, 0] = 1.0
-        return TauGrid(xs, coeffs, np.zeros(npts), np.ones(npts))
-    if n > _JET_SUM_MAX_N:
-        raise RangeError(f"2^N jet-sum budget exceeded: N={n} > {_JET_SUM_MAX_N}")
-    terms = _jet_sum_terms(tuple(k.tolist()), tuple(ce.tolist()))
-    coeffs, gauge, sign = np.empty((npts, order + 1)), np.empty(npts), np.empty(npts)
-    step = max(1, _HIROTA_CHUNK >> n)
-    for i in range(0, npts, step):
-        block = slice(i, i + step)
-        coeffs[block], gauge[block], sign[block] = _jet_sum_block(terms, xs[block], order)
-    return TauGrid(xs, coeffs, gauge, sign)
+    top = max(orders)
+    qh, ql, qe, rh, rl = _jet_sum_table(tuple(k.tolist()))
+    # signed rule products c_j f_rj / 2 k_j, [rules, 2^N]; zero terms never set a gauge
+    cm, cx = np.frexp(ce)
+    fh, fl, ex = _frexp_dd(*dd.div(*dd.from_float(cm), *dd.from_float(2.0 * k)))
+    ah, al, ae = _subset_products(fh, fl, cx + ex)
+    ah, al, ex = _frexp_dd(*dd.mul(ah, al, qh, ql))
+    ae = np.where(ah == 0.0, -(1 << 40), ae + qe + ex)
+    wh, wl = np.ones((top + 1, len(rh))), np.zeros((top + 1, len(rh)))  # R_S^q / q!
+    for q in range(1, top + 1):
+        wh[q], wl[q] = dd.div(*dd.mul(wh[q - 1], wl[q - 1], rh, rl), np.float64(q), np.float64(0.0))
+    coeffs = np.empty((len(rules), len(xs), top + 1))
+    gauge, sign = np.empty((len(rules), len(xs))), np.empty((len(rules), len(xs)))
+    step = max(1, _HIROTA_CHUNK // ((top + 1) * len(rules) * len(rh)))
+    for i in range(0, len(xs), step):
+        blk = slice(i, i + step)
+        eh, el, ee = _subset_products(*dd.exp(*dd._two_prod(-2.0 * k, xs[blk, None])))
+        th, tl = dd.mul(ah[:, None], al[:, None], eh, el)  # [rules, points, 2^N], |mantissa| in [1/4, 1)
+        te = ae[:, None] + ee
+        g = te.max(axis=-1)
+        te -= g[..., None]
+        th, tl = np.ldexp(th, te), np.ldexp(tl, te)
+        ch, cl = np.empty((top + 1,) + th.shape), np.empty((top + 1,) + th.shape)
+        ch[0], cl[0] = th, tl
+        ch[1:], cl[1:] = dd.mul(th, tl, wh[1:, None, None], wl[1:, None, None])
+        sh, sl = _dd_tree_sum(ch, cl)
+        # a vanishing sum is returned raw, in the gauge 2^g and with sign 1;
+        # else 2^g joins the power of two that takes |sum| into [1/sqrt 2,
+        # sqrt 2), so a tau near 1 gets its small log from the sum alone
+        zero = sh[0] == 0.0
+        m, ex = np.frexp(np.abs(sh[0]))
+        ex = np.where(zero, 0, ex - (m < 0.5**0.5))
+        log_sum = dd.log_abs(np.ldexp(sh[0], -ex), np.ldexp(sl[0], -ex))
+        gauge[:, blk] = (g + ex) * dd._LN2_HI + np.where(zero, 0.0, log_sum)
+        sign[:, blk] = np.where(zero, 1.0, np.copysign(1.0, sh[0]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sh[1:] = np.where(zero, sh[1:], dd.div(sh[1:], sl[1:], sh[0], sl[0])[0])
+        sh[0] = np.where(zero, sh[0], 1.0)
+        coeffs[:, blk] = np.moveaxis(sh, 0, -1)
+    return [TauGrid(xs, coeffs[r, :, : q + 1], gauge[r], sign[r]) for r, q in enumerate(orders)]
+
+
+def tau_jet_sum_grid(cfg: SolitonConfig, rule: CoefficientRule | None, xs, order: int) -> TauGrid:
+    """Tau jets over the grid xs from the double-double exponential sum:
+    the one-rule tau_jet_sums."""
+    return tau_jet_sums(cfg, [rule], xs, [order])[0]
 
 
 def tau_jet_sum(cfg: SolitonConfig, rule: CoefficientRule | None, x: float, order: int) -> TauEval:
@@ -697,7 +721,7 @@ def eigenfunction(cfg: SolitonConfig, j: int, x: float, order: int) -> Jet:
     return eigenfunction_grid(cfg, j, tau_jet_sum_grid(cfg, None, [float(x)], order)).at(0)
 
 
-def eigenfunction_grid(cfg: SolitonConfig, j: int, den: TauGrid) -> Jet:
+def eigenfunction_grid(cfg: SolitonConfig, j: int, den: TauGrid, num: TauGrid | None = None) -> Jet:
     """Jet of the j-th eigenfunction, (rewritten tau / tau) e^{-k_j x},
     batched over a grid; each point is bitwise eigenfunction(cfg, j, x,
     order).
@@ -706,10 +730,14 @@ def eigenfunction_grid(cfg: SolitonConfig, j: int, den: TauGrid) -> Jet:
     None, xs, order); the grid and the jet order are taken from it, so one
     evaluation also serves the caller's other uses of tau. The rewritten
     tau, whose terms have both signs, comes from the same double-double
-    sum (N <= 12; RangeError beyond it)."""
+    sum (N <= 12; RangeError beyond it). num, if given, is that rewritten
+    tau (eigenfunction_rule(cfg, j)) already evaluated over den's grid at
+    den's order, so a caller holding it from one tau_jet_sums call pays
+    no second sum."""
     cfg = cfg.flowed()
     _check_index(cfg, j)
-    num = tau_jet_sum_grid(cfg, eigenfunction_rule(cfg, j), den.xs, den.order)
+    if num is None:
+        num = tau_jet_sum_grid(cfg, eigenfunction_rule(cfg, j), den.xs, den.order)
     return num.over(den, -cfg.k[j - 1]).values()
 
 

@@ -177,18 +177,19 @@ class SeedFunction:
         return self.evaluator(x, order)
 
 
-def eigenfunction_seed(cfg: SolitonConfig, j: int, den: TauGrid | None = None) -> SeedFunction:
+def eigenfunction_seed(cfg: SolitonConfig, j: int, den: TauGrid | None = None, num: TauGrid | None = None) -> SeedFunction:
     """The j-th bound state as a seed. On a grid it is one batched
     eigenfunction_grid evaluation; den, the config's own tau over a
     grid (tau_jet_sum_grid(cfg, None, xs, order)), is reused on that grid
     up to its order, so seeds sharing it evaluate the config's tau once
-    between them."""
+    between them. num, the seed's eigenfunction numerator over den's grid
+    at den's order, is reused there too (eigenfunction_grid's num)."""
 
     def ev(x, order):
         if np.ndim(x) == 0:
             return eigenfunction(cfg, j, x, order)
         if den is not None and order <= den.order and np.array_equal(x, den.xs):
-            return eigenfunction_grid(cfg, j, den.truncate(order))
+            return eigenfunction_grid(cfg, j, den.truncate(order), None if num is None else num.truncate(order))
         return eigenfunction_grid(cfg, j, tau_jet_sum_grid(cfg, None, x, order))
 
     return SeedFunction(evaluator=ev, config=cfg, index=j)

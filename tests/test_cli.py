@@ -91,6 +91,16 @@ class TestPotential:
         code, _ = run(capsys, "potential", path)
         assert code == 2
 
+    def test_bad_config_creates_no_output_file(self, cfg_file, tmp_path, capsys):
+        # the output file is opened only once the config has parsed
+        bad_json = tmp_path / "bad.json"
+        bad_json.write_text("{not json")
+        for config in (str(tmp_path / "missing.json"), str(bad_json), cfg_file([2.0, 1.0], [1.0, 1.0])):
+            target = tmp_path / "o.txt"
+            assert cli.main(["potential", config, "--output", str(target)]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+            assert not target.exists()
+
     def test_bad_grid_is_usage_error(self, cfg_file, capsys):
         path = cfg_file([1.0], [2.0])
         code, _ = run(capsys, "potential", path, "--grid", "2", "-2", "5")

@@ -12,12 +12,12 @@ from solitonlab import dd
 mpmath.mp.dps = 50
 
 
-def to_mp(h, l):
-    return mpmath.mpf(float(h)) + mpmath.mpf(float(l))
+def to_mp(h, l, n=0):
+    return mpmath.ldexp(mpmath.mpf(float(h)) + mpmath.mpf(float(l)), int(n))
 
 
-def rel_err(h, l, ref):
-    got = to_mp(h, l)
+def rel_err(h, l, ref, n=0):
+    got = to_mp(h, l, n)
     if ref == 0:
         return abs(got)
     return abs((got - ref) / ref)
@@ -48,16 +48,30 @@ def test_add_mul_div_roundtrip(a, b):
 @given(st.floats(min_value=-600.0, max_value=600.0))
 @settings(max_examples=80)
 def test_exp(x):
-    eh, el = dd.exp(*dd.from_float(x))
-    assert rel_err(eh, el, mpmath.exp(mpmath.mpf(x))) < 1e-29
+    eh, el, en = dd.exp(*dd.from_float(x))
+    assert rel_err(eh, el, mpmath.exp(mpmath.mpf(x)), en) < 1e-29
+    assert 0.5**0.5 <= eh <= 2.0**0.5
 
 
 def test_exp_dd_argument():
     # low part of the argument must influence the result
     xh, xl = 1.0, 3e-17
-    eh, el = dd.exp(np.float64(xh), np.float64(xl))
+    eh, el, en = dd.exp(np.float64(xh), np.float64(xl))
     ref = mpmath.exp(mpmath.mpf(xh) + mpmath.mpf(xl))
-    assert rel_err(eh, el, ref) < 1e-29
+    assert rel_err(eh, el, ref, en) < 1e-29
+
+
+def test_exp_beyond_float_range():
+    # e^+-2000 overflows and underflows a double, but not the split form;
+    # the exact products of n with both words of ln2 keep r to ~32 digits
+    # (measured 1.6e-30 on |x| <= 2000)
+    xs = np.array([-2000.0, -1234.5678, 1999.75, 2000.0])
+    eh, el, en = dd.exp(*dd.from_float(xs))
+    assert np.all(np.isfinite(eh)) and np.all(np.isfinite(el))
+    with np.errstate(over="ignore"):
+        assert np.ldexp(eh[-1], en[-1]) == np.inf  # the value as one double
+    for x, h, l, n in zip(xs, eh, el, en):
+        assert rel_err(h, l, mpmath.exp(mpmath.mpf(x)), n) < 1e-29
 
 
 @given(st.floats(min_value=1e-10, max_value=1e10))

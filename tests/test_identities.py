@@ -161,23 +161,26 @@ class TestIndividualIdentities:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_determinant_checks_evaluate_each_tau_once(self, cfg4, grid_tau_calls, m):
-        # m(m+1)/2 pair taus, one shared denominator, one rewritten numerator,
-        # each one grid call whatever the grid length; for m = 1 the deletion
-        # check's squared rewrite is its one pair tau
+        # one core call whatever the grid length, holding m(m+1)/2 pair
+        # taus, one shared denominator and one rewritten numerator; for m = 1
+        # the deletion check's squared rewrite is its one pair tau
         dset = list(range(1, m + 1))
         for npts in (1, 21):
             grid = np.linspace(-0.5, 0.3, npts)
             grid_tau_calls.clear()
             I.verify_deletion_determinant(cfg4, dset, grid)
-            assert len(grid_tau_calls) == m * (m + 1) // 2 + (1 if m == 1 else 2)
+            [(rules, orders)] = grid_tau_calls
+            assert len(rules) == m * (m + 1) // 2 + (1 if m == 1 else 2) and set(orders) == {0}
             grid_tau_calls.clear()
             I.verify_addition_determinant(cfg4, dset, [2.0] * m, grid)
-            assert len(grid_tau_calls) == m * (m + 1) // 2 + 2
+            [(rules, orders)] = grid_tau_calls
+            assert len(rules) == m * (m + 1) // 2 + 2 and set(orders) == {0}
 
     @pytest.mark.parametrize("dset", [[2], [1, 3], [1, 2, 4]])
     def test_wronskian_evaluates_each_tau_once(self, cfg4, grid_tau_calls, monkeypatch, dset):
-        # the config's own tau once, at order m-1, shared by the m seeds and
-        # the right side; m eigenfunction numerators; one rewritten numerator
+        # one core call: the config's own tau once, at order m-1, shared by
+        # the m eigenfunctions and the right side; m eigenfunction
+        # numerators at order m-1; one rewritten numerator
         scalar = []
         monkeypatch.setattr(S, "tau_jet_sum", lambda *a: scalar.append(a))
         monkeypatch.setattr(I, "tau_jet_sum", lambda *a: scalar.append(a))
@@ -185,19 +188,21 @@ class TestIndividualIdentities:
             grid_tau_calls.clear()
             rep = I.verify_wronskian_identity(cfg4, dset, np.linspace(-0.5, 0.3, npts))
             assert rep.passed
-            assert len(grid_tau_calls) == len(dset) + 2
-            assert grid_tau_calls[0][1] is None and grid_tau_calls[0][3] == len(dset) - 1
+            [(rules, orders)] = grid_tau_calls
+            assert len(rules) == len(dset) + 2
+            assert rules[0] is None and orders[0] == len(dset) - 1
         assert scalar == []
 
     @pytest.mark.parametrize("j,l,expected", [(1, 3, 4), (2, 2, 3)])
     def test_bilinear_evaluates_each_tau_once(self, cfg4, grid_tau_calls, j, l, expected):
-        # the config's own tau once (its order-1 grid also serves the
-        # order-0 eigenfunctions), one eigenfunction numerator per distinct
-        # index, one pair tau for the tail
+        # one core call: the config's own tau once (its order-1 grid also
+        # serves the order-0 eigenfunctions), one eigenfunction numerator per
+        # distinct index, one pair tau for the tail
         for npts in (1, 21):
             grid_tau_calls.clear()
             assert I.verify_bilinear_derivative(cfg4, j, l, np.linspace(-0.5, 0.3, npts)).passed
-            assert len(grid_tau_calls) == expected
+            [(rules, orders)] = grid_tau_calls
+            assert len(rules) == expected and rules[0] is None and orders[0] == 1
 
 
 class TestReports:
