@@ -19,11 +19,11 @@ Wronskian engine on the left of the Wronskian and seed-Wronskian
 identities, which is itself under test, receives seed functions and
 evaluates each once over the whole grid.
 
-The tail-integral matrices of the Abraham-Moses deletion and addition
-determinants come from solitons.tail_matrix_grid; inner_tail is its
-one-point 1x1 case. The right sides of the Wronskian, deletion and
-addition checks are rewritten taus over the config's own tau times an
-exponential, TauGrid.over, as the tail entries are.
+The overlap matrices of the Abraham-Moses deletion and addition
+determinants come from solitons.overlap_rows, as transforms.generic_am's
+do; inner_tail is the one-point 1x1 tail matrix. The right sides of the
+Wronskian, deletion and addition checks are rewritten taus over the
+config's own tau times an exponential, TauGrid.over, as tail entries are.
 
 Random-configuration fuzzing (run_identity_suite) is part of the module
 itself: sweeping these identities over random spectral data is the
@@ -46,11 +46,12 @@ from .solitons import (
     eigenfunction_rule,
     pair_rule,
     deletion_rule,
+    overlap_rows,
     random_config,
+    matrix_values,
     rescale_rule,
-    row_gauged,
     tail_matrix_grid,
-    tail_values,
+    tail_pairs,
     tau_jet_sum,  # unused here, kept: perfbench/test_perfbench.py checks this name is traced
     tau_jet_sum_grid,
     tau_jet_sums,
@@ -114,21 +115,19 @@ def _ratio_report(name, tag, grid, log_lhs, sign_lhs, log_rhs, sign_rhs, tol):
 
 def inner_tail(cfg: SolitonConfig, j: int, l: int, x: float) -> float:
     """Tail integral int_x^inf phi_j phi_l dy in closed form: the 1x1
-    tail_matrix_grid on a one-point grid. As x -> -infinity this tends
-    to 1/c_j for j=l and to 0 otherwise (orthogonality with
-    normalization (phi_j, phi_j) = 1/c_j)."""
+    tail_matrix_grid on a one-point grid, its tau and pair tau one
+    tau_jet_sums call. As x -> -infinity this tends to 1/c_j for j=l and
+    to 0 otherwise (orthogonality with normalization (phi_j, phi_j) =
+    1/c_j)."""
     cfg = cfg.flowed()
-    den = tau_jet_sum_grid(cfg, None, [float(x)], 0)
-    return float(tail_values(tail_matrix_grid(cfg, [j], [l], den))[0, 0, 0])
+    pair = min(j, l), max(j, l)
+    den, tau = tau_jet_sums(cfg, [None, pair_rule(cfg, *pair)], [float(x)], [0, 0])
+    [[tail]] = tail_matrix_grid(cfg, [j], [l], den, {pair: tau})
+    return float(tail.values().value[0])
 
 
 # ---------------------------------------------------------------------------
 # Identity checks
-
-
-def _pairs(dset) -> list:
-    """The unordered index pairs (a, b), a <= b, of a tail matrix over dset."""
-    return [(a, b) for i, a in enumerate(dset) for b in dset[i:]]
 
 
 def verify_wronskian_identity(cfg: SolitonConfig, deleted, grid, tol: float = CONSTANCY_TOL) -> VerificationReport:
@@ -187,14 +186,14 @@ def verify_deletion_determinant(cfg: SolitonConfig, deleted, grid, tol: float = 
     cfg = cfg.flowed()
     dset = sorted(set(int(d) for d in deleted))
     ksum = sum(cfg.k[d - 1] for d in dset)
-    pairs = _pairs(dset)
+    pairs = tail_pairs(dset, dset)
     rules = [None] + [pair_rule(cfg, *p) for p in pairs]
     if len(dset) > 1:
         rules.append(deletion_rule(cfg, dset, 2))
     den, *taus = tau_jet_sums(cfg, rules, grid, [0] * len(rules))
-    rows, log_gauge = row_gauged(tail_matrix_grid(cfg, dset, dset, den, dict(zip(pairs, taus))))
-    sgn_l, logabs = np.linalg.slogdet(np.stack([np.stack([r.value for r in row], -1) for row in rows], -2))
-    log_l = log_gauge + logabs
+    rows, log_gauge = overlap_rows(cfg, dset, den, dict(zip(pairs, taus)))
+    sgn_l, logabs = np.linalg.slogdet(matrix_values(rows))
+    log_l = log_gauge.sum(axis=0) + logabs
     rhs = taus[-1].over(den, -2.0 * ksum)  # the squared rewrite, or the one pair tau
     return _ratio_report(
         f"deletion_determinant D={dset}", "deletion_determinant", grid, log_l, sgn_l, rhs.log_abs, rhs.sign, tol
@@ -215,12 +214,11 @@ def verify_addition_determinant(cfg: SolitonConfig, deleted, e, grid, tol: float
     for d, ed in zip(dset, e):
         r = rescale_rule(cfg.n, d, ed / (ed + 1.0))
         rule = r if rule is None else rule.compose(r)
-    sqc = np.sqrt([cfg.c[d - 1] for d in dset])
-    pairs = _pairs(dset)
+    pairs = tail_pairs(dset, dset)
     rules = [None] + [pair_rule(cfg, *p) for p in pairs] + [rule]
     den, *taus, num = tau_jet_sums(cfg, rules, grid, [0] * len(rules))
-    tails = tail_values(tail_matrix_grid(cfg, dset, dset, den, dict(zip(pairs, taus))))
-    sgn_l, log_l = np.linalg.slogdet(np.diag(np.add(e, 1.0)) - np.outer(sqc, sqc) * tails)
+    rows, _ = overlap_rows(cfg, dset, den, dict(zip(pairs, taus)), e)  # ungauged
+    sgn_l, log_l = np.linalg.slogdet(matrix_values(rows))
     rhs = num.over(den)
     return _ratio_report(
         f"addition_determinant D={dset}", "addition_determinant", grid, log_l, sgn_l, rhs.log_abs, rhs.sign, tol

@@ -418,16 +418,17 @@ def quadrature(f: Callable, a: float, b: float, tol: float = 1e-10) -> float:
     return float(_step_doubling(lambda t: f(mid + t), half, 2 * half, rule, tol, "quadrature")[0])
 
 
-def kdv_residual(cfg: SolitonConfig, x: float, t: float | None = None) -> float:
-    """|dU/dt - 6 U dU/dx + d^3U/dx^3| at (x, t) for the lowest flow, from
-    one pass over u = sum_S w_S e^{R_S x + T_S t} (never finite-differenced):
-    U^(n) = -2 kappa_{n+2}(R), dU/dt = -2 E[(T - Tbar)(R - Rbar)^2]; N <= 24."""
+def kdv_residual(cfg: SolitonConfig, x, t: float | None = None):
+    """|dU/dt - 6 U dU/dx + d^3U/dx^3| at (x, t) for the lowest flow, x a
+    point or a grid (results of x's shape), from one pass over u = sum_S w_S
+    e^{R_S x + T_S t} (never finite-differenced): U^(n) = -2
+    kappa_{n+2}(R), dU/dt = -2 E[(T - Tbar)(R - Rbar)^2]; N <= 24."""
     if t is not None:
         times = dict(cfg.times or {})
         times[3] = times.get(3, 0.0) + float(t)
         cfg = SolitonConfig(cfg.k, cfg.c, times)
-    u, ux, _, uxxx, ut = -2.0 * _log_tau_cumulants(cfg, 3, joint=True)(float(x))[0]
-    return float(abs(ut - 6.0 * u * ux + uxxx))
+    u, ux, _, uxxx, ut = -2.0 * _log_tau_cumulants(cfg, 3, joint=True)(x).T
+    return np.abs(ut - 6.0 * u * ux + uxxx).reshape(np.shape(x))
 
 
 def _potential_minimum(ufn: Callable, lo: float, hi: float) -> float:

@@ -28,16 +28,16 @@ Eigenfunctions, tail integrals and the right sides of the identities are
 each a rewritten tau over the config's own times an exponential,
 TauGrid.over, and TauGrid.values is the one place such a gauge is applied.
 
-The tail-integral (overlap) matrices int_x^inf phi_j phi_l behind the
-Abraham-Moses deletion and addition determinants are built in one place,
-tail_matrix_grid. Every entry is a pair-rewritten tau over the config's
-own tau, so the caller evaluates that denominator once per grid and hands
-it to both the matrices and the tau-ratio side of an identity; each
-unordered pair is one grid tau, and a caller may pass pair taus it has
-already evaluated. The deletion and addition checks over m indices
-therefore cost one core call holding m(m+1)/2 + 2 rules, and the
-bilinear check one holding four (three when j = l).
-transforms.generic_am consumes the same builder on a one-point grid.
+The tail-integral matrices int_x^inf phi_j phi_l are built in one place,
+tail_matrix_grid, and the Abraham-Moses overlap matrices from them in
+one place, overlap_rows. Every tail entry is a pair-rewritten tau over
+the config's own tau. The caller evaluates that denominator and the pair
+taus (tail_pairs, pair_rule) in its own tau_jet_sums call and hands them
+in; the builders only read them and evaluate no tau. The deletion and
+addition checks over m indices therefore cost one core call holding
+m(m+1)/2 + 2 rules, the bilinear check one holding four (three when
+j = l), and transforms.generic_am one holding its pair taus and
+eigenfunction numerators, on any grid.
 """
 
 from __future__ import annotations
@@ -302,7 +302,7 @@ def tau_hirota_grid(cfg: SolitonConfig, rule: CoefficientRule | None, xs) -> tup
     xt *= (-1.0) ** _subset_sums(ce[:h] < 0)
     log_abs, sign = np.empty(xs.shape), np.empty(xs.shape)
     for blk, a, b in _half_blocks(xs, (ca, ra), (cb, rb), cut, 1):
-        acc = np.einsum("ap,ap->p", a, xt.T @ b)
+        acc = np.einsum("ap,ap->p", a, (b.T @ xt).T)  # X b as in _log_tau_cumulants
         top_a, top_b = np.argmax(a, axis=0), np.argmax(b, axis=0)
         mh, ml = dd._two_prod(np.stack([ra[top_a], rb[top_b]]), xs[blk])
         mh, err = dd._two_sum(mh, np.stack([ca[top_a], cb[top_b]]))
@@ -745,7 +745,13 @@ def eigenfunction_grid(cfg: SolitonConfig, j: int, den: TauGrid, num: TauGrid | 
 # Tail integrals
 
 
-def tail_matrix_grid(cfg: SolitonConfig, rows, cols, den: TauGrid, pair_taus: dict | None = None) -> list:
+def tail_pairs(rows, cols) -> list:
+    """The unordered index pairs (j, l), j <= l, of the tail entries T_ab,
+    a in rows, b in cols, each once, in order of first appearance."""
+    return list(dict.fromkeys((min(a, b), max(a, b)) for a in rows for b in cols))
+
+
+def tail_matrix_grid(cfg: SolitonConfig, rows, cols, den: TauGrid, pair_taus: Mapping) -> list:
     """Tail integrals T_ab = int_x^inf phi_a phi_b dy for a in rows, b in
     cols over a grid, with closed form (pair-rewritten tau / tau)
     e^{-(k_a+k_b)x}/(k_a+k_b), as a nested list of TauGrids (their
@@ -754,22 +760,15 @@ def tail_matrix_grid(cfg: SolitonConfig, rows, cols, den: TauGrid, pair_taus: di
     den is the config's own tau over the grid, tau_jet_sum_grid(cfg, None,
     xs, order); the grid and the jet order are taken from it, so one
     evaluation serves every entry and the caller's other uses of tau.
-    pair_rule is symmetric, so each unordered pair is evaluated once, as
-    one grid, and T_ab is T_ba bitwise.
-
-    pair_taus, if given, maps (j, l), j <= l, to pair taus already
-    evaluated over den's grid at den's order; it is read first and
-    receives the pairs evaluated here, so calls sharing it evaluate each
-    pair once."""
+    pair_taus maps each pair (j, l) of tail_pairs(rows, cols) to its pair
+    tau, pair_rule(cfg, j, l) over den's grid at den's order; it is only
+    read. pair_rule is symmetric, so T_ab is T_ba bitwise."""
     cfg = cfg.flowed()
-    pair_taus = {} if pair_taus is None else pair_taus
     entries = {}
 
     def entry(j, l):
         j, l = min(j, l), max(j, l)
         if (j, l) not in entries:
-            if (j, l) not in pair_taus:
-                pair_taus[j, l] = tau_jet_sum_grid(cfg, pair_rule(cfg, j, l), den.xs, den.order)
             ksum = cfg.k[j - 1] + cfg.k[l - 1]
             tail = pair_taus[j, l].over(den, -ksum)
             entries[j, l] = replace(tail, coeffs=tail.coeffs * (1.0 / ksum))
@@ -778,23 +777,34 @@ def tail_matrix_grid(cfg: SolitonConfig, rows, cols, den: TauGrid, pair_taus: di
     return [[entry(a, b) for b in cols] for a in rows]
 
 
-def row_gauged(tails) -> tuple:
-    """Square tail matrix as jet rows with each row's largest gauge
-    factored out: returns (rows, log_gauge), where det of the true matrix
-    is e^log_gauge * det(rows), per grid point."""
-    log_gauge = 0.0
-    rows = []
-    for row in tails:
-        g = np.max([t.gauge for t in row], axis=0)
-        log_gauge += g
-        rows.append([replace(t, gauge=t.gauge - g).values() for t in row])
-    return rows, log_gauge
+def overlap_rows(cfg: SolitonConfig, idx, den: TauGrid, pair_taus: Mapping, e=None) -> tuple:
+    """The Abraham-Moses overlap matrix over the indices idx as jet rows,
+    (rows, log_gauge): row a of the true matrix is e^log_gauge[a] rows[a],
+    log_gauge being [len(idx), points]. den and pair_taus are
+    tail_matrix_grid's.
+
+    Deletion (e None): the tail matrix T over idx, each row's largest gauge
+    factored out, so no entry overflows or underflows; the deletion
+    matrix sqrt(c_j c_l) T_jl differs from it by constant factors.
+    Addition: (e_j + 1) delta_jl - sqrt(c_j c_l) T_jl, with the flowed c,
+    ungauged (log_gauge 0)."""
+    cfg = cfg.flowed()
+    tails = tail_matrix_grid(cfg, idx, idx, den, pair_taus)
+    if e is None:
+        log_gauge = np.array([np.max([t.gauge for t in row], axis=0) for row in tails])
+        rows = [[replace(t, gauge=t.gauge - g).values() for t in row] for row, g in zip(tails, log_gauge)]
+        return rows, log_gauge
+    sqc = np.sqrt([cfg.c[j - 1] for j in idx])
+    rows = [[t.values() * -(sqc[a] * sqc[b]) for b, t in enumerate(row)] for a, row in enumerate(tails)]
+    for a, ea in enumerate(e):
+        rows[a][a] = rows[a][a] + (ea + 1.0)
+    return rows, np.zeros((len(idx), len(den.xs)))
 
 
-def tail_values(tails) -> np.ndarray:
-    """True values of tail_matrix_grid entries, as an array [P, rows,
-    cols]."""
-    return np.stack([np.stack([t.values().value for t in row], axis=-1) for row in tails], axis=-2)
+def matrix_values(rows) -> np.ndarray:
+    """The values of a matrix of batched jets (overlap_rows' rows), as an
+    array [points, rows, cols]."""
+    return np.stack([np.stack([r.value for r in row], -1) for row in rows], -2)
 
 
 def apply_time_flows(cfg: SolitonConfig) -> SolitonConfig:

@@ -16,7 +16,7 @@ suite treats it as a falsifiable claim and checks it pointwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -30,11 +30,15 @@ from .solitons import (
     deletion_rule,
     eigenfunction,
     eigenfunction_grid,
+    eigenfunction_rule,
+    matrix_values,
+    overlap_rows,
+    pair_rule,
     rescale_rule,
-    row_gauged,
     tail_matrix_grid,
-    tail_values,
+    tail_pairs,
     tau_jet_sum_grid,
+    tau_jet_sums,
 )
 
 
@@ -264,51 +268,45 @@ def wronskian(fns: Sequence, x, order: int = 0) -> Jet:
     return jet_det(rows)
 
 
-def generic_darboux(seeds: Sequence, target, x: float, order: int = 0) -> Jet:
-    """Image of the target under the M-seed Darboux chain:
-    W[seed_1, ..., seed_M, target] / W[seed_1, ..., seed_M]."""
-    if not seeds:
-        return target(float(x), order)
-    num = wronskian(list(seeds) + [target], x, order)
-    den = wronskian(seeds, x, order)
+def _wronskian_quotient(num_seeds: Sequence, den_seeds: Sequence, x, order: int) -> Jet:
+    """W[num_seeds] / W[den_seeds] at a point or over a grid."""
     try:
-        return num / den
+        return wronskian(num_seeds, x, order) / wronskian(den_seeds, x, order)
     except SingularJetError as exc:
-        raise RegularityError(f"seed Wronskian vanishes at x={x}") from exc
+        raise RegularityError(f"seed Wronskian vanishes: {exc}") from exc
 
 
-def deleted_seed_image(seeds: Sequence, drop: int, x: float, order: int = 0) -> Jet:
+def generic_darboux(seeds: Sequence, target, x, order: int = 0) -> Jet:
+    """Image of the target under the M-seed Darboux chain at a point or
+    over a grid: W[seed_1, ..., seed_M, target] / W[seed_1, ..., seed_M]."""
+    return _wronskian_quotient([*seeds, target], seeds, x, order)
+
+
+def deleted_seed_image(seeds: Sequence, drop: int, x, order: int = 0) -> Jet:
     """Image of the dropped seed itself: W[seeds without seeds[drop]] /
     W[seeds], an eigenfunction of the transformed Hamiltonian."""
-    reduced = [s for i, s in enumerate(seeds) if i != drop]
-    num = wronskian(reduced, x, order)
-    den = wronskian(seeds, x, order)
-    try:
-        return num / den
-    except SingularJetError as exc:
-        raise RegularityError(f"seed Wronskian vanishes at x={x}") from exc
+    return _wronskian_quotient([s for i, s in enumerate(seeds) if i != drop], seeds, x, order)
 
 
-def darboux_potential(seeds: Sequence, base_potential: Callable, x: float) -> float:
-    """Transformed potential U - 2 (log |W[seeds]|)'' at x."""
-    if not seeds:
-        return float(base_potential(x))
+def darboux_potential(seeds: Sequence, base_potential: Callable, x):
+    """Transformed potential U - 2 (log |W[seeds]|)'' at a point or over a
+    grid (results of x's shape), from one batched Wronskian; the sign and
+    regularity of W are checked per point."""
     w = wronskian(seeds, x, 2)
-    w0 = w.coeffs[0]
-    if not np.isreal(w0) or w0 == 0:
-        raise RegularityError(f"seed Wronskian vanishes or is complex at x={x}")
-    if w0.real < 0:
-        w = -w
-    return float(base_potential(x)) - 2.0 * jet_log_d2(Jet(w.center, w.coeffs.real))
+    w0 = w.value
+    bad = ~np.isreal(w0) | (w0 == 0)
+    if np.any(bad):
+        raise RegularityError(f"seed Wronskian vanishes or is complex at x={np.ravel(x)[np.argmax(bad)]}")
+    return base_potential(x) - 2.0 * jet_log_d2(Jet(w.center, w.coeffs.real * np.sign(w0.real)[..., None]))
 
 
 @dataclass(frozen=True)
 class AMResult:
-    """Pointwise output of the generic overlap-determinant map."""
+    """Output of the generic overlap-determinant map, each of x's shape."""
 
-    x: float
-    potential: float
-    target_value: float | None
+    x: np.ndarray
+    potential: np.ndarray
+    target_value: np.ndarray | None
 
 
 def generic_am(
@@ -316,16 +314,20 @@ def generic_am(
     mode: str,
     e: Sequence | None = None,
     target=None,
-    x: float = 0.0,
+    x=0.0,
 ) -> AMResult:
-    """Generic Abraham-Moses step over bound-state seeds of one config.
+    """Generic Abraham-Moses step over bound-state seeds of one config, at
+    a point or over a grid.
 
     Uses unit-normalized seeds s_j = sqrt(c_j) phi_j, so the overlap
     matrix is F_jl = (e_j + 1) delta_jl - sqrt(c_j c_l) T_jl(x) for
     addition and F_jl = sqrt(c_j c_l) T_jl(x) for deletion, where T is
     the tail integral of phi_j phi_l from x to +infinity (closed form,
-    no quadrature). The new potential is U - 2 (log det F)'', with
-    U = -2 (log u)'' from the order-2 tau u that the tails already use.
+    no quadrature; solitons.overlap_rows), c the flowed config's. The new
+    potential is U - 2 (log det F)'', with U = -2 (log u)'' from the
+    order-2 tau u that the tails already use; the target maps to
+    psi -/+ sum_jl s_j (F^-1)_jl <s_l, psi>, one batched solve. u, the
+    pair taus and the eigenfunction numerators are one tau_jet_sums call.
     """
     if mode not in ("add", "delete"):
         raise ConfigError(f"unknown mode {mode!r}; use 'add' or 'delete'")
@@ -334,56 +336,43 @@ def generic_am(
     cfg = seeds[0].config
     if cfg is None or any(s.config is not cfg or s.index is None for s in seeds):
         raise ConfigError("generic_am needs bound-state seeds of a single config")
+    if target is not None and (target.config is not cfg or target.index is None):
+        raise ConfigError("target must be a bound state of the same config")
     idx = [s.index for s in seeds]
-    m = len(seeds)
     if mode == "add":
-        if e is None or len(e) != m:
+        if e is None or len(e) != len(idx):
             raise ConfigError("addition needs one parameter e per seed")
         e = [float(v) for v in e]
         if any(v <= 0 for v in e):
             raise ConfigError("addition parameters must be positive")
 
-    # one-point grid: every jet below is batched over the single point x
-    x = float(x)
-    sqc = np.sqrt([cfg.c[j - 1] for j in idx])
-    sqcc = np.outer(sqc, sqc)
-    den = tau_jet_sum_grid(cfg.flowed(), None, [x], 2)
-    pair_taus = {}
-    tails = tail_matrix_grid(cfg, idx, idx, den, pair_taus)
-
-    if mode == "delete":
-        # F = D T D with D = diag(sqrt c); D and the row gauges factor out of log det
-        det = jet_det(row_gauged(tails)[0])
-        if det.value[0] <= 0:
-            raise RegularityError(f"overlap determinant not positive at x={x}")
-    else:
-        rows = [[t.values() * -sqcc[a, b] for b, t in enumerate(row)] for a, row in enumerate(tails)]
-        for a in range(m):
-            rows[a][a] = rows[a][a] + (e[a] + 1.0)
-        det = jet_det(rows)
-        if det.value[0] <= 0:
-            raise RegularityError(f"overlap matrix not positive definite at x={x}")
-
-    u_new = -2.0 * (jet_log_d2(den.jet) + jet_log_d2(det))[0]
+    cfg, xs = cfg.flowed(), np.ravel(np.asarray(x, dtype=float))
+    jt = None if target is None else target.index
+    pairs = tail_pairs(idx, idx if jt is None else [*idx, jt])
+    eig = [] if jt is None else sorted({*idx, jt})
+    rules = [None] + [pair_rule(cfg, *p) for p in pairs] + [eigenfunction_rule(cfg, j) for j in eig]
+    den, *taus = tau_jet_sums(cfg, rules, xs, [2] * (1 + len(pairs)) + [0] * len(eig))
+    pair_taus = dict(zip(pairs, taus))
+    rows, log_gauge = overlap_rows(cfg, idx, den, pair_taus, e if mode == "add" else None)
+    det = jet_det(rows)
+    if np.any(det.value <= 0):
+        raise RegularityError(f"overlap determinant not positive at x={xs[np.argmax(det.value <= 0)]}")
+    u_new = -2.0 * (jet_log_d2(den.jet) + jet_log_d2(det))
 
     tval = None
     if target is not None:
-        if target.config is not cfg or target.index is None:
-            raise ConfigError("target must be a bound state of the same config")
-        # value-level map: psi -/+ sum_jl s_j (F^-1)_jl <s_l, psi>
-        jt = target.index
-        fvals = sqcc * tail_values(tails)[0]
-        if mode == "add":
-            fvals = np.diag(np.add(e, 1.0)) - fvals
-        # the eigenfunctions' own tau is the one den already holds
-        den0 = den.truncate(0)
-        phi = {j: eigenfunction_grid(cfg, j, den0).value[0] for j in {*idx, jt}}
-        svals = sqc * np.array([phi[j] for j in idx])
-        # <s_a, phi_target>(x) = sqrt(c_a) (delta/c_a - tail)
-        full = np.array([1.0 / cfg.c[j - 1] if j == jt else 0.0 for j in idx])
-        bvec = sqc * (full - tail_values(tail_matrix_grid(cfg, idx, [jt], den, pair_taus))[0, :, 0])
-        psi = phi[jt]
-        corr = svals @ np.linalg.solve(fvals, bvec)
-        tval = float(psi + corr) if mode == "delete" else float(psi - corr)
-
-    return AMResult(x=x, potential=float(u_new), target_value=tval)
+        # F y = <s, phi_t>, <s_a, phi_t> = sqrt(c_a) (delta_at / c_a - T_at),
+        # solved on the gauged rows: F = e^g rows in addition (g = 0) and
+        # D e^g rows D in deletion (D = diag sqrt c), so rows z = w e^-g
+        # (delta / c - T) with z = y, w = sqrt c in addition and z = D y,
+        # w = 1 in deletion; the correction is sum_a w_a phi_a z_a
+        w = np.sqrt([cfg.c[j - 1] for j in idx]) if mode == "add" else np.ones(len(idx))
+        col = tail_matrix_grid(cfg, idx, [jt], den, pair_taus)
+        b = -np.stack([replace(t, gauge=t.gauge - g).values().value for [t], g in zip(col, log_gauge)], -1)
+        if jt in idx:
+            b[:, idx.index(jt)] += np.exp(-log_gauge[idx.index(jt)]) / cfg.c[jt - 1]
+        z = np.linalg.solve(matrix_values(rows), (w * b)[..., None])[..., 0]
+        phi = {j: eigenfunction_grid(cfg, j, den.truncate(0), num).value for j, num in zip(eig, taus[len(pairs) :])}
+        corr = np.sum(w * np.stack([phi[j] for j in idx], -1) * z, -1)
+        tval = (phi[jt] + corr if mode == "delete" else phi[jt] - corr).reshape(np.shape(x))
+    return AMResult(x=np.asarray(x, dtype=float), potential=u_new.reshape(np.shape(x)), target_value=tval)

@@ -1,15 +1,20 @@
 """Fixtures shared by the test modules."""
 
+import importlib
+import pkgutil
+
 import pytest
 
-from solitonlab import identities as I, solitons as S
+import solitonlab
+from solitonlab import solitons as S
 
 
 @pytest.fixture
 def grid_tau_calls(monkeypatch):
     """Records the (rules, orders) of every call of the jet-sum core,
-    tau_jet_sums, wherever it is reached: tau_jet_sum_grid is its one-rule
-    call."""
+    tau_jet_sums, wherever it is reached: it is patched in every module of
+    the package that binds the name, so a module that starts calling the
+    core is counted too. tau_jet_sum_grid is its one-rule call."""
     calls = []
     real = S.tau_jet_sums
 
@@ -17,6 +22,8 @@ def grid_tau_calls(monkeypatch):
         calls.append((list(rules), list(orders)))
         return real(cfg, rules, xs, orders)
 
-    for module in (I, S):
-        monkeypatch.setattr(module, "tau_jet_sums", counted)
+    for info in pkgutil.iter_modules(solitonlab.__path__):
+        module = importlib.import_module(f"solitonlab.{info.name}")
+        if getattr(module, "tau_jet_sums", None) is real:
+            monkeypatch.setattr(module, "tau_jet_sums", counted)
     return calls

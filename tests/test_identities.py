@@ -58,18 +58,36 @@ class TestInnerTail:
     def test_tail_matrix_symmetric_and_equal_to_single_entries(self, cfg4, order):
         idx = [1, 2, 3, 4]
         x = 0.37
-        den = S.tau_jet_sum_grid(cfg4, None, [x], order)
-        tails = I.tail_matrix_grid(cfg4, idx, idx, den)
+        pairs = S.tail_pairs(idx, idx)
+        den, *taus = S.tau_jet_sums(cfg4, [None] + [S.pair_rule(cfg4, *p) for p in pairs], [x], [order] * (1 + len(pairs)))
+        pair_taus = dict(zip(pairs, taus))
+        tails = I.tail_matrix_grid(cfg4, idx, idx, den, pair_taus)
         for a in idx:
             for b in idx:
                 t = tails[a - 1][b - 1]
                 assert t.jet.order == order
-                [[single]] = I.tail_matrix_grid(cfg4, [a], [b], den)
+                [[single]] = I.tail_matrix_grid(cfg4, [a], [b], den, pair_taus)
                 for other in (tails[b - 1][a - 1], single):
                     assert np.array_equal(t.jet.coeffs, other.jet.coeffs)
                     assert np.array_equal(t.gauge, other.gauge) and np.array_equal(t.sign, other.sign)
                 if order == 0:
-                    assert I.tail_values([[single]])[0, 0, 0] == I.inner_tail(cfg4, a, b, x)
+                    assert single.values().value[0] == I.inner_tail(cfg4, a, b, x)
+
+    def test_tail_matrix_reads_given_taus_only(self, cfg4, grid_tau_calls):
+        # the builder evaluates no tau and leaves the caller's pair taus as
+        # they were; a pair that was not handed in is a KeyError
+        xs = np.linspace(-0.5, 0.3, 5)
+        pairs = S.tail_pairs([1, 3], [1, 3, 4])
+        den, *taus = S.tau_jet_sums(cfg4, [None] + [S.pair_rule(cfg4, *p) for p in pairs], xs, [1] * (1 + len(pairs)))
+        pair_taus = dict(zip(pairs, taus))
+        before = dict(pair_taus)
+        grid_tau_calls.clear()
+        tails = S.tail_matrix_grid(cfg4, [1, 3], [1, 3, 4], den, pair_taus)
+        assert grid_tau_calls == []
+        assert pair_taus.keys() == before.keys() and all(pair_taus[p] is before[p] for p in before)
+        assert len(tails) == 2 and all(len(row) == 3 for row in tails)
+        with pytest.raises(KeyError):
+            S.tail_matrix_grid(cfg4, [2], [2], den, pair_taus)
 
 
 class TestIndividualIdentities:

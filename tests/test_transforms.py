@@ -169,9 +169,9 @@ class TestGenericDarboux:
         after = T.darboux_ground(cfg).after
         ufn = S.potential_fn(cfg)
         seeds = [T.eigenfunction_seed(cfg, cfg.n)]
-        for x in np.linspace(-8 / cfg.k[0], 8 / cfg.k[0], 11):
-            v = T.darboux_potential(seeds, ufn, float(x))
-            assert v == pytest.approx(S.potential(after, float(x)), abs=1e-9)
+        xs = np.linspace(-8 / cfg.k[0], 8 / cfg.k[0], 11)
+        v = T.darboux_potential(seeds, ufn, xs)
+        assert v == pytest.approx([S.potential(after, float(x)) for x in xs], abs=1e-9)
 
     def test_krein_adler_pair_matches_generic(self):
         rng = np.random.default_rng(23)
@@ -180,9 +180,32 @@ class TestGenericDarboux:
         after = T.krein_adler_delete(cfg, dset).after
         ufn = S.potential_fn(cfg)
         seeds = T.eigenfunction_seeds(cfg, dset)
-        for x in np.linspace(-8 / cfg.k[0], 8 / cfg.k[0], 11):
-            v = T.darboux_potential(seeds, ufn, float(x))
-            assert v == pytest.approx(S.potential(after, float(x)), abs=1e-9)
+        xs = np.linspace(-8 / cfg.k[0], 8 / cfg.k[0], 11)
+        v = T.darboux_potential(seeds, ufn, xs)
+        assert v == pytest.approx([S.potential(after, float(x)) for x in xs], abs=1e-9)
+
+    def test_grid_equals_per_point_loop(self):
+        # one batched Wronskian per call, its sign chosen per point (the base
+        # potential is zero here: potential_fn's own grid and one-point calls
+        # may sum its matrix products in different orders)
+        cfg = S.random_config(np.random.default_rng(29), n=4)
+        seeds = T.eigenfunction_seeds(cfg, [2, 3])
+        tgt = T.eigenfunction_seed(cfg, 1)
+        xs = np.linspace(-8 / cfg.k[0], 8 / cfg.k[0], 9)
+        v = T.darboux_potential(seeds, lambda _: 0.0, xs)
+        img = T.generic_darboux(seeds, tgt, xs, 2)
+        assert v.shape == xs.shape
+        for p, x in enumerate(xs):
+            assert v[p] == T.darboux_potential(seeds, lambda _: 0.0, float(x))
+            assert np.array_equal(img.coeffs[p], T.generic_darboux(seeds, tgt, float(x), 2).coeffs)
+
+    def test_vanishing_wronskian_is_regularity_error(self):
+        cfg = SolitonConfig((1.0, 2.0), (6.0, 12.0))
+        seed = T.eigenfunction_seed(cfg, 2)
+        with pytest.raises(T.RegularityError):
+            T.darboux_potential([seed, seed], S.potential_fn(cfg), np.linspace(-1.0, 1.0, 3))
+        with pytest.raises(T.RegularityError):
+            T.deleted_seed_image([seed, seed], 0, np.linspace(-1.0, 1.0, 3))
 
     def test_deleted_seed_image_solves_new_hamiltonian(self):
         cfg = SolitonConfig((1.0, 2.0), (6.0, 12.0))
@@ -225,9 +248,9 @@ class TestSeedConfigMap:
         ctilde = (1.1, -0.6, 2.3)
         cfg = T.seed_config_from_free(k, ctilde)
         seeds = [T.free_seed(kj, ct) for kj, ct in zip(k, ctilde)]
-        for x in np.linspace(-3, 3, 7):
-            v = T.darboux_potential(seeds, lambda _: 0.0, float(x))
-            assert v == pytest.approx(S.potential(cfg, float(x)), abs=1e-9)
+        xs = np.linspace(-3, 3, 7)
+        v = T.darboux_potential(seeds, lambda _: 0.0, xs)
+        assert v == pytest.approx([S.potential(cfg, float(x)) for x in xs], abs=1e-9)
 
 
 class TestGenericAM:
@@ -237,9 +260,9 @@ class TestGenericAM:
         for dset in ([2], [1, 3]):
             after = T.am_delete(cfg, dset).after
             seeds = T.eigenfunction_seeds(cfg, dset)
-            for x in np.linspace(-8 / cfg.k[0], 8 / cfg.k[0], 9):
-                r = T.generic_am(seeds, "delete", x=float(x))
-                assert r.potential == pytest.approx(S.potential(after, float(x)), abs=1e-10)
+            xs = np.linspace(-8 / cfg.k[0], 8 / cfg.k[0], 9)
+            r = T.generic_am(seeds, "delete", x=xs)
+            assert r.potential == pytest.approx([S.potential(after, float(x)) for x in xs], abs=1e-10)
 
     def test_add_matches_closed_form(self):
         rng = np.random.default_rng(25)
@@ -247,19 +270,32 @@ class TestGenericAM:
         e = [2.0, 0.7]
         after = T.am_add(cfg, {1: e[0], 3: e[1]}).after
         seeds = T.eigenfunction_seeds(cfg, [1, 3])
-        for x in np.linspace(-8 / cfg.k[0], 8 / cfg.k[0], 9):
-            r = T.generic_am(seeds, "add", e=e, x=float(x))
-            assert r.potential == pytest.approx(S.potential(after, float(x)), abs=1e-10)
+        xs = np.linspace(-8 / cfg.k[0], 8 / cfg.k[0], 9)
+        r = T.generic_am(seeds, "add", e=e, x=xs)
+        assert r.potential == pytest.approx([S.potential(after, float(x)) for x in xs], abs=1e-10)
+
+    @pytest.mark.parametrize("mode", ["add", "delete"])
+    def test_hierarchy_times_use_the_flowed_c(self, mode):
+        # the overlap matrix and the target map use the flowed c; built from
+        # the c before the flow, addition is O(1) off wherever t_3 moves c
+        cfg = SolitonConfig((0.7, 1.3, 2.1), (1.5, 3.0, 0.4), {3: 0.05})
+        e = [2.0, 0.7]
+        after = (T.am_add(cfg.flowed(), {1: e[0], 3: e[1]}) if mode == "add" else T.am_delete(cfg.flowed(), [1, 3])).after
+        xs = np.linspace(-4.0, 4.0, 9)
+        r = T.generic_am(T.eigenfunction_seeds(cfg, [1, 3]), mode, e, T.eigenfunction_seed(cfg, 2), xs)
+        assert r.potential == pytest.approx([S.potential(after, float(x)) for x in xs], abs=1e-10)
+        if mode == "add":  # iso-spectral: phi_2 maps to a multiple of the new phi_2
+            ratios = r.target_value / [S.eigenfunction(after, 2, float(x), 0).coeffs[0] for x in xs]
+            assert np.std(ratios) / abs(np.mean(ratios)) < 1e-9
 
     def test_deleted_target_maps_to_new_eigenfunction(self):
         cfg = SolitonConfig((1.0, 2.0, 3.0), (1.0, 2.0, 3.0))
         after = T.am_delete(cfg, [3]).after
         seeds = T.eigenfunction_seeds(cfg, [3])
         tgt = T.eigenfunction_seed(cfg, 1)
-        ratios = []
-        for x in (-1.0, 0.0, 0.7, 1.5):
-            r = T.generic_am(seeds, "delete", target=tgt, x=x)
-            ratios.append(r.target_value / S.eigenfunction(after, 1, x, 0).coeffs[0])
+        xs = [-1.0, 0.0, 0.7, 1.5]
+        r = T.generic_am(seeds, "delete", target=tgt, x=xs)
+        ratios = r.target_value / [S.eigenfunction(after, 1, x, 0).coeffs[0] for x in xs]
         assert np.std(ratios) / abs(np.mean(ratios)) < 1e-9
 
     def test_binary_darboux_equivalence(self):
@@ -307,16 +343,34 @@ class TestGenericAM:
 
     @pytest.mark.parametrize("k,c,mode,idx,e,jt,x,expected", REFERENCE_TARGETS)
     def test_target_reuses_the_config_tau(self, grid_tau_calls, k, c, mode, idx, e, jt, x, expected):
-        # the config's own tau once (order 2, truncated for the target map),
-        # the m(m+1)/2 overlap pairs, the m target-column pairs unless the
-        # target is a seed (then the overlap pairs hold them) and one
-        # eigenfunction numerator per distinct index
+        # one core call: the config's own tau (order 2, truncated for the
+        # target map), the m(m+1)/2 overlap pairs and the m target-column
+        # pairs unless the target is a seed (then the overlap pairs hold
+        # them), all at order 2, and one order-0 eigenfunction numerator per
+        # distinct index
         cfg = SolitonConfig(k, c)
         r = T.generic_am(T.eigenfunction_seeds(cfg, idx), mode, e, T.eigenfunction_seed(cfg, jt), x)
         assert r.target_value == pytest.approx(float.fromhex(expected), rel=1e-14, abs=0.0)
         m = len(idx)
-        column = 0 if jt in idx else m
-        assert len(grid_tau_calls) == 1 + m * (m + 1) // 2 + column + len({*idx, jt})
+        pairs = m * (m + 1) // 2 + (0 if jt in idx else m)
+        [(rules, orders)] = grid_tau_calls
+        assert len(rules) == 1 + pairs + len({*idx, jt}) and rules[0] is None
+        assert orders == [2] * (1 + pairs) + [0] * len({*idx, jt})
+
+    @pytest.mark.parametrize("mode", ["add", "delete"])
+    def test_grid_equals_per_point_loop(self, mode):
+        # a grid call is bitwise the loop of one-point calls, and its
+        # results have the grid's shape
+        cfg = SolitonConfig((0.7, 1.3, 2.1, 2.9), (1.5, 3.0, 0.4, 7.0))
+        seeds, tgt = T.eigenfunction_seeds(cfg, [1, 2, 3]), T.eigenfunction_seed(cfg, 4)
+        e = [1.5, 3.0, 0.8] if mode == "add" else None
+        xs = np.linspace(-3.0, 3.0, 21).reshape(3, 7)
+        r = T.generic_am(seeds, mode, e, tgt, xs)
+        assert r.potential.shape == r.target_value.shape == xs.shape
+        for i, x in np.ndenumerate(xs):
+            p = T.generic_am(seeds, mode, e, tgt, float(x))
+            assert p.potential.shape == ()
+            assert r.potential[i] == p.potential and r.target_value[i] == p.target_value
 
     def test_mixed_configs_rejected(self):
         a = SolitonConfig((1.0,), (2.0,))
