@@ -30,7 +30,6 @@ from .solitons import (
     rescale_rule,
     tau_hirota_grid,
     tau_jet_sum,
-    tau_jet_sum_grid,
     tau_logdet_grid,
 )
 from .transforms import (

@@ -25,10 +25,9 @@ from .solitons import (
     RangeError,
     SolitonConfig,
     default_grid,
-    eigenfunction_grid,
+    eigenfunction,
     potential_fn,
     tau_hirota_grid,
-    tau_jet_sum_grid,
     tau_logdet_grid,
 )
 
@@ -51,12 +50,7 @@ def parse_config(text: str) -> SolitonConfig:
             raise ConfigError(f"unknown config field {key!r}")
     if "k" not in data or "c" not in data:
         raise ConfigError("config requires fields 'k' and 'c'")
-    times = data.get("times")
-    if times is not None:
-        if not isinstance(times, dict):
-            raise ConfigError("'times' must map odd integers to reals")
-        times = {int(n): float(v) for n, v in times.items()}
-    return SolitonConfig(tuple(data["k"]), tuple(data["c"]), times)
+    return SolitonConfig(data["k"], data["c"], data.get("times"))
 
 
 def config_to_json(cfg: SolitonConfig) -> str:
@@ -80,10 +74,9 @@ def _grid_from_args(args, cfg: SolitonConfig) -> np.ndarray:
     if args.grid is None:
         return default_grid(cfg)
     xmin, xmax, n = args.grid
-    n = int(n)
-    if n < 2 or xmin >= xmax:
-        raise ConfigError("grid requires xmin < xmax and npoints >= 2")
-    return np.linspace(float(xmin), float(xmax), n)
+    if not (math.isfinite(xmin) and math.isfinite(xmax) and xmin < xmax and n >= 2 and n.is_integer()):
+        raise ConfigError("grid requires finite xmin < xmax and an integral npoints >= 2")
+    return np.linspace(xmin, xmax, int(n))
 
 
 def cmd_potential(cfg: SolitonConfig, args, out) -> int:
@@ -98,7 +91,7 @@ def cmd_potential(cfg: SolitonConfig, args, out) -> int:
 
 def cmd_eigen(cfg: SolitonConfig, args, out) -> int:
     xs = _grid_from_args(args, cfg)
-    phi = eigenfunction_grid(cfg, args.index, tau_jet_sum_grid(cfg, None, xs, 1))
+    phi = eigenfunction(cfg, args.index, xs, 1)
     rows = list(zip(xs.tolist(), phi.value.tolist(), phi.deriv(1).tolist()))
     if args.format == "json":
         out.write(json.dumps(

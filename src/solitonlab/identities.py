@@ -15,9 +15,9 @@ at all grid points, with the exponentials formed once for all of them.
 The jets built from those taus (eigenfunctions, tail entries,
 Wronskians) are batched over the grid too, and the determinants of their
 constant terms are one stacked np.linalg.slogdet call. The generic
-Wronskian engine on the left of the Wronskian and seed-Wronskian
-identities, which is itself under test, receives seed functions and
-evaluates each once over the whole grid.
+Wronskian engine, itself under test, takes the eigenfunctions of the
+check's own call on the left of the Wronskian identity (jet_wronskian)
+and evaluates each free seed of the seed-Wronskian identity once.
 
 The overlap matrices of the Abraham-Moses deletion and addition
 determinants come from solitons.overlap_rows, as transforms.generic_am's
@@ -53,10 +53,9 @@ from .solitons import (
     tail_matrix_grid,
     tail_pairs,
     tau_jet_sum,  # unused here, kept: perfbench/test_perfbench.py checks this name is traced
-    tau_jet_sum_grid,
     tau_jet_sums,
 )
-from .transforms import eigenfunction_seed, seed_config_from_free, wronskian
+from .transforms import jet_wronskian, seed_config_from_free, wronskian
 
 #: magnitudes below this are excluded from ratio statistics
 UNDERFLOW_FLOOR = 1e-280
@@ -132,18 +131,18 @@ def inner_tail(cfg: SolitonConfig, j: int, l: int, x: float) -> float:
 
 def verify_wronskian_identity(cfg: SolitonConfig, deleted, grid, tol: float = CONSTANCY_TOL) -> VerificationReport:
     """W[phi_{d1},...,phi_{dM}] is a constant multiple of
-    (rewritten tau / tau) e^{-sum k_d x}. The left side runs through the
-    generic Wronskian engine, its eigenfunction seeds sharing the config's
-    own tau at order M-1, whose order-0 part also serves the right side,
-    and taking their numerators from the same tau_jet_sums call: one call
-    of M+2 rules."""
+    (rewritten tau / tau) e^{-sum k_d x}. The left side is the generic
+    Wronskian determinant (transforms.jet_wronskian) of the eigenfunctions
+    at order M-1, built from the config's own tau, whose order-0 part also
+    serves the right side, and their numerators: one tau_jet_sums call of
+    M+2 rules."""
     cfg = cfg.flowed()
     dset = sorted(set(int(d) for d in deleted))
     ksum = sum(cfg.k[d - 1] for d in dset)
     m = len(dset)
     rules = [None, deletion_rule(cfg, dset, 1)] + [eigenfunction_rule(cfg, d) for d in dset]
     den, rewritten, *nums = tau_jet_sums(cfg, rules, grid, [m - 1, 0] + [m - 1] * m)
-    w = wronskian([eigenfunction_seed(cfg, d, den, num) for d, num in zip(dset, nums)], den.xs, 0).value
+    w = jet_wronskian([eigenfunction_grid(cfg, d, den, num) for d, num in zip(dset, nums)], 0).value
     nonzero = w != 0
     log_l = np.full(w.shape, -np.inf)
     log_l[nonzero] = _pointwise(math.log, np.abs(w[nonzero]))
@@ -252,7 +251,7 @@ def verify_seed_wronskian(k, ctilde, grid, tol: float = CONSTANCY_TOL) -> Verifi
     for a in range(n):
         for b in range(a):
             log_vdm += math.log(k[a] - k[b])
-    u = tau_jet_sum_grid(cfg, None, grid, 0)
+    [u] = tau_jet_sums(cfg, [None], grid, [0])
     xs = u.xs
     # per-column gauge keeps the Wronskian entries in floating range
     cols = []

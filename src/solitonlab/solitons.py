@@ -16,10 +16,9 @@ is a bilinear form over two halves of the solitons. It gives values
 (tau_hirota_grid), and U, its x-jets and dU/dt (potential_fn,
 potential_jet, dt_potential) from one core, as cumulants of the config's
 own positive terms. Its double-double form gives jets of the rewritten
-taus for eigenfunctions and tail integrals: tau_jet_sums evaluates
-several rules of one config on one grid, sharing the exponentials
-between them, and tau_jet_sum_grid is its one-rule case. Scalar entry
-points are one-point grids.
+taus for eigenfunctions and tail integrals: tau_jet_sums, the one entry
+point, evaluates several rules of one config on one grid, sharing the
+exponentials between them. Scalar entry points are one-point grids.
 
 Every tilde-variant of u used by the deformation schemes is a pointwise
 rewrite c_m -> factor_m * c_m, represented by CoefficientRule. Tau jets
@@ -28,16 +27,16 @@ Eigenfunctions, tail integrals and the right sides of the identities are
 each a rewritten tau over the config's own times an exponential,
 TauGrid.over, and TauGrid.values is the one place such a gauge is applied.
 
-The tail-integral matrices int_x^inf phi_j phi_l are built in one place,
-tail_matrix_grid, and the Abraham-Moses overlap matrices from them in
-one place, overlap_rows. Every tail entry is a pair-rewritten tau over
-the config's own tau. The caller evaluates that denominator and the pair
-taus (tail_pairs, pair_rule) in its own tau_jet_sums call and hands them
-in; the builders only read them and evaluate no tau. The deletion and
-addition checks over m indices therefore cost one core call holding
-m(m+1)/2 + 2 rules, the bilinear check one holding four (three when
-j = l), and transforms.generic_am one holding its pair taus and
-eigenfunction numerators, on any grid.
+The eigenfunctions (eigenfunction_grid), the tail-integral matrices int_x^inf
+phi_j phi_l (tail_matrix_grid) and the Abraham-Moses overlap matrices
+built from them (overlap_rows) each have one builder. Every eigenfunction
+and tail entry is a rewritten tau over the config's own tau. The caller
+evaluates that denominator and the numerators (eigenfunction_rule,
+tail_pairs, pair_rule) in its own tau_jet_sums call and hands them in;
+the builders only read them and evaluate no tau. eigenfunctions makes
+that call for the bound states of one config, so every caller of it,
+the Darboux engines of transforms included, costs one core call, as do
+the identity checks and transforms.generic_am, on any grid.
 """
 
 from __future__ import annotations
@@ -86,8 +85,13 @@ class SolitonConfig:
     times: Mapping | None = None
 
     def __post_init__(self):
-        k = tuple(float(v) for v in self.k)
-        c = tuple(float(v) for v in self.c)
+        try:
+            k, c = (tuple(float(v) for v in a) for a in (self.k, self.c))
+            t = None if self.times is None else {int(n): float(v) for n, v in self.times.items()}
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ConfigError(f"k and c must be lists of reals and times a map to reals: {exc}") from exc
+        if not all(map(math.isfinite, k + c + tuple((t or {}).values()))):
+            raise ConfigError("wavenumbers, norming constants and times must be finite")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "c", c)
         if len(k) != len(c):
@@ -98,8 +102,7 @@ class SolitonConfig:
             raise ConfigError("k not strictly ascending")
         if any(v <= 0 for v in c):
             raise ConfigError("norming constants must be positive")
-        if self.times is not None:
-            t = {int(n): float(v) for n, v in self.times.items()}
+        if t is not None:
             for n in t:
                 if n < 3 or n % 2 == 0:
                     raise ConfigError(f"hierarchy time index {n} is not an odd integer >= 3")
@@ -509,16 +512,10 @@ def tau_jet_sums(cfg: SolitonConfig, rules, xs, orders) -> list:
     return [TauGrid(xs, coeffs[r, :, : q + 1], gauge[r], sign[r]) for r, q in enumerate(orders)]
 
 
-def tau_jet_sum_grid(cfg: SolitonConfig, rule: CoefficientRule | None, xs, order: int) -> TauGrid:
-    """Tau jets over the grid xs from the double-double exponential sum:
-    the one-rule tau_jet_sums."""
-    return tau_jet_sums(cfg, [rule], xs, [order])[0]
-
-
 def tau_jet_sum(cfg: SolitonConfig, rule: CoefficientRule | None, x: float, order: int) -> TauEval:
-    """Tau jet at x from the double-double exponential sum: the one-point
-    grid of tau_jet_sum_grid."""
-    return tau_jet_sum_grid(cfg, rule, [float(x)], order).at(0)
+    """Tau jet at x from the double-double exponential sum: the one-rule,
+    one-point tau_jet_sums."""
+    return tau_jet_sums(cfg, [rule], [float(x)], [order])[0].at(0)
 
 
 # ---------------------------------------------------------------------------
@@ -713,31 +710,30 @@ def potential_fn(cfg: SolitonConfig) -> Callable:
     return u_potential
 
 
-def eigenfunction(cfg: SolitonConfig, j: int, x: float, order: int) -> Jet:
-    """Jet of the j-th bound-state eigenfunction, normalized to the
-    asymptote e^{-k_j x} as x -> +infinity: the one-point case of
-    eigenfunction_grid."""
+def eigenfunctions(cfg: SolitonConfig, indices, x, order: int) -> list:
+    """Jets of the bound states j in indices, normalized to e^{-k_j x} as x
+    -> +infinity, at a point or over a grid: eigenfunction_grid over one
+    tau_jet_sums call of the config's tau and the numerators (N <= 12),
+    each bitwise the same whichever indices share the call."""
     cfg = cfg.flowed()
-    return eigenfunction_grid(cfg, j, tau_jet_sum_grid(cfg, None, [float(x)], order)).at(0)
+    rules = [None] + [eigenfunction_rule(cfg, j) for j in indices]
+    den, *nums = tau_jet_sums(cfg, rules, x, [order] * len(rules))
+    phis = [eigenfunction_grid(cfg, j, den, num) for j, num in zip(indices, nums)]
+    return phis if np.ndim(x) else [phi.at(0) for phi in phis]
 
 
-def eigenfunction_grid(cfg: SolitonConfig, j: int, den: TauGrid, num: TauGrid | None = None) -> Jet:
+def eigenfunction(cfg: SolitonConfig, j: int, x, order: int) -> Jet:
+    """Jet of the j-th eigenfunction at a point or over a grid: the
+    one-index eigenfunctions, one two-rule tau_jet_sums call."""
+    return eigenfunctions(cfg, [j], x, order)[0]
+
+
+def eigenfunction_grid(cfg: SolitonConfig, j: int, den: TauGrid, num: TauGrid) -> Jet:
     """Jet of the j-th eigenfunction, (rewritten tau / tau) e^{-k_j x},
-    batched over a grid; each point is bitwise eigenfunction(cfg, j, x,
-    order).
-
-    den is the config's own tau over the grid, tau_jet_sum_grid(cfg,
-    None, xs, order); the grid and the jet order are taken from it, so one
-    evaluation also serves the caller's other uses of tau. The rewritten
-    tau, whose terms have both signs, comes from the same double-double
-    sum (N <= 12; RangeError beyond it). num, if given, is that rewritten
-    tau (eigenfunction_rule(cfg, j)) already evaluated over den's grid at
-    den's order, so a caller holding it from one tau_jet_sums call pays
-    no second sum."""
+    over a grid, from the config's own tau den and the rewritten tau num
+    (eigenfunction_rule(cfg, j)) of one tau_jet_sums call; both only read."""
     cfg = cfg.flowed()
     _check_index(cfg, j)
-    if num is None:
-        num = tau_jet_sum_grid(cfg, eigenfunction_rule(cfg, j), den.xs, den.order)
     return num.over(den, -cfg.k[j - 1]).values()
 
 
@@ -757,8 +753,8 @@ def tail_matrix_grid(cfg: SolitonConfig, rows, cols, den: TauGrid, pair_taus: Ma
     e^{-(k_a+k_b)x}/(k_a+k_b), as a nested list of TauGrids (their
     values() are the true entries).
 
-    den is the config's own tau over the grid, tau_jet_sum_grid(cfg, None,
-    xs, order); the grid and the jet order are taken from it, so one
+    den is the config's own tau over the grid, tau_jet_sums(cfg, [None],
+    xs, [order])[0]; the grid and the jet order are taken from it, so one
     evaluation serves every entry and the caller's other uses of tau.
     pair_taus maps each pair (j, l) of tail_pairs(rows, cols) to its pair
     tau, pair_rule(cfg, j, l) over den's grid at den's order; it is only

@@ -8,7 +8,8 @@ Two layers are implemented deliberately side by side:
   SolitonConfig;
 * generic engines over arbitrary seed functions — Wronskian-quotient
   Darboux chains and the overlap-determinant Abraham-Moses map — that
-  never look at the closed forms.
+  never look at the closed forms. Each engine evaluates its seeds once
+  (seed_jets), the bound states of one config in one tau_jet_sums call.
 
 That the two layers produce the same potentials is a theorem; the test
 suite treats it as a falsifiable claim and checks it pointwise.
@@ -26,18 +27,16 @@ from .solitons import (
     ConfigError,
     CoefficientRule,
     SolitonConfig,
-    TauGrid,
     deletion_rule,
-    eigenfunction,
     eigenfunction_grid,
     eigenfunction_rule,
+    eigenfunctions,
     matrix_values,
     overlap_rows,
     pair_rule,
     rescale_rule,
     tail_matrix_grid,
     tail_pairs,
-    tau_jet_sum_grid,
     tau_jet_sums,
 )
 
@@ -171,7 +170,8 @@ class SeedFunction:
     """A solution of the starting Hamiltonian at a fixed energy, exposed
     as a jet evaluator (x, order) -> Jet, where x is a point or a grid
     (giving a batched Jet). Eigenfunction seeds remember their spectral
-    origin so overlap integrals can use closed forms."""
+    origin, so overlap integrals can use closed forms and seed_jets can
+    evaluate the bound states of one config together."""
 
     evaluator: Callable
     config: SolitonConfig | None = None
@@ -181,26 +181,13 @@ class SeedFunction:
         return self.evaluator(x, order)
 
 
-def eigenfunction_seed(cfg: SolitonConfig, j: int, den: TauGrid | None = None, num: TauGrid | None = None) -> SeedFunction:
-    """The j-th bound state as a seed. On a grid it is one batched
-    eigenfunction_grid evaluation; den, the config's own tau over a
-    grid (tau_jet_sum_grid(cfg, None, xs, order)), is reused on that grid
-    up to its order, so seeds sharing it evaluate the config's tau once
-    between them. num, the seed's eigenfunction numerator over den's grid
-    at den's order, is reused there too (eigenfunction_grid's num)."""
-
-    def ev(x, order):
-        if np.ndim(x) == 0:
-            return eigenfunction(cfg, j, x, order)
-        if den is not None and order <= den.order and np.array_equal(x, den.xs):
-            return eigenfunction_grid(cfg, j, den.truncate(order), None if num is None else num.truncate(order))
-        return eigenfunction_grid(cfg, j, tau_jet_sum_grid(cfg, None, x, order))
-
-    return SeedFunction(evaluator=ev, config=cfg, index=j)
+def eigenfunction_seed(cfg: SolitonConfig, j: int) -> SeedFunction:
+    """The j-th bound state as a seed (solitons.eigenfunctions)."""
+    return SeedFunction(lambda x, order: eigenfunctions(cfg, [j], x, order)[0], cfg, j)
 
 
-def eigenfunction_seeds(cfg: SolitonConfig, indices, den: TauGrid | None = None) -> list:
-    return [eigenfunction_seed(cfg, j, den) for j in sorted(set(indices))]
+def eigenfunction_seeds(cfg: SolitonConfig, indices) -> list:
+    return [eigenfunction_seed(cfg, j) for j in sorted(set(indices))]
 
 
 def free_seed(k: float, ctilde: float) -> SeedFunction:
@@ -248,30 +235,53 @@ def seed_config_from_free(k, ctilde) -> SolitonConfig:
     return SolitonConfig(tuple(k), tuple(c))
 
 
+def seed_jets(seeds: Sequence, x, order: int) -> list:
+    """Jets of the seeds at a point or over a grid, each seed evaluated
+    once: the eigenfunction seeds of one config (equal configs, not only
+    the same object) from one solitons.eigenfunctions call, which holds
+    the config's tau and their numerators; every other SeedFunction or raw
+    (x, order) -> Jet evaluator by one call of its own."""
+    x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
+    keys = [id(s) if getattr(s, "index", None) is None else (s.config, s.index) for s in seeds]
+    groups, jets = {}, {}
+    for cfg, j in (key for key in keys if isinstance(key, tuple)):
+        groups.setdefault(cfg, {})[j] = None
+    for cfg, idx in groups.items():
+        jets.update(zip([(cfg, j) for j in idx], eigenfunctions(cfg, list(idx), x, order)))
+    for s, key in zip(seeds, keys):
+        if key not in jets:
+            jets[key] = s(x, order)
+    return [jets[key] for key in keys]
+
+
+def jet_wronskian(jets: Sequence, order: int) -> Jet | float:
+    """det(d^(i-1) f_m / dx^(i-1)) to the given jet order from the jets of
+    the M functions f_m, each of order at least M - 1 + order: one jet_det,
+    batched if the jets are. No jets give 1.0, the empty determinant."""
+    if not jets:
+        return 1.0
+    rows = [[j.truncate(len(jets) - 1 + order) for j in jets]]
+    for _ in range(len(jets) - 1):
+        rows.append([j.derivative() for j in rows[-1]])
+    return jet_det([[j.truncate(order) for j in row] for row in rows])
+
+
 def wronskian(fns: Sequence, x, order: int = 0) -> Jet:
     """Jet of the Wronskian det(d^(i-1) f_m / dx^(i-1)) at a point x, or
-    batched over a grid x: each function is evaluated once, over the
-    whole grid, and the determinant is one batched jet_det. Accepts
-    SeedFunctions or raw (x, order) -> Jet evaluators; an empty list
-    gives the constant 1 (the empty determinant)."""
-    x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
-    m = len(fns)
-    if m == 0:
-        return Jet.constant(1.0, x, order)
-    jets = [f(x, m - 1 + order) for f in fns]
-    rows = []
-    current = [j.truncate(m - 1 + order) for j in jets]
-    for i in range(m):
-        rows.append([j.truncate(order) for j in current])
-        if i < m - 1:
-            current = [j.derivative() for j in current]
-    return jet_det(rows)
+    batched over a grid x: the functions evaluated once (seed_jets) and
+    one jet_wronskian. Accepts SeedFunctions or raw (x, order) -> Jet
+    evaluators; an empty list gives the constant 1."""
+    if not fns:
+        return Jet.constant(1.0, np.asarray(x, dtype=float) if np.ndim(x) else float(x), order)
+    return jet_wronskian(seed_jets(fns, x, len(fns) - 1 + order), order)
 
 
-def _wronskian_quotient(num_seeds: Sequence, den_seeds: Sequence, x, order: int) -> Jet:
-    """W[num_seeds] / W[den_seeds] at a point or over a grid."""
+def _wronskian_quotient(fns: Sequence, num, den, x, order: int) -> Jet:
+    """W[fns[i], i in num] / W[fns[i], i in den] at a point or over a
+    grid, two Wronskians of one seed_jets evaluation of fns."""
+    jets = seed_jets(fns, x, len(fns) - 1 + order)
     try:
-        return wronskian(num_seeds, x, order) / wronskian(den_seeds, x, order)
+        return jet_wronskian([jets[i] for i in num], order) / jet_wronskian([jets[i] for i in den], order)
     except SingularJetError as exc:
         raise RegularityError(f"seed Wronskian vanishes: {exc}") from exc
 
@@ -279,13 +289,13 @@ def _wronskian_quotient(num_seeds: Sequence, den_seeds: Sequence, x, order: int)
 def generic_darboux(seeds: Sequence, target, x, order: int = 0) -> Jet:
     """Image of the target under the M-seed Darboux chain at a point or
     over a grid: W[seed_1, ..., seed_M, target] / W[seed_1, ..., seed_M]."""
-    return _wronskian_quotient([*seeds, target], seeds, x, order)
+    return _wronskian_quotient([*seeds, target], range(len(seeds) + 1), range(len(seeds)), x, order)
 
 
 def deleted_seed_image(seeds: Sequence, drop: int, x, order: int = 0) -> Jet:
     """Image of the dropped seed itself: W[seeds without seeds[drop]] /
     W[seeds], an eigenfunction of the transformed Hamiltonian."""
-    return _wronskian_quotient([s for i, s in enumerate(seeds) if i != drop], seeds, x, order)
+    return _wronskian_quotient(seeds, [i for i in range(len(seeds)) if i != drop], range(len(seeds)), x, order)
 
 
 def darboux_potential(seeds: Sequence, base_potential: Callable, x):
@@ -334,9 +344,9 @@ def generic_am(
     if not seeds:
         raise ConfigError("at least one seed required")
     cfg = seeds[0].config
-    if cfg is None or any(s.config is not cfg or s.index is None for s in seeds):
+    if cfg is None or any(s.config != cfg or s.index is None for s in seeds):
         raise ConfigError("generic_am needs bound-state seeds of a single config")
-    if target is not None and (target.config is not cfg or target.index is None):
+    if target is not None and (target.config != cfg or target.index is None):
         raise ConfigError("target must be a bound state of the same config")
     idx = [s.index for s in seeds]
     if mode == "add":

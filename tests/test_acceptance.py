@@ -216,7 +216,7 @@ def test_11_normalization():
     rng = np.random.default_rng(107)
     cfg = S.random_config(rng, n=2, k_range=(0.7, 2.5))
     L = 28.0 / cfg.k[0]
-    phi = lambda j, y: S.eigenfunction_grid(cfg, j, S.tau_jet_sum_grid(cfg, None, y, 0)).value
+    phi = lambda j, y: S.eigenfunction(cfg, j, y, 0).value
     worst_diag = worst_off = 0.0
     for j in (1, 2):
         q = N.quadrature(lambda y, j=j: phi(j, y) ** 2, -L, L, 1e-10)

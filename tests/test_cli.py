@@ -86,10 +86,22 @@ class TestPotential:
         code, _ = run(capsys, "potential", "/nonexistent/cfg.json")
         assert code == 2
 
-    def test_invalid_config_is_usage_error(self, cfg_file, capsys):
+    def test_invalid_config_is_usage_error(self, cfg_file, tmp_path, capsys):
         path = cfg_file([2.0, 1.0], [1.0, 1.0])  # unordered k
         code, _ = run(capsys, "potential", path)
         assert code == 2
+        # non-finite or non-numeric data: never a NaN result, a verification
+        # failure or a traceback
+        for i, text in enumerate([
+            '{"k": [NaN], "c": [1]}', '{"k": [1], "c": [Infinity]}', '{"k": [1], "c": [2], "times": {"3": NaN}}',
+            '{"k": 1, "c": 2}', '{"k": [null], "c": [1]}', '{"k": [[1]], "c": [1]}',
+            '{"k": [1], "c": [2], "times": {"3": null}}', '{"k": [1], "c": [2], "times": [3]}',
+        ]):
+            bad = tmp_path / f"bad{i}.json"
+            bad.write_text(text)
+            for command in ("potential", "verify"):
+                code, out = run(capsys, command, str(bad))
+                assert (code, out) == (2, "")
 
     def test_bad_config_creates_no_output_file(self, cfg_file, tmp_path, capsys):
         # the output file is opened only once the config has parsed
@@ -103,8 +115,9 @@ class TestPotential:
 
     def test_bad_grid_is_usage_error(self, cfg_file, capsys):
         path = cfg_file([1.0], [2.0])
-        code, _ = run(capsys, "potential", path, "--grid", "2", "-2", "5")
-        assert code == 2
+        for grid in (["2", "-2", "5"], ["nan", "1", "5"], ["-1", "inf", "5"], ["0", "1", "inf"], ["0", "1", "2.5"]):
+            code, out = run(capsys, "potential", path, "--grid", *grid)
+            assert (code, out) == (2, "")
 
 
 class TestEigenAndEvolve:
@@ -144,6 +157,13 @@ class TestEigenAndEvolve:
                 jet = S.eigenfunction(cfg, index, float(x), 1)
                 lines.append(",".join(repr(float(v)) for v in (x, jet.coeffs[0], jet.deriv(1))))
             assert out == "\n".join(lines) + "\n"
+
+    def test_eigen_makes_one_core_call(self, cfg_file, capsys, grid_tau_calls):
+        # the config's tau and the state's numerator, at order 1, together
+        code, _ = run(capsys, "eigen", cfg_file([0.7, 1.3, 2.1], [1.5, 3.0, 0.4]), "--index", "2")
+        assert code == 0
+        [(rules, orders)] = grid_tau_calls
+        assert rules[0] is None and len(rules) == 2 and orders == [1, 1]
 
     def test_eigen_with_prefactors_beyond_float_range(self, cfg_file, capsys):
         """c_j = 1e40 takes the Hirota prefactors past 1e308: the rows

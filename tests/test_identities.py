@@ -47,9 +47,7 @@ class TestInnerTail:
             x = float(rng.uniform(-2.0, 2.0))
 
             def f(y, j=j, l=l):
-                den = S.tau_jet_sum_grid(cfg4, None, y, 0)
-                phi = [S.eigenfunction_grid(cfg4, i, den).value for i in (j, l)]
-                return phi[0] * phi[1]
+                return S.eigenfunction(cfg4, j, y, 0).value * S.eigenfunction(cfg4, l, y, 0).value
 
             q = numerics.quadrature(f, x, hi, 1e-11)
             assert abs(q - I.inner_tail(cfg4, j, l, x)) < 1e-8
@@ -150,7 +148,7 @@ class TestIndividualIdentities:
         grid = grid_for(cfg4)
         rep = I.verify_tau_split(cfg4, j, grid)
         assert rep.passed
-        u, uj, wj = (S.tau_jet_sum_grid(cfg4, r, grid, 0) for r in (None, S.drop_rule(4, j), S.pair_rule(cfg4, j, j)))
+        u, uj, wj = (S.tau_jet_sums(cfg4, [r], grid, [0])[0] for r in (None, S.drop_rule(4, j), S.pair_rule(cfg4, j, j)))
         logc = math.log(cfg4.c[j - 1] / (2.0 * cfg4.k[j - 1]))
         loop = max(
             abs(1.0 - suj * math.exp(luj - lu) - swj * math.exp(logc - 2.0 * cfg4.k[j - 1] * x + lwj - lu))

@@ -282,7 +282,7 @@ class TestQuadrature:
 
     def test_eigenfunction_norm(self):
         cfg = SolitonConfig((1.0,), (2.0,))
-        f = lambda y: S.eigenfunction_grid(cfg, 1, S.tau_jet_sum_grid(cfg, None, y, 0)).value ** 2
+        f = lambda y: S.eigenfunction(cfg, 1, y, 0).value ** 2
         assert N.quadrature(f, -30.0, 30.0, 1e-10) == pytest.approx(0.5, abs=1e-8)
 
     def test_budget_exhaustion(self, monkeypatch):

@@ -112,6 +112,20 @@ class TestConfig:
             SolitonConfig((1.0,), (1.0, 2.0))
         with pytest.raises(ConfigError):
             SolitonConfig((1.0,), (1.0,), times={2: 0.1})
+        # non-finite or non-numeric data, as a JSON config can spell it
+        for k, c, times in [
+            ((math.nan,), (1.0,), None),
+            ((1.0,), (math.inf,), None),
+            ((-math.inf, 1.0), (1.0, 1.0), None),
+            ((1.0,), (1.0,), {3: math.nan}),
+            ((1.0,), (1.0,), {3: None}),
+            ((1.0,), (1.0,), [3, 0.1]),
+            (1.0, 2.0, None),
+            ((None,), (1.0,), None),
+            (([1.0],), (1.0,), None),
+        ]:
+            with pytest.raises(ConfigError):
+                SolitonConfig(k, c, times)
 
     def test_trivial_config(self):
         cfg = SolitonConfig((), ())
@@ -319,7 +333,7 @@ class TestBilinearHirota:
         assert np.all(np.abs(lh - ref[:, 0]) <= 1e-12 * np.maximum(1.0, np.abs(ref[:, 0])))
         assert np.max(np.abs(u - ref[:, 1])) <= 1e-12 * max(1.0, np.max(np.abs(ref[:, 1])))
         if cfg.n <= 12:
-            jet = S.tau_jet_sum_grid(cfg, None, xs, 0).log_abs
+            jet = S.tau_jet_sums(cfg, [None], xs, [0])[0].log_abs
             assert np.all(np.abs(lh - jet) <= 1e-12 * np.maximum(1.0, np.abs(jet)))
 
     @pytest.mark.parametrize(
@@ -386,7 +400,7 @@ class TestTauJetSumGrid:
             rules += [S.eigenfunction_rule(cfg, j), S.pair_rule(cfg, 1, n), S.drop_rule(n, j)]
         for rule in rules:
             for order in range(4):
-                grid = S.tau_jet_sum_grid(cfg, rule, self.XS, order)
+                grid = S.tau_jet_sums(cfg, [rule], self.XS, [order])[0]
                 assert grid.coeffs.shape == (len(self.XS), order + 1)
                 for p, x in enumerate(self.XS):
                     ref = tau_jet_sum_reference(cfg, rule, x, order)
@@ -394,7 +408,7 @@ class TestTauJetSumGrid:
                     assert_tau_matches_reference(S.tau_jet_sum(cfg, rule, x, order), ref)
                 for lower in range(order):
                     cut = grid.truncate(lower)
-                    low = S.tau_jet_sum_grid(cfg, rule, self.XS, lower)
+                    low = S.tau_jet_sums(cfg, [rule], self.XS, [lower])[0]
                     assert np.array_equal(cut.coeffs, low.coeffs)
                     assert np.array_equal(cut.gauge, low.gauge) and np.array_equal(cut.sign, low.sign)
 
@@ -412,7 +426,7 @@ class TestTauJetSumGrid:
             assert grid.coeffs.shape == (len(xs), order + 1)
             for p in (0, step - 1, step, 2 * step, 2 * step + 2):
                 assert_tau_matches_reference(grid.at(p), tau_jet_sum_reference(cfg, rule, xs[p], order))
-            alone = S.tau_jet_sum_grid(cfg, rule, xs, order)
+            alone = S.tau_jet_sums(cfg, [rule], xs, [order])[0]
             for a, b in ((grid.coeffs, alone.coeffs), (grid.gauge, alone.gauge), (grid.sign, alone.sign)):
                 assert np.array_equal(a, b)
 
@@ -442,7 +456,7 @@ class TestTauJetSumGrid:
         either end of float64's range as logs in the bilinear sum; both
         routes gave NaN. Measured 2.3e-16 relative to max(1, |ref|)."""
         xs = S.default_grid(cfg, 11) if xs is None else np.array(xs)
-        grid = S.tau_jet_sum_grid(cfg, None, xs, 2)
+        grid = S.tau_jet_sums(cfg, [None], xs, [2])[0]
         ref, sign = S.tau_hirota_grid(cfg, None, xs)
         assert np.all(np.isfinite(grid.coeffs)) and np.array_equal(grid.sign, sign)
         assert np.all(np.abs(grid.log_abs - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
@@ -450,7 +464,7 @@ class TestTauJetSumGrid:
     def test_budget(self):
         cfg = S.random_config(np.random.default_rng(121), n=13, k_range=(0.2, 8.0))
         with pytest.raises(RangeError, match="N=13"):
-            S.tau_jet_sum_grid(cfg, None, [0.0], 0)
+            S.tau_jet_sums(cfg, [None], [0.0], [0])[0]
 
 
 def mp_jet_sums(k, ces, xs, order, dps=40):
@@ -517,7 +531,7 @@ class TestTauJetSums:
             assert np.array_equal(grid.sign, ref[:, 1])
             assert np.all(np.abs(grid.gauge - ref[:, 0]) <= 2.2e-15 * np.maximum(1.0, np.abs(ref[:, 0])))
             assert np.all(np.abs(grid.coeffs - ref[:, 2:]) <= 2.0**-52 * np.abs(ref[:, 2:]))
-            alone = S.tau_jet_sum_grid(cfg, rule, self.XS, 3)
+            alone = S.tau_jet_sums(cfg, [rule], self.XS, [3])[0]
             for a, b in ((grid.coeffs, alone.coeffs), (grid.gauge, alone.gauge), (grid.sign, alone.sign)):
                 assert np.array_equal(a, b)
 
@@ -528,7 +542,7 @@ class TestTauRatio:
     def test_over_itself_is_the_exponential(self, rate, order):
         cfg = S.random_config(np.random.default_rng(130), n=4)
         xs = np.linspace(-4.0, 4.0, 9)
-        g = S.tau_jet_sum_grid(cfg, None, xs, order)
+        g = S.tau_jet_sums(cfg, [None], xs, [order])[0]
         r = g.over(g, rate)
         assert np.array_equal(r.coeffs, jet_exp(rate, xs, order, unit=True).coeffs)
         assert np.array_equal(r.gauge, rate * xs) and np.array_equal(r.sign, np.ones(len(xs)))
@@ -579,7 +593,7 @@ class TestPotential:
         cfg = S.random_config(rng, n=5)
         xs = S.default_grid(cfg, 41)
         fast = S.potential_fn(cfg)(xs)
-        slow = -2.0 * jet_log_d2(S.tau_jet_sum_grid(cfg, None, xs, 2).jet)
+        slow = -2.0 * jet_log_d2(S.tau_jet_sums(cfg, [None], xs, [2])[0].jet)
         assert np.max(np.abs(fast - slow)) < 1e-10
 
     def test_potential_jet_matches_fd(self):
@@ -738,7 +752,7 @@ class TestNearDegenerate:
         cfg = tight_gap_config(seed, n, 10.0**-u)
         xs = S.default_grid(cfg, 41)
         fast = S.potential_fn(cfg)(xs)
-        tau = S.tau_jet_sum_grid(cfg, None, xs, 3)
+        tau = S.tau_jet_sums(cfg, [None], xs, [3])[0]
         jet_sum = -2.0 * jet_log_d2(tau.truncate(2).jet)
         assert np.max(np.abs(fast - jet_sum)) <= 1e-12 * max(1.0, float(np.max(np.abs(fast))))
         _, t1, t2, t3 = tau.coeffs.T

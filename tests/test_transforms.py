@@ -137,17 +137,21 @@ class TestWronskian:
             for p, x in enumerate(xs):
                 assert np.array_equal(w.coeffs[p], T.wronskian(seeds[:m], float(x), order).coeffs)
 
-    def test_seed_reuses_given_taus_on_their_grid_only(self):
-        # with the config's tau and the numerator in hand the seed is
-        # bitwise the fresh evaluation up to their order; at another grid
-        # or a higher order it evaluates afresh
+    def test_seeds_are_evaluated_once(self, grid_tau_calls):
+        # the bound states of equal configs share one core call; any other
+        # seed, repeated or not, is called once
         cfg = S.random_config(np.random.default_rng(27), n=4)
-        xs = np.linspace(-3.0, 2.0, 7)
-        den, num = S.tau_jet_sums(cfg, [None, S.eigenfunction_rule(cfg, 2)], xs, [2, 2])
-        seed, fresh = T.eigenfunction_seed(cfg, 2, den, num), T.eigenfunction_seed(cfg, 2)
-        assert np.array_equal(S.eigenfunction_grid(cfg, 2, den, num).coeffs, fresh(xs, 2).coeffs)
-        for x, order in [(xs, 0), (xs, 2), (xs, 3), (xs[::-1], 1), (0.5, 2)]:
-            assert np.array_equal(seed(x, order).coeffs, fresh(x, order).coeffs)
+        twin = SolitonConfig(cfg.k, cfg.c)
+        calls = []
+        free = T.free_seed(1.1, 0.5)
+        counted = T.SeedFunction(lambda x, order: calls.append(order) or free(x, order))
+        seeds = [T.eigenfunction_seed(cfg, 2), counted, T.eigenfunction_seed(twin, 4), counted, T.eigenfunction_seed(cfg, 2)]
+        jets = T.seed_jets(seeds, np.linspace(-3.0, 2.0, 7), 2)
+        assert calls == [2] and jets[1] is jets[3] and jets[0] is jets[4]
+        [(rules, orders)] = grid_tau_calls
+        assert rules[0] is None and len(rules) == 3 and orders == [2, 2, 2]
+        for seed, jet in zip(seeds, jets):
+            assert np.array_equal(jet.coeffs, seed(np.linspace(-3.0, 2.0, 7), 2).coeffs)
 
 
 class TestGenericDarboux:
@@ -198,6 +202,26 @@ class TestGenericDarboux:
         for p, x in enumerate(xs):
             assert v[p] == T.darboux_potential(seeds, lambda _: 0.0, float(x))
             assert np.array_equal(img.coeffs[p], T.generic_darboux(seeds, tgt, float(x), 2).coeffs)
+
+    @pytest.mark.parametrize("x", [0.3, np.linspace(-3.0, 3.0, 21)])
+    @pytest.mark.parametrize("engine", ["generic_darboux", "deleted_seed_image", "darboux_potential", "wronskian"])
+    def test_one_core_call_per_engine(self, grid_tau_calls, engine, x):
+        # the config's tau and each seed's numerator once, at the order the
+        # larger Wronskian of a quotient needs; the target comes from an
+        # equal config built separately
+        cfg = SolitonConfig((0.7, 1.3, 2.1, 2.9), (1.5, 3.0, 0.4, 7.0))
+        seeds, tgt = T.eigenfunction_seeds(cfg, [2, 3]), T.eigenfunction_seed(SolitonConfig(cfg.k, cfg.c), 4)
+        calls = {
+            "generic_darboux": lambda: T.generic_darboux(seeds, tgt, x, 1),
+            "deleted_seed_image": lambda: T.deleted_seed_image(seeds, 0, x, 1),
+            "darboux_potential": lambda: T.darboux_potential(seeds, lambda _: 0.0, x),
+            "wronskian": lambda: T.wronskian([*seeds, tgt], x, 1),
+        }
+        calls[engine]()
+        [(rules, orders)] = grid_tau_calls
+        eig = [tgt.index] if engine in ("generic_darboux", "wronskian") else []
+        assert rules == [None] + [S.eigenfunction_rule(cfg, j) for j in [2, 3, *eig]]
+        assert orders == [len(seeds) + len(eig) - 1 + (2 if engine == "darboux_potential" else 1)] * len(rules)
 
     def test_vanishing_wronskian_is_regularity_error(self):
         cfg = SolitonConfig((1.0, 2.0), (6.0, 12.0))
@@ -371,6 +395,19 @@ class TestGenericAM:
             p = T.generic_am(seeds, mode, e, tgt, float(x))
             assert p.potential.shape == ()
             assert r.potential[i] == p.potential and r.target_value[i] == p.target_value
+
+    @pytest.mark.parametrize("mode", ["add", "delete"])
+    def test_equal_configs_built_separately_are_one_config(self, mode):
+        # seeds and target are grouped by equal configs, not by object
+        k, c = (0.7, 1.3, 2.1, 2.9), (1.5, 3.0, 0.4, 7.0)
+        cfg = SolitonConfig(k, c)
+        twins = [T.eigenfunction_seed(SolitonConfig(k, c), j) for j in (1, 3)]
+        e = [1.5, 0.8] if mode == "add" else None
+        xs = np.linspace(-3.0, 3.0, 7)
+        shared = T.generic_am(T.eigenfunction_seeds(cfg, [1, 3]), mode, e, T.eigenfunction_seed(cfg, 2), xs)
+        twin = T.generic_am(twins, mode, e, T.eigenfunction_seed(SolitonConfig(k, c), 2), xs)
+        assert np.array_equal(shared.potential, twin.potential)
+        assert np.array_equal(shared.target_value, twin.target_value)
 
     def test_mixed_configs_rejected(self):
         a = SolitonConfig((1.0,), (2.0,))
