@@ -18,7 +18,8 @@ potential_jet, dt_potential) from one core, as cumulants of the config's
 own positive terms. Its double-double form gives jets of the rewritten
 taus for eigenfunctions and tail integrals: tau_jet_sums, the one entry
 point, evaluates several rules of one config on one grid, sharing the
-exponentials between them. Scalar entry points are one-point grids.
+exponentials between them and later calls. Scalar entry points are
+one-point grids.
 
 Every tilde-variant of u used by the deformation schemes is a pointwise
 rewrite c_m -> factor_m * c_m, represented by CoefficientRule. Tau jets
@@ -75,6 +76,14 @@ class RangeError(ArithmeticError):
     budget or the determinant's measured reach allows (names N)."""
 
 
+def _real(v) -> float:
+    # float() would also read a string ("2") or a boolean, and iterating a
+    # string gives its characters
+    if isinstance(v, (str, bytes, bool, np.bool_)):
+        raise TypeError(f"{v!r} is not a real")
+    return float(v)
+
+
 @dataclass(frozen=True)
 class SolitonConfig:
     """Spectral data: ascending positive wavenumbers k, positive norming
@@ -86,8 +95,8 @@ class SolitonConfig:
 
     def __post_init__(self):
         try:
-            k, c = (tuple(float(v) for v in a) for a in (self.k, self.c))
-            t = None if self.times is None else {int(n): float(v) for n, v in self.times.items()}
+            k, c = (tuple(_real(v) for v in a) for a in (self.k, self.c))
+            t = None if self.times is None else {int(n): _real(v) for n, v in self.times.items()}
         except (TypeError, ValueError, AttributeError) as exc:
             raise ConfigError(f"k and c must be lists of reals and times a map to reals: {exc}") from exc
         if not all(map(math.isfinite, k + c + tuple((t or {}).values()))):
@@ -401,7 +410,8 @@ def _subset_products(h, l, e):
     by the exact frexp once, at the end."""
     shape = h.shape[:-1] + (1 << h.shape[-1],)
     ph, pl, pe = np.ones(shape), np.zeros(shape), np.zeros(shape, dtype=np.int64)
-    for j in range(h.shape[-1]):
+    ph[..., 1:2], pl[..., 1:2], pe[..., 1:2] = h[..., :1], l[..., :1], e[..., :1]
+    for j in range(1, h.shape[-1]):
         s = 1 << j
         ph[..., s : 2 * s], pl[..., s : 2 * s] = dd.mul(ph[..., :s], pl[..., :s], h[..., j, None], l[..., j, None])
         pe[..., s : 2 * s] = pe[..., :s] + e[..., j, None]
@@ -435,6 +445,16 @@ def _jet_sum_table(k: tuple):
     return table
 
 
+@functools.lru_cache(maxsize=8)
+def _soliton_exps(k: tuple, xs: bytes):
+    """e^{-2 k_j x}, [points, N] in dd.exp's split form, memoized on k and
+    the grid's bytes for the checks on one config; read-only, as shared."""
+    out = dd.exp(*dd._two_prod(-2.0 * np.asarray(k), np.frombuffer(xs)[:, None]))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def tau_jet_sums(cfg: SolitonConfig, rules, xs, orders) -> list:
     """Tau jets of several rewrites of one config over the grid xs, one
     TauGrid per rule (None for the config's own tau) at the matching jet
@@ -448,14 +468,16 @@ def tau_jet_sums(cfg: SolitonConfig, rules, xs, orders) -> list:
     k_l)/(k_j + k_l))^2 and E_S = e^{R_S x} that of e^{-2 k_j x}. Each is a
     double-double mantissa times an integer power of two, built by
     doubling (_subset_products): Q_S and R_S once per k (_jet_sum_table), A
-    over the rules, E from one dd.exp per soliton and point, so a call
-    costs P N exponentials however many rules it holds. Each rule's gauge
-    at a point is the power of two of its own largest term, so a rule far
-    below another loses nothing. Jet coefficient q sums the terms times
-    R_S^q/q!, all orders and rules at once over blocks of points holding
-    at most _HIROTA_CHUNK [orders, rules, points, 2^N] elements. Every
-    operation is elementwise, so a rule's result is bitwise independent of
-    the grid it sits in, the other rules of the call and its order.
+    over the rules, E from one dd.exp per soliton and point memoized on
+    the kept k and the grid (_soliton_exps), so a call costs at most P N
+    exponentials however many rules it holds, a later one on that k and
+    grid none. Each rule's gauge at a point is the power of two of its own
+    largest term, so a rule far below another loses nothing. Jet
+    coefficient q sums the terms times R_S^q/q!, all orders and rules at
+    once over blocks of points holding at most _HIROTA_CHUNK [orders,
+    rules, points, 2^N] elements. Every operation is elementwise, so a
+    rule's result is bitwise independent of the grid it sits in, the
+    other rules of the call and its order.
     Solitons every rule removes are left out; budget N <= 12 for the rest,
     RangeError beyond it."""
     cfg = cfg.flowed()
@@ -479,14 +501,16 @@ def tau_jet_sums(cfg: SolitonConfig, rules, xs, orders) -> list:
     ah, al, ex = _frexp_dd(*dd.mul(ah, al, qh, ql))
     ae = np.where(ah == 0.0, -(1 << 40), ae + qe + ex)
     wh, wl = np.ones((top + 1, len(rh))), np.zeros((top + 1, len(rh)))  # R_S^q / q!
+    ih, il = dd.div(*dd.from_float(1.0), *dd.from_float(np.arange(1.0, top + 1)))
     for q in range(1, top + 1):
-        wh[q], wl[q] = dd.div(*dd.mul(wh[q - 1], wl[q - 1], rh, rl), np.float64(q), np.float64(0.0))
+        wh[q], wl[q] = dd.mul(*dd.mul(wh[q - 1], wl[q - 1], rh, rl), ih[q - 1], il[q - 1])
     coeffs = np.empty((len(rules), len(xs), top + 1))
     gauge, sign = np.empty((len(rules), len(xs))), np.empty((len(rules), len(xs)))
     step = max(1, _HIROTA_CHUNK // ((top + 1) * len(rules) * len(rh)))
+    exps = _soliton_exps(tuple(k.tolist()), xs.tobytes())
     for i in range(0, len(xs), step):
         blk = slice(i, i + step)
-        eh, el, ee = _subset_products(*dd.exp(*dd._two_prod(-2.0 * k, xs[blk, None])))
+        eh, el, ee = _subset_products(*(a[blk] for a in exps))
         th, tl = dd.mul(ah[:, None], al[:, None], eh, el)  # [rules, points, 2^N], |mantissa| in [1/4, 1)
         te = ae[:, None] + ee
         g = te.max(axis=-1)
@@ -697,15 +721,16 @@ def potential_jet(cfg: SolitonConfig, x: float, order: int) -> Jet:
 def potential_fn(cfg: SolitonConfig) -> Callable:
     """Fast vectorized x -> U(x) closure built on the exponential-sum form.
 
-    The returned callable accepts scalars or arrays and is what the
-    independent numerics consume as a black-box potential. U = -2
+    The returned callable accepts scalars or arrays of any shape, giving
+    results of that shape, and is what the independent numerics consume
+    as a black-box potential. U = -2
     kappa_2(R), the order-0 column of _log_tau_cumulants, whose tables are
     built once per config. Budget N <= 24; RangeError beyond it."""
     cumulants = _log_tau_cumulants(cfg, 0)
 
     def u_potential(x):
-        out = -2.0 * cumulants(x)[:, 0]
-        return out if np.ndim(x) else float(out[0])
+        out = -2.0 * cumulants(np.ravel(x))[:, 0]
+        return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
 
     return u_potential
 

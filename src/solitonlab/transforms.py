@@ -235,13 +235,20 @@ def seed_config_from_free(k, ctilde) -> SolitonConfig:
     return SolitonConfig(tuple(k), tuple(c))
 
 
+def _points(x):
+    """A point as a float, a grid of any shape as its flat array of points
+    in C order: a batched Jet has one axis of points."""
+    return np.ravel(np.asarray(x, dtype=float)) if np.ndim(x) else float(x)
+
+
 def seed_jets(seeds: Sequence, x, order: int) -> list:
-    """Jets of the seeds at a point or over a grid, each seed evaluated
-    once: the eigenfunction seeds of one config (equal configs, not only
-    the same object) from one solitons.eigenfunctions call, which holds
-    the config's tau and their numerators; every other SeedFunction or raw
-    (x, order) -> Jet evaluator by one call of its own."""
-    x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
+    """Jets of the seeds at a point or over a grid (batched over its points
+    in C order), each seed evaluated once: the eigenfunction seeds of one
+    config (equal configs, not only the same object) from one
+    solitons.eigenfunctions call, which holds the config's tau and their
+    numerators; every other SeedFunction or raw (x, order) -> Jet
+    evaluator by one call of its own."""
+    x = _points(x)
     keys = [id(s) if getattr(s, "index", None) is None else (s.config, s.index) for s in seeds]
     groups, jets = {}, {}
     for cfg, j in (key for key in keys if isinstance(key, tuple)):
@@ -268,11 +275,12 @@ def jet_wronskian(jets: Sequence, order: int) -> Jet | float:
 
 def wronskian(fns: Sequence, x, order: int = 0) -> Jet:
     """Jet of the Wronskian det(d^(i-1) f_m / dx^(i-1)) at a point x, or
-    batched over a grid x: the functions evaluated once (seed_jets) and
-    one jet_wronskian. Accepts SeedFunctions or raw (x, order) -> Jet
-    evaluators; an empty list gives the constant 1."""
+    batched over the points of a grid x in C order: the functions
+    evaluated once (seed_jets) and one jet_wronskian. Accepts
+    SeedFunctions or raw (x, order) -> Jet evaluators; an empty list gives
+    the constant 1."""
     if not fns:
-        return Jet.constant(1.0, np.asarray(x, dtype=float) if np.ndim(x) else float(x), order)
+        return Jet.constant(1.0, _points(x), order)
     return jet_wronskian(seed_jets(fns, x, len(fns) - 1 + order), order)
 
 
@@ -288,7 +296,8 @@ def _wronskian_quotient(fns: Sequence, num, den, x, order: int) -> Jet:
 
 def generic_darboux(seeds: Sequence, target, x, order: int = 0) -> Jet:
     """Image of the target under the M-seed Darboux chain at a point or
-    over a grid: W[seed_1, ..., seed_M, target] / W[seed_1, ..., seed_M]."""
+    over a grid (batched over its points in C order): W[seed_1, ...,
+    seed_M, target] / W[seed_1, ..., seed_M]."""
     return _wronskian_quotient([*seeds, target], range(len(seeds) + 1), range(len(seeds)), x, order)
 
 
@@ -307,7 +316,8 @@ def darboux_potential(seeds: Sequence, base_potential: Callable, x):
     bad = ~np.isreal(w0) | (w0 == 0)
     if np.any(bad):
         raise RegularityError(f"seed Wronskian vanishes or is complex at x={np.ravel(x)[np.argmax(bad)]}")
-    return base_potential(x) - 2.0 * jet_log_d2(Jet(w.center, w.coeffs.real * np.sign(w0.real)[..., None]))
+    u = jet_log_d2(Jet(w.center, w.coeffs.real * np.sign(w0.real)[..., None]))
+    return base_potential(x) - 2.0 * np.reshape(u, np.shape(x))
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,8 @@ class TestPotential:
             '{"k": [NaN], "c": [1]}', '{"k": [1], "c": [Infinity]}', '{"k": [1], "c": [2], "times": {"3": NaN}}',
             '{"k": 1, "c": 2}', '{"k": [null], "c": [1]}', '{"k": [[1]], "c": [1]}',
             '{"k": [1], "c": [2], "times": {"3": null}}', '{"k": [1], "c": [2], "times": [3]}',
+            '{"k": "12", "c": "34"}', '{"k": ["2"], "c": [1]}', '{"k": [1], "c": [true]}',
+            '{"k": [1], "c": [2], "times": {"3": "0.1"}}',
         ]):
             bad = tmp_path / f"bad{i}.json"
             bad.write_text(text)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solitonlab import dd, solitons as S
+from solitonlab.identities import run_identity_suite
 from solitonlab.jets import Jet, jet_exp, jet_log_d2
 from solitonlab.solitons import (
     CoefficientRule,
@@ -123,6 +124,12 @@ class TestConfig:
             (1.0, 2.0, None),
             ((None,), (1.0,), None),
             (([1.0],), (1.0,), None),
+            ("12", "34", None),
+            (("2",), (1.0,), None),
+            ((1.0,), (True,), None),
+            ((1.0,), (np.True_,), None),
+            ((1.0,), (1.0,), {3: "0.1"}),
+            ((1.0,), (1.0,), {3: False}),
         ]:
             with pytest.raises(ConfigError):
                 SolitonConfig(k, c, times)
@@ -438,6 +445,44 @@ class TestTauJetSumGrid:
         for shared, fresh in zip(table, S._jet_sum_table.__wrapped__(key)):
             assert np.array_equal(shared, fresh)
             assert not shared.flags.writeable
+
+    def test_exponentials_are_memoized_on_k_and_grid(self, monkeypatch):
+        # e^{-2 k_j x} once per (kept k, grid): equal grids built as separate
+        # arrays share one dd.exp, another grid or k misses, and the shared
+        # read-only arrays are bitwise the unmemoized evaluation
+        calls = []
+        real = dd.exp
+
+        def counted(xh, xl):
+            calls.append(np.shape(xh))
+            return real(xh, xl)
+
+        monkeypatch.setattr(dd, "exp", counted)
+        S._soliton_exps.cache_clear()
+        cfg = S.random_config(np.random.default_rng(124), n=4)
+        rules = [None, S.eigenfunction_rule(cfg, 2)]
+        first = S.tau_jet_sums(cfg, rules, np.linspace(-3.0, 3.0, 11), [2, 2])
+        again = S.tau_jet_sums(cfg, rules[:1], list(np.linspace(-3.0, 3.0, 11)), [1])
+        assert calls == [(11, 4)]
+        assert np.array_equal(again[0].coeffs, first[0].coeffs[:, :2])
+        S.tau_jet_sums(cfg, [None], np.linspace(-3.0, 3.0, 12), [0])
+        S.tau_jet_sums(SolitonConfig(cfg.k[:3], cfg.c[:3]), [None], np.linspace(-3.0, 3.0, 11), [0])
+        S.tau_jet_sums(cfg, [S.drop_rule(4, 1)], np.linspace(-3.0, 3.0, 11), [0])  # a soliton left out
+        assert calls == [(11, 4), (12, 4), (11, 3), (11, 3)]
+        key = (cfg.k, np.linspace(-3.0, 3.0, 11).tobytes())
+        shared = S._soliton_exps(*key)
+        assert len(calls) == 4
+        for a, b in zip(shared, S._soliton_exps.__wrapped__(*key)):
+            assert not a.flags.writeable
+            assert np.array_equal(a, b)
+
+    def test_identity_suite_forms_exponentials_once_per_config(self, monkeypatch):
+        calls = []
+        real = dd.exp
+        monkeypatch.setattr(dd, "exp", lambda xh, xl: calls.append(1) or real(xh, xl))
+        S._soliton_exps.cache_clear()
+        reports = run_identity_suite(0, 50)
+        assert len(reports) == 300 and len(calls) == 50
 
     @pytest.mark.parametrize(
         "cfg, xs",

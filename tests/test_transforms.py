@@ -203,6 +203,28 @@ class TestGenericDarboux:
             assert v[p] == T.darboux_potential(seeds, lambda _: 0.0, float(x))
             assert np.array_equal(img.coeffs[p], T.generic_darboux(seeds, tgt, float(x), 2).coeffs)
 
+    def test_two_dimensional_grid_is_the_flat_grid_reshaped(self):
+        # a grid of any shape is read point by point in C order: jets are
+        # batched over its flat points, the potential has x's shape, as in
+        # generic_am; bound and free seeds alike
+        cfg = SolitonConfig((0.7, 1.3, 2.1), (1.5, 3.0, 0.4))
+        seeds, tgt = T.eigenfunction_seeds(cfg, [1, 2]), T.eigenfunction_seed(cfg, 3)
+        x = np.linspace(-2.0, 2.0, 6).reshape(2, 3)
+        flat = x.ravel()
+        u = S.potential_fn(cfg)
+        v = T.darboux_potential(seeds, u, x)
+        assert v.shape == x.shape and np.array_equal(v, T.darboux_potential(seeds, u, flat).reshape(x.shape))
+        assert np.array_equal(u(x), u(flat).reshape(x.shape))
+        free = [T.free_seed(0.8, 1.3), T.free_seed(1.6, -0.9)]
+        for fns in (seeds, [*seeds, tgt], free, []):
+            assert np.array_equal(T.wronskian(fns, x, 1).coeffs, T.wronskian(fns, flat, 1).coeffs)
+        for got, ref in zip(T.seed_jets([*seeds, *free], x, 1), T.seed_jets([*seeds, *free], flat, 1)):
+            assert np.array_equal(got.center, flat) and np.array_equal(got.coeffs, ref.coeffs)
+        img = T.generic_darboux(seeds, tgt, x, 1)
+        assert np.array_equal(img.coeffs, T.generic_darboux(seeds, tgt, flat, 1).coeffs)
+        img = T.deleted_seed_image(seeds, 0, x, 1)
+        assert np.array_equal(img.coeffs, T.deleted_seed_image(seeds, 0, flat, 1).coeffs)
+
     @pytest.mark.parametrize("x", [0.3, np.linspace(-3.0, 3.0, 21)])
     @pytest.mark.parametrize("engine", ["generic_darboux", "deleted_seed_image", "darboux_potential", "wronskian"])
     def test_one_core_call_per_engine(self, grid_tau_calls, engine, x):
