@@ -12,7 +12,6 @@ from .solitons import (
     ConfigError,
     RangeError,
     SolitonConfig,
-    TauEval,
     TauGrid,
     apply_time_flows,
     default_grid,

@@ -70,6 +70,14 @@ def _csv_rows(out, header, rows):
         out.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _tolerance(text: str) -> float:
+    """A --tol value: a positive finite float, else a usage error."""
+    tol = float(text)
+    if not 0.0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, not {text}")
+    return tol
+
+
 def _grid_from_args(args, cfg: SolitonConfig) -> np.ndarray:
     if args.grid is None:
         return default_grid(cfg)
@@ -85,7 +93,7 @@ def cmd_potential(cfg: SolitonConfig, args, out) -> int:
     if args.format == "json":
         out.write(json.dumps({"x": xs.tolist(), "U": np.asarray(us).tolist()}) + "\n")
     else:
-        _csv_rows(out, ("x", "U"), zip(xs, np.atleast_1d(us)))
+        _csv_rows(out, ("x", "U"), zip(xs, us))
     return EXIT_OK
 
 
@@ -112,7 +120,7 @@ def cmd_evolve(cfg: SolitonConfig, args, out) -> int:
         flowed = SolitonConfig(cfg.k, cfg.c, times)
         us = potential_fn(flowed)(xs)
         out.write(f"# t={_fmt(t)}\n")
-        _csv_rows(out, ("x", "U"), zip(xs, np.atleast_1d(us)))
+        _csv_rows(out, ("x", "U"), zip(xs, us))
     return EXIT_OK
 
 
@@ -278,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         if grid:
             sp.add_argument("--grid", nargs=3, type=float, metavar=("XMIN", "XMAX", "N"), default=None)
         if tol:
-            sp.add_argument("--tol", type=float, default=None)
+            sp.add_argument("--tol", type=_tolerance, default=None)
         return sp
 
     command("potential", cmd_potential, "potential on a grid", fmt=True)

@@ -130,9 +130,13 @@ def exp(xh, xl):
         sh = (sh + _INV_FACT[i][0]) * rh
     for i in range(5, 0, -1):
         sh, sl = mul(*add(sh, sl, *_INV_FACT[i]), rh, rl)
-    t = (m - 64.0 * n).astype(np.int64) + 32
+    # at a tie x_hi/ln2 = n + 1/2, j = +-32 both reduce x; take the one
+    # whose sign differs from r's, or h leaves [1/sqrt 2, sqrt 2]
+    j = m - 64.0 * n
+    j = np.where((np.abs(j) == 32.0) & (j * rh > 0.0), -j, j)
+    t = j.astype(np.int64) + 32
     sh, sl = mul(*add(sh, sl, 1.0, 0.0), _POW2_HI[t], _POW2_LO[t])
-    return sh, sl, n.astype(np.int64)
+    return sh, sl, ((m - j) / 64.0).astype(np.int64)
 
 
 def log_abs(xh, xl):

@@ -21,7 +21,7 @@ and evaluates each free seed of the seed-Wronskian identity once.
 
 The overlap matrices of the Abraham-Moses deletion and addition
 determinants come from solitons.overlap_rows, as transforms.generic_am's
-do; inner_tail is the one-point 1x1 tail matrix. The right sides of the
+do; inner_tail is the 1x1 tail matrix. The right sides of the
 Wronskian, deletion and addition checks are rewritten taus over the
 config's own tau times an exponential, TauGrid.over, as tail entries are.
 
@@ -112,17 +112,17 @@ def _ratio_report(name, tag, grid, log_lhs, sign_lhs, log_rhs, sign_rhs, tol):
 # Closed-form tail integrals
 
 
-def inner_tail(cfg: SolitonConfig, j: int, l: int, x: float) -> float:
-    """Tail integral int_x^inf phi_j phi_l dy in closed form: the 1x1
-    tail_matrix_grid on a one-point grid, its tau and pair tau one
+def inner_tail(cfg: SolitonConfig, j: int, l: int, x):
+    """Tail integral int_x^inf phi_j phi_l dy in closed form at x, a point
+    or a grid: the 1x1 tail_matrix_grid, its tau and pair tau one
     tau_jet_sums call. As x -> -infinity this tends to 1/c_j for j=l and
     to 0 otherwise (orthogonality with normalization (phi_j, phi_j) =
     1/c_j)."""
     cfg = cfg.flowed()
     pair = min(j, l), max(j, l)
-    den, tau = tau_jet_sums(cfg, [None, pair_rule(cfg, *pair)], [float(x)], [0, 0])
+    den, tau = tau_jet_sums(cfg, [None, pair_rule(cfg, *pair)], x, [0, 0])
     [[tail]] = tail_matrix_grid(cfg, [j], [l], den, {pair: tau})
-    return float(tail.values().value[0])
+    return tail.values().value
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +207,8 @@ def verify_addition_determinant(cfg: SolitonConfig, deleted, e, grid, tol: float
     cfg = cfg.flowed()
     dset = sorted(set(int(d) for d in deleted))
     e = [float(v) for v in e]
-    if len(e) != len(dset) or any(v <= 0 for v in e):
-        raise ConfigError("one positive parameter e per index required")
+    if len(e) != len(dset) or not all(0.0 < v < math.inf for v in e):
+        raise ConfigError("one positive finite parameter e per index required")
     rule = None
     for d, ed in zip(dset, e):
         r = rescale_rule(cfg.n, d, ed / (ed + 1.0))

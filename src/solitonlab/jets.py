@@ -1,20 +1,20 @@
 """Truncated Taylor (jet) arithmetic.
 
 A Jet stores the scaled derivatives coeffs[..., n] = f^(n)(x0)/n! of a
-scalar function, either at one point (coefficients of shape (order+1,),
-a float center) or at every point of a grid at once (coefficients of
-shape (P, order+1), centers of shape (P,)). The batched form is Taylor
-arithmetic with a leading batch axis (Griewank & Walther, *Evaluating
-Derivatives*): every operation acts on the last axis and elementwise
-across the batch, so each point of a batched result is bitwise the
-one-point result. All derivative-hungry quantities in this package
+scalar function at every point of its centers x0, an array of any shape:
+the coefficients have shape x0.shape + (order+1,), and a point is the
+grid of shape (). This is Taylor arithmetic with leading batch axes
+(Griewank & Walther, *Evaluating Derivatives*): every operation acts on
+the last axis and elementwise across the others, so each point of a
+result is bitwise the result at that point alone. All derivative-hungry
+quantities in this package
 (Wronskians, log-derivative potentials, PDE residuals) are built from jet
 arithmetic, so no finite differencing enters anywhere.
 
 Coefficients may be real or complex (plane-wave seeds need complex jets).
 Arithmetic silently truncates at the jet's order, which is exact for the
-retained coefficients. A non-jet operand is a scalar or an array with one
-value per batch point.
+retained coefficients. A non-jet operand is a scalar or an array of the
+centers' shape.
 """
 
 from __future__ import annotations
@@ -36,25 +36,13 @@ class SingularJetError(ZeroDivisionError):
     """Division by a jet whose constant term vanishes."""
 
 
-def _pointwise(fn, v):
-    """fn, a function of the math module, applied to each element of v (a
-    scalar stays a scalar). numpy's vectorized exp and log differ from the
-    C library's in the last bit for a few percent of arguments; the
-    one-point API has always used the C library's, so batched results stay
-    bitwise equal to it. Errors are math's: exp overflow raises
-    OverflowError."""
-    if np.ndim(v) == 0:
-        return fn(v)
+def _pointwise(fn, v) -> np.ndarray:
+    """fn, a function of the math module, applied to each element of v, as
+    an array of v's shape. numpy's vectorized exp and log differ from the C
+    library's in the last bit for a few percent of arguments; the package
+    has always used the C library's, so results stay bitwise what they
+    were. Errors are math's: exp overflow raises OverflowError."""
     return np.array([fn(t) for t in np.ravel(v).tolist()], dtype=float).reshape(np.shape(v))
-
-
-def _per_point(v):
-    """A non-jet operand shaped to broadcast against coefficients."""
-    return v if np.ndim(v) == 0 else np.asarray(v)[..., None]
-
-
-def _column(c: np.ndarray, n: int):
-    return c[n] if c.ndim == 1 else c[:, n]
 
 
 def _cauchy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -88,14 +76,10 @@ class Jet:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs))
-        if c.ndim == 2:
-            center = np.asarray(self.center, dtype=float)
-            if center.shape != c.shape[:1]:
-                raise ValueError("a batched jet needs one center per row of coefficients")
-            object.__setattr__(self, "center", center)
-        elif c.ndim != 1:
-            raise ValueError("jet coefficients must be one- or two-dimensional")
+        center, c = np.asarray(self.center, dtype=float), np.asarray(self.coeffs)
+        if c.shape[:-1] != center.shape or not c.shape:
+            raise ValueError("jet coefficients need the shape center.shape + (order+1,)")
+        object.__setattr__(self, "center", center)
         object.__setattr__(self, "coeffs", c)
 
     @property
@@ -104,17 +88,17 @@ class Jet:
 
     @property
     def value(self):
-        return _column(self.coeffs, 0)
+        return self.coeffs[..., 0]
 
     def deriv(self, n: int = 1):
         """n-th derivative value at the center."""
         if n > self.order:
             raise ValueError(f"jet of order {self.order} has no derivative {n}")
-        return _column(self.coeffs, n) * math.factorial(n)
+        return self.coeffs[..., n] * math.factorial(n)
 
-    def at(self, p: int) -> "Jet":
-        """The one-point jet at point p of a batched jet."""
-        return Jet(float(self.center[p]), self.coeffs[p].copy())
+    def at(self, p) -> "Jet":
+        """The jet at the points p (an index of the centers)."""
+        return Jet(self.center[p], self.coeffs[p].copy())
 
     @staticmethod
     def constant(v, center, order: int) -> "Jet":
@@ -124,8 +108,7 @@ class Jet:
 
     def _check(self, other: "Jet"):
         a, b = self.center, other.center
-        same = a is b or (np.array_equal(a, b) if np.ndim(a) or np.ndim(b) else a == b)
-        if not same or self.order != other.order:
+        if not (a is b or np.array_equal(a, b)) or self.order != other.order:
             raise JetMismatchError(
                 f"jet mismatch: center {a} vs {b}, order {self.order} vs {other.order}"
             )
@@ -153,7 +136,7 @@ class Jet:
         if isinstance(other, Jet):
             self._check(other)
             return Jet(self.center, _cauchy(self.coeffs, other.coeffs))
-        return Jet(self.center, self.coeffs * _per_point(other))
+        return Jet(self.center, self.coeffs * np.asarray(other)[..., None])
 
     __rmul__ = __mul__
 
@@ -161,7 +144,7 @@ class Jet:
         if isinstance(other, Jet):
             self._check(other)
             return _div(self, other)
-        return Jet(self.center, self.coeffs / _per_point(other))
+        return Jet(self.center, self.coeffs / np.asarray(other)[..., None])
 
     def __rtruediv__(self, other):
         return Jet.constant(other, self.center, self.order) / self
@@ -182,18 +165,17 @@ class Jet:
 def _div(a: Jet, b: Jet) -> Jet:
     small = np.abs(b.value) < DIV_THRESHOLD
     if np.any(small):
-        x = b.center if b.coeffs.ndim == 1 else b.center[np.argmax(small)]
+        x = np.ravel(b.center)[np.argmax(small)]
         raise SingularJetError(f"division by jet with vanishing constant term at x={x}")
     return Jet(a.center, _quotient(a.coeffs, b.coeffs))
 
 
 def jet_exp(rate: float, x0, order: int, unit: bool = False) -> Jet:
-    """Jet of exp(rate*x) at x0, a point or a grid; with unit=True the
-    e^{rate*x0} prefactor is dropped (constant term 1), useful when the
-    scale is tracked separately as a log gauge."""
-    if np.ndim(x0):
-        x0 = np.asarray(x0, dtype=float)
-    c = np.empty(np.shape(x0) + (order + 1,))
+    """Jet of exp(rate*x) at x0, a point or a grid of any shape (a list
+    too); with unit=True the e^{rate*x0} prefactor is dropped (constant
+    term 1), useful when the scale is tracked separately as a log gauge."""
+    x0 = np.asarray(x0, dtype=float)
+    c = np.empty(x0.shape + (order + 1,))
     c[..., 0] = 1.0 if unit else _pointwise(math.exp, rate * x0)
     for n in range(1, order + 1):
         c[..., n] = c[..., n - 1] * rate / n
@@ -207,14 +189,13 @@ def jet_log_d2(a: Jet):
     a0 = a.value
     if not np.all(a0 > 0):
         raise ValueError("jet_log_d2 requires a positive constant term")
-    r1 = _column(a.coeffs, 1) / a0
-    return 2.0 * (_column(a.coeffs, 2) / a0) - r1 * r1
+    r1 = a.coeffs[..., 1] / a0
+    return 2.0 * (a.coeffs[..., 2] / a0) - r1 * r1
 
 
 def jet_det(matrix) -> Jet:
-    """Determinant of a square matrix of jets (shared center and order),
-    one-point or batched over a grid, by LU with partial pivoting on the
-    constant terms, chosen per batch element.
+    """Determinant of a square matrix of jets (shared centers and order),
+    by LU with partial pivoting on the constant terms, chosen per point.
 
     A pivot column whose constant terms all vanish (a sign-indefinite tau
     crossing zero) is h times a jet one order lower, h being the

@@ -168,18 +168,17 @@ def _sturm_count(u: np.ndarray, h: float, kappa) -> np.ndarray:
     maps; beyond -L it is A e^{kappa x} + B e^{-kappa x}, with one more
     node iff psi and psi' - kappa psi have the same sign at -L (then
     sign B != sign psi)."""
-    k = np.atleast_1d(np.asarray(kappa, dtype=float))
-    p = _magnus_steps(u, h, -k * k)
+    p = _magnus_steps(u, h, -kappa * kappa)
     d = 1
     while d < p.shape[2]:
         p[:, :, d:] = _mul(p[:, :, d:], p[:, :, :-d])
         d *= 2
     # psi = 1 > 0 at x = L, then at every step end
-    psi = p[0] - k[:, None] * p[1]
+    psi = p[0] - kappa[:, None] * p[1]
     nodes = np.count_nonzero(np.diff(np.signbit(psi), axis=1, prepend=False), axis=1)
-    dpsi = p[2, :, -1] - k * p[3, :, -1]
-    extra = psi[:, -1] * (dpsi - k * psi[:, -1]) > 0
-    return (nodes + extra).reshape(np.shape(kappa))
+    dpsi = p[2, :, -1] - kappa * p[3, :, -1]
+    extra = psi[:, -1] * (dpsi - kappa * psi[:, -1]) > 0
+    return nodes + extra
 
 
 #: secant steps allowed per root
@@ -427,8 +426,8 @@ def kdv_residual(cfg: SolitonConfig, x, t: float | None = None):
         times = dict(cfg.times or {})
         times[3] = times.get(3, 0.0) + float(t)
         cfg = SolitonConfig(cfg.k, cfg.c, times)
-    u, ux, _, uxxx, ut = -2.0 * _log_tau_cumulants(cfg, 3, joint=True)(x).T
-    return np.abs(ut - 6.0 * u * ux + uxxx).reshape(np.shape(x))
+    u, ux, _, uxxx, ut = -2.0 * np.moveaxis(_log_tau_cumulants(cfg, 3, joint=True)(x), -1, 0)
+    return np.abs(ut - 6.0 * u * ux + uxxx)
 
 
 def _potential_minimum(ufn: Callable, lo: float, hi: float) -> float:

@@ -18,8 +18,9 @@ potential_jet, dt_potential) from one core, as cumulants of the config's
 own positive terms. Its double-double form gives jets of the rewritten
 taus for eigenfunctions and tail integrals: tau_jet_sums, the one entry
 point, evaluates several rules of one config on one grid, sharing the
-exponentials between them and later calls. Scalar entry points are
-one-point grids.
+exponentials between them and later calls. Every route takes x of any
+shape, a point being shape (), and gives results of x's shape; only the
+four cores (the three tau routes and the cumulants) flatten it (_points).
 
 Every tilde-variant of u used by the deformation schemes is a pointwise
 rewrite c_m -> factor_m * c_m, represented by CoefficientRule. Tau jets
@@ -198,9 +199,7 @@ def deletion_rule(cfg: SolitonConfig, deleted, exponent: int = 1) -> Coefficient
 
 def drop_rule(n: int, j: int) -> CoefficientRule:
     """Rule for u with c_j set to 0 (soliton j absent)."""
-    if not 1 <= j <= n:
-        raise ConfigError(f"index {j} out of range 1..{n}")
-    return CoefficientRule(tuple(0.0 if m == j else 1.0 for m in range(1, n + 1)))
+    return rescale_rule(n, j, 0.0)
 
 
 def rescale_rule(n: int, j: int, factor: float) -> CoefficientRule:
@@ -214,25 +213,6 @@ def _check_index(cfg: SolitonConfig, j: int):
         raise ConfigError(f"eigenstate index {j} out of range 1..{cfg.n}")
 
 
-@dataclass(frozen=True)
-class TauEval:
-    """Gauged jet of a tau function: true value = sign * e^gauge * jet."""
-
-    x: float
-    jet: Jet
-    gauge_exponent: float
-    sign: float
-
-    @property
-    def log_abs(self) -> float:
-        v = abs(self.jet.coeffs[0])
-        return self.gauge_exponent + (math.log(v) if v > 0 else -math.inf)
-
-    @property
-    def value(self) -> float:
-        return self.sign * math.exp(self.gauge_exponent) * self.jet.coeffs[0]
-
-
 def _effective(cfg: SolitonConfig, rule: CoefficientRule | None):
     if rule is None:
         rule = CoefficientRule.identity(cfg.n)
@@ -240,6 +220,13 @@ def _effective(cfg: SolitonConfig, rule: CoefficientRule | None):
     k = np.asarray(cfg.k)
     keep = ce != 0.0
     return k[keep], ce[keep]
+
+
+def _points(xs) -> tuple:
+    """(x, flat): xs as a float array and its points flat in C order, a
+    view; the cores evaluate flat and reshape their results to x's."""
+    x = np.asarray(xs, dtype=float)
+    return x, x.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +293,7 @@ def tau_hirota_grid(cfg: SolitonConfig, rule: CoefficientRule | None, xs) -> tup
     1). log|tau| = m_a + m_b + log|a^T X b|, the half gauges m = const +
     R x at the terms of weight 1 formed and summed compensated, so its
     error is that of the tables and the sum. N <= 24; RangeError beyond."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    x, xs = _points(xs)
     k, ce = _effective(cfg.flowed(), rule)
     h, (ca, ra), (cb, rb), xt, cut = _split_tables(k, ce)
     xt = np.exp(xt, out=xt)  # X^T times the signs, [2^(N-h), 2^h]
@@ -323,7 +310,7 @@ def tau_hirota_grid(cfg: SolitonConfig, rule: CoefficientRule | None, xs) -> tup
             g, e2 = dd._two_sum(g, np.log(np.abs(acc)))
             log_abs[blk] = np.where(acc != 0.0, g + (e1 + e2 + np.sum(ml + err, axis=0)), -np.inf)
         sign[blk] = np.sign(acc)
-    return log_abs, sign
+    return log_abs.reshape(x.shape), sign.reshape(x.shape)
 
 
 #: 2^N budget for the compensated jet-sum route
@@ -332,8 +319,8 @@ _JET_SUM_MAX_N = 12
 
 @dataclass(frozen=True)
 class TauGrid:
-    """Gauged tau jets over a grid: the true value at xs[p] is
-    sign[p] * e^gauge[p] * (jet with coefficients coeffs[p, :])."""
+    """Gauged tau jets over xs of any shape: the true value at xs[p] is
+    sign[p] * e^gauge[p] * (jet with coefficients coeffs[p])."""
 
     xs: np.ndarray
     coeffs: np.ndarray
@@ -342,16 +329,16 @@ class TauGrid:
 
     @property
     def order(self) -> int:
-        return self.coeffs.shape[1] - 1
+        return self.coeffs.shape[-1] - 1
 
     @property
     def jet(self) -> Jet:
-        """The normalized tau jets as one Jet batched over the grid."""
+        """The normalized tau jets as one Jet over the grid."""
         return Jet(self.xs, self.coeffs)
 
     @property
     def log_abs(self) -> np.ndarray:
-        v = np.abs(self.coeffs[:, 0])
+        v = np.abs(self.coeffs[..., 0])
         with np.errstate(divide="ignore"):
             return np.where(v > 0, self.gauge + np.log(v), -np.inf)
 
@@ -360,7 +347,7 @@ class TauGrid:
         them at that order: no coefficient depends on higher ones)."""
         if order > self.order:
             raise ValueError("cannot extend a tau grid by truncation")
-        return TauGrid(self.xs, self.coeffs[:, : order + 1], self.gauge, self.sign)
+        return TauGrid(self.xs, self.coeffs[..., : order + 1], self.gauge, self.sign)
 
     def over(self, den: "TauGrid", rate: float = 0.0) -> "TauGrid":
         """The gauged jets of (self / den) e^{rate x} on their common grid
@@ -372,17 +359,13 @@ class TauGrid:
         return TauGrid(den.xs, q.coeffs, self.gauge - den.gauge + rate * den.xs, self.sign * den.sign)
 
     def values(self) -> Jet:
-        """The true jets sign * e^gauge * jet, batched over the grid;
-        RangeError where e^gauge overflows."""
+        """The true jets sign * e^gauge * jet over the grid; RangeError
+        where e^gauge overflows."""
         try:
             scale = _pointwise(math.exp, self.gauge)
         except OverflowError as exc:
-            raise RangeError(f"tau ratio overflow at x={self.xs[np.argmax(self.gauge)]}") from exc
+            raise RangeError(f"tau ratio overflow at x={np.ravel(self.xs)[np.argmax(self.gauge)]}") from exc
         return self.jet * (self.sign * scale)
-
-    def at(self, p: int) -> TauEval:
-        x = float(self.xs[p])
-        return TauEval(x, Jet(x, self.coeffs[p].copy()), float(self.gauge[p]), float(self.sign[p]))
 
 
 def _dd_tree_sum(h, l):
@@ -456,9 +439,9 @@ def _soliton_exps(k: tuple, xs: bytes):
 
 
 def tau_jet_sums(cfg: SolitonConfig, rules, xs, orders) -> list:
-    """Tau jets of several rewrites of one config over the grid xs, one
-    TauGrid per rule (None for the config's own tau) at the matching jet
-    order, from the 2^N exponential-sum form in double-double arithmetic.
+    """Tau jets of several rewrites of one config over xs, one TauGrid per
+    rule (None for the config's own tau) at the matching jet order, from
+    the 2^N exponential-sum form in double-double arithmetic.
 
     Independent of the determinant route and accurate to ~1e-16 relative
     even for the sign-indefinite rewritten taus, whose term cancellation
@@ -491,7 +474,7 @@ def tau_jet_sums(cfg: SolitonConfig, rules, xs, orders) -> list:
     k, ce = np.asarray(cfg.k)[keep], ce[:, keep]
     if len(k) > _JET_SUM_MAX_N:
         raise RangeError(f"2^N jet-sum budget exceeded: N={len(k)} > {_JET_SUM_MAX_N}")
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    x, xs = _points(xs)
     top = max(orders)
     qh, ql, qe, rh, rl = _jet_sum_table(tuple(k.tolist()))
     # signed rule products c_j f_rj / 2 k_j, [rules, 2^N]; zero terms never set a gauge
@@ -533,13 +516,15 @@ def tau_jet_sums(cfg: SolitonConfig, rules, xs, orders) -> list:
             sh[1:] = np.where(zero, sh[1:], dd.div(sh[1:], sl[1:], sh[0], sl[0])[0])
         sh[0] = np.where(zero, sh[0], 1.0)
         coeffs[:, blk] = np.moveaxis(sh, 0, -1)
-    return [TauGrid(xs, coeffs[r, :, : q + 1], gauge[r], sign[r]) for r, q in enumerate(orders)]
+    shape = (len(rules),) + x.shape
+    coeffs, gauge, sign = coeffs.reshape(shape + (top + 1,)), gauge.reshape(shape), sign.reshape(shape)
+    return [TauGrid(x, coeffs[r, ..., : q + 1], gauge[r], sign[r]) for r, q in enumerate(orders)]
 
 
-def tau_jet_sum(cfg: SolitonConfig, rule: CoefficientRule | None, x: float, order: int) -> TauEval:
-    """Tau jet at x from the double-double exponential sum: the one-rule,
-    one-point tau_jet_sums."""
-    return tau_jet_sums(cfg, [rule], [float(x)], [order])[0].at(0)
+def tau_jet_sum(cfg: SolitonConfig, rule: CoefficientRule | None, x: float, order: int) -> TauGrid:
+    """Tau jet at the point x from the double-double exponential sum: the
+    one-rule tau_jet_sums, a TauGrid of shape ()."""
+    return tau_jet_sums(cfg, [rule], float(x), [order])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +557,7 @@ def tau_logdet_grid(cfg: SolitonConfig, rule: CoefficientRule | None, xs) -> tup
     k, ce = _effective(cfg, rule)
     if np.any(ce < 0.0):
         raise ConfigError(f"tau_logdet_grid needs every effective c > 0; {rule!r} gives c = {ce.tolist()}")
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    x, xs = _points(xs)
     n, npts = len(k), len(xs)
     if n > 16:
         raise RangeError(f"tau_logdet_grid is accurate only up to N = 16: N={n}")
@@ -619,7 +604,7 @@ def tau_logdet_grid(cfg: SolitonConfig, rule: CoefficientRule | None, xs) -> tup
             g[:last, cols] = alpha * (kk[:last] - kp) / (kk[:last] + kp) * np.sqrt(a / s)
             rows[:, 0] = alpha * np.sqrt(dp / s)
     ok = gauge + ld > -np.inf  # a pivot that underflowed to 0 leaves -inf or NaN
-    return np.where(ok, gauge + ld, -np.inf), ok * 1.0
+    return np.where(ok, gauge + ld, -np.inf).reshape(x.shape), (ok * 1.0).reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -632,13 +617,13 @@ def default_grid(cfg: SolitonConfig, npoints: int = 2001) -> np.ndarray:
     return np.linspace(-half, half, npoints)
 
 
-def potential(cfg: SolitonConfig, x: float) -> float:
-    """U(x) = -2 (log u)''(x): the one-point potential_fn."""
-    return potential_fn(cfg)(float(x))
+def potential(cfg: SolitonConfig, x):
+    """U(x) = -2 (log u)''(x): potential_fn in one call."""
+    return potential_fn(cfg)(x)
 
 
 def _log_tau_cumulants(cfg: SolitonConfig, order: int, joint: bool = False) -> Callable:
-    """xs -> [points, order + 1 + joint]: the cumulants kappa_2 ..
+    """xs -> [*xs.shape, order + 1 + joint]: the cumulants kappa_2 ..
     kappa_{order+2} of R, then (if joint) E[(T - Tbar)(R - Rbar)^2], T_S =
     sum_{j in S} 8 k_j^3. log u generates the cumulants of its normalized
     terms, positive as SolitonConfig takes every c > 0: (log u)^(n) =
@@ -667,7 +652,7 @@ def _log_tau_cumulants(cfg: SolitonConfig, order: int, joint: bool = False) -> C
     binom = np.array([[math.comb(n, i) for n in range(top + 1)] for i in range(top + 1)], dtype=float)[:, :, None]
 
     def cumulants(xs):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        x, xs = _points(xs)
         out = np.empty((len(xs), order + 1 + joint))
         for blk, a, b in _half_blocks(xs, low, high, cut, width + 1):
             wb = (xt @ a) * b
@@ -706,16 +691,16 @@ def _log_tau_cumulants(cfg: SolitonConfig, order: int, joint: bool = False) -> C
                 v = ea * (da * (da * y[:, 0] + 2.0 * y[:, 1]) + y[:, 2])
                 v += da * (da * y[:, powers] + 2.0 * y[:, powers + 1])
                 out[blk, -1] = np.sum(a * v, axis=0) / za + np.sum(wb * eb * db * db, axis=0) / zb
-        return out
+        return out.reshape(x.shape + out.shape[1:])
 
     return cumulants
 
 
-def potential_jet(cfg: SolitonConfig, x: float, order: int) -> Jet:
+def potential_jet(cfg: SolitonConfig, x, order: int) -> Jet:
     """Jet of U at x, coeffs U^(n)/n! for n <= order, with U^(n) = -2
     kappa_{n+2}(R) (N <= 24; RangeError beyond, ConfigError if order < 0)."""
-    kappa = _log_tau_cumulants(cfg, order)(float(x))[0]
-    return Jet(float(x), -2.0 * kappa / [math.factorial(n) for n in range(order + 1)])
+    kappa = _log_tau_cumulants(cfg, order)(x)
+    return Jet(x, -2.0 * kappa / [math.factorial(n) for n in range(order + 1)])
 
 
 def potential_fn(cfg: SolitonConfig) -> Callable:
@@ -729,22 +714,20 @@ def potential_fn(cfg: SolitonConfig) -> Callable:
     cumulants = _log_tau_cumulants(cfg, 0)
 
     def u_potential(x):
-        out = -2.0 * cumulants(np.ravel(x))[:, 0]
-        return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
+        return -2.0 * cumulants(x)[..., 0]
 
     return u_potential
 
 
 def eigenfunctions(cfg: SolitonConfig, indices, x, order: int) -> list:
     """Jets of the bound states j in indices, normalized to e^{-k_j x} as x
-    -> +infinity, at a point or over a grid: eigenfunction_grid over one
-    tau_jet_sums call of the config's tau and the numerators (N <= 12),
-    each bitwise the same whichever indices share the call."""
+    -> +infinity, at a point or over a grid of any shape: eigenfunction_grid
+    over one tau_jet_sums call of the config's tau and the numerators (N <=
+    12), each bitwise the same whichever indices share the call."""
     cfg = cfg.flowed()
     rules = [None] + [eigenfunction_rule(cfg, j) for j in indices]
     den, *nums = tau_jet_sums(cfg, rules, x, [order] * len(rules))
-    phis = [eigenfunction_grid(cfg, j, den, num) for j, num in zip(indices, nums)]
-    return phis if np.ndim(x) else [phi.at(0) for phi in phis]
+    return [eigenfunction_grid(cfg, j, den, num) for j, num in zip(indices, nums)]
 
 
 def eigenfunction(cfg: SolitonConfig, j: int, x, order: int) -> Jet:
@@ -819,12 +802,12 @@ def overlap_rows(cfg: SolitonConfig, idx, den: TauGrid, pair_taus: Mapping, e=No
     rows = [[t.values() * -(sqc[a] * sqc[b]) for b, t in enumerate(row)] for a, row in enumerate(tails)]
     for a, ea in enumerate(e):
         rows[a][a] = rows[a][a] + (ea + 1.0)
-    return rows, np.zeros((len(idx), len(den.xs)))
+    return rows, np.zeros((len(idx),) + den.xs.shape)
 
 
 def matrix_values(rows) -> np.ndarray:
-    """The values of a matrix of batched jets (overlap_rows' rows), as an
-    array [points, rows, cols]."""
+    """The values of a matrix of jets (overlap_rows' rows), as an array
+    [*x.shape, rows, cols]."""
     return np.stack([np.stack([r.value for r in row], -1) for row in rows], -2)
 
 
@@ -842,10 +825,10 @@ def apply_time_flows(cfg: SolitonConfig) -> SolitonConfig:
     return SolitonConfig(cfg.k, tuple(newc))
 
 
-def dt_potential(cfg: SolitonConfig, x: float) -> float:
+def dt_potential(cfg: SolitonConfig, x):
     """dU/dt at x for the lowest flow (c_j rate 8 k_j^3), analytically:
     -2 E[(T - Tbar)(R - Rbar)^2] over the positive-weight sum (N <= 24)."""
-    return float(-2.0 * _log_tau_cumulants(cfg, 0, joint=True)(float(x))[0, -1])
+    return -2.0 * _log_tau_cumulants(cfg, 0, joint=True)(x)[..., -1]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ Two layers are implemented deliberately side by side:
 * generic engines over arbitrary seed functions — Wronskian-quotient
   Darboux chains and the overlap-determinant Abraham-Moses map — that
   never look at the closed forms. Each engine evaluates its seeds once
-  (seed_jets), the bound states of one config in one tau_jet_sums call.
+  (seed_jets), the bound states of one config in one tau_jet_sums call,
+  at x of any shape, and gives results of x's shape.
 
 That the two layers produce the same potentials is a theorem; the test
 suite treats it as a falsifiable claim and checks it pointwise.
@@ -17,6 +18,7 @@ suite treats it as a falsifiable claim and checks it pointwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
@@ -136,7 +138,7 @@ def am_delete(cfg: SolitonConfig, deleted) -> TransformResult:
 
 
 def am_add(cfg: SolitonConfig, params: Mapping) -> TransformResult:
-    """Abraham-Moses addition with parameters e_j > 0: exactly
+    """Abraham-Moses addition with finite parameters e_j > 0: exactly
     iso-spectral, rescaling c_j -> e_j/(e_j+1) * c_j."""
     rule = CoefficientRule.identity(cfg.n)
     clean = {}
@@ -145,8 +147,8 @@ def am_add(cfg: SolitonConfig, params: Mapping) -> TransformResult:
         e = float(e)
         if not 1 <= j <= cfg.n:
             raise ConfigError(f"addition index {j} out of range 1..{cfg.n}")
-        if e <= 0:
-            raise ConfigError(f"addition parameter e_{j} = {e} must be positive")
+        if not 0.0 < e < math.inf:
+            raise ConfigError(f"addition parameter e_{j} = {e} must be positive and finite")
         clean[j] = e
         rule = rule.compose(rescale_rule(cfg.n, j, e / (e + 1.0)))
     newc = rule.apply(cfg)
@@ -168,10 +170,10 @@ def am_add(cfg: SolitonConfig, params: Mapping) -> TransformResult:
 @dataclass(frozen=True)
 class SeedFunction:
     """A solution of the starting Hamiltonian at a fixed energy, exposed
-    as a jet evaluator (x, order) -> Jet, where x is a point or a grid
-    (giving a batched Jet). Eigenfunction seeds remember their spectral
-    origin, so overlap integrals can use closed forms and seed_jets can
-    evaluate the bound states of one config together."""
+    as a jet evaluator (x, order) -> Jet, where x is a point or a grid of
+    any shape (the Jet's centers). Eigenfunction seeds remember their
+    spectral origin, so overlap integrals can use closed forms and
+    seed_jets can evaluate the bound states of one config together."""
 
     evaluator: Callable
     config: SolitonConfig | None = None
@@ -235,20 +237,12 @@ def seed_config_from_free(k, ctilde) -> SolitonConfig:
     return SolitonConfig(tuple(k), tuple(c))
 
 
-def _points(x):
-    """A point as a float, a grid of any shape as its flat array of points
-    in C order: a batched Jet has one axis of points."""
-    return np.ravel(np.asarray(x, dtype=float)) if np.ndim(x) else float(x)
-
-
 def seed_jets(seeds: Sequence, x, order: int) -> list:
-    """Jets of the seeds at a point or over a grid (batched over its points
-    in C order), each seed evaluated once: the eigenfunction seeds of one
-    config (equal configs, not only the same object) from one
+    """Jets of the seeds at x, each seed evaluated once: the eigenfunction
+    seeds of one config (equal configs, not only the same object) from one
     solitons.eigenfunctions call, which holds the config's tau and their
     numerators; every other SeedFunction or raw (x, order) -> Jet
     evaluator by one call of its own."""
-    x = _points(x)
     keys = [id(s) if getattr(s, "index", None) is None else (s.config, s.index) for s in seeds]
     groups, jets = {}, {}
     for cfg, j in (key for key in keys if isinstance(key, tuple)):
@@ -274,19 +268,18 @@ def jet_wronskian(jets: Sequence, order: int) -> Jet | float:
 
 
 def wronskian(fns: Sequence, x, order: int = 0) -> Jet:
-    """Jet of the Wronskian det(d^(i-1) f_m / dx^(i-1)) at a point x, or
-    batched over the points of a grid x in C order: the functions
+    """Jet of the Wronskian det(d^(i-1) f_m / dx^(i-1)) at x: the functions
     evaluated once (seed_jets) and one jet_wronskian. Accepts
     SeedFunctions or raw (x, order) -> Jet evaluators; an empty list gives
     the constant 1."""
     if not fns:
-        return Jet.constant(1.0, _points(x), order)
+        return Jet.constant(1.0, x, order)
     return jet_wronskian(seed_jets(fns, x, len(fns) - 1 + order), order)
 
 
 def _wronskian_quotient(fns: Sequence, num, den, x, order: int) -> Jet:
-    """W[fns[i], i in num] / W[fns[i], i in den] at a point or over a
-    grid, two Wronskians of one seed_jets evaluation of fns."""
+    """W[fns[i], i in num] / W[fns[i], i in den] at x, two Wronskians of
+    one seed_jets evaluation of fns."""
     jets = seed_jets(fns, x, len(fns) - 1 + order)
     try:
         return jet_wronskian([jets[i] for i in num], order) / jet_wronskian([jets[i] for i in den], order)
@@ -295,9 +288,8 @@ def _wronskian_quotient(fns: Sequence, num, den, x, order: int) -> Jet:
 
 
 def generic_darboux(seeds: Sequence, target, x, order: int = 0) -> Jet:
-    """Image of the target under the M-seed Darboux chain at a point or
-    over a grid (batched over its points in C order): W[seed_1, ...,
-    seed_M, target] / W[seed_1, ..., seed_M]."""
+    """Image of the target under the M-seed Darboux chain at x: W[seed_1,
+    ..., seed_M, target] / W[seed_1, ..., seed_M]."""
     return _wronskian_quotient([*seeds, target], range(len(seeds) + 1), range(len(seeds)), x, order)
 
 
@@ -308,16 +300,15 @@ def deleted_seed_image(seeds: Sequence, drop: int, x, order: int = 0) -> Jet:
 
 
 def darboux_potential(seeds: Sequence, base_potential: Callable, x):
-    """Transformed potential U - 2 (log |W[seeds]|)'' at a point or over a
-    grid (results of x's shape), from one batched Wronskian; the sign and
-    regularity of W are checked per point."""
+    """Transformed potential U - 2 (log |W[seeds]|)'' at x, from one
+    Wronskian; the sign and regularity of W are checked per point."""
     w = wronskian(seeds, x, 2)
     w0 = w.value
     bad = ~np.isreal(w0) | (w0 == 0)
     if np.any(bad):
-        raise RegularityError(f"seed Wronskian vanishes or is complex at x={np.ravel(x)[np.argmax(bad)]}")
+        raise RegularityError(f"seed Wronskian vanishes or is complex at x={np.ravel(w.center)[np.argmax(bad)]}")
     u = jet_log_d2(Jet(w.center, w.coeffs.real * np.sign(w0.real)[..., None]))
-    return base_potential(x) - 2.0 * np.reshape(u, np.shape(x))
+    return base_potential(x) - 2.0 * u
 
 
 @dataclass(frozen=True)
@@ -363,20 +354,20 @@ def generic_am(
         if e is None or len(e) != len(idx):
             raise ConfigError("addition needs one parameter e per seed")
         e = [float(v) for v in e]
-        if any(v <= 0 for v in e):
-            raise ConfigError("addition parameters must be positive")
+        if not all(0.0 < v < math.inf for v in e):
+            raise ConfigError("addition parameters must be positive and finite")
 
-    cfg, xs = cfg.flowed(), np.ravel(np.asarray(x, dtype=float))
+    cfg = cfg.flowed()
     jt = None if target is None else target.index
     pairs = tail_pairs(idx, idx if jt is None else [*idx, jt])
     eig = [] if jt is None else sorted({*idx, jt})
     rules = [None] + [pair_rule(cfg, *p) for p in pairs] + [eigenfunction_rule(cfg, j) for j in eig]
-    den, *taus = tau_jet_sums(cfg, rules, xs, [2] * (1 + len(pairs)) + [0] * len(eig))
+    den, *taus = tau_jet_sums(cfg, rules, x, [2] * (1 + len(pairs)) + [0] * len(eig))
     pair_taus = dict(zip(pairs, taus))
     rows, log_gauge = overlap_rows(cfg, idx, den, pair_taus, e if mode == "add" else None)
     det = jet_det(rows)
     if np.any(det.value <= 0):
-        raise RegularityError(f"overlap determinant not positive at x={xs[np.argmax(det.value <= 0)]}")
+        raise RegularityError(f"overlap determinant not positive at x={np.ravel(den.xs)[np.argmax(det.value <= 0)]}")
     u_new = -2.0 * (jet_log_d2(den.jet) + jet_log_d2(det))
 
     tval = None
@@ -390,9 +381,9 @@ def generic_am(
         col = tail_matrix_grid(cfg, idx, [jt], den, pair_taus)
         b = -np.stack([replace(t, gauge=t.gauge - g).values().value for [t], g in zip(col, log_gauge)], -1)
         if jt in idx:
-            b[:, idx.index(jt)] += np.exp(-log_gauge[idx.index(jt)]) / cfg.c[jt - 1]
+            b[..., idx.index(jt)] += np.exp(-log_gauge[idx.index(jt)]) / cfg.c[jt - 1]
         z = np.linalg.solve(matrix_values(rows), (w * b)[..., None])[..., 0]
         phi = {j: eigenfunction_grid(cfg, j, den.truncate(0), num).value for j, num in zip(eig, taus[len(pairs) :])}
         corr = np.sum(w * np.stack([phi[j] for j in idx], -1) * z, -1)
-        tval = (phi[jt] + corr if mode == "delete" else phi[jt] - corr).reshape(np.shape(x))
-    return AMResult(x=np.asarray(x, dtype=float), potential=u_new.reshape(np.shape(x)), target_value=tval)
+        tval = phi[jt] + corr if mode == "delete" else phi[jt] - corr
+    return AMResult(x=den.xs, potential=u_new, target_value=tval)

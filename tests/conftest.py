@@ -14,7 +14,7 @@ def grid_tau_calls(monkeypatch):
     """Records the (rules, orders) of every call of the jet-sum core,
     tau_jet_sums, wherever it is reached: it is patched in every module of
     the package that binds the name, so a module that starts calling the
-    core is counted too. It is the one jet-sum entry point: the scalar
+    core is counted too. It is the one jet-sum entry point: the one-point
     tau_jet_sum, eigenfunctions and every engine reach it."""
     calls = []
     real = S.tau_jet_sums

@@ -315,6 +315,9 @@ class TestTransform:
         path = cfg_file([1.0], [2.0])
         code, _ = run(capsys, "transform", path, "--scheme", "am-add")
         assert code == 2
+        for e in ("nan", "inf", "1e400", "0"):
+            code, out = run(capsys, "transform", path, "--scheme", "am-add", "--e", f"1={e}")
+            assert (code, out) == (2, "")
 
 
 class TestVerify:
@@ -379,6 +382,12 @@ class TestChecks:
         code, out = run(capsys, "phase-shift", path, "--T", "3.0")
         assert code == 0
         assert json.loads(out)["pass"] is True
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "1e400", "-inf", "x"])
+    @pytest.mark.parametrize("command", ["verify", "hirota-check", "phase-shift"])
+    def test_tol_must_be_positive_and_finite(self, cfg_file, capsys, command, tol):
+        path = cfg_file([1.0, 2.0], [1.0, 1.0])
+        assert run(capsys, command, path, f"--tol={tol}") == (2, "")
 
     def test_usage_error_on_unknown_command(self, capsys):
         assert cli.main(["bogus"]) == 2

@@ -97,7 +97,8 @@ def test_exp_table():
 def test_exp_reduction_edges():
     """x = (64 n + j) ln2/64 + r at the edges of the reduction: j = +-32
     (x near +-ln2/2, so n = 0), ties of r at half steps of ln2/64, a tiny
-    x, |x| = 2000 and a low word that moves x across a step. Measured
+    x, |x| = 2000, a low word that moves x across a step and low words of
+    either sign at the ties x_hi/ln2 = n + 1/2. Measured
     4.5e-32 relative on |x| <= 3 and 1.7e-30 on |x| <= 2000, where n times
     the rounding of the two-word ln2 dominates."""
     step = mpmath.log(2) / 64
@@ -108,6 +109,11 @@ def test_exp_reduction_edges():
     # the low word shifts x = 0.5 ln2/64 to either side of the half step
     xs = np.append(xs, [half[4], half[4]])
     xl = np.append(xl, [0.5 * np.spacing(half[4]), -0.5 * np.spacing(half[4])])
+    # at the ties x_hi/ln2 = n + 1/2, j = +-32 both reduce x; a low word of
+    # either sign must pick the side that keeps h in range
+    ties = [s * (i + 0.5) * dd._LN2_HI for i in (0, 1, 2, 5) for s in (1.0, -1.0)]
+    xs = np.append(xs, np.repeat(ties, 2))
+    xl = np.append(xl, [4e-16, -4e-16] * len(ties))
     eh, el, en = dd.exp(xs, xl)
     for x, l, h, lo, n in zip(xs, xl, eh, el, en):
         assert rel_err(h, lo, mpmath.exp(mpmath.mpf(x) + mpmath.mpf(l)), n) <= 1e-31

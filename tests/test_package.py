@@ -46,3 +46,20 @@ def test_no_unused_module_imports():
                     if name not in read and (path.name, name) not in UNUSED_IMPORTS_ALLOWED:
                         found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
+
+
+def test_no_point_or_grid_branches():
+    # a point is a grid of shape (), so no module asks "point or grid?".
+    # Results take x's shape through elementwise operations, and only the
+    # tau cores of solitons flatten x (solitons._points)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")
+                and node.attr in ("atleast_1d", "ndim")
+            ):
+                found.append(f"{path.name}:{node.lineno} np.{node.attr}")
+    assert found == []

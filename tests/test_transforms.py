@@ -76,11 +76,21 @@ class TestClosedFormRewrites:
         assert abs(res.after_c[0] - 2.0) < 1e-11
 
     def test_am_add_validation(self):
+        from solitonlab.identities import verify_addition_determinant
+
         cfg = SolitonConfig((1.0,), (2.0,))
         with pytest.raises(ConfigError):
             T.am_add(cfg, {1: -1.0})
         with pytest.raises(ConfigError):
             T.am_add(cfg, {2: 1.0})
+        # e must be finite too: e/(e + 1) of inf is NaN
+        for e in (0.0, math.nan, math.inf, float("1e400")):
+            with pytest.raises(ConfigError):
+                T.am_add(cfg, {1: e})
+            with pytest.raises(ConfigError):
+                T.generic_am(T.eigenfunction_seeds(cfg, [1]), "add", [e], x=0.3)
+            with pytest.raises(ConfigError):
+                verify_addition_determinant(cfg, [1], [e], np.linspace(-1.0, 1.0, 5))
 
     def test_deletion_commutes(self):
         rng = np.random.default_rng(21)
@@ -204,26 +214,28 @@ class TestGenericDarboux:
             assert np.array_equal(img.coeffs[p], T.generic_darboux(seeds, tgt, float(x), 2).coeffs)
 
     def test_two_dimensional_grid_is_the_flat_grid_reshaped(self):
-        # a grid of any shape is read point by point in C order: jets are
-        # batched over its flat points, the potential has x's shape, as in
-        # generic_am; bound and free seeds alike
+        # a grid of any shape is evaluated point by point: jets have x's
+        # shape, each bitwise the flat grid's reshaped, and the potential
+        # has x's shape, as in generic_am; bound and free seeds alike
         cfg = SolitonConfig((0.7, 1.3, 2.1), (1.5, 3.0, 0.4))
         seeds, tgt = T.eigenfunction_seeds(cfg, [1, 2]), T.eigenfunction_seed(cfg, 3)
         x = np.linspace(-2.0, 2.0, 6).reshape(2, 3)
         flat = x.ravel()
+
+        def reshaped(got, ref):
+            return np.array_equal(got.center, x) and np.array_equal(got.coeffs, ref.coeffs.reshape(x.shape + (-1,)))
+
         u = S.potential_fn(cfg)
         v = T.darboux_potential(seeds, u, x)
         assert v.shape == x.shape and np.array_equal(v, T.darboux_potential(seeds, u, flat).reshape(x.shape))
         assert np.array_equal(u(x), u(flat).reshape(x.shape))
         free = [T.free_seed(0.8, 1.3), T.free_seed(1.6, -0.9)]
         for fns in (seeds, [*seeds, tgt], free, []):
-            assert np.array_equal(T.wronskian(fns, x, 1).coeffs, T.wronskian(fns, flat, 1).coeffs)
+            assert reshaped(T.wronskian(fns, x, 1), T.wronskian(fns, flat, 1))
         for got, ref in zip(T.seed_jets([*seeds, *free], x, 1), T.seed_jets([*seeds, *free], flat, 1)):
-            assert np.array_equal(got.center, flat) and np.array_equal(got.coeffs, ref.coeffs)
-        img = T.generic_darboux(seeds, tgt, x, 1)
-        assert np.array_equal(img.coeffs, T.generic_darboux(seeds, tgt, flat, 1).coeffs)
-        img = T.deleted_seed_image(seeds, 0, x, 1)
-        assert np.array_equal(img.coeffs, T.deleted_seed_image(seeds, 0, flat, 1).coeffs)
+            assert reshaped(got, ref)
+        assert reshaped(T.generic_darboux(seeds, tgt, x, 1), T.generic_darboux(seeds, tgt, flat, 1))
+        assert reshaped(T.deleted_seed_image(seeds, 0, x, 1), T.deleted_seed_image(seeds, 0, flat, 1))
 
     @pytest.mark.parametrize("x", [0.3, np.linspace(-3.0, 3.0, 21)])
     @pytest.mark.parametrize("engine", ["generic_darboux", "deleted_seed_image", "darboux_potential", "wronskian"])
