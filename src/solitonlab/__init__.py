@@ -13,6 +13,7 @@ from .solitons import (
     RangeError,
     SolitonConfig,
     TauGrid,
+    addition_rule,
     apply_time_flows,
     default_grid,
     deletion_rule,

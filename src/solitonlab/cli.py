@@ -70,12 +70,12 @@ def _csv_rows(out, header, rows):
         out.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _tolerance(text: str) -> float:
-    """A --tol value: a positive finite float, else a usage error."""
-    tol = float(text)
-    if not 0.0 < tol < math.inf:
-        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, not {text}")
-    return tol
+def _positive(text: str) -> float:
+    """A --tol or --T value: a positive finite float, else a usage error."""
+    v = float(text)
+    if not 0.0 < v < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, not {text}")
+    return v
 
 
 def _grid_from_args(args, cfg: SolitonConfig) -> np.ndarray:
@@ -206,14 +206,15 @@ def _parse_indices(text):
         raise ConfigError(f"bad index list {text!r}") from exc
 
 
-def _parse_eparams(pairs):
+def _parse_eparams(pairs) -> list:
+    """The (j, e_j) of each --e, a repeated j kept for am_add to refuse."""
     if not pairs:
         raise ConfigError("--e j=value required for am-add")
-    params = {}
+    params = []
     for p in pairs:
         try:
             j, v = p.split("=")
-            params[int(j)] = float(v)
+            params.append((int(j), float(v)))
         except ValueError as exc:
             raise ConfigError(f"bad --e argument {p!r}; expected j=value") from exc
     return params
@@ -286,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         if grid:
             sp.add_argument("--grid", nargs=3, type=float, metavar=("XMIN", "XMAX", "N"), default=None)
         if tol:
-            sp.add_argument("--tol", type=_tolerance, default=None)
+            sp.add_argument("--tol", type=_positive, default=None)
         return sp
 
     command("potential", cmd_potential, "potential on a grid", fmt=True)
@@ -309,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("verify", cmd_verify, "run the identity checks on a config", grid=False, tol=True)
     command("hirota-check", cmd_hirota_check, "determinant vs exponential-sum tau", tol=True)
     sp = command("phase-shift", cmd_phase_shift, "two-soliton collision phase shift", grid=False, tol=True)
-    sp.add_argument("--T", type=float, default=3.0)
+    sp.add_argument("--T", type=_positive, default=3.0)
 
     return p
 

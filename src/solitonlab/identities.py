@@ -19,11 +19,13 @@ Wronskian engine, itself under test, takes the eigenfunctions of the
 check's own call on the left of the Wronskian identity (jet_wronskian)
 and evaluates each free seed of the seed-Wronskian identity once.
 
-The overlap matrices of the Abraham-Moses deletion and addition
-determinants come from solitons.overlap_rows, as transforms.generic_am's
-do; inner_tail is the 1x1 tail matrix. The right sides of the
-Wronskian, deletion and addition checks are rewritten taus over the
-config's own tau times an exponential, TauGrid.over, as tail entries are.
+The Abraham-Moses deletion and addition determinants are one check body
+(_overlap_determinant) over the overlap matrix of solitons.overlap_rows,
+as transforms.generic_am's is; inner_tail is the 1x1 tail matrix. The
+right sides of the Wronskian, deletion and addition checks are rewritten
+taus over the config's own tau times an exponential, TauGrid.over, as
+tail entries are. The index sets and the addition parameters are checked
+by solitons (_index_set, addition_rule), and a bad one is a ConfigError.
 
 Random-configuration fuzzing (run_identity_suite) is part of the module
 itself: sweeping these identities over random spectral data is the
@@ -41,6 +43,9 @@ from .jets import _pointwise, jet_exp
 from .solitons import (
     ConfigError,
     SolitonConfig,
+    _check_index,
+    _index_set,
+    addition_rule,
     drop_rule,
     eigenfunction_grid,
     eigenfunction_rule,
@@ -49,7 +54,6 @@ from .solitons import (
     overlap_rows,
     random_config,
     matrix_values,
-    rescale_rule,
     tail_matrix_grid,
     tail_pairs,
     tau_jet_sum,  # unused here, kept: perfbench/test_perfbench.py checks this name is traced
@@ -118,7 +122,6 @@ def inner_tail(cfg: SolitonConfig, j: int, l: int, x):
     tau_jet_sums call. As x -> -infinity this tends to 1/c_j for j=l and
     to 0 otherwise (orthogonality with normalization (phi_j, phi_j) =
     1/c_j)."""
-    cfg = cfg.flowed()
     pair = min(j, l), max(j, l)
     den, tau = tau_jet_sums(cfg, [None, pair_rule(cfg, *pair)], x, [0, 0])
     [[tail]] = tail_matrix_grid(cfg, [j], [l], den, {pair: tau})
@@ -136,8 +139,7 @@ def verify_wronskian_identity(cfg: SolitonConfig, deleted, grid, tol: float = CO
     at order M-1, built from the config's own tau, whose order-0 part also
     serves the right side, and their numerators: one tau_jet_sums call of
     M+2 rules."""
-    cfg = cfg.flowed()
-    dset = sorted(set(int(d) for d in deleted))
+    dset = _index_set(cfg.n, deleted)
     ksum = sum(cfg.k[d - 1] for d in dset)
     m = len(dset)
     rules = [None, deletion_rule(cfg, dset, 1)] + [eigenfunction_rule(cfg, d) for d in dset]
@@ -159,9 +161,8 @@ def verify_bilinear_derivative(cfg: SolitonConfig, j: int, l: int, grid, tol: fl
     the order-0 eigenfunctions, so the check is one tau_jet_sums call of
     four rules (three for j = l): that tau, the tail's pair tau and the
     eigenfunction numerators."""
-    cfg = cfg.flowed()
-    pair = min(j, l), max(j, l)
-    idx = sorted(set(pair))
+    idx = _index_set(cfg.n, (j, l))
+    pair = idx[0], idx[-1]
     rules = [None, pair_rule(cfg, *pair)] + [eigenfunction_rule(cfg, i) for i in idx]
     den, tau, *nums = tau_jet_sums(cfg, rules, grid, [1, 1] + [0] * len(idx))
     phi = {i: eigenfunction_grid(cfg, i, den.truncate(0), num).value for i, num in zip(idx, nums)}
@@ -177,50 +178,40 @@ def verify_bilinear_derivative(cfg: SolitonConfig, j: int, l: int, grid, tol: fl
 
 def verify_deletion_determinant(cfg: SolitonConfig, deleted, grid, tol: float = CONSTANCY_TOL) -> VerificationReport:
     """det of the tail-integral matrix over the deleted set is a constant
-    multiple of (squared-rewrite tau / tau) e^{-2 sum k_d x}: one
-    tau_jet_sums call of the config's own tau, the m(m+1)/2 pair taus and
-    the squared rewrite. For one index d the squared rewrite is
-    pair_rule(d, d) with bitwise-equal factors, so the tail's pair tau
-    serves the right side too."""
-    cfg = cfg.flowed()
-    dset = sorted(set(int(d) for d in deleted))
-    ksum = sum(cfg.k[d - 1] for d in dset)
-    pairs = tail_pairs(dset, dset)
-    rules = [None] + [pair_rule(cfg, *p) for p in pairs]
-    if len(dset) > 1:
-        rules.append(deletion_rule(cfg, dset, 2))
-    den, *taus = tau_jet_sums(cfg, rules, grid, [0] * len(rules))
-    rows, log_gauge = overlap_rows(cfg, dset, den, dict(zip(pairs, taus)))
-    sgn_l, logabs = np.linalg.slogdet(matrix_values(rows))
-    log_l = log_gauge.sum(axis=0) + logabs
-    rhs = taus[-1].over(den, -2.0 * ksum)  # the squared rewrite, or the one pair tau
-    return _ratio_report(
-        f"deletion_determinant D={dset}", "deletion_determinant", grid, log_l, sgn_l, rhs.log_abs, rhs.sign, tol
-    )
+    multiple of (squared-rewrite tau / tau) e^{-2 sum k_d x}."""
+    dset = _index_set(cfg.n, deleted)
+    rate = -2.0 * sum(cfg.k[d - 1] for d in dset)
+    return _overlap_determinant(cfg, dset, None, deletion_rule(cfg, dset, 2), rate, "deletion", grid, tol)
 
 
 def verify_addition_determinant(cfg: SolitonConfig, deleted, e, grid, tol: float = CONSTANCY_TOL) -> VerificationReport:
     """det(e_j delta_jl + overlap of unit-normalized bound states up to x)
     is a constant multiple of (rescaled tau / tau); the rescale is
-    c_d -> e_d/(e_d+1) c_d. One tau_jet_sums call of the config's own tau,
-    the m(m+1)/2 pair taus and the rescaled tau."""
-    cfg = cfg.flowed()
-    dset = sorted(set(int(d) for d in deleted))
-    e = [float(v) for v in e]
-    if len(e) != len(dset) or not all(0.0 < v < math.inf for v in e):
-        raise ConfigError("one positive finite parameter e per index required")
-    rule = None
-    for d, ed in zip(dset, e):
-        r = rescale_rule(cfg.n, d, ed / (ed + 1.0))
-        rule = r if rule is None else rule.compose(r)
+    c_d -> e_d/(e_d+1) c_d (solitons.addition_rule), e_d the parameter in
+    the place of d."""
+    if len(e) != len(deleted):
+        raise ConfigError("one parameter e per index required")
+    rule, e = addition_rule(cfg, zip(deleted, e))
+    return _overlap_determinant(cfg, list(e), list(e.values()), rule, 0.0, "addition", grid, tol)
+
+
+def _overlap_determinant(cfg, dset, e, rule, rate, name, grid, tol) -> VerificationReport:
+    """The Abraham-Moses determinant check of deletion (e None) or addition
+    over dset: one tau_jet_sums call of the config's tau, the m(m+1)/2 pair
+    taus and rule's tau, unless a pair rule equals it (one deleted d:
+    pair_rule(d, d), bitwise); the left side is one stacked slogdet of
+    overlap_rows, the right rule's tau over the config's times e^{rate x}."""
     pairs = tail_pairs(dset, dset)
-    rules = [None] + [pair_rule(cfg, *p) for p in pairs] + [rule]
-    den, *taus, num = tau_jet_sums(cfg, rules, grid, [0] * len(rules))
-    rows, _ = overlap_rows(cfg, dset, den, dict(zip(pairs, taus)), e)  # ungauged
-    sgn_l, log_l = np.linalg.slogdet(matrix_values(rows))
-    rhs = num.over(den)
+    rules = [None] + [pair_rule(cfg, *p) for p in pairs]
+    if rule not in rules:
+        rules.append(rule)
+    den, *taus = tau_jet_sums(cfg, rules, grid, [0] * len(rules))
+    rows, log_gauge = overlap_rows(cfg, dset, den, dict(zip(pairs, taus)), e)
+    sgn_l, logabs = np.linalg.slogdet(matrix_values(rows))
+    rhs = taus[rules.index(rule) - 1].over(den, rate)
     return _ratio_report(
-        f"addition_determinant D={dset}", "addition_determinant", grid, log_l, sgn_l, rhs.log_abs, rhs.sign, tol
+        f"{name}_determinant D={dset}", f"{name}_determinant", grid, log_gauge.sum(axis=0) + logabs, sgn_l,
+        rhs.log_abs, rhs.sign, tol,
     )
 
 
@@ -229,8 +220,8 @@ def verify_tau_split(cfg: SolitonConfig, j: int, grid, tol: float = POINTWISE_TO
     tau, checked as a relative residual in a common gauge; the three taus
     are one tau_jet_sums call."""
     cfg = cfg.flowed()
-    kj = cfg.k[j - 1]
-    cj = cfg.c[j - 1]
+    j = _check_index(cfg.n, j)
+    kj, cj = cfg.k[j - 1], cfg.c[j - 1]
     u, uj, wj = tau_jet_sums(cfg, [None, drop_rule(cfg.n, j), pair_rule(cfg, j, j)], grid, [0, 0, 0])
     a = uj.sign * np.exp(uj.log_abs - u.log_abs)
     logb = math.log(cj / (2.0 * kj)) - 2.0 * kj * u.xs + wj.log_abs - u.log_abs

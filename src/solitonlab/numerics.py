@@ -53,15 +53,15 @@ class ScatteringResult:
         return abs(abs(self.reflection_amp) ** 2 + abs(self.transmission_amp) ** 2 - 1.0)
 
 
-def _check_domain(potential: Callable, L: float, decay_tol: float) -> float:
+def _check_domain(potential: Callable, L: float) -> float:
     """L as a float: ValueError unless positive and finite, DomainError unless U decayed at +-L."""
     L = float(L)
     if not 0.0 < L < math.inf:
         raise ValueError(f"domain half-width must be positive and finite, not {L}")
     edge = max(abs(float(potential(-L))), abs(float(potential(L))))
-    if edge > decay_tol:
+    if edge > DECAY_TOL:
         raise DomainError(
-            f"potential magnitude {edge:.3g} at +-{L} exceeds {decay_tol:.0e}; enlarge the domain"
+            f"potential magnitude {edge:.3g} at +-{L} exceeds {DECAY_TOL:.0e}; enlarge the domain"
         )
     return L
 
@@ -299,7 +299,6 @@ def bound_spectrum(
     potential: Callable,
     domain_halfwidth: float,
     grid_step: float = 0.05,
-    decay_tol: float = DECAY_TOL,
 ) -> SpectrumResult:
     """Bound-state energies -kappa^2 of -d^2/dx^2 + U, with U taken as 0
     beyond [-L, L], as the zeros of the Jost coefficient a(i kappa).
@@ -322,7 +321,7 @@ def bound_spectrum(
     finite raises ValueError.
 
     `potential` must accept an array of x values."""
-    L = _check_domain(potential, domain_halfwidth, decay_tol)
+    L = _check_domain(potential, domain_halfwidth)
     if not 0.0 < float(grid_step) < math.inf:
         raise ValueError(f"grid step must be positive and finite, not {grid_step}")
     floor = 1.0 / L
@@ -357,8 +356,6 @@ def scatter(
     potential: Callable,
     k: float,
     domain_halfwidth: float,
-    rtol: float = _RTOL,
-    decay_tol: float = DECAY_TOL,
 ) -> ScatteringResult:
     """Reflection/transmission amplitudes at wavenumber k > 0.
 
@@ -370,7 +367,7 @@ def scatter(
     exact for piecewise-constant U, so the step need not resolve the
     wavelength: it starts near 0.05/max(k, 1) and is halved until two
     successive Richardson extrapolations (16 fine - coarse)/15 of (r, t)
-    agree to rtol, which bounds the error of the coarser one; the finer
+    agree to _RTOL, which bounds the error of the coarser one; the finer
     is returned. Past _MAGNUS_MAX_STEPS steps, or on a non-finite U,
     SolverError is raised; a k or domain_halfwidth that is not positive
     and finite raises ValueError.
@@ -379,13 +376,13 @@ def scatter(
     evaluates U at all its Gauss points in one call."""
     if not 0.0 < k < math.inf:
         raise ValueError(f"wavenumber must be positive and finite, not {k}")
-    L = _check_domain(potential, domain_halfwidth, decay_tol)
+    L = _check_domain(potential, domain_halfwidth)
 
     def amplitudes(u, h):
         return np.array(_amplitudes(_magnus_propagator(u, h, np.array([k * k]))[:, 0], k, L))
 
     (r, t), _ = _step_doubling(
-        potential, L, 0.05 / max(k, 1.0), amplitudes, rtol, "scattering amplitudes"
+        potential, L, 0.05 / max(k, 1.0), amplitudes, _RTOL, "scattering amplitudes"
     )
     return ScatteringResult(k=k, reflection_amp=complex(r), transmission_amp=complex(t))
 
@@ -462,7 +459,11 @@ def _potential_minimum(ufn: Callable, lo: float, hi: float) -> float:
     return float(x)
 
 
-def phase_shift_check(cfg: SolitonConfig, t_pair: tuple, min_separation: float = 5.0) -> float:
+#: least distance of the two minima, in units of 1/k_1, that phase_shift_check accepts
+_MIN_SEPARATION = 5.0
+
+
+def phase_shift_check(cfg: SolitonConfig, t_pair: tuple) -> float:
     """Two-soliton collision phase shifts.
 
     Evolves the config to t = -T and t = +T, locates both potential
@@ -471,12 +472,15 @@ def phase_shift_check(cfg: SolitonConfig, t_pair: tuple, min_separation: float =
     closed-form shift a/(2 k_j), a = 2 log|(k_1-k_2)/(k_1+k_2)|: the
     faster soliton is advanced by a/(2 k_2) before the collision and
     free afterwards, the slower one the other way round. Returns the
-    maximum absolute deviation."""
+    maximum absolute deviation. ValueError unless t_pair[0] < 0 < t_pair[1],
+    as the offsets expected are those before and after the collision."""
     if cfg.n != 2:
         raise ValueError("phase-shift check requires exactly two solitons")
+    tm, tp = (float(t_pair[0]), float(t_pair[1]))
+    if not tm < 0.0 < tp:
+        raise ValueError(f"phase-shift times must straddle the collision, t_before < 0 < t_after: {t_pair}")
     k1, k2 = cfg.k
     a12 = 2.0 * math.log(abs(k1 - k2) / (k1 + k2))
-    tm, tp = (float(t_pair[0]), float(t_pair[1]))
     free_center = lambda j, t: 4.0 * cfg.k[j] ** 2 * t + math.log(cfg.c[j] / (2.0 * cfg.k[j])) / (
         2.0 * cfg.k[j]
     )
@@ -490,7 +494,7 @@ def phase_shift_check(cfg: SolitonConfig, t_pair: tuple, min_separation: float =
         for j in range(2):
             guess = free_center(j, t) + expected[j][side]
             centers.append(_potential_minimum(ufn, guess - 2.0 / cfg.k[j], guess + 2.0 / cfg.k[j]))
-        if abs(centers[0] - centers[1]) < min_separation / k1:
+        if abs(centers[0] - centers[1]) < _MIN_SEPARATION / k1:
             raise SolverError(f"solitons not separated at t={t}; increase |T|")
         for j in range(2):
             worst = max(worst, abs(centers[j] - free_center(j, t) - expected[j][side]))

@@ -23,7 +23,9 @@ shape, a point being shape (), and gives results of x's shape; only the
 four cores (the three tau routes and the cumulants) flatten it (_points).
 
 Every tilde-variant of u used by the deformation schemes is a pointwise
-rewrite c_m -> factor_m * c_m, represented by CoefficientRule. Tau jets
+rewrite c_m -> factor_m * c_m, represented by CoefficientRule; those of
+the schemes, deletion_rule and addition_rule, are where their index sets
+(_index_set) and parameters are checked. Tau jets
 carry a log gauge (TauGrid), as tau spans hundreds of orders of magnitude.
 Eigenfunctions, tail integrals and the right sides of the identities are
 each a rewritten tau over the config's own times an exponential,
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
@@ -172,8 +175,7 @@ class CoefficientRule:
 def eigenfunction_rule(cfg: SolitonConfig, j: int) -> CoefficientRule:
     """Rewrite whose tau is the numerator of the j-th eigenfunction:
     c_m -> c_m (k_j - k_m)/(k_j + k_m). The factor at m=j is exactly 0."""
-    _check_index(cfg, j)
-    kj = cfg.k[j - 1]
+    kj = cfg.k[_check_index(cfg.n, j) - 1]
     return CoefficientRule(tuple((kj - km) / (kj + km) for km in cfg.k))
 
 
@@ -189,12 +191,28 @@ def deletion_rule(cfg: SolitonConfig, deleted, exponent: int = 1) -> Coefficient
     if exponent not in (1, 2):
         raise ConfigError("deletion exponent must be 1 or 2")
     rule = CoefficientRule.identity(cfg.n)
-    for d in sorted(set(deleted)):
+    for d in _index_set(cfg.n, deleted):
         step = eigenfunction_rule(cfg, d)
         if exponent == 2:
             step = step.compose(step)
         rule = rule.compose(step)
     return rule
+
+
+def addition_rule(cfg: SolitonConfig, params) -> tuple:
+    """(rule, e) of the Abraham-Moses addition with parameters params, a
+    mapping j -> e_j or (j, e_j) pairs: the rewrite c_j -> e_j/(e_j+1) c_j
+    and {j: e_j} by ascending j, each e_j kept with its own j. ConfigError
+    unless there is at least one pair, each j a state index given once
+    and each e_j in (0, inf)."""
+    items = params.items() if isinstance(params, Mapping) else params
+    pairs = [(_check_index(cfg.n, j), float(v)) for j, v in items]
+    e = dict(sorted(pairs))
+    if not e or len(e) < len(pairs):
+        raise ConfigError(f"addition needs at least one index, each given once: {pairs}")
+    if not all(0.0 < v < math.inf for v in e.values()):
+        raise ConfigError(f"addition parameters must be positive and finite: {e}")
+    return CoefficientRule(tuple(e[m] / (e[m] + 1.0) if m in e else 1.0 for m in range(1, cfg.n + 1))), e
 
 
 def drop_rule(n: int, j: int) -> CoefficientRule:
@@ -203,14 +221,29 @@ def drop_rule(n: int, j: int) -> CoefficientRule:
 
 
 def rescale_rule(n: int, j: int, factor: float) -> CoefficientRule:
-    if not 1 <= j <= n:
-        raise ConfigError(f"index {j} out of range 1..{n}")
+    j = _check_index(n, j)
     return CoefficientRule(tuple(factor if m == j else 1.0 for m in range(1, n + 1)))
 
 
-def _check_index(cfg: SolitonConfig, j: int):
-    if not 1 <= j <= cfg.n:
-        raise ConfigError(f"eigenstate index {j} out of range 1..{cfg.n}")
+def _check_index(n: int, j) -> int:
+    """The state index j in 1..n as an int: integers only (operator.index:
+    numpy integers pass, 1.5 and 2.0 do not); ConfigError otherwise."""
+    try:
+        j = operator.index(j)
+    except TypeError as exc:
+        raise ConfigError(f"eigenstate index {j!r} is not an integer") from exc
+    if not 1 <= j <= n:
+        raise ConfigError(f"eigenstate index {j} out of range 1..{n}")
+    return j
+
+
+def _index_set(n: int, indices) -> list:
+    """The distinct indices, each by _check_index, ascending; ConfigError
+    for none."""
+    dset = sorted({_check_index(n, j) for j in indices})
+    if not dset:
+        raise ConfigError("empty index set")
+    return dset
 
 
 def _effective(cfg: SolitonConfig, rule: CoefficientRule | None):
@@ -465,8 +498,8 @@ def tau_jet_sums(cfg: SolitonConfig, rules, xs, orders) -> list:
     RangeError beyond it."""
     cfg = cfg.flowed()
     orders = [int(q) for q in orders]
-    if len(orders) != len(rules):
-        raise ConfigError(f"{len(rules)} rules but {len(orders)} jet orders")
+    if len(orders) != len(rules) or not rules:
+        raise ConfigError(f"{len(rules)} rules but {len(orders)} jet orders; one per rule, at least one")
     if any(q < 0 for q in orders):
         raise ConfigError("jet order must be non-negative")
     ce = np.array([cfg.c if rule is None else rule.apply(cfg) for rule in rules]).reshape(len(rules), cfg.n)
@@ -724,7 +757,6 @@ def eigenfunctions(cfg: SolitonConfig, indices, x, order: int) -> list:
     -> +infinity, at a point or over a grid of any shape: eigenfunction_grid
     over one tau_jet_sums call of the config's tau and the numerators (N <=
     12), each bitwise the same whichever indices share the call."""
-    cfg = cfg.flowed()
     rules = [None] + [eigenfunction_rule(cfg, j) for j in indices]
     den, *nums = tau_jet_sums(cfg, rules, x, [order] * len(rules))
     return [eigenfunction_grid(cfg, j, den, num) for j, num in zip(indices, nums)]
@@ -740,9 +772,7 @@ def eigenfunction_grid(cfg: SolitonConfig, j: int, den: TauGrid, num: TauGrid) -
     """Jet of the j-th eigenfunction, (rewritten tau / tau) e^{-k_j x},
     over a grid, from the config's own tau den and the rewritten tau num
     (eigenfunction_rule(cfg, j)) of one tau_jet_sums call; both only read."""
-    cfg = cfg.flowed()
-    _check_index(cfg, j)
-    return num.over(den, -cfg.k[j - 1]).values()
+    return num.over(den, -cfg.k[_check_index(cfg.n, j) - 1]).values()
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +797,6 @@ def tail_matrix_grid(cfg: SolitonConfig, rows, cols, den: TauGrid, pair_taus: Ma
     pair_taus maps each pair (j, l) of tail_pairs(rows, cols) to its pair
     tau, pair_rule(cfg, j, l) over den's grid at den's order; it is only
     read. pair_rule is symmetric, so T_ab is T_ba bitwise."""
-    cfg = cfg.flowed()
     entries = {}
 
     def entry(j, l):

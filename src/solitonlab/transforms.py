@@ -5,12 +5,15 @@ Two layers are implemented deliberately side by side:
 * closed-form parameter rewrites — ground-state Darboux, Krein-Adler
   multi-deletion (per-factor exponent 1), Abraham-Moses deletion
   (exponent 2) and addition (pure c rescale), each returning a new
-  SolitonConfig;
-* generic engines over arbitrary seed functions — Wronskian-quotient
-  Darboux chains and the overlap-determinant Abraham-Moses map — that
-  never look at the closed forms. Each engine evaluates its seeds once
-  (seed_jets), the bound states of one config in one tau_jet_sums call,
-  at x of any shape, and gives results of x's shape.
+  SolitonConfig; the deleted sets and the addition parameters are
+  checked where their rewrites live, in solitons (deletion_rule,
+  addition_rule), and a bad one is a ConfigError;
+* generic engines that never look at the closed forms — Wronskian-quotient
+  Darboux chains over arbitrary seed functions, and the overlap-
+  determinant Abraham-Moses map over the bound states indices of a
+  config (generic_am). Each engine evaluates its seeds once (seed_jets),
+  the bound states of one config in one tau_jet_sums call, at x of any
+  shape, and gives results of x's shape.
 
 That the two layers produce the same potentials is a theorem; the test
 suite treats it as a falsifiable claim and checks it pointwise.
@@ -20,15 +23,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .jets import Jet, SingularJetError, jet_det, jet_exp, jet_log_d2
 from .solitons import (
     ConfigError,
-    CoefficientRule,
     SolitonConfig,
+    _check_index,
+    _index_set,
+    addition_rule,
     deletion_rule,
     eigenfunction_grid,
     eigenfunction_rule,
@@ -36,7 +41,6 @@ from .solitons import (
     matrix_values,
     overlap_rows,
     pair_rule,
-    rescale_rule,
     tail_matrix_grid,
     tail_pairs,
     tau_jet_sums,
@@ -73,10 +77,7 @@ class TransformResult:
 
 
 def _delete(cfg: SolitonConfig, deleted, xi: int, scheme: str) -> TransformResult:
-    dset = sorted(set(int(d) for d in deleted))
-    for d in dset:
-        if not 1 <= d <= cfg.n:
-            raise ConfigError(f"deleted index {d} out of range 1..{cfg.n}")
+    dset = _index_set(cfg.n, deleted)
     newc = deletion_rule(cfg, dset, xi).apply(cfg)
     keep = [m for m in range(1, cfg.n + 1) if m not in dset]
     return TransformResult(
@@ -92,23 +93,15 @@ def _delete(cfg: SolitonConfig, deleted, xi: int, scheme: str) -> TransformResul
 def darboux_ground(cfg: SolitonConfig) -> TransformResult:
     """Delete the ground state (index N) by a single Darboux step; the
     result is the (N-1)-soliton family member with rewritten c — shape
-    invariance in executable form."""
-    if cfg.n < 1:
-        raise ConfigError("nothing to delete from the trivial potential")
-    return _delete(cfg, {cfg.n}, 1, "darboux_ground")
+    invariance in executable form; ConfigError for N = 0."""
+    return _delete(cfg, [cfg.n], 1, "darboux_ground")
 
 
 def _krein_adler_violation(n: int, deleted) -> int | None:
     """First m in 1..n with prod_j (d_j - m) < 0, or None when the
     deletion set is admissible."""
-    dset = sorted(set(int(d) for d in deleted))
-    for m in range(1, n + 1):
-        prod = 1
-        for d in dset:
-            prod *= d - m
-        if prod < 0:
-            return m
-    return None
+    dset = _index_set(n, deleted)
+    return next((m for m in range(1, n + 1) if math.prod(d - m for d in dset) < 0), None)
 
 
 def krein_adler_check(n: int, deleted) -> bool:
@@ -125,7 +118,7 @@ def krein_adler_delete(cfg: SolitonConfig, deleted, unsafe: bool = False) -> Tra
     m = _krein_adler_violation(cfg.n, deleted)
     if m is not None and not unsafe:
         raise ConfigError(
-            f"deletion set {sorted(set(deleted))} fails the sign condition at m={m}; "
+            f"deletion set {_index_set(cfg.n, deleted)} fails the sign condition at m={m}; "
             "the output would be singular (pass unsafe=True to build it anyway)"
         )
     return _delete(cfg, deleted, 1, "krein_adler")
@@ -137,20 +130,11 @@ def am_delete(cfg: SolitonConfig, deleted) -> TransformResult:
     return _delete(cfg, deleted, 2, "am_delete")
 
 
-def am_add(cfg: SolitonConfig, params: Mapping) -> TransformResult:
-    """Abraham-Moses addition with finite parameters e_j > 0: exactly
-    iso-spectral, rescaling c_j -> e_j/(e_j+1) * c_j."""
-    rule = CoefficientRule.identity(cfg.n)
-    clean = {}
-    for j, e in params.items():
-        j = int(j)
-        e = float(e)
-        if not 1 <= j <= cfg.n:
-            raise ConfigError(f"addition index {j} out of range 1..{cfg.n}")
-        if not 0.0 < e < math.inf:
-            raise ConfigError(f"addition parameter e_{j} = {e} must be positive and finite")
-        clean[j] = e
-        rule = rule.compose(rescale_rule(cfg.n, j, e / (e + 1.0)))
+def am_add(cfg: SolitonConfig, params) -> TransformResult:
+    """Abraham-Moses addition with finite parameters e_j > 0, params as
+    solitons.addition_rule takes them: exactly iso-spectral, rescaling
+    c_j -> e_j/(e_j+1) * c_j."""
+    rule, e = addition_rule(cfg, params)
     newc = rule.apply(cfg)
     return TransformResult(
         before=cfg,
@@ -159,7 +143,7 @@ def am_add(cfg: SolitonConfig, params: Mapping) -> TransformResult:
         xi_exponent=None,
         after_k=cfg.k,
         after_c=tuple(float(v) for v in newc),
-        am_params=clean,
+        am_params=e,
     )
 
 
@@ -189,7 +173,7 @@ def eigenfunction_seed(cfg: SolitonConfig, j: int) -> SeedFunction:
 
 
 def eigenfunction_seeds(cfg: SolitonConfig, indices) -> list:
-    return [eigenfunction_seed(cfg, j) for j in sorted(set(indices))]
+    return [eigenfunction_seed(cfg, j) for j in _index_set(cfg.n, indices)]
 
 
 def free_seed(k: float, ctilde: float) -> SeedFunction:
@@ -320,15 +304,11 @@ class AMResult:
     target_value: np.ndarray | None
 
 
-def generic_am(
-    seeds: Sequence,
-    mode: str,
-    e: Sequence | None = None,
-    target=None,
-    x=0.0,
-) -> AMResult:
-    """Generic Abraham-Moses step over bound-state seeds of one config, at
-    a point or over a grid.
+def generic_am(cfg: SolitonConfig, indices, mode: str, e: Sequence | None = None, target=None, x=0.0) -> AMResult:
+    """Generic Abraham-Moses step over the bound states indices of cfg, at
+    a point or over a grid; for addition e holds one parameter per index,
+    in the order of indices (solitons.addition_rule), and target, if
+    given, is the index of the bound state to map.
 
     Uses unit-normalized seeds s_j = sqrt(c_j) phi_j, so the overlap
     matrix is F_jl = (e_j + 1) delta_jl - sqrt(c_j c_l) T_jl(x) for
@@ -340,31 +320,23 @@ def generic_am(
     psi -/+ sum_jl s_j (F^-1)_jl <s_l, psi>, one batched solve. u, the
     pair taus and the eigenfunction numerators are one tau_jet_sums call.
     """
-    if mode not in ("add", "delete"):
-        raise ConfigError(f"unknown mode {mode!r}; use 'add' or 'delete'")
-    if not seeds:
-        raise ConfigError("at least one seed required")
-    cfg = seeds[0].config
-    if cfg is None or any(s.config != cfg or s.index is None for s in seeds):
-        raise ConfigError("generic_am needs bound-state seeds of a single config")
-    if target is not None and (target.config != cfg or target.index is None):
-        raise ConfigError("target must be a bound state of the same config")
-    idx = [s.index for s in seeds]
     if mode == "add":
-        if e is None or len(e) != len(idx):
-            raise ConfigError("addition needs one parameter e per seed")
-        e = [float(v) for v in e]
-        if not all(0.0 < v < math.inf for v in e):
-            raise ConfigError("addition parameters must be positive and finite")
-
+        if e is None or len(e) != len(indices):
+            raise ConfigError("addition needs one parameter e per index")
+        e = addition_rule(cfg, zip(indices, e))[1]
+        idx, e = list(e), list(e.values())
+    elif mode == "delete":
+        idx, e = _index_set(cfg.n, indices), None
+    else:
+        raise ConfigError(f"unknown mode {mode!r}; use 'add' or 'delete'")
     cfg = cfg.flowed()
-    jt = None if target is None else target.index
+    jt = None if target is None else _check_index(cfg.n, target)
     pairs = tail_pairs(idx, idx if jt is None else [*idx, jt])
-    eig = [] if jt is None else sorted({*idx, jt})
+    eig = [] if jt is None else _index_set(cfg.n, [*idx, jt])
     rules = [None] + [pair_rule(cfg, *p) for p in pairs] + [eigenfunction_rule(cfg, j) for j in eig]
     den, *taus = tau_jet_sums(cfg, rules, x, [2] * (1 + len(pairs)) + [0] * len(eig))
     pair_taus = dict(zip(pairs, taus))
-    rows, log_gauge = overlap_rows(cfg, idx, den, pair_taus, e if mode == "add" else None)
+    rows, log_gauge = overlap_rows(cfg, idx, den, pair_taus, e)
     det = jet_det(rows)
     if np.any(det.value <= 0):
         raise RegularityError(f"overlap determinant not positive at x={np.ravel(den.xs)[np.argmax(det.value <= 0)]}")

@@ -154,9 +154,8 @@ def test_07_deformation_closure():
             worst = max(worst, float(np.max(np.abs(v - [S.potential(res.after, float(x)) for x in xs]))))
         else:
             res = T.am_delete(cfg, dset)
-            seeds = T.eigenfunction_seeds(cfg, dset)
             xs = np.linspace(-8.0 / cfg.k[0], 8.0 / cfg.k[0], 9)
-            r = T.generic_am(seeds, "delete", x=xs)
+            r = T.generic_am(cfg, dset, "delete", x=xs)
             worst = max(worst, float(np.max(np.abs(r.potential - [S.potential(res.after, float(x)) for x in xs]))))
         sp = N.bound_spectrum(S.potential_fn(res.after), 16.0 / res.after_k[0])
         expected = sorted(-kj * kj for kj in res.after_k)

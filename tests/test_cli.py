@@ -383,6 +383,13 @@ class TestChecks:
         assert code == 0
         assert json.loads(out)["pass"] is True
 
+    @pytest.mark.parametrize("T", ["-3", "0", "nan", "inf", "-inf", "x"])
+    def test_phase_shift_T_must_be_positive_and_finite(self, cfg_file, capsys, T):
+        # --T -3 would compare the states after and before the collision
+        # the wrong way round and report a valid config as failing
+        path = cfg_file([1.0, 2.0], [6.0, 12.0])
+        assert run(capsys, "phase-shift", path, f"--T={T}") == (2, "")
+
     @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "1e400", "-inf", "x"])
     @pytest.mark.parametrize("command", ["verify", "hirota-check", "phase-shift"])
     def test_tol_must_be_positive_and_finite(self, cfg_file, capsys, command, tol):

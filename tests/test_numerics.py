@@ -377,6 +377,13 @@ class TestPhaseShift:
         with pytest.raises(ValueError):
             N.phase_shift_check(SolitonConfig((1.0,), (1.0,)), (-3.0, 3.0))
 
+    @pytest.mark.parametrize("t_pair", [(3.0, -3.0), (0.0, 3.0), (-3.0, 0.0), (1.0, 3.0), (-3.0, -1.0)])
+    def test_times_must_straddle_the_collision(self, t_pair):
+        # the expected offsets are those before (t < 0) and after (t > 0)
+        # the collision; reversed, a valid pair read as failing
+        with pytest.raises(ValueError):
+            N.phase_shift_check(SolitonConfig((1.0, 2.0), (6.0, 12.0)), t_pair)
+
     def test_unseparated_raises(self):
         cfg = SolitonConfig((1.0, 1.05), (1.0, 1.0))
         with pytest.raises(N.SolverError):

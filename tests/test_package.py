@@ -63,3 +63,27 @@ def test_no_point_or_grid_branches():
             ):
                 found.append(f"{path.name}:{node.lineno} np.{node.attr}")
     assert found == []
+
+
+def test_index_sets_built_in_one_place():
+    # a set of state indices is built and checked by solitons._index_set
+    # alone, so no module sorts a set of indices of its own
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "solitons.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "sorted"
+                and node.args
+                and (
+                    isinstance(node.args[0], (ast.Set, ast.SetComp))
+                    or isinstance(node.args[0], ast.Call)
+                    and isinstance(node.args[0].func, ast.Name)
+                    and node.args[0].func.id == "set"
+                )
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

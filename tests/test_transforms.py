@@ -88,7 +88,7 @@ class TestClosedFormRewrites:
             with pytest.raises(ConfigError):
                 T.am_add(cfg, {1: e})
             with pytest.raises(ConfigError):
-                T.generic_am(T.eigenfunction_seeds(cfg, [1]), "add", [e], x=0.3)
+                T.generic_am(cfg, [1], "add", [e], x=0.3)
             with pytest.raises(ConfigError):
                 verify_addition_determinant(cfg, [1], [e], np.linspace(-1.0, 1.0, 5))
 
@@ -317,9 +317,8 @@ class TestGenericAM:
         cfg = S.random_config(rng, n=4)
         for dset in ([2], [1, 3]):
             after = T.am_delete(cfg, dset).after
-            seeds = T.eigenfunction_seeds(cfg, dset)
             xs = np.linspace(-8 / cfg.k[0], 8 / cfg.k[0], 9)
-            r = T.generic_am(seeds, "delete", x=xs)
+            r = T.generic_am(cfg, dset, "delete", x=xs)
             assert r.potential == pytest.approx([S.potential(after, float(x)) for x in xs], abs=1e-10)
 
     def test_add_matches_closed_form(self):
@@ -327,9 +326,8 @@ class TestGenericAM:
         cfg = S.random_config(rng, n=3)
         e = [2.0, 0.7]
         after = T.am_add(cfg, {1: e[0], 3: e[1]}).after
-        seeds = T.eigenfunction_seeds(cfg, [1, 3])
         xs = np.linspace(-8 / cfg.k[0], 8 / cfg.k[0], 9)
-        r = T.generic_am(seeds, "add", e=e, x=xs)
+        r = T.generic_am(cfg, [1, 3], "add", e=e, x=xs)
         assert r.potential == pytest.approx([S.potential(after, float(x)) for x in xs], abs=1e-10)
 
     @pytest.mark.parametrize("mode", ["add", "delete"])
@@ -340,7 +338,7 @@ class TestGenericAM:
         e = [2.0, 0.7]
         after = (T.am_add(cfg.flowed(), {1: e[0], 3: e[1]}) if mode == "add" else T.am_delete(cfg.flowed(), [1, 3])).after
         xs = np.linspace(-4.0, 4.0, 9)
-        r = T.generic_am(T.eigenfunction_seeds(cfg, [1, 3]), mode, e, T.eigenfunction_seed(cfg, 2), xs)
+        r = T.generic_am(cfg, [1, 3], mode, e, 2, xs)
         assert r.potential == pytest.approx([S.potential(after, float(x)) for x in xs], abs=1e-10)
         if mode == "add":  # iso-spectral: phi_2 maps to a multiple of the new phi_2
             ratios = r.target_value / [S.eigenfunction(after, 2, float(x), 0).coeffs[0] for x in xs]
@@ -349,10 +347,8 @@ class TestGenericAM:
     def test_deleted_target_maps_to_new_eigenfunction(self):
         cfg = SolitonConfig((1.0, 2.0, 3.0), (1.0, 2.0, 3.0))
         after = T.am_delete(cfg, [3]).after
-        seeds = T.eigenfunction_seeds(cfg, [3])
-        tgt = T.eigenfunction_seed(cfg, 1)
         xs = [-1.0, 0.0, 0.7, 1.5]
-        r = T.generic_am(seeds, "delete", target=tgt, x=xs)
+        r = T.generic_am(cfg, [3], "delete", target=1, x=xs)
         ratios = r.target_value / [S.eigenfunction(after, 1, x, 0).coeffs[0] for x in xs]
         assert np.std(ratios) / abs(np.mean(ratios)) < 1e-9
 
@@ -407,7 +403,7 @@ class TestGenericAM:
         # them), all at order 2, and one order-0 eigenfunction numerator per
         # distinct index
         cfg = SolitonConfig(k, c)
-        r = T.generic_am(T.eigenfunction_seeds(cfg, idx), mode, e, T.eigenfunction_seed(cfg, jt), x)
+        r = T.generic_am(cfg, idx, mode, e, jt, x)
         assert r.target_value == pytest.approx(float.fromhex(expected), rel=1e-14, abs=0.0)
         m = len(idx)
         pairs = m * (m + 1) // 2 + (0 if jt in idx else m)
@@ -420,34 +416,26 @@ class TestGenericAM:
         # a grid call is bitwise the loop of one-point calls, and its
         # results have the grid's shape
         cfg = SolitonConfig((0.7, 1.3, 2.1, 2.9), (1.5, 3.0, 0.4, 7.0))
-        seeds, tgt = T.eigenfunction_seeds(cfg, [1, 2, 3]), T.eigenfunction_seed(cfg, 4)
         e = [1.5, 3.0, 0.8] if mode == "add" else None
         xs = np.linspace(-3.0, 3.0, 21).reshape(3, 7)
-        r = T.generic_am(seeds, mode, e, tgt, xs)
+        r = T.generic_am(cfg, [1, 2, 3], mode, e, 4, xs)
         assert r.potential.shape == r.target_value.shape == xs.shape
         for i, x in np.ndenumerate(xs):
-            p = T.generic_am(seeds, mode, e, tgt, float(x))
+            p = T.generic_am(cfg, [1, 2, 3], mode, e, 4, float(x))
             assert p.potential.shape == ()
             assert r.potential[i] == p.potential and r.target_value[i] == p.target_value
 
     @pytest.mark.parametrize("mode", ["add", "delete"])
     def test_equal_configs_built_separately_are_one_config(self, mode):
-        # seeds and target are grouped by equal configs, not by object
+        # an equal config built separately gives the same result bitwise, as
+        # does any order of the indices, each e staying with its index
         k, c = (0.7, 1.3, 2.1, 2.9), (1.5, 3.0, 0.4, 7.0)
-        cfg = SolitonConfig(k, c)
-        twins = [T.eigenfunction_seed(SolitonConfig(k, c), j) for j in (1, 3)]
         e = [1.5, 0.8] if mode == "add" else None
         xs = np.linspace(-3.0, 3.0, 7)
-        shared = T.generic_am(T.eigenfunction_seeds(cfg, [1, 3]), mode, e, T.eigenfunction_seed(cfg, 2), xs)
-        twin = T.generic_am(twins, mode, e, T.eigenfunction_seed(SolitonConfig(k, c), 2), xs)
+        shared = T.generic_am(SolitonConfig(k, c), [1, 3], mode, e, 2, xs)
+        twin = T.generic_am(SolitonConfig(k, c), [3, 1], mode, e and e[::-1], 2, xs)
         assert np.array_equal(shared.potential, twin.potential)
         assert np.array_equal(shared.target_value, twin.target_value)
-
-    def test_mixed_configs_rejected(self):
-        a = SolitonConfig((1.0,), (2.0,))
-        b = SolitonConfig((1.5,), (2.0,))
-        with pytest.raises(ConfigError):
-            T.generic_am([T.eigenfunction_seed(a, 1), T.eigenfunction_seed(b, 1)], "delete")
 
 
 class TestSpectrumContracts:
