@@ -18,9 +18,10 @@ potential_jet, dt_potential) from one core, as cumulants of the config's
 own positive terms. Its double-double form gives jets of the rewritten
 taus for eigenfunctions and tail integrals: tau_jet_sums, the one entry
 point, evaluates several rules of one config on one grid, sharing the
-exponentials between them and later calls. Every route takes x of any
-shape, a point being shape (), and gives results of x's shape; only the
-four cores (the three tau routes and the cumulants) flatten it (_points).
+factors that do not depend on the rules between them and later calls.
+Every route takes x of any shape, a point being shape (), and gives
+results of x's shape; only the four cores (the three tau routes and the
+cumulants) flatten it (_points).
 
 Every tilde-variant of u used by the deformation schemes is a pointwise
 rewrite c_m -> factor_m * c_m, represented by CoefficientRule; those of
@@ -206,7 +207,10 @@ def addition_rule(cfg: SolitonConfig, params) -> tuple:
     unless there is at least one pair, each j a state index given once
     and each e_j in (0, inf)."""
     items = params.items() if isinstance(params, Mapping) else params
-    pairs = [(_check_index(cfg.n, j), float(v)) for j, v in items]
+    try:
+        pairs = [(_check_index(cfg.n, j), _real(v)) for j, v in items]
+    except TypeError as exc:
+        raise ConfigError(f"addition parameters must be (index, real) pairs: {exc}") from exc
     e = dict(sorted(pairs))
     if not e or len(e) < len(pairs):
         raise ConfigError(f"addition needs at least one index, each given once: {pairs}")
@@ -225,16 +229,33 @@ def rescale_rule(n: int, j: int, factor: float) -> CoefficientRule:
     return CoefficientRule(tuple(factor if m == j else 1.0 for m in range(1, n + 1)))
 
 
+def _integer(v, what: str) -> int:
+    """v as an int: integers only (operator.index: numpy integers pass,
+    1.5, 2.0 and strings do not), booleans refused; ConfigError naming
+    what otherwise."""
+    if not isinstance(v, (bool, np.bool_)):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise ConfigError(f"{what} {v!r} is not an integer")
+
+
 def _check_index(n: int, j) -> int:
-    """The state index j in 1..n as an int: integers only (operator.index:
-    numpy integers pass, 1.5 and 2.0 do not); ConfigError otherwise."""
-    try:
-        j = operator.index(j)
-    except TypeError as exc:
-        raise ConfigError(f"eigenstate index {j!r} is not an integer") from exc
+    """The state index j in 1..n as an int (_integer); ConfigError
+    otherwise."""
+    j = _integer(j, "eigenstate index")
     if not 1 <= j <= n:
         raise ConfigError(f"eigenstate index {j} out of range 1..{n}")
     return j
+
+
+def _check_order(q) -> int:
+    """The jet order q >= 0 as an int (_integer); ConfigError otherwise."""
+    q = _integer(q, "jet order")
+    if q < 0:
+        raise ConfigError("jet order must be non-negative")
+    return q
 
 
 def _index_set(n: int, indices) -> list:
@@ -440,8 +461,8 @@ def _jet_sum_table(k: tuple):
     """Rule-independent data of the 2^N expansion terms, memoized on the
     wavenumbers: the pair products prod_{j < l in S} ((k_j - k_l)/(k_j +
     k_l))^2 (qh, ql) times 2^qe, each pair factor a double-double quotient,
-    and the decay rates R_S = -2 sum_{j in S} k_j (rh, rl). The arrays are
-    read-only, as every caller shares them."""
+    the decay rates R_S = -2 sum_{j in S} k_j (rh, rl) and 1/(2 k_j) (ih,
+    il). The arrays are read-only, as every caller shares them."""
     k = np.asarray(k)
     m = 1 << len(k)
     fh, fl = dd.div(*dd._two_sum(k[:, None], -k), *dd._two_sum(k[:, None], k))
@@ -455,26 +476,64 @@ def _jet_sum_table(k: tuple):
         qe[s : 2 * s] = qe[:s] + we
         rh[s : 2 * s], rl[s : 2 * s] = dd.add(rh[:s], rl[:s], *dd._two_prod(np.float64(-2.0), np.float64(k[j])))
     qh, ql, ex = _frexp_dd(qh, ql)
-    table = (qh, ql, qe + ex, rh, rl)
+    table = (qh, ql, qe + ex, rh, rl, *dd.div(*dd.from_float(1.0), *dd.from_float(2.0 * k)))
     for a in table:
         a.flags.writeable = False
     return table
 
 
-@functools.lru_cache(maxsize=8)
-def _soliton_exps(k: tuple, xs: bytes):
-    """e^{-2 k_j x}, [points, N] in dd.exp's split form, memoized on k and
-    the grid's bytes for the checks on one config; read-only, as shared."""
-    out = dd.exp(*dd._two_prod(-2.0 * np.asarray(k), np.frombuffer(xs)[:, None]))
+@functools.lru_cache(maxsize=32)
+def _order_weights(k: tuple, top: int):
+    """The order weights R_S^q/q!, q = 0..top, [top + 1, 2^N] in
+    double-double, memoized on the wavenumbers and top: order q is order q
+    - 1 times R_S and the double-double 1/q, so a higher top extends the
+    entry below it. Read-only, as every caller shares them."""
+    if top == 0:
+        out = np.ones((1, 1 << len(k))), np.zeros((1, 1 << len(k)))
+    else:
+        (lh, ll), (rh, rl) = _order_weights(k, top - 1), _jet_sum_table(k)[3:5]
+        ih, il = dd.div(*dd.from_float(1.0), *dd.from_float(float(top)))
+        wh, wl = dd.mul(*dd.mul(lh[-1], ll[-1], rh, rl), ih, il)
+        out = np.concatenate([lh, wh[None]]), np.concatenate([ll, wl[None]])
     for a in out:
         a.flags.writeable = False
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _subset_exps(k: tuple, xs: bytes):
+    """The subset exponentials E_S(x) = prod_{j in S} e^{-2 k_j x} as two
+    half tables, over the subsets of the low solitons k[:N//2] and of the
+    high ones k[N//2:]: [points, 2^(N//2)] and [points, 2^(N - N//2)], each
+    in _subset_products' form, from one dd.exp per soliton and point. E_S
+    of S = A u B is the low E_A times the high E_B (_joined_exps). Memoized
+    on the kept k and the grid's bytes for the checks on one config; the
+    full [points, 2^N] table is never held. Read-only, as shared."""
+    eh, el, ee = dd.exp(*dd._two_prod(-2.0 * np.asarray(k), np.frombuffer(xs)[:, None]))
+    h = len(k) // 2
+    halves = tuple(_subset_products(eh[:, p], el[:, p], ee[:, p]) for p in (slice(0, h), slice(h, None)))
+    for half in halves:
+        for a in half:
+            a.flags.writeable = False
+    return halves
+
+
+def _joined_exps(low: tuple, high: tuple, blk: slice) -> tuple:
+    """E_S over the points blk, [points, 2^N] as (mantissa in [1/2, 1),
+    power of two): one outer double-double product of the half tables of
+    _subset_exps, S = A + 2^(N//2) B indexing the low subset A and the high
+    B."""
+    (ah, al, ae), (bh, bl, be) = ((a[blk] for a in half) for half in (low, high))
+    eh, el = dd.mul(ah[:, None, :], al[:, None, :], bh[:, :, None], bl[:, :, None])
+    eh, el, ex = _frexp_dd(eh.reshape(len(eh), -1), el.reshape(len(el), -1))
+    return eh, el, (ae[:, None, :] + be[:, :, None]).reshape(ex.shape) + ex
+
+
 def tau_jet_sums(cfg: SolitonConfig, rules, xs, orders) -> list:
     """Tau jets of several rewrites of one config over xs, one TauGrid per
-    rule (None for the config's own tau) at the matching jet order, from
-    the 2^N exponential-sum form in double-double arithmetic.
+    rule (None for the config's own tau) at the matching jet order (an
+    integer >= 0, ConfigError otherwise), from the 2^N exponential-sum form
+    in double-double arithmetic.
 
     Independent of the determinant route and accurate to ~1e-16 relative
     even for the sign-indefinite rewritten taus, whose term cancellation
@@ -483,58 +542,59 @@ def tau_jet_sums(cfg: SolitonConfig, rules, xs, orders) -> list:
     c_j f_rj / (2 k_j), signs included, Q_S that of the pair factors ((k_j -
     k_l)/(k_j + k_l))^2 and E_S = e^{R_S x} that of e^{-2 k_j x}. Each is a
     double-double mantissa times an integer power of two, built by
-    doubling (_subset_products): Q_S and R_S once per k (_jet_sum_table), A
-    over the rules, E from one dd.exp per soliton and point memoized on
-    the kept k and the grid (_soliton_exps), so a call costs at most P N
-    exponentials however many rules it holds, a later one on that k and
-    grid none. Each rule's gauge at a point is the power of two of its own
-    largest term, so a rule far below another loses nothing. Jet
-    coefficient q sums the terms times R_S^q/q!, all orders and rules at
-    once over blocks of points holding at most _HIROTA_CHUNK [orders,
-    rules, points, 2^N] elements. Every operation is elementwise, so a
-    rule's result is bitwise independent of the grid it sits in, the
-    other rules of the call and its order.
+    doubling (_subset_products). Jet coefficient q sums the terms times
+    R_S^q/q!. Every factor that does not depend on the rules is made once
+    and shared read-only: Q_S, R_S and 1/(2 k_j) per k (_jet_sum_table),
+    the order weights per k and top order (_order_weights), and E_S per
+    kept k and grid as two half tables from P N dd.exp values
+    (_subset_exps), joined by one product per block of points. A call then
+    pays only for its rules: their A_rS (the rule products times 1/(2 k_j),
+    one multiplication, and N - 1 doubling products), the terms A Q E over
+    blocks of points holding at most _HIROTA_CHUNK [orders, rules, points,
+    2^N] elements, the weights' products, the tree sum and the
+    normalization, which an order-0 call skips for its empty higher
+    orders. Each rule's gauge at a point is the power of two of its own
+    largest term, so a rule far below another loses nothing. Every
+    operation is elementwise, so a rule's result is bitwise independent of
+    the grid it sits in, the other rules of the call, its order and what
+    the memos hold.
     Solitons every rule removes are left out; budget N <= 12 for the rest,
     RangeError beyond it."""
     cfg = cfg.flowed()
-    orders = [int(q) for q in orders]
+    orders = [_check_order(q) for q in orders]
     if len(orders) != len(rules) or not rules:
         raise ConfigError(f"{len(rules)} rules but {len(orders)} jet orders; one per rule, at least one")
-    if any(q < 0 for q in orders):
-        raise ConfigError("jet order must be non-negative")
     ce = np.array([cfg.c if rule is None else rule.apply(cfg) for rule in rules]).reshape(len(rules), cfg.n)
     keep = np.any(ce != 0.0, axis=0)
     k, ce = np.asarray(cfg.k)[keep], ce[:, keep]
     if len(k) > _JET_SUM_MAX_N:
         raise RangeError(f"2^N jet-sum budget exceeded: N={len(k)} > {_JET_SUM_MAX_N}")
     x, xs = _points(xs)
-    top = max(orders)
-    qh, ql, qe, rh, rl = _jet_sum_table(tuple(k.tolist()))
+    top, key = max(orders), tuple(k.tolist())
+    qh, ql, qe, _, _, ih, il = _jet_sum_table(key)
     # signed rule products c_j f_rj / 2 k_j, [rules, 2^N]; zero terms never set a gauge
     cm, cx = np.frexp(ce)
-    fh, fl, ex = _frexp_dd(*dd.div(*dd.from_float(cm), *dd.from_float(2.0 * k)))
+    fh, fl, ex = _frexp_dd(*dd.mul(*dd.from_float(cm), ih, il))
     ah, al, ae = _subset_products(fh, fl, cx + ex)
     ah, al, ex = _frexp_dd(*dd.mul(ah, al, qh, ql))
     ae = np.where(ah == 0.0, -(1 << 40), ae + qe + ex)
-    wh, wl = np.ones((top + 1, len(rh))), np.zeros((top + 1, len(rh)))  # R_S^q / q!
-    ih, il = dd.div(*dd.from_float(1.0), *dd.from_float(np.arange(1.0, top + 1)))
-    for q in range(1, top + 1):
-        wh[q], wl[q] = dd.mul(*dd.mul(wh[q - 1], wl[q - 1], rh, rl), ih[q - 1], il[q - 1])
+    wh, wl = _order_weights(key, top)
     coeffs = np.empty((len(rules), len(xs), top + 1))
     gauge, sign = np.empty((len(rules), len(xs))), np.empty((len(rules), len(xs)))
-    step = max(1, _HIROTA_CHUNK // ((top + 1) * len(rules) * len(rh)))
-    exps = _soliton_exps(tuple(k.tolist()), xs.tobytes())
+    step = max(1, _HIROTA_CHUNK // ((top + 1) * len(rules) * len(qh)))
+    low, high = _subset_exps(key, xs.tobytes())
     for i in range(0, len(xs), step):
         blk = slice(i, i + step)
-        eh, el, ee = _subset_products(*(a[blk] for a in exps))
+        eh, el, ee = _joined_exps(low, high, blk)
         th, tl = dd.mul(ah[:, None], al[:, None], eh, el)  # [rules, points, 2^N], |mantissa| in [1/4, 1)
         te = ae[:, None] + ee
         g = te.max(axis=-1)
         te -= g[..., None]
         th, tl = np.ldexp(th, te), np.ldexp(tl, te)
-        ch, cl = np.empty((top + 1,) + th.shape), np.empty((top + 1,) + th.shape)
-        ch[0], cl[0] = th, tl
-        ch[1:], cl[1:] = dd.mul(th, tl, wh[1:, None, None], wl[1:, None, None])
+        ch, cl = th[None], tl[None]
+        if top:  # the higher orders: the terms times their weights
+            wth, wtl = dd.mul(th, tl, wh[1:, None, None], wl[1:, None, None])
+            ch, cl = np.concatenate([ch, wth]), np.concatenate([cl, wtl])
         sh, sl = _dd_tree_sum(ch, cl)
         # a vanishing sum is returned raw, in the gauge 2^g and with sign 1;
         # else 2^g joins the power of two that takes |sum| into [1/sqrt 2,
@@ -545,8 +605,9 @@ def tau_jet_sums(cfg: SolitonConfig, rules, xs, orders) -> list:
         log_sum = dd.log_abs(np.ldexp(sh[0], -ex), np.ldexp(sl[0], -ex))
         gauge[:, blk] = (g + ex) * dd._LN2_HI + np.where(zero, 0.0, log_sum)
         sign[:, blk] = np.where(zero, 1.0, np.copysign(1.0, sh[0]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sh[1:] = np.where(zero, sh[1:], dd.div(sh[1:], sl[1:], sh[0], sl[0])[0])
+        if top:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                sh[1:] = np.where(zero, sh[1:], dd.div(sh[1:], sl[1:], sh[0], sl[0])[0])
         sh[0] = np.where(zero, sh[0], 1.0)
         coeffs[:, blk] = np.moveaxis(sh, 0, -1)
     shape = (len(rules),) + x.shape
@@ -671,8 +732,7 @@ def _log_tau_cumulants(cfg: SolitonConfig, order: int, joint: bool = False) -> C
     C(n-1, m-1) kappa_m mu_{n-m} removes (kappa_2 = mu_2 - mu_1^2 is the
     corrected two-pass of Chan, Golub & LeVeque 1983). The tables are built
     once, here; N = 0 gives 0. N <= 24; RangeError beyond it."""
-    if order < 0:
-        raise ConfigError("jet order must be non-negative")
+    order = _check_order(order)
     k, ce = _effective(cfg.flowed(), None)
     h, low, high, xt, cut = _split_tables(k, ce)
     xt = np.exp(xt, out=xt)  # X^T, [2^(N-h), 2^h]

@@ -43,8 +43,8 @@ ADDITIONS = {
     "generic_am": lambda p: T.generic_am(CFG, [j for j, _ in p], "add", [e for _, e in p]),
 }
 
-BAD_INDICES = [0, CFG.n + 1, 1.5]
-BAD_PARAMS = [[(1, 2.0), (1, 3.0)]] + [[(1, e)] for e in (0.0, -1.0, math.inf, math.nan)]
+BAD_INDICES = [0, CFG.n + 1, 1.5, True, np.True_, "1"]
+BAD_PARAMS = [[(1, 2.0), (1, 3.0)]] + [[(1, e)] for e in (0.0, -1.0, math.inf, math.nan, "2", True, np.True_, None)]
 
 
 @pytest.mark.parametrize("entry", INDEX_SETS)
@@ -71,6 +71,29 @@ def test_bad_addition_parameters_are_a_config_error(entry, params):
 def test_no_rules_is_a_config_error():
     with pytest.raises(ConfigError):
         S.tau_jet_sums(CFG, [], GRID, [])
+
+
+#: entries that take a jet order
+ORDERS = {
+    "tau_jet_sums": lambda q: S.tau_jet_sums(CFG, [None], 0.3, [q]),
+    "tau_jet_sums-second-rule": lambda q: S.tau_jet_sums(CFG, [None, None], GRID, [1, q]),
+    "eigenfunction": lambda q: S.eigenfunction(CFG, 1, 0.3, q),
+    "potential_jet": lambda q: S.potential_jet(CFG, 0.3, q),
+}
+
+
+@pytest.mark.parametrize("entry", ORDERS)
+@pytest.mark.parametrize("order", [-1, 1.7, 2.9, 2.0, True, np.True_, "1", None], ids=repr)
+def test_bad_jet_order_is_a_config_error(entry, order):
+    # an order is read like an index: 1.7 was order 1, 2.9 a TypeError
+    with pytest.raises(ConfigError):
+        ORDERS[entry](order)
+
+
+def test_numpy_integers_are_jet_orders():
+    ref = S.tau_jet_sums(CFG, [None], GRID, [2])[0]
+    assert np.array_equal(S.tau_jet_sums(CFG, [None], GRID, [np.int64(2)])[0].coeffs, ref.coeffs)
+    assert np.array_equal(S.potential_jet(CFG, GRID, np.int32(2)).coeffs, S.potential_jet(CFG, GRID, 2).coeffs)
 
 
 @pytest.mark.parametrize("params", BAD_PARAMS, ids=repr)

@@ -1,5 +1,6 @@
 """Tests for spectral data, tau functions, potentials, and flows."""
 
+import functools
 import math
 import re
 
@@ -453,9 +454,10 @@ class TestTauJetSumGrid:
             assert not shared.flags.writeable
 
     def test_exponentials_are_memoized_on_k_and_grid(self, monkeypatch):
-        # e^{-2 k_j x} once per (kept k, grid): equal grids built as separate
-        # arrays share one dd.exp, another grid or k misses, and the shared
-        # read-only arrays are bitwise the unmemoized evaluation
+        # e^{-2 k_j x} once per (kept k, grid), held as the two half tables
+        # of subset exponentials: equal grids built as separate arrays share
+        # one dd.exp, another grid or k misses, and the shared read-only
+        # halves are bitwise the unmemoized evaluation
         calls = []
         real = dd.exp
 
@@ -464,31 +466,96 @@ class TestTauJetSumGrid:
             return real(xh, xl)
 
         monkeypatch.setattr(dd, "exp", counted)
-        S._soliton_exps.cache_clear()
-        cfg = S.random_config(np.random.default_rng(124), n=4)
+        S._subset_exps.cache_clear()
+        cfg = S.random_config(np.random.default_rng(124), n=5)
         rules = [None, S.eigenfunction_rule(cfg, 2)]
         first = S.tau_jet_sums(cfg, rules, np.linspace(-3.0, 3.0, 11), [2, 2])
         again = S.tau_jet_sums(cfg, rules[:1], list(np.linspace(-3.0, 3.0, 11)), [1])
-        assert calls == [(11, 4)]
+        assert calls == [(11, 5)]
         assert np.array_equal(again[0].coeffs, first[0].coeffs[:, :2])
         S.tau_jet_sums(cfg, [None], np.linspace(-3.0, 3.0, 12), [0])
-        S.tau_jet_sums(SolitonConfig(cfg.k[:3], cfg.c[:3]), [None], np.linspace(-3.0, 3.0, 11), [0])
-        S.tau_jet_sums(cfg, [S.drop_rule(4, 1)], np.linspace(-3.0, 3.0, 11), [0])  # a soliton left out
-        assert calls == [(11, 4), (12, 4), (11, 3), (11, 3)]
+        S.tau_jet_sums(SolitonConfig(cfg.k[:4], cfg.c[:4]), [None], np.linspace(-3.0, 3.0, 11), [0])
+        S.tau_jet_sums(cfg, [S.drop_rule(5, 1)], np.linspace(-3.0, 3.0, 11), [0])  # a soliton left out
+        assert calls == [(11, 5), (12, 5), (11, 4), (11, 4)]
         key = (cfg.k, np.linspace(-3.0, 3.0, 11).tobytes())
-        shared = S._soliton_exps(*key)
+        low, high = S._subset_exps(*key)
         assert len(calls) == 4
-        for a, b in zip(shared, S._soliton_exps.__wrapped__(*key)):
-            assert not a.flags.writeable
-            assert np.array_equal(a, b)
+        assert [a.shape for a in low] == [(11, 4)] * 3 and [a.shape for a in high] == [(11, 8)] * 3
+        for shared, fresh in zip(low + high, sum(S._subset_exps.__wrapped__(*key), ())):
+            assert not shared.flags.writeable
+            assert np.array_equal(shared, fresh)
+
+    def test_order_weights_are_memoized_on_k_and_order(self):
+        # R_S^q/q!: a higher top order extends the entry below it, row for
+        # row bitwise, and the shared arrays are read-only
+        key = S.random_config(np.random.default_rng(125), n=4).k
+        S._order_weights.cache_clear()
+        wh, wl = S._order_weights(key, 3)
+        assert S._order_weights.cache_info().currsize == 4  # tops 0..3
+        assert S._order_weights(key, 3)[0] is wh and wh.shape == (4, 16)
+        low = S._order_weights(key, 1)
+        assert np.array_equal(low[0], wh[:2]) and np.array_equal(low[1], wl[:2])
+        rh, rl = S._jet_sum_table(key)[3:5]
+        assert np.array_equal(wh[0], np.ones(16)) and np.array_equal(wh[1], rh) and np.array_equal(wl[1], rl)
+        assert np.allclose(wh[3], rh**3 / 6.0, rtol=1e-15, atol=0.0)
+        assert not (wh.flags.writeable or wl.flags.writeable)
+
+    def test_result_is_independent_of_the_memos(self):
+        # bitwise the same from cleared memos as after other grids, orders
+        # and rule sets on the same k warmed them
+        cfg = S.random_config(np.random.default_rng(126), n=7)
+        xs = np.linspace(-4.0, 4.0, 31)
+        rules, orders = [None, S.eigenfunction_rule(cfg, 3), S.pair_rule(cfg, 2, 5)], [2, 1, 3]
+
+        def run():
+            out = S.tau_jet_sums(cfg, rules, xs, orders)
+            return [a.tobytes() for g in out for a in (g.coeffs, g.gauge, g.sign)]
+
+        def clear():
+            for memo in (S._jet_sum_table, S._order_weights, S._subset_exps):
+                memo.cache_clear()
+
+        clear()
+        cold = run()
+        clear()
+        S.tau_jet_sums(cfg, [S.drop_rule(7, 2)], np.linspace(-5.0, 5.0, 9), [4])
+        S.tau_jet_sums(cfg, [S.deletion_rule(cfg, [1, 4], 2), None], xs[::2], [0, 5])
+        S.tau_jet_sums(cfg, [None], list(xs), [0])
+        misses = [memo.cache_info().misses for memo in (S._order_weights, S._subset_exps)]
+        assert run() == cold
+        # the warm run built nothing: its k and grid, and its top order
+        assert [memo.cache_info().misses for memo in (S._order_weights, S._subset_exps)] == misses
+
+    def test_exponential_memo_holds_half_tables(self):
+        # N = 12 on 2001 points: the entry a call leaves holds [2001, 64]
+        # halves, about 6 MB, never the [2001, 4096] table of about 200 MB
+        cfg = S.random_config(np.random.default_rng(127), n=12, k_range=(0.2, 6.0))
+        xs = S.default_grid(cfg)
+        S._subset_exps.cache_clear()
+        S.tau_jet_sums(cfg, [None], xs, [0])
+        low, high = S._subset_exps(cfg.k, xs.tobytes())
+        assert S._subset_exps.cache_info()[:2] == (1, 1)  # (hits, misses): the call's own entry
+        assert [a.shape for a in low + high] == [(2001, 64)] * 6
+        assert sum(a.nbytes for a in low + high) == 6 * 2001 * 64 * 8
 
     def test_identity_suite_forms_exponentials_once_per_config(self, monkeypatch):
+        # dd.exp, the subset exponentials and the order weights are each
+        # built only on a memo miss: once per config and grid, and once per
+        # k and top order
         calls = []
         real = dd.exp
         monkeypatch.setattr(dd, "exp", lambda xh, xl: calls.append(1) or real(xh, xl))
-        S._soliton_exps.cache_clear()
+        built = {"exps": [], "weights": []}
+        for name, memo in (("exps", S._subset_exps), ("weights", S._order_weights)):
+            counted = functools.lru_cache(maxsize=memo.cache_info().maxsize)(
+                lambda *a, b=memo.__wrapped__, log=built[name]: log.append(a) or b(*a)
+            )
+            monkeypatch.setattr(S, memo.__name__, counted)
         reports = run_identity_suite(0, 50)
         assert len(reports) == 300 and len(calls) == 50
+        assert len(built["exps"]) == 50 == len(set(built["exps"]))
+        tops = [key[1] for key in built["weights"]]
+        assert len(built["weights"]) == len(set(built["weights"])) and tops.count(0) == 50
 
     @pytest.mark.parametrize(
         "cfg, xs",
