@@ -334,7 +334,7 @@ def main(argv=None) -> int:
             numerics.SolverError, numerics.DomainError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:

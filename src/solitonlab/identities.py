@@ -15,9 +15,9 @@ at all grid points, with the exponentials formed once for all of them.
 The jets built from those taus (eigenfunctions, tail entries,
 Wronskians) are batched over the grid too, and the determinants of their
 constant terms are one stacked np.linalg.slogdet call. The generic
-Wronskian engine, itself under test, takes the eigenfunctions of the
-check's own call on the left of the Wronskian identity (jet_wronskian)
-and evaluates each free seed of the seed-Wronskian identity once.
+Wronskian engine (jet_wronskian), itself under test, takes the gauged
+eigenfunctions of the check's own call in the Wronskian identity and the
+free seeds (transforms.free_seed) in the seed-Wronskian identity.
 
 The Abraham-Moses deletion and addition determinants are one check body
 (_overlap_determinant) over the overlap matrix of solitons.overlap_rows,
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import _pointwise, jet_exp
+from .jets import _pointwise
 from .solitons import (
     ConfigError,
     SolitonConfig,
@@ -59,7 +59,7 @@ from .solitons import (
     tau_jet_sum,  # unused here, kept: perfbench/test_perfbench.py checks this name is traced
     tau_jet_sums,
 )
-from .transforms import jet_wronskian, seed_config_from_free, wronskian
+from .transforms import free_seed, jet_wronskian, seed_config_from_free, seed_jets
 
 #: magnitudes below this are excluded from ratio statistics
 UNDERFLOW_FLOOR = 1e-280
@@ -144,14 +144,11 @@ def verify_wronskian_identity(cfg: SolitonConfig, deleted, grid, tol: float = CO
     m = len(dset)
     rules = [None, deletion_rule(cfg, dset, 1)] + [eigenfunction_rule(cfg, d) for d in dset]
     den, rewritten, *nums = tau_jet_sums(cfg, rules, grid, [m - 1, 0] + [m - 1] * m)
-    w = jet_wronskian([eigenfunction_grid(cfg, d, den, num) for d, num in zip(dset, nums)], 0).value
-    nonzero = w != 0
-    log_l = np.full(w.shape, -np.inf)
-    log_l[nonzero] = _pointwise(math.log, np.abs(w[nonzero]))
-    sgn_l = np.where(nonzero, np.copysign(1.0, w), 0.0)
+    w = jet_wronskian([eigenfunction_grid(cfg, d, den, num) for d, num in zip(dset, nums)], 0)
     rhs = rewritten.over(den.truncate(0), -ksum)
     return _ratio_report(
-        f"wronskian_identity D={dset}", "wronskian_ratio", grid, log_l, sgn_l, rhs.log_abs, rhs.sign, tol
+        f"wronskian_identity D={dset}", "wronskian_ratio", grid, w.log_abs, w.sign * np.sign(w.jet.value),
+        rhs.log_abs, rhs.sign, tol,
     )
 
 
@@ -165,7 +162,7 @@ def verify_bilinear_derivative(cfg: SolitonConfig, j: int, l: int, grid, tol: fl
     pair = idx[0], idx[-1]
     rules = [None, pair_rule(cfg, *pair)] + [eigenfunction_rule(cfg, i) for i in idx]
     den, tau, *nums = tau_jet_sums(cfg, rules, grid, [1, 1] + [0] * len(idx))
-    phi = {i: eigenfunction_grid(cfg, i, den.truncate(0), num).value for i, num in zip(idx, nums)}
+    phi = {i: eigenfunction_grid(cfg, i, den.truncate(0), num).values().value for i, num in zip(idx, nums)}
     lhs = phi[j] * phi[l]
     [[tail]] = tail_matrix_grid(cfg, [j], [l], den, {pair: tau})
     rhs = -tail.values().deriv(1)
@@ -234,36 +231,16 @@ def verify_seed_wronskian(k, ctilde, grid, tol: float = CONSTANCY_TOL) -> Verifi
     alternating sign pattern) equals prod_{j>l}(k_j-k_l) e^{sum k_j x}
     times the tau of the matched config — checked as ratio == 1, which
     also validates the ctilde -> c parameter map."""
-    k = [float(v) for v in k]
-    ctilde = [float(v) for v in ctilde]
     cfg = seed_config_from_free(k, ctilde)  # validates the sign pattern
-    n = len(k)
-    log_vdm = 0.0
-    for a in range(n):
-        for b in range(a):
-            log_vdm += math.log(k[a] - k[b])
+    k, n = cfg.k, cfg.n
+    log_vdm = sum(math.log(k[a] - k[b]) for a in range(n) for b in range(a))
     [u] = tau_jet_sums(cfg, [None], grid, [0])
-    xs = u.xs
-    # per-column gauge keeps the Wronskian entries in floating range
-    cols = []
-    gauge = 0.0
-    for kj, ct in zip(k, ctilde):
-        s = np.maximum(kj * xs, -kj * xs + math.log(abs(ct)))
-        gauge += s
-
-        def ev(xx, order, kj=kj, ct=ct, s=s):
-            grow = jet_exp(kj, xx, order, unit=True) * _pointwise(math.exp, kj * xx - s)
-            decay = jet_exp(-kj, xx, order, unit=True) * np.copysign(
-                _pointwise(math.exp, -kj * xx + math.log(abs(ct)) - s), ct
-            )
-            return grow + decay
-
-        cols.append(ev)
-    wv = wronskian(cols, xs, 0).value
+    w = jet_wronskian(seed_jets([free_seed(kj, ct) for kj, ct in zip(k, ctilde)], u.xs, n - 1), 0)
+    wv = w.sign * w.jet.value
     if np.any(wv <= 0):
         return VerificationReport("seed_wronskian", "seed_wronskian", tuple(grid), math.inf, None, tol, False)
-    log_w = gauge + _pointwise(math.log, wv)
-    log_rhs = log_vdm + sum(k) * xs + u.log_abs
+    log_w = w.gauge + _pointwise(math.log, wv)
+    log_rhs = log_vdm + sum(k) * u.xs + u.log_abs
     dev = float(np.max(np.abs(_pointwise(math.exp, log_w - log_rhs) - 1.0)))
     return VerificationReport("seed_wronskian", "seed_wronskian", tuple(grid), dev, None, tol, dev <= tol)
 

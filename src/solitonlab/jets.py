@@ -20,12 +20,37 @@ centers' shape.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 #: jets with |constant term| below this are treated as singular divisors
 DIV_THRESHOLD = 1e-300
+
+
+class ConfigError(ValueError):
+    """Invalid input: spectral data, a state index or a jet order."""
+
+
+def _integer(v, what: str) -> int:
+    """v as an int: integers only (operator.index: numpy integers pass,
+    1.5, 2.0 and strings do not), booleans refused; ConfigError naming
+    what otherwise."""
+    if not isinstance(v, (bool, np.bool_)):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise ConfigError(f"{what} {v!r} is not an integer")
+
+
+def _check_order(q) -> int:
+    """The jet order q >= 0 as an int (_integer); ConfigError otherwise."""
+    q = _integer(q, "jet order")
+    if q < 0:
+        raise ConfigError("jet order must be non-negative")
+    return q
 
 
 class JetMismatchError(ValueError):
@@ -102,7 +127,7 @@ class Jet:
 
     @staticmethod
     def constant(v, center, order: int) -> "Jet":
-        c = np.zeros(np.shape(center) + (order + 1,), dtype=np.result_type(np.asarray(v).dtype, float))
+        c = np.zeros(np.shape(center) + (_check_order(order) + 1,), dtype=np.result_type(np.asarray(v).dtype, float))
         c[..., 0] = v
         return Jet(center, c)
 
@@ -157,7 +182,7 @@ class Jet:
         return Jet(self.center, self.coeffs[..., 1:] * n)
 
     def truncate(self, order: int) -> "Jet":
-        if order > self.order:
+        if _check_order(order) > self.order:
             raise ValueError("cannot extend a jet by truncation")
         return Jet(self.center, self.coeffs[..., : order + 1])
 
@@ -174,7 +199,7 @@ def jet_exp(rate: float, x0, order: int, unit: bool = False) -> Jet:
     """Jet of exp(rate*x) at x0, a point or a grid of any shape (a list
     too); with unit=True the e^{rate*x0} prefactor is dropped (constant
     term 1), useful when the scale is tracked separately as a log gauge."""
-    x0 = np.asarray(x0, dtype=float)
+    x0, order = np.asarray(x0, dtype=float), _check_order(order)
     c = np.empty(x0.shape + (order + 1,))
     c[..., 0] = 1.0 if unit else _pointwise(math.exp, rate * x0)
     for n in range(1, order + 1):

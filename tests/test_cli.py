@@ -86,6 +86,12 @@ class TestPotential:
         code, _ = run(capsys, "potential", "/nonexistent/cfg.json")
         assert code == 2
 
+    def test_unreadable_config_path_is_usage_error(self, tmp_path, capsys):
+        # a directory is an OSError other than FileNotFoundError; exit 1
+        # would read as a failed verification
+        code, out = run(capsys, "verify", str(tmp_path))
+        assert code == cli.EXIT_USAGE and out == ""
+
     def test_invalid_config_is_usage_error(self, cfg_file, tmp_path, capsys):
         path = cfg_file([2.0, 1.0], [1.0, 1.0])  # unordered k
         code, _ = run(capsys, "potential", path)

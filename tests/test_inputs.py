@@ -1,6 +1,7 @@
 """Deformation inputs are checked in one place each: every entry that takes
-state indices or Abraham-Moses parameters gives a ConfigError (the CLI
-exit 2) for a bad one, never a silently wrong result or an untyped error."""
+state indices, Abraham-Moses parameters, jet orders or evaluation points x
+gives a ConfigError (the CLI exit 2) for a bad one, never a silently wrong
+result or an untyped error."""
 
 import math
 
@@ -9,6 +10,7 @@ import pytest
 
 from solitonlab import cli, identities as I, solitons as S, transforms as T
 from solitonlab.solitons import ConfigError, SolitonConfig
+from test_shapes import ROUTES
 
 CFG = SolitonConfig((0.7, 1.3, 2.1), (1.5, 3.0, 0.4))
 GRID = np.linspace(-1.0, 1.0, 5)
@@ -117,3 +119,14 @@ def test_addition_parameters_stay_with_their_index():
     fwd = I.verify_addition_determinant(CFG, [1, 3], [2.0, 0.7], GRID)
     rev = I.verify_addition_determinant(CFG, [3, 1], [0.7, 2.0], GRID)
     assert repr(fwd) == repr(rev)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("where", ["point", "grid"])
+def test_non_finite_x_is_a_config_error(route, bad, where):
+    # one rule at solitons._points: NaN was an IndexError from dd.exp's
+    # table on the jet-sum routes and NaN or -inf on the float routes
+    x = bad if where == "point" else np.array([0.0, bad, 1.0])
+    with pytest.raises(ConfigError):
+        ROUTES[route](CFG, x)

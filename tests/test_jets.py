@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from solitonlab import cli
 from solitonlab.jets import (
     DIV_THRESHOLD,
+    ConfigError,
     Jet,
     JetMismatchError,
     SingularJetError,
@@ -190,6 +192,30 @@ class TestDerivativeAndTruncate:
         assert j.truncate(2).order == 2
         with pytest.raises(ValueError):
             j.truncate(5)
+
+
+#: the entries of jets that take a jet order
+ORDERS = {
+    "jet_exp": lambda q: jet_exp(1.0, 0.3, q),
+    "jet_exp-unit": lambda q: jet_exp(1.0, [0.3, 0.4], q, unit=True),
+    "constant": lambda q: Jet.constant(1.0, 0.3, q),
+    "truncate": lambda q: jet_exp(1.0, 0.3, 3).truncate(q),
+}
+
+
+@pytest.mark.parametrize("entry", ORDERS)
+@pytest.mark.parametrize("order", [-1, 1.7, 2.5, 2.0, True, np.True_, "1", None], ids=repr)
+def test_bad_jet_order_is_a_config_error(entry, order):
+    # the integer rule of every order: 1.7 was an untyped TypeError; a
+    # ConfigError is a ValueError, the CLI's exit 2
+    with pytest.raises(ConfigError) as info:
+        ORDERS[entry](order)
+    assert isinstance(info.value, ValueError) and cli.ConfigError is ConfigError
+
+
+@pytest.mark.parametrize("entry", ORDERS)
+def test_numpy_integers_are_jet_orders(entry):
+    assert np.array_equal(ORDERS[entry](np.int64(2)).coeffs, ORDERS[entry](2).coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -149,19 +149,19 @@ class TestWronskian:
 
     def test_seeds_are_evaluated_once(self, grid_tau_calls):
         # the bound states of equal configs share one core call; any other
-        # seed, repeated or not, is called once
+        # seed, repeated or not, is called once; each gives its gauged jets
         cfg = S.random_config(np.random.default_rng(27), n=4)
         twin = SolitonConfig(cfg.k, cfg.c)
         calls = []
         free = T.free_seed(1.1, 0.5)
-        counted = T.SeedFunction(lambda x, order: calls.append(order) or free(x, order))
+        counted = T.SeedFunction(lambda x, order: calls.append(order) or free.evaluator(x, order))
         seeds = [T.eigenfunction_seed(cfg, 2), counted, T.eigenfunction_seed(twin, 4), counted, T.eigenfunction_seed(cfg, 2)]
         jets = T.seed_jets(seeds, np.linspace(-3.0, 2.0, 7), 2)
         assert calls == [2] and jets[1] is jets[3] and jets[0] is jets[4]
         [(rules, orders)] = grid_tau_calls
         assert rules[0] is None and len(rules) == 3 and orders == [2, 2, 2]
         for seed, jet in zip(seeds, jets):
-            assert np.array_equal(jet.coeffs, seed(np.linspace(-3.0, 2.0, 7), 2).coeffs)
+            assert np.array_equal(jet.values().coeffs, seed(np.linspace(-3.0, 2.0, 7), 2).coeffs)
 
 
 class TestGenericDarboux:
@@ -233,7 +233,7 @@ class TestGenericDarboux:
         for fns in (seeds, [*seeds, tgt], free, []):
             assert reshaped(T.wronskian(fns, x, 1), T.wronskian(fns, flat, 1))
         for got, ref in zip(T.seed_jets([*seeds, *free], x, 1), T.seed_jets([*seeds, *free], flat, 1)):
-            assert reshaped(got, ref)
+            assert reshaped(got.jet, ref.jet) and np.array_equal(got.gauge, ref.gauge.reshape(x.shape))
         assert reshaped(T.generic_darboux(seeds, tgt, x, 1), T.generic_darboux(seeds, tgt, flat, 1))
         assert reshaped(T.deleted_seed_image(seeds, 0, x, 1), T.deleted_seed_image(seeds, 0, flat, 1))
 
@@ -264,6 +264,27 @@ class TestGenericDarboux:
             T.darboux_potential([seed, seed], S.potential_fn(cfg), np.linspace(-1.0, 1.0, 3))
         with pytest.raises(T.RegularityError):
             T.deleted_seed_image([seed, seed], 0, np.linspace(-1.0, 1.0, 3))
+
+    def test_far_field_underflow_is_not_a_singularity(self):
+        # W[phi_3] underflows at |x| >= 400, where the engines raised a
+        # RegularityError; in their gauge they agree with the closed-form
+        # deletion, and a quotient whose true value overflows is a RangeError
+        cfg = SolitonConfig((0.7, 1.3, 2.1), (1.5, 3.0, 0.4))
+        after = T.krein_adler_delete(cfg, [3]).after
+        xs = np.array([-1000.0, -400.0, 400.0, 1000.0])
+        seeds = T.eigenfunction_seeds(cfg, [3])
+        v = T.darboux_potential(seeds, S.potential_fn(cfg), xs)
+        assert np.max(np.abs(v - S.potential_fn(after)(xs))) < 5e-14
+        img = T.generic_darboux(seeds, T.eigenfunction_seed(cfg, 1), xs, 0).value
+        ratio = img / S.eigenfunction(after, 1, xs, 0).value
+        assert np.max(np.abs(ratio / np.mean(ratio) - 1.0)) < 1e-12
+        for x in (-1000.0, 1000.0):
+            with pytest.raises(S.RangeError):
+                T.deleted_seed_image(T.eigenfunction_seeds(cfg, [1, 3]), 1, x)
+        with pytest.raises(T.RegularityError):
+            T.darboux_potential([seeds[0], seeds[0]], S.potential_fn(cfg), xs)
+        with pytest.raises(T.RegularityError):
+            T.deleted_seed_image([seeds[0], seeds[0]], 0, xs)
 
     def test_deleted_seed_image_solves_new_hamiltonian(self):
         cfg = SolitonConfig((1.0, 2.0), (6.0, 12.0))
