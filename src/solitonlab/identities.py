@@ -96,12 +96,10 @@ class VerificationReport:
 
 def _ratio_report(name, tag, grid, log_lhs, sign_lhs, log_rhs, sign_rhs, tol):
     """Constancy report for LHS = const * RHS given both sides in
-    (log|.|, sign) form."""
-    log_lhs = np.asarray(log_lhs)
-    log_rhs = np.asarray(log_rhs)
+    (log|.|, sign) form, each an array of the grid's shape."""
     ok = (log_lhs > math.log(UNDERFLOW_FLOOR)) & (log_rhs > math.log(UNDERFLOW_FLOOR))
     excluded = int(np.sum(~ok))
-    ratios = np.asarray(sign_lhs)[ok] * np.asarray(sign_rhs)[ok] * np.exp(log_lhs[ok] - log_rhs[ok])
+    ratios = sign_lhs[ok] * sign_rhs[ok] * np.exp(log_lhs[ok] - log_rhs[ok])
     if len(ratios) == 0:
         return VerificationReport(name, tag, tuple(grid), math.inf, math.inf, tol, False, excluded)
     mean = float(np.mean(ratios))
@@ -132,6 +130,13 @@ def inner_tail(cfg: SolitonConfig, j: int, l: int, x):
 # Identity checks
 
 
+def _check_taus(cfg: SolitonConfig, rules, grid, orders) -> list:
+    """A check's one tau_jet_sums call; ConfigError for a grid of no points."""
+    if np.size(grid) == 0:
+        raise ConfigError("an identity check needs at least one grid point")
+    return tau_jet_sums(cfg, rules, grid, orders)
+
+
 def verify_wronskian_identity(cfg: SolitonConfig, deleted, grid, tol: float = CONSTANCY_TOL) -> VerificationReport:
     """W[phi_{d1},...,phi_{dM}] is a constant multiple of
     (rewritten tau / tau) e^{-sum k_d x}. The left side is the generic
@@ -143,7 +148,7 @@ def verify_wronskian_identity(cfg: SolitonConfig, deleted, grid, tol: float = CO
     ksum = sum(cfg.k[d - 1] for d in dset)
     m = len(dset)
     rules = [None, deletion_rule(cfg, dset, 1)] + [eigenfunction_rule(cfg, d) for d in dset]
-    den, rewritten, *nums = tau_jet_sums(cfg, rules, grid, [m - 1, 0] + [m - 1] * m)
+    den, rewritten, *nums = _check_taus(cfg, rules, grid, [m - 1, 0] + [m - 1] * m)
     w = jet_wronskian([eigenfunction_grid(cfg, d, den, num) for d, num in zip(dset, nums)], 0)
     rhs = rewritten.over(den.truncate(0), -ksum)
     return _ratio_report(
@@ -161,7 +166,7 @@ def verify_bilinear_derivative(cfg: SolitonConfig, j: int, l: int, grid, tol: fl
     idx = _index_set(cfg.n, (j, l))
     pair = idx[0], idx[-1]
     rules = [None, pair_rule(cfg, *pair)] + [eigenfunction_rule(cfg, i) for i in idx]
-    den, tau, *nums = tau_jet_sums(cfg, rules, grid, [1, 1] + [0] * len(idx))
+    den, tau, *nums = _check_taus(cfg, rules, grid, [1, 1] + [0] * len(idx))
     phi = {i: eigenfunction_grid(cfg, i, den.truncate(0), num).values().value for i, num in zip(idx, nums)}
     lhs = phi[j] * phi[l]
     [[tail]] = tail_matrix_grid(cfg, [j], [l], den, {pair: tau})
@@ -202,12 +207,12 @@ def _overlap_determinant(cfg, dset, e, rule, rate, name, grid, tol) -> Verificat
     rules = [None] + [pair_rule(cfg, *p) for p in pairs]
     if rule not in rules:
         rules.append(rule)
-    den, *taus = tau_jet_sums(cfg, rules, grid, [0] * len(rules))
-    rows, log_gauge = overlap_rows(cfg, dset, den, dict(zip(pairs, taus)), e)
+    den, *taus = _check_taus(cfg, rules, grid, [0] * len(rules))
+    rows, h, _ = overlap_rows(cfg, dset, den, dict(zip(pairs, taus)), e)
     sgn_l, logabs = np.linalg.slogdet(matrix_values(rows))
     rhs = taus[rules.index(rule) - 1].over(den, rate)
     return _ratio_report(
-        f"{name}_determinant D={dset}", f"{name}_determinant", grid, log_gauge.sum(axis=0) + logabs, sgn_l,
+        f"{name}_determinant D={dset}", f"{name}_determinant", grid, 2.0 * h.sum(axis=0) + logabs, sgn_l,
         rhs.log_abs, rhs.sign, tol,
     )
 
@@ -219,7 +224,7 @@ def verify_tau_split(cfg: SolitonConfig, j: int, grid, tol: float = POINTWISE_TO
     cfg = cfg.flowed()
     j = _check_index(cfg.n, j)
     kj, cj = cfg.k[j - 1], cfg.c[j - 1]
-    u, uj, wj = tau_jet_sums(cfg, [None, drop_rule(cfg.n, j), pair_rule(cfg, j, j)], grid, [0, 0, 0])
+    u, uj, wj = _check_taus(cfg, [None, drop_rule(cfg.n, j), pair_rule(cfg, j, j)], grid, [0, 0, 0])
     a = uj.sign * np.exp(uj.log_abs - u.log_abs)
     logb = math.log(cj / (2.0 * kj)) - 2.0 * kj * u.xs + wj.log_abs - u.log_abs
     dev = float(np.max(np.abs(1.0 - a - wj.sign * np.exp(logb))))
@@ -234,7 +239,7 @@ def verify_seed_wronskian(k, ctilde, grid, tol: float = CONSTANCY_TOL) -> Verifi
     cfg = seed_config_from_free(k, ctilde)  # validates the sign pattern
     k, n = cfg.k, cfg.n
     log_vdm = sum(math.log(k[a] - k[b]) for a in range(n) for b in range(a))
-    [u] = tau_jet_sums(cfg, [None], grid, [0])
+    [u] = _check_taus(cfg, [None], grid, [0])
     w = jet_wronskian(seed_jets([free_seed(kj, ct) for kj, ct in zip(k, ctilde)], u.xs, n - 1), 0)
     wv = w.sign * w.jet.value
     if np.any(wv <= 0):

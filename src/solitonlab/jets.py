@@ -272,7 +272,7 @@ def jet_det(matrix) -> Jet:
             a[:, k + 1 :, k + 1 :] -= _cauchy(f[:, :, None], a[:, None, k, k + 1 :])
     # shifts run 0..order + 1; np.unique here would import numpy.ma on
     # the first call, 10 ms of a cold process
-    for s in range(1, int(shift.max()) + 1):
+    for s in range(1, int(shift.max(initial=0)) + 1):
         sel = shift == s
         det[sel, s:] = det[sel, : order + 1 - s]
         det[sel, :s] = 0.0

@@ -390,14 +390,14 @@ class TauGrid:
         q = (self.jet / den.jet) * jet_exp(rate, den.xs, den.order, unit=True)
         return TauGrid(den.xs, q.coeffs, self.gauge - den.gauge + rate * den.xs, self.sign * den.sign)
 
-    def values(self) -> Jet:
-        """The true jets sign * e^gauge * jet over the grid; RangeError
-        where e^gauge overflows."""
+    def values(self, shift=0.0) -> Jet:
+        """The true jets sign * e^gauge * jet over the grid, times
+        e^-shift; RangeError where they overflow."""
         try:
-            scale = _pointwise(math.exp, self.gauge)
-        except OverflowError as exc:
-            raise RangeError(f"tau ratio overflow at x={np.ravel(self.xs)[np.argmax(self.gauge)]}") from exc
-        return self.jet * (self.sign * scale)
+            with np.errstate(over="raise"):
+                return self.jet * (self.sign * _pointwise(math.exp, self.gauge - shift))
+        except (OverflowError, FloatingPointError) as exc:
+            raise RangeError(f"tau ratio overflow at x={np.ravel(self.xs)[np.argmax(self.gauge - shift)]}") from exc
 
 
 def _dd_tree_sum(h, l):
@@ -837,40 +837,34 @@ def tail_matrix_grid(cfg: SolitonConfig, rows, cols, den: TauGrid, pair_taus: Ma
     tau, pair_rule(cfg, j, l) over den's grid at den's order; it is only
     read. pair_rule is symmetric, so T_ab is T_ba bitwise."""
     entries = {}
-
-    def entry(j, l):
-        j, l = min(j, l), max(j, l)
-        if (j, l) not in entries:
-            ksum = cfg.k[j - 1] + cfg.k[l - 1]
-            tail = pair_taus[j, l].over(den, -ksum)
-            entries[j, l] = replace(tail, coeffs=tail.coeffs * (1.0 / ksum))
-        return entries[j, l]
-
-    return [[entry(a, b) for b in cols] for a in rows]
+    for j, l in tail_pairs(rows, cols):
+        ksum = cfg.k[j - 1] + cfg.k[l - 1]
+        tail = pair_taus[j, l].over(den, -ksum)
+        entries[j, l] = replace(tail, coeffs=tail.coeffs * (1.0 / ksum))
+    return [[entries[min(a, b), max(a, b)] for b in cols] for a in rows]
 
 
-def overlap_rows(cfg: SolitonConfig, idx, den: TauGrid, pair_taus: Mapping, e=None) -> tuple:
-    """The Abraham-Moses overlap matrix over the indices idx as jet rows,
-    (rows, log_gauge): row a of the true matrix is e^log_gauge[a] rows[a],
-    log_gauge being [len(idx), points]. den and pair_taus are
-    tail_matrix_grid's.
-
-    Deletion (e None): the tail matrix T over idx, each row's largest gauge
-    factored out, so no entry overflows or underflows; the deletion
-    matrix sqrt(c_j c_l) T_jl differs from it by constant factors.
-    Addition: (e_j + 1) delta_jl - sqrt(c_j c_l) T_jl, with the flowed c,
-    ungauged (log_gauge 0)."""
-    cfg = cfg.flowed()
-    tails = tail_matrix_grid(cfg, idx, idx, den, pair_taus)
-    if e is None:
-        log_gauge = np.array([np.max([t.gauge for t in row], axis=0) for row in tails])
-        rows = [[replace(t, gauge=t.gauge - g).values() for t in row] for row, g in zip(tails, log_gauge)]
-        return rows, log_gauge
-    sqc = np.sqrt([cfg.c[j - 1] for j in idx])
-    rows = [[t.values() * -(sqc[a] * sqc[b]) for b, t in enumerate(row)] for a, row in enumerate(tails)]
-    for a, ea in enumerate(e):
-        rows[a][a] = rows[a][a] + (ea + 1.0)
-    return rows, np.zeros((len(idx),) + den.xs.shape)
+def overlap_rows(cfg: SolitonConfig, idx, den: TauGrid, pair_taus: Mapping, e=None, extra=()) -> tuple:
+    """The Abraham-Moses overlap matrix F over the indices idx in one
+    symmetric gauge, (rows, h, tails): F_ab = e^(h_a + h_b) rows[a][b], h
+    being [len(idx), *x.shape], and tails the tail matrix over rows idx and
+    columns idx + extra it is built from (tail_matrix_grid's, as are den
+    and pair_taus). Deletion (e None): F is T up to constant factors
+    sqrt(c_a c_b). T is a Gram matrix, |T_ab| <= sqrt(T_aa T_bb), so with
+    h_a half the gauge of T_aa rows and det rows stay of order one, also
+    as x -> +infinity. Addition: (e_a + 1) delta_ab - sqrt(c_a c_b) T_ab,
+    with the flowed c; its diagonal lies in (e_a, e_a + 1], so h = 0."""
+    cfg, m = cfg.flowed(), len(idx)
+    tails = tail_matrix_grid(cfg, idx, [*idx, *extra], den, pair_taus)
+    h = np.zeros((m,) + den.xs.shape) if e is not None else 0.5 * np.array([tails[a][a].gauge for a in range(m)])
+    rows = [[replace(t, gauge=t.gauge - h[a]).values(h[b]) for b, t in enumerate(row[:m])]
+            for a, row in enumerate(tails)]
+    if e is not None:
+        sqc = np.sqrt([cfg.c[j - 1] for j in idx])
+        rows = [[r * -(sqc[a] * sqc[b]) for b, r in enumerate(row)] for a, row in enumerate(rows)]
+        for a, ea in enumerate(e):
+            rows[a][a] = rows[a][a] + (ea + 1.0)
+    return rows, h, tails
 
 
 def matrix_values(rows) -> np.ndarray:

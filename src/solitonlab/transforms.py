@@ -23,7 +23,7 @@ suite treats it as a falsifiable claim and checks it pointwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,6 +31,7 @@ import numpy as np
 from .jets import Jet, SingularJetError, _pointwise, jet_det, jet_exp, jet_log_d2
 from .solitons import (
     ConfigError,
+    RangeError,
     SolitonConfig,
     TauGrid,
     _check_index,
@@ -44,7 +45,6 @@ from .solitons import (
     matrix_values,
     overlap_rows,
     pair_rule,
-    tail_matrix_grid,
     tail_pairs,
     tau_jet_sums,
 )
@@ -329,14 +329,15 @@ def generic_am(cfg: SolitonConfig, indices, mode: str, e: Sequence | None = None
     Uses unit-normalized seeds s_j = sqrt(c_j) phi_j, so the overlap
     matrix is F_jl = (e_j + 1) delta_jl - sqrt(c_j c_l) T_jl(x) for
     addition and F_jl = sqrt(c_j c_l) T_jl(x) for deletion, where T is
-    the tail integral of phi_j phi_l from x to +infinity (closed form,
-    no quadrature; solitons.overlap_rows), c the flowed config's. The new
-    potential is U - 2 (log det F)'', with U = -2 (log u)'' from the
-    order-2 tau u that the tails already use; the target maps to
-    psi -/+ sum_jl s_j (F^-1)_jl <s_l, psi>, one batched solve. u, the
-    pair taus and the eigenfunction numerators are one tau_jet_sums call.
-    The potential's error is absolute: up to 3e-14 of max|U| over one
-    index and 1e-13 over two (measured as darboux_potential's, |x| <= 200).
+    the tail integral of phi_j phi_l from x to +infinity in closed form,
+    c the flowed config's; F is read in the gauge of solitons.overlap_rows.
+    The new potential is U - 2 (log det F)'', with U = -2 (log u)'' from
+    the order-2 tau u that the tails already use; the target maps to
+    psi -/+ sum_jl s_j (F^-1)_jl <s_l, psi>, one batched solve, and is a
+    RangeError where it overflows. u, the pair taus and the eigenfunction
+    numerators are one tau_jet_sums call. The potential's error is
+    absolute: up to 1.5e-14 of max|U| over one index, 1.3e-12 over two and
+    1.2e-10 over three (random 2-4 soliton draws, |x| <= 1000).
     """
     if mode == "add":
         if e is None or len(e) != len(indices):
@@ -353,8 +354,7 @@ def generic_am(cfg: SolitonConfig, indices, mode: str, e: Sequence | None = None
     eig = [] if jt is None else _index_set(cfg.n, [*idx, jt])
     rules = [None] + [pair_rule(cfg, *p) for p in pairs] + [eigenfunction_rule(cfg, j) for j in eig]
     den, *taus = tau_jet_sums(cfg, rules, x, [2] * (1 + len(pairs)) + [0] * len(eig))
-    pair_taus = dict(zip(pairs, taus))
-    rows, log_gauge = overlap_rows(cfg, idx, den, pair_taus, e)
+    rows, h, tails = overlap_rows(cfg, idx, den, dict(zip(pairs, taus)), e, [] if jt is None else [jt])
     det = jet_det(rows)
     if np.any(det.value <= 0):
         raise RegularityError(f"overlap determinant not positive at x={np.ravel(den.xs)[np.argmax(det.value <= 0)]}")
@@ -362,19 +362,19 @@ def generic_am(cfg: SolitonConfig, indices, mode: str, e: Sequence | None = None
 
     tval = None
     if target is not None:
-        # F y = <s, phi_t>, <s_a, phi_t> = sqrt(c_a) (delta_at / c_a - T_at),
-        # solved on the gauged rows: F = e^g rows in addition (g = 0) and
-        # D e^g rows D in deletion (D = diag sqrt c), so rows z = w e^-g
-        # (delta / c - T) with z = y, w = sqrt c in addition and z = D y,
-        # w = 1 in deletion; the correction is sum_a w_a phi_a z_a
+        # F y = <s, phi_t> = D (delta / c - T_t), D = diag sqrt c, in F's gauge:
+        # rows z = e^-h w (delta / c - T_t), w = D (z = y) in addition and 1 (z =
+        # e^h D y) in deletion; so sum_a s_a y_a = sum_a w_a (e^-h_a phi_a) z_a
+        phi = {j: eigenfunction_grid(cfg, j, den.truncate(0), num) for j, num in zip(eig, taus[len(pairs) :])}
         w = np.sqrt([cfg.c[j - 1] for j in idx]) if mode == "add" else np.ones(len(idx))
-        col = tail_matrix_grid(cfg, idx, [jt], den, pair_taus)
-        b = -np.stack([replace(t, gauge=t.gauge - g).values().value for [t], g in zip(col, log_gauge)], -1)
+        b = -np.stack([row[-1].values(g).value for row, g in zip(tails, h)], -1)
         if jt in idx:
-            b[..., idx.index(jt)] += np.exp(-log_gauge[idx.index(jt)]) / cfg.c[jt - 1]
+            a = idx.index(jt)
+            b[..., a] += _ungauged(Jet.constant(1.0 / cfg.c[jt - 1], den.xs, 0)).values(h[a]).value
         z = np.linalg.solve(matrix_values(rows), (w * b)[..., None])[..., 0]
-        phi = {j: eigenfunction_grid(cfg, j, den.truncate(0), num).values().value
-               for j, num in zip(eig, taus[len(pairs) :])}
-        corr = np.sum(w * np.stack([phi[j] for j in idx], -1) * z, -1)
-        tval = phi[jt] + corr if mode == "delete" else phi[jt] - corr
+        with np.errstate(over="ignore", invalid="ignore"):
+            corr = np.sum(w * np.stack([phi[j].values(g).value for j, g in zip(idx, h)], -1) * z, -1)
+        tval = phi[jt].values().value + (corr if mode == "delete" else -corr)
+        if not np.isfinite(tval).all():
+            raise RangeError(f"target value overflow at x={np.ravel(den.xs)[np.argmin(np.isfinite(tval))]}")
     return AMResult(x=den.xs, potential=u_new, target_value=tval)

@@ -10,7 +10,7 @@ import pytest
 
 from solitonlab import cli, identities as I, solitons as S, transforms as T
 from solitonlab.solitons import ConfigError, SolitonConfig
-from test_shapes import ROUTES
+from test_shapes import CHECKS, ROUTES, arrays
 
 CFG = SolitonConfig((0.7, 1.3, 2.1), (1.5, 3.0, 0.4))
 GRID = np.linspace(-1.0, 1.0, 5)
@@ -130,3 +130,27 @@ def test_non_finite_x_is_a_config_error(route, bad, where):
     x = bad if where == "point" else np.array([0.0, bad, 1.0])
     with pytest.raises(ConfigError):
         ROUTES[route](CFG, x)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("x", [np.array([]), np.array([-1e3, 1e3])], ids=["empty", "far"])
+def test_empty_and_far_field_x_give_finite_results(route, x):
+    # results of x's shape, finite wherever the true values are: an empty
+    # x was an untyped ValueError on every route through jet_det, and
+    # generic_am's deletion read far-field underflow as a singularity
+    for a in arrays(ROUTES[route](CFG, x)):
+        assert a.shape[:1] == x.shape and np.isfinite(a).all()
+
+
+@pytest.mark.parametrize("check", CHECKS)
+def test_empty_grid_is_a_config_error(check):
+    # one rule for every check: no point, no identity to check (an untyped
+    # ValueError or a failed report with an infinite deviation before)
+    with pytest.raises(ConfigError):
+        CHECKS[check](CFG, np.array([]))
+
+
+def test_grid_of_excluded_points_keeps_its_failed_report():
+    # points exist but every one underflows below the exclusion floor
+    r = I.verify_deletion_determinant(CFG, [1, 3], np.array([990.0, 1000.0]))
+    assert not r.passed and r.excluded_points == 2 and r.max_abs_deviation == math.inf

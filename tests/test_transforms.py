@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from solitonlab import numerics, solitons as S, transforms as T
+from solitonlab import identities as I, numerics, solitons as S, transforms as T
 from solitonlab.solitons import ConfigError, SolitonConfig
 
 
@@ -457,6 +457,61 @@ class TestGenericAM:
         twin = T.generic_am(SolitonConfig(k, c), [3, 1], mode, e and e[::-1], 2, xs)
         assert np.array_equal(shared.potential, twin.potential)
         assert np.array_equal(shared.target_value, twin.target_value)
+
+    #: k = (0.7, 1.3, 2.1), c = (1.5, 3.0, 0.4) over x in [-1000, 1000]
+    FAR_CFG = SolitonConfig((0.7, 1.3, 2.1), (1.5, 3.0, 0.4))
+    FAR = np.arange(-1000.0, 1001.0, 10.0)
+    NEAR = [-100.0, -10.0, 0.0, 10.0, 100.0]
+
+    @pytest.mark.parametrize("dset", [[1, 3], [2, 3], [1, 2, 3]])
+    def test_far_field_deletion_is_not_a_singularity(self, dset):
+        # each overlap row gauged by its largest entry left far-field rows
+        # nearly parallel, so det underflowed: a RegularityError from x =
+        # 500, 860 and 370; in the symmetric gauge det tends to a Cauchy
+        # determinant and the closed form holds to |x| = 1000
+        r = T.generic_am(self.FAR_CFG, dset, "delete", x=self.FAR)
+        closed = S.potential_fn(T.am_delete(self.FAR_CFG, dset).after)(self.FAR)
+        assert np.max(np.abs(r.potential - closed)) < 1e-11
+        assert I.verify_deletion_determinant(self.FAR_CFG, dset, self.FAR).passed
+
+    # target values of the row-gauged overlap matrix at NEAR; the
+    # symmetric gauge moved them by at most 6.0e-13 relative on |x| <= 100
+    NEAR_TARGETS = [
+        ([3], 1, ["0x1.915ddefffab2ap-99", "0x1.73d580cbb6bf0p-8", "-0x1.78a8170c94221p-2",
+                  "-0x1.de16b2c7c39fcp-12", "-0x1.02057d1245ceep-102"]),
+        ([2, 3], 1, ["0x1.915ddefffab2ap-99", "0x1.73d580d2eba55p-8", "0x1.2bf7f712865c6p-3",
+                     "0x1.1eda6f1419f18p-13", "0x1.35a02faf7c840p-104"]),
+        ([1, 3], 2, ["-0x1.0c48f197088e7p-184", "-0x1.d1992b2234719p-16", "-0x1.1f7a0486941a4p-4",
+                     "-0x1.56a30131e3e50p-23", "-0x1.8add7abe173e0p-192"]),
+    ]
+
+    @pytest.mark.parametrize("dset,jt,expected", NEAR_TARGETS)
+    def test_far_field_targets_are_finite(self, dset, jt, expected):
+        # [3] -> 1 raised a false RangeError from x = 510
+        assert np.isfinite(T.generic_am(self.FAR_CFG, dset, "delete", target=jt, x=self.FAR).target_value).all()
+        near = T.generic_am(self.FAR_CFG, dset, "delete", target=jt, x=self.NEAR).target_value
+        assert near == pytest.approx([float.fromhex(v) for v in expected], rel=1e-11, abs=0.0)
+
+    def test_overflowing_deleted_target_is_a_range_error(self):
+        # the deleted phi_3 maps to a state growing as e^{k_3 x}: a silent
+        # NaN from x = 170 in the row gauge; finite wherever its true value
+        # is (5.8e307 at x = 336), and a RangeError where that overflows,
+        # whether the correction sum (337), a scaled entry (337.75) or its
+        # gauge (340) overflows first
+        r = T.generic_am(self.FAR_CFG, [1, 3], "delete", target=3, x=[*self.FAR[self.FAR <= 330.0], 336.0])
+        assert np.isfinite(r.target_value).all()
+        for x in (337.0, 337.75, 340.0, 1000.0, self.FAR):
+            with pytest.raises(S.RangeError):
+                T.generic_am(self.FAR_CFG, [1, 3], "delete", target=3, x=x)
+
+    def test_far_field_addition_is_unchanged(self):
+        # addition needs no gauge (h = 0): bitwise the row-gauged results
+        r = T.generic_am(self.FAR_CFG, [1, 3], "add", [1.5, 0.8], 2, [-1000.0, -100.0, 0.0, 100.0, 1000.0])
+        pot = ["-0x1.feaaaaaaab215p-44", "-0x1.feaaaaaaaaaa5p-44", "-0x1.9150625cf7169p+1",
+               "-0x1.47ac946e341f1p-201", "-0x0.0p+0"]
+        tgt = ["-0x0.0p+0", "-0x1.0c48f197088e7p-184", "0x1.9f51c65ff365cp-2", "0x1.5d9ec4ada7938p-188", "0x0.0p+0"]
+        assert r.potential.tolist() == [float.fromhex(v) for v in pot]
+        assert r.target_value.tolist() == [float.fromhex(v) for v in tgt]
 
 
 class TestSpectrumContracts:
