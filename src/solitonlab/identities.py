@@ -12,12 +12,13 @@ Every tau an identity needs is evaluated once per grid, not once per
 point, and all of a check's taus come from one solitons.tau_jet_sums
 call: the double-double exponential sums of every rule the check needs,
 at all grid points, with the exponentials formed once for all of them.
-The jets built from those taus (eigenfunctions, tail entries,
-Wronskians) are batched over the grid too, and the determinants of their
-constant terms are one stacked np.linalg.slogdet call. The generic
-Wronskian engine (jet_wronskian), itself under test, takes the gauged
-eigenfunctions of the check's own call in the Wronskian identity and the
-free seeds (transforms.free_seed) in the seed-Wronskian identity.
+The jets built from those taus are batched over the grid too, a tail,
+overlap or Wronskian matrix is one jet over [rows, cols, *grid], and the
+determinants of their constant terms are one np.linalg.slogdet call.
+The generic Wronskian engine (jet_wronskian), itself under test, takes
+the gauged eigenfunctions of the check's own call in the Wronskian
+identity and the free seeds (transforms.free_seed) in the seed-Wronskian
+identity.
 
 The Abraham-Moses deletion and addition determinants are one check body
 (_overlap_determinant) over the overlap matrix of solitons.overlap_rows,
@@ -39,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import _pointwise
 from .solitons import (
     ConfigError,
     SolitonConfig,
@@ -122,8 +122,7 @@ def inner_tail(cfg: SolitonConfig, j: int, l: int, x):
     1/c_j)."""
     pair = min(j, l), max(j, l)
     den, tau = tau_jet_sums(cfg, [None, pair_rule(cfg, *pair)], x, [0, 0])
-    [[tail]] = tail_matrix_grid(cfg, [j], [l], den, {pair: tau})
-    return tail.values().value
+    return tail_matrix_grid(cfg, [j], [l], den, {pair: tau}).values().value[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +168,7 @@ def verify_bilinear_derivative(cfg: SolitonConfig, j: int, l: int, grid, tol: fl
     den, tau, *nums = _check_taus(cfg, rules, grid, [1, 1] + [0] * len(idx))
     phi = {i: eigenfunction_grid(cfg, i, den.truncate(0), num).values().value for i, num in zip(idx, nums)}
     lhs = phi[j] * phi[l]
-    [[tail]] = tail_matrix_grid(cfg, [j], [l], den, {pair: tau})
-    rhs = -tail.values().deriv(1)
+    rhs = -tail_matrix_grid(cfg, [j], [l], den, {pair: tau}).values().deriv(1)[0, 0]
     scale = max(float(np.max(np.abs(lhs))), UNDERFLOW_FLOOR)
     dev = float(np.max(np.abs(lhs - rhs))) / scale
     return VerificationReport(
@@ -241,12 +239,10 @@ def verify_seed_wronskian(k, ctilde, grid, tol: float = CONSTANCY_TOL) -> Verifi
     log_vdm = sum(math.log(k[a] - k[b]) for a in range(n) for b in range(a))
     [u] = _check_taus(cfg, [None], grid, [0])
     w = jet_wronskian(seed_jets([free_seed(kj, ct) for kj, ct in zip(k, ctilde)], u.xs, n - 1), 0)
-    wv = w.sign * w.jet.value
-    if np.any(wv <= 0):
+    if np.any(w.sign * w.jet.value <= 0):
         return VerificationReport("seed_wronskian", "seed_wronskian", tuple(grid), math.inf, None, tol, False)
-    log_w = w.gauge + _pointwise(math.log, wv)
     log_rhs = log_vdm + sum(k) * u.xs + u.log_abs
-    dev = float(np.max(np.abs(_pointwise(math.exp, log_w - log_rhs) - 1.0)))
+    dev = float(np.max(np.abs(np.exp(w.log_abs - log_rhs) - 1.0)))
     return VerificationReport("seed_wronskian", "seed_wronskian", tuple(grid), dev, None, tol, dev <= tol)
 
 

@@ -6,15 +6,17 @@ the coefficients have shape x0.shape + (order+1,), and a point is the
 grid of shape (). This is Taylor arithmetic with leading batch axes
 (Griewank & Walther, *Evaluating Derivatives*): every operation acts on
 the last axis and elementwise across the others, so each point of a
-result is bitwise the result at that point alone. All derivative-hungry
-quantities in this package
-(Wronskians, log-derivative potentials, PDE residuals) are built from jet
-arithmetic, so no finite differencing enters anywhere.
+result is bitwise the result at that point alone. A matrix of jets is
+one Jet whose leading axes are the matrix's (jet_det), and exponentials
+are numpy's, so no Python loop runs over points or matrix entries. All
+derivative-hungry quantities in this package (Wronskians, log-derivative
+potentials, PDE residuals) are built from jet arithmetic, so no finite
+differencing enters anywhere.
 
 Coefficients may be real or complex (plane-wave seeds need complex jets).
 Arithmetic silently truncates at the jet's order, which is exact for the
-retained coefficients. A non-jet operand is a scalar or an array of the
-centers' shape.
+retained coefficients. A non-jet operand is a scalar or an array
+broadcasting against the centers.
 """
 
 from __future__ import annotations
@@ -59,15 +61,6 @@ class JetMismatchError(ValueError):
 
 class SingularJetError(ZeroDivisionError):
     """Division by a jet whose constant term vanishes."""
-
-
-def _pointwise(fn, v) -> np.ndarray:
-    """fn, a function of the math module, applied to each element of v, as
-    an array of v's shape. numpy's vectorized exp and log differ from the C
-    library's in the last bit for a few percent of arguments; the package
-    has always used the C library's, so results stay bitwise what they
-    were. Errors are math's: exp overflow raises OverflowError."""
-    return np.array([fn(t) for t in np.ravel(v).tolist()], dtype=float).reshape(np.shape(v))
 
 
 def _cauchy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -195,13 +188,14 @@ def _div(a: Jet, b: Jet) -> Jet:
     return Jet(a.center, _quotient(a.coeffs, b.coeffs))
 
 
-def jet_exp(rate: float, x0, order: int, unit: bool = False) -> Jet:
+def jet_exp(rate, x0, order: int, unit: bool = False) -> Jet:
     """Jet of exp(rate*x) at x0, a point or a grid of any shape (a list
-    too); with unit=True the e^{rate*x0} prefactor is dropped (constant
+    too), rate a real or complex number or an array broadcasting against
+    x0; with unit=True the e^{rate*x0} prefactor is dropped (constant
     term 1), useful when the scale is tracked separately as a log gauge."""
     x0, order = np.asarray(x0, dtype=float), _check_order(order)
-    c = np.empty(x0.shape + (order + 1,))
-    c[..., 0] = 1.0 if unit else _pointwise(math.exp, rate * x0)
+    c = np.empty(x0.shape + (order + 1,), dtype=np.result_type(rate, float))
+    c[..., 0] = 1.0 if unit else np.exp(rate * x0)
     for n in range(1, order + 1):
         c[..., n] = c[..., n - 1] * rate / n
     return Jet(x0, c)
@@ -218,9 +212,10 @@ def jet_log_d2(a: Jet):
     return 2.0 * (a.coeffs[..., 2] / a0) - r1 * r1
 
 
-def jet_det(matrix) -> Jet:
-    """Determinant of a square matrix of jets (shared centers and order),
-    by LU with partial pivoting on the constant terms, chosen per point.
+def jet_det(matrix: Jet) -> Jet:
+    """Determinant of a square matrix of jets, one Jet leading with its
+    axes (n, n), all entries at one set of centers (JetMismatchError
+    otherwise), by LU with partial pivoting on the constant terms.
 
     A pivot column whose constant terms all vanish (a sign-indefinite tau
     crossing zero) is h times a jet one order lower, h being the
@@ -231,22 +226,15 @@ def jet_det(matrix) -> Jet:
     for that batch element only and the product of h's is applied at the
     end, so a singular pivot needs no second algorithm.
     """
-    m = [list(row) for row in matrix]
-    if not m:
-        raise ValueError("empty matrix")
-    first = m[0][0]
-    for row in m:
-        for e in row:
-            first._check(e)
-    n = len(m)
-    order = first.order
-    a = np.moveaxis(np.array([[e.coeffs for e in row] for row in m]), (0, 1), (-3, -2))
-    batch = a.shape[:-3]
-    a = a.reshape((-1, n, n, order + 1)).copy()
+    center, order = matrix.center, matrix.order
+    if center.ndim < 2 or not 0 < center.shape[0] == center.shape[1]:
+        raise ValueError(f"a jet matrix needs centers of shape (n, n, ...), n > 0, not {center.shape}")
+    if not np.all(center == center[0, 0]):
+        raise JetMismatchError("jet mismatch: the entries of a jet matrix differ in centers")
+    n, batch = len(center), center.shape[2:]
+    a = np.moveaxis(matrix.coeffs, (0, 1), (-3, -2)).reshape((-1, n, n, order + 1)).copy()
     nb = a.shape[0]
-    bidx = np.arange(nb)
-    sign = np.ones(nb)
-    shift = np.zeros(nb, dtype=np.int64)
+    bidx, sign, shift = np.arange(nb), np.ones(nb), np.zeros(nb, dtype=np.int64)
     det = None
     for k in range(n):
         while True:
@@ -276,4 +264,4 @@ def jet_det(matrix) -> Jet:
         sel = shift == s
         det[sel, s:] = det[sel, : order + 1 - s]
         det[sel, :s] = 0.0
-    return Jet(first.center, (det * sign[:, None]).reshape(batch + (order + 1,)))
+    return Jet(center[0, 0], (det * sign[:, None]).reshape(batch + (order + 1,)))

@@ -404,8 +404,11 @@ def quadrature(f: Callable, a: float, b: float, tol: float = 1e-10) -> float:
     _MAGNUS_MAX_STEPS steps, or on a non-finite f (its message gives x as
     the offset from (a + b)/2), SolverError is raised.
 
-    f must accept an array of x values."""
+    f must accept an array of x values; a non-finite bound is a ValueError."""
     a, b = float(a), float(b)
+    for name, v in (("a", a), ("b", b)):
+        if not math.isfinite(v):
+            raise ValueError(f"quadrature bound {name} must be finite, not {v}")
     if a == b:
         return 0.0
     mid, half = 0.5 * (a + b), 0.5 * (b - a)

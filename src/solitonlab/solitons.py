@@ -26,17 +26,17 @@ cumulants) flatten it (_points).
 Every tilde-variant of u used by the deformation schemes is a pointwise
 rewrite c_m -> factor_m * c_m, represented by CoefficientRule; those of
 the schemes, deletion_rule and addition_rule, are where their index sets
-(_index_set) and parameters are checked. Tau jets
-carry a log gauge (TauGrid), as tau spans hundreds of orders of magnitude.
-Eigenfunctions, tail integrals and the right sides of the identities are
-each a rewritten tau over the config's own times an exponential,
-TauGrid.over, and TauGrid.values is the one place such a gauge is applied.
+(_index_set) and parameters are checked. Tau jets carry a log gauge
+(TauGrid), as tau spans hundreds of orders of magnitude, and
+TauGrid.values is the one place such a gauge is applied.
 
 The eigenfunctions (eigenfunction_grid), the tail-integral matrices int_x^inf
 phi_j phi_l (tail_matrix_grid) and the Abraham-Moses overlap matrices
-built from them (overlap_rows) each have one builder. Every eigenfunction
-and tail entry is a rewritten tau over the config's own tau. The caller
-evaluates that denominator and the numerators (eigenfunction_rule,
+built from them (overlap_rows) each have one builder. Each, and each
+right side of the identities, is a rewritten tau over the config's own
+times an exponential, TauGrid.over; a matrix is one TauGrid or Jet over
+[rows, cols, *x.shape], from one over of its stacked pair taus. The
+caller evaluates the denominator and the numerators (eigenfunction_rule,
 tail_pairs, pair_rule) in its own tau_jet_sums call and hands them in;
 the builders only read them and evaluate no tau. eigenfunctions makes
 that call for the bound states of one config, so every caller of it,
@@ -54,7 +54,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import dd
-from .jets import ConfigError, Jet, _check_order, _integer, _pointwise, jet_exp
+from .jets import ConfigError, Jet, _check_order, _integer, jet_exp
 
 #: enumeration budget for the 2^N exponential-sum oracle
 HIROTA_MAX_N = 24
@@ -84,6 +84,11 @@ def _real(v) -> float:
     return float(v)
 
 
+def _time_index(n) -> int:
+    """A hierarchy time key as an int (_integer), or a JSON key's digits."""
+    return int(n) if isinstance(n, str) and n.isdecimal() else _integer(n, "hierarchy time index")
+
+
 @dataclass(frozen=True)
 class SolitonConfig:
     """Spectral data: ascending positive wavenumbers k, positive norming
@@ -96,9 +101,10 @@ class SolitonConfig:
     def __post_init__(self):
         try:
             k, c = (tuple(_real(v) for v in a) for a in (self.k, self.c))
-            t = None if self.times is None else {int(n): _real(v) for n, v in self.times.items()}
+            items = None if self.times is None else [(n, _real(v)) for n, v in self.times.items()]
         except (TypeError, ValueError, AttributeError) as exc:
             raise ConfigError(f"k and c must be lists of reals and times a map to reals: {exc}") from exc
+        t = None if items is None else {_time_index(n): v for n, v in items}
         if not all(map(math.isfinite, k + c + tuple((t or {}).values()))):
             raise ConfigError("wavenumbers, norming constants and times must be finite")
         object.__setattr__(self, "k", k)
@@ -112,9 +118,8 @@ class SolitonConfig:
         if any(v <= 0 for v in c):
             raise ConfigError("norming constants must be positive")
         if t is not None:
-            for n in t:
-                if n < 3 or n % 2 == 0:
-                    raise ConfigError(f"hierarchy time index {n} is not an odd integer >= 3")
+            if len(t) < len(items) or any(n < 3 or n % 2 == 0 for n in t):
+                raise ConfigError(f"hierarchy time keys must be distinct odd integers >= 3: {[n for n, _ in items]}")
             object.__setattr__(self, "times", t)
 
     def __hash__(self):
@@ -381,22 +386,30 @@ class TauGrid:
             raise ValueError("cannot extend a tau grid by truncation")
         return TauGrid(self.xs, self.coeffs[..., : order + 1], self.gauge, self.sign)
 
-    def over(self, den: "TauGrid", rate: float = 0.0) -> "TauGrid":
+    def over(self, den: "TauGrid", rate=0.0) -> "TauGrid":
         """The gauged jets of (self / den) e^{rate x} on their common grid
         and jet order, for self a rewritten tau and den the config's own:
         eigenfunctions, tail integrals and the right sides of the
-        identities are all such ratios. The gauges subtract and rate x
-        joins them, so the jets stay of order one."""
-        q = (self.jet / den.jet) * jet_exp(rate, den.xs, den.order, unit=True)
-        return TauGrid(den.xs, q.coeffs, self.gauge - den.gauge + rate * den.xs, self.sign * den.sign)
+        identities are all such ratios. self may stack a matrix of them
+        over leading axes, den is then broadcast over those, and rate may
+        be an array broadcasting against self's grid. The gauges subtract
+        and rate x joins them, so the jets stay of order one."""
+        xs = den.xs if den.xs.shape == self.xs.shape else np.broadcast_to(den.xs, self.xs.shape)
+        d = Jet(xs, np.broadcast_to(den.coeffs, xs.shape + den.coeffs.shape[-1:]))
+        q = (self.jet / d) * jet_exp(rate, xs, den.order, unit=True)
+        return TauGrid(xs, q.coeffs, self.gauge - den.gauge + rate * xs, self.sign * den.sign)
+
+    def __getitem__(self, p) -> "TauGrid":
+        """The taus at the index p of the grid's axes (views)."""
+        return TauGrid(self.xs[p], self.coeffs[p], self.gauge[p], self.sign[p])
 
     def values(self, shift=0.0) -> Jet:
         """The true jets sign * e^gauge * jet over the grid, times
         e^-shift; RangeError where they overflow."""
         try:
             with np.errstate(over="raise"):
-                return self.jet * (self.sign * _pointwise(math.exp, self.gauge - shift))
-        except (OverflowError, FloatingPointError) as exc:
+                return self.jet * (self.sign * np.exp(self.gauge - shift))
+        except FloatingPointError as exc:
             raise RangeError(f"tau ratio overflow at x={np.ravel(self.xs)[np.argmax(self.gauge - shift)]}") from exc
 
 
@@ -824,11 +837,11 @@ def tail_pairs(rows, cols) -> list:
     return list(dict.fromkeys((min(a, b), max(a, b)) for a in rows for b in cols))
 
 
-def tail_matrix_grid(cfg: SolitonConfig, rows, cols, den: TauGrid, pair_taus: Mapping) -> list:
+def tail_matrix_grid(cfg: SolitonConfig, rows, cols, den: TauGrid, pair_taus: Mapping) -> TauGrid:
     """Tail integrals T_ab = int_x^inf phi_a phi_b dy for a in rows, b in
     cols over a grid, with closed form (pair-rewritten tau / tau)
-    e^{-(k_a+k_b)x}/(k_a+k_b), as a nested list of TauGrids (their
-    values() are the true entries).
+    e^{-(k_a+k_b)x}/(k_a+k_b), as one TauGrid.over of the stacked pair
+    taus, over [rows, cols, *x.shape] (its values() are the entries).
 
     den is the config's own tau over the grid, tau_jet_sums(cfg, [None],
     xs, [order])[0]; the grid and the jet order are taken from it, so one
@@ -836,41 +849,45 @@ def tail_matrix_grid(cfg: SolitonConfig, rows, cols, den: TauGrid, pair_taus: Ma
     pair_taus maps each pair (j, l) of tail_pairs(rows, cols) to its pair
     tau, pair_rule(cfg, j, l) over den's grid at den's order; it is only
     read. pair_rule is symmetric, so T_ab is T_ba bitwise."""
-    entries = {}
-    for j, l in tail_pairs(rows, cols):
-        ksum = cfg.k[j - 1] + cfg.k[l - 1]
-        tail = pair_taus[j, l].over(den, -ksum)
-        entries[j, l] = replace(tail, coeffs=tail.coeffs * (1.0 / ksum))
-    return [[entries[min(a, b), max(a, b)] for b in cols] for a in rows]
+    pairs = tail_pairs(rows, cols)
+    slot = np.zeros((cfg.n + 1, cfg.n + 1), dtype=int)  # pair (j, l) -> its place in pairs
+    slot[tuple(np.transpose(pairs))] = np.arange(len(pairs))
+    at = slot[np.minimum.outer(rows, cols), np.maximum.outer(rows, cols)]
+    num = TauGrid(np.broadcast_to(den.xs, at.shape + den.xs.shape),
+                  *(np.stack([getattr(pair_taus[p], f) for p in pairs])[at] for f in ("coeffs", "gauge", "sign")))
+    ksum = np.array([cfg.k[j - 1] + cfg.k[l - 1] for j, l in pairs])[at].reshape(at.shape + (1,) * den.xs.ndim)
+    tail = num.over(den, -ksum)
+    return replace(tail, coeffs=tail.coeffs * (1.0 / ksum)[..., None])
 
 
 def overlap_rows(cfg: SolitonConfig, idx, den: TauGrid, pair_taus: Mapping, e=None, extra=()) -> tuple:
     """The Abraham-Moses overlap matrix F over the indices idx in one
-    symmetric gauge, (rows, h, tails): F_ab = e^(h_a + h_b) rows[a][b], h
-    being [len(idx), *x.shape], and tails the tail matrix over rows idx and
-    columns idx + extra it is built from (tail_matrix_grid's, as are den
-    and pair_taus). Deletion (e None): F is T up to constant factors
-    sqrt(c_a c_b). T is a Gram matrix, |T_ab| <= sqrt(T_aa T_bb), so with
-    h_a half the gauge of T_aa rows and det rows stay of order one, also
-    as x -> +infinity. Addition: (e_a + 1) delta_ab - sqrt(c_a c_b) T_ab,
-    with the flowed c; its diagonal lies in (e_a, e_a + 1], so h = 0."""
+    symmetric gauge, (rows, h, tails): F_ab = e^(h_a + h_b) rows_ab, rows
+    one Jet over [len(idx), len(idx), *x.shape] and h [len(idx),
+    *x.shape], and tails the tail matrix over rows idx and columns idx +
+    extra it is built from (tail_matrix_grid's, as are den and
+    pair_taus). Deletion (e None): F is T up to constant factors sqrt(c_a
+    c_b). T is a Gram matrix, |T_ab| <= sqrt(T_aa T_bb), so with h_a half
+    the gauge of T_aa rows and det rows stay of order one, also as x ->
+    +infinity. Addition: (e_a + 1) delta_ab - sqrt(c_a c_b) T_ab, with the
+    flowed c; its diagonal lies in (e_a, e_a + 1], so h = 0."""
     cfg, m = cfg.flowed(), len(idx)
     tails = tail_matrix_grid(cfg, idx, [*idx, *extra], den, pair_taus)
-    h = np.zeros((m,) + den.xs.shape) if e is not None else 0.5 * np.array([tails[a][a].gauge for a in range(m)])
-    rows = [[replace(t, gauge=t.gauge - h[a]).values(h[b]) for b, t in enumerate(row[:m])]
-            for a, row in enumerate(tails)]
+    t, diag = tails[:, :m], np.arange(m)
+    h = np.zeros((m,) + den.xs.shape) if e is not None else 0.5 * t.gauge[diag, diag]
+    rows = replace(t, gauge=t.gauge - h[:, None]).values(h)
     if e is not None:
         sqc = np.sqrt([cfg.c[j - 1] for j in idx])
-        rows = [[r * -(sqc[a] * sqc[b]) for b, r in enumerate(row)] for a, row in enumerate(rows)]
-        for a, ea in enumerate(e):
-            rows[a][a] = rows[a][a] + (ea + 1.0)
+        f = np.moveaxis(rows.coeffs, (0, 1), (-2, -1))  # a view, [*x.shape, order + 1, m, m]
+        f *= -(sqc[:, None] * sqc)
+        f[..., 0, diag, diag] += np.add(e, 1.0)
     return rows, h, tails
 
 
-def matrix_values(rows) -> np.ndarray:
+def matrix_values(rows: Jet) -> np.ndarray:
     """The values of a matrix of jets (overlap_rows' rows), as an array
     [*x.shape, rows, cols]."""
-    return np.stack([np.stack([r.value for r in row], -1) for row in rows], -2)
+    return np.moveaxis(rows.value, (0, 1), (-2, -1))
 
 
 def apply_time_flows(cfg: SolitonConfig) -> SolitonConfig:

@@ -14,7 +14,8 @@ Two layers are implemented deliberately side by side:
   config (generic_am). Each engine evaluates its seeds once (seed_jets),
   the bound states of one config in one tau_jet_sums call, at x of any
   shape, and gives results of x's shape. Seeds and Wronskians are gauged
-  jets (solitons.TauGrid), as taus are, so underflow is no singularity.
+  jets (solitons.TauGrid), as taus are, so underflow is no singularity,
+  and a Wronskian is one jet_det of the stacked seeds' derivatives.
 
 That the two layers produce the same potentials is a theorem; the test
 suite treats it as a falsifiable claim and checks it pointwise.
@@ -28,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .jets import Jet, SingularJetError, _pointwise, jet_det, jet_exp, jet_log_d2
+from .jets import Jet, SingularJetError, jet_det, jet_exp, jet_log_d2
 from .solitons import (
     ConfigError,
     RangeError,
@@ -193,8 +194,8 @@ def free_seed(k: float, ctilde: float) -> SeedFunction:
     def ev(x, order):
         x = np.asarray(x, dtype=float)
         s = np.maximum(k * x, -k * x + log_c)
-        grow = jet_exp(k, x, order, unit=True) * _pointwise(math.exp, k * x - s)
-        decay = jet_exp(-k, x, order, unit=True) * np.copysign(_pointwise(math.exp, -k * x + log_c - s), ctilde)
+        grow = jet_exp(k, x, order, unit=True) * np.exp(k * x - s)
+        decay = jet_exp(-k, x, order, unit=True) * np.copysign(np.exp(-k * x + log_c - s), ctilde)
         return TauGrid(x, (grow + decay).coeffs, s, np.ones(x.shape))
 
     return SeedFunction(evaluator=ev)
@@ -203,16 +204,7 @@ def free_seed(k: float, ctilde: float) -> SeedFunction:
 def plane_wave_seed(k: float) -> SeedFunction:
     """Scattering solution e^{ikx} of the zero potential, energy +k^2, in
     gauge 0."""
-
-    def ev(x, order):
-        rate = 1j * k
-        c = np.empty(np.shape(x) + (order + 1,), dtype=complex)
-        c[..., 0] = np.exp(rate * np.asarray(x))
-        for n in range(1, order + 1):
-            c[..., n] = c[..., n - 1] * rate / n
-        return _ungauged(Jet(x, c))
-
-    return SeedFunction(evaluator=ev)
+    return SeedFunction(evaluator=lambda x, order: _ungauged(jet_exp(1j * k, x, order)))
 
 
 def seed_config_from_free(k, ctilde) -> SolitonConfig:
@@ -252,15 +244,17 @@ def seed_jets(seeds: Sequence, x, order: int) -> list:
 def jet_wronskian(jets: Sequence, order: int, x=None) -> TauGrid:
     """Gauged Wronskian det(d^(i-1) f_m / dx^(i-1)) to the given jet order
     of the gauged jets of M functions, each of order >= M - 1 + order: one
-    jet_det of the normalized jets, batched if they are, in the sum of
-    their gauges and the product of their signs. No jets give 1 over x."""
+    jet_det of the stacked normalized jets and their derivatives, batched
+    if they are, in the sum of their gauges and the product of their
+    signs. No jets give 1 over x."""
     if not jets:
         return _ungauged(Jet.constant(1.0, x, order))
-    rows = [[t.jet.truncate(len(jets) - 1 + order) for t in jets]]
-    for _ in range(len(jets) - 1):
-        rows.append([j.derivative() for j in rows[-1]])
-    det = jet_det([[j.truncate(order) for j in row] for row in rows])
-    return TauGrid(det.center, det.coeffs, sum(t.gauge for t in jets), math.prod(t.sign for t in jets))
+    m = len(jets)
+    rows = [Jet(np.stack([t.xs for t in jets]), np.stack([t.jet.truncate(m - 1 + order).coeffs for t in jets]))]
+    for _ in range(m - 1):
+        rows.append(rows[-1].derivative())
+    det = jet_det(Jet(np.stack([r.center for r in rows]), np.stack([r.truncate(order).coeffs for r in rows])))
+    return TauGrid(jets[0].xs, det.coeffs, sum(t.gauge for t in jets), math.prod(t.sign for t in jets))
 
 
 def wronskian(fns: Sequence, x, order: int = 0) -> Jet:
@@ -367,7 +361,7 @@ def generic_am(cfg: SolitonConfig, indices, mode: str, e: Sequence | None = None
         # e^h D y) in deletion; so sum_a s_a y_a = sum_a w_a (e^-h_a phi_a) z_a
         phi = {j: eigenfunction_grid(cfg, j, den.truncate(0), num) for j, num in zip(eig, taus[len(pairs) :])}
         w = np.sqrt([cfg.c[j - 1] for j in idx]) if mode == "add" else np.ones(len(idx))
-        b = -np.stack([row[-1].values(g).value for row, g in zip(tails, h)], -1)
+        b = -np.moveaxis(tails[:, -1].values(h).value, 0, -1)
         if jt in idx:
             a = idx.index(jt)
             b[..., a] += _ungauged(Jet.constant(1.0 / cfg.c[jt - 1], den.xs, 0)).values(h[a]).value

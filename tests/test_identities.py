@@ -1,5 +1,6 @@
 """Tests for the identity verification engine."""
 
+import itertools
 import math
 
 import numpy as np
@@ -60,13 +61,13 @@ class TestInnerTail:
         den, *taus = S.tau_jet_sums(cfg4, [None] + [S.pair_rule(cfg4, *p) for p in pairs], [x], [order] * (1 + len(pairs)))
         pair_taus = dict(zip(pairs, taus))
         tails = I.tail_matrix_grid(cfg4, idx, idx, den, pair_taus)
+        assert tails.coeffs.shape == (4, 4, 1, order + 1) and tails.xs.shape == (4, 4, 1)
         for a in idx:
             for b in idx:
-                t = tails[a - 1][b - 1]
-                assert t.jet.order == order
-                [[single]] = I.tail_matrix_grid(cfg4, [a], [b], den, pair_taus)
-                for other in (tails[b - 1][a - 1], single):
-                    assert np.array_equal(t.jet.coeffs, other.jet.coeffs)
+                t = tails[a - 1, b - 1]
+                single = I.tail_matrix_grid(cfg4, [a], [b], den, pair_taus)[0, 0]
+                for other in (tails[b - 1, a - 1], single):
+                    assert np.array_equal(t.coeffs, other.coeffs)
                     assert np.array_equal(t.gauge, other.gauge) and np.array_equal(t.sign, other.sign)
                 if order == 0:
                     assert single.values().value[0] == I.inner_tail(cfg4, a, b, x)
@@ -83,7 +84,7 @@ class TestInnerTail:
         tails = S.tail_matrix_grid(cfg4, [1, 3], [1, 3, 4], den, pair_taus)
         assert grid_tau_calls == []
         assert pair_taus.keys() == before.keys() and all(pair_taus[p] is before[p] for p in before)
-        assert len(tails) == 2 and all(len(row) == 3 for row in tails)
+        assert tails.coeffs.shape == (2, 3, 5, 2) and tails.gauge.shape == tails.sign.shape == (2, 3, 5)
         with pytest.raises(KeyError):
             S.tail_matrix_grid(cfg4, [2], [2], den, pair_taus)
 
@@ -238,3 +239,37 @@ class TestReports:
         reports = I.run_identity_suite(seed=11, n_configs=4, grid_points=15)
         assert len(reports) == 24
         assert all(r.passed for r in reports), [r for r in reports if not r.passed]
+
+
+#: the constant of each constancy identity over the index set D with
+#: parameters e, fixed by x -> +infinity where every tau tends to 1, and
+#: the relative tolerance it is pinned to (10x the worst over suite seeds
+#: 0-2, rounded up)
+CONSTANTS = {
+    "wronskian_ratio": (lambda k, e: math.prod(a - b for a, b in itertools.combinations(k, 2)), 3e-13),
+    "deletion_determinant": (lambda k, e: np.linalg.det(1.0 / np.add.outer(k, k)), 1e-10),  # Cauchy
+    "addition_determinant": (lambda k, e: math.prod(v + 1.0 for v in e), 1e-13),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_suite_constants_are_the_far_field_limits(seed):
+    # the suite's draws, replayed in step with run_identity_suite; each
+    # report's name carries its D, which checks that they stay in step
+    reports = I.run_identity_suite(seed, 50)
+    rng = np.random.default_rng(seed)
+    for i in range(50):
+        cfg = S.random_config(rng)
+        msize = int(rng.integers(1, min(cfg.n, 3) + 1))
+        dset = sorted(rng.choice(np.arange(1, cfg.n + 1), size=msize, replace=False).tolist())
+        for _ in range(2):  # j and l
+            rng.integers(1, cfg.n + 1)
+        e = rng.uniform(0.5, 5.0, msize).tolist()
+        for _ in range(cfg.n):  # ctilde
+            rng.uniform(0.2, 5.0)
+        k = [cfg.k[d - 1] for d in dset]
+        for r in reports[6 * i : 6 * i + 6]:
+            if r.tag in CONSTANTS:
+                assert r.identity_name.endswith(f"D={dset}")
+                constant, tol = CONSTANTS[r.tag]
+                assert r.measured_constant == pytest.approx(constant(k, e), rel=tol, abs=0.0), r

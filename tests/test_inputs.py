@@ -121,6 +121,25 @@ def test_addition_parameters_stay_with_their_index():
     assert repr(fwd) == repr(rev)
 
 
+@pytest.mark.parametrize(
+    "times",
+    [{3.5: 0.1}, {3.0: 0.1}, {True: 0.1}, {"3.5": 0.1}, {"x": 0.1}, {3: 0.1, 3.5: 0.2}, {3: 0.1, "3": 0.2}],
+    ids=repr,
+)
+def test_bad_hierarchy_time_key_is_a_config_error(times):
+    # int() truncated the keys: {3.5: t} was the t_3 flow, and {3: 0.1,
+    # 3.5: 0.2} silently dropped t_3 = 0.1
+    with pytest.raises(ConfigError):
+        SolitonConfig(CFG.k, CFG.c, times)
+
+
+def test_hierarchy_time_keys_from_json_and_numpy():
+    ref = SolitonConfig(CFG.k, CFG.c, {3: 0.1, 5: -0.02})
+    assert SolitonConfig(CFG.k, CFG.c, {"3": 0.1, "5": -0.02}) == ref
+    assert SolitonConfig(CFG.k, CFG.c, {np.int64(3): 0.1, 5: -0.02}) == ref
+    assert cli.parse_config(cli.config_to_json(ref)) == ref
+
+
 @pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
 @pytest.mark.parametrize("where", ["point", "grid"])

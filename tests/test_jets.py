@@ -156,13 +156,19 @@ class TestLogD2:
             jet_log_d2(Jet.constant(-1.0, 0.0, 2))
 
 
+def matrix_jet(rows):
+    """A nested list of jets at one set of centers as the one Jet jet_det
+    takes, the matrix axes leading."""
+    return Jet(np.array([[e.center for e in row] for row in rows]), np.array([[e.coeffs for e in row] for row in rows]))
+
+
 class TestDeterminant:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_constant_matrix_matches_numpy(self, n):
         rng = np.random.default_rng(n)
         mat = rng.normal(size=(n, n))
-        jets = [[Jet.constant(mat[i, j], 0.0, 2) for j in range(n)] for i in range(n)]
-        det = jet_det(jets)
+        det = jet_det(Jet.constant(mat, np.zeros((n, n)), 2))
+        assert det.center.shape == ()
         assert det.coeffs[0] == pytest.approx(np.linalg.det(mat), rel=1e-10)
         assert np.allclose(det.coeffs[1:], 0.0)
 
@@ -173,8 +179,19 @@ class TestDeterminant:
             [jet_exp(1.0, x0, 3), Jet.constant(1.0, x0, 3)],
             [Jet.constant(1.0, x0, 3), jet_exp(-1.0, x0, 3)],
         ]
-        det = jet_det(m)
+        det = jet_det(matrix_jet(m))
         assert det.coeffs[0] == pytest.approx(0.0, abs=1e-15)
+
+    def test_entries_at_different_centers_raise(self):
+        m = [[Jet.constant(1.0, 0.0, 1), Jet.constant(2.0, 0.0, 1)],
+             [Jet.constant(3.0, 0.0, 1), Jet.constant(4.0, 0.5, 1)]]
+        with pytest.raises(JetMismatchError):
+            jet_det(matrix_jet(m))
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3), (0, 0)], ids=repr)
+    def test_non_square_or_empty_matrix_raises(self, shape):
+        with pytest.raises(ValueError):
+            jet_det(Jet.constant(1.0, np.zeros(shape), 1))
 
 
 class TestDerivativeAndTruncate:
@@ -332,8 +349,8 @@ class TestBatched:
     def test_det_equals_per_point(self, n, order):
         rng = np.random.default_rng(10 * n + order)
         m = [[batch(rng, order, lead=0.0) for _ in range(n)] for _ in range(n)]
-        det = jet_det(m)
-        assert_per_point(det, lambda p: jet_det([[e.at(p) for e in row] for row in m]))
+        det = jet_det(matrix_jet(m))
+        assert_per_point(det, lambda p: jet_det(matrix_jet([[e.at(p) for e in row] for row in m])))
         for p in range(len(XS)):
             want = reference_det([[e.at(p) for e in row] for row in m]).coeffs
             assert np.max(np.abs(det.coeffs[p] - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
@@ -350,8 +367,8 @@ class TestBatched:
         c[3, :, 0, 0] = c[3, :, 1, 0] = [1.0, 0.5, 0.25, 2.0]
         c[4, :, 2] = 0.0
         m = [[Jet(XS, c[:, i, j]) for j in range(4)] for i in range(4)]
-        det = jet_det(m)
-        assert_per_point(det, lambda p: jet_det([[e.at(p) for e in row] for row in m]))
+        det = jet_det(Jet(np.broadcast_to(XS, (4, 4, len(XS))), np.moveaxis(c, 0, 2)))
+        assert_per_point(det, lambda p: jet_det(matrix_jet([[e.at(p) for e in row] for row in m])))
         for p in range(len(XS)):
             want = reference_det([[e.at(p) for e in row] for row in m]).coeffs
             assert np.max(np.abs(det.coeffs[p] - want)) < 1e-12 * max(1.0, np.max(np.abs(c[p])) ** 4)

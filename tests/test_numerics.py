@@ -299,6 +299,15 @@ class TestQuadrature:
         assert N.quadrature(np.exp, 0.7, 0.7) == 0.0
         assert N.quadrature(np.exp, 1.0, 0.0) == pytest.approx(1.0 - math.e, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "bounds, name", [((0.0, math.nan), "b"), ((0.0, math.inf), "b"), ((-math.inf, 0.0), "a"), ((math.inf, math.inf), "a")]
+    )
+    def test_nonfinite_bound_is_named(self, bounds, name):
+        # a NaN bound was "cannot convert float NaN to integer" from inside
+        # the step-doubling driver, and inf to inf an empty interval
+        with pytest.raises(ValueError, match=f"quadrature bound {name} must be finite"):
+            N.quadrature(np.exp, *bounds)
+
     def test_nonfinite_integrand_is_solver_error(self):
         with pytest.raises(N.SolverError, match="function is not finite"):
             N.quadrature(lambda x: np.where(x > 0.5, np.nan, 1.0), 0.0, 1.0)

@@ -65,6 +65,32 @@ def test_no_point_or_grid_branches():
     assert found == []
 
 
+#: the modules of the jet path: tau jets, tail and overlap matrices,
+#: Wronskians and the identity checks
+JET_PATH = ("jets.py", "solitons.py", "transforms.py", "identities.py")
+
+
+def _is_point_iteration(node) -> bool:
+    """node is x.tolist() or np.ravel(...): the points of an array as a
+    Python sequence."""
+    if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+        return False
+    f = node.func
+    return f.attr == "tolist" or (isinstance(f.value, ast.Name) and f.value.id in ("np", "numpy") and f.attr == "ravel")
+
+
+def test_no_per_point_loops_on_the_jet_path():
+    # jets act on whole arrays, a matrix of them is one jet with leading
+    # matrix axes and exponentials are numpy's, so no comprehension of the
+    # jet path walks the points of an array one by one
+    found = []
+    for name in JET_PATH:
+        for node in ast.walk(ast.parse((SRC / name).read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+                found += [f"{name}:{node.lineno}" for gen in node.generators if _is_point_iteration(gen.iter)]
+    assert found == []
+
+
 def test_index_sets_built_in_one_place():
     # a set of state indices is built and checked by solitons._index_set
     # alone, so no module sorts a set of indices of its own
