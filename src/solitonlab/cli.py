@@ -186,10 +186,8 @@ def cmd_transform(cfg: SolitonConfig, args, out) -> int:
         res = transforms.krein_adler_delete(cfg, _parse_indices(args.delete), unsafe=args.unsafe)
     elif scheme == "am-delete":
         res = transforms.am_delete(cfg, _parse_indices(args.delete))
-    elif scheme == "am-add":
+    else:  # am-add: argparse's choices refuse every other scheme
         res = transforms.am_add(cfg, _parse_eparams(args.e))
-    else:
-        raise ConfigError(f"unknown scheme {scheme!r}")
     if res.is_regular:
         out.write(config_to_json(res.after) + "\n")
     else:

@@ -11,14 +11,16 @@ underflowed quantities is noise, not evidence.
 Every tau an identity needs is evaluated once per grid, not once per
 point, and all of a check's taus come from one solitons.tau_jet_sums
 call: the double-double exponential sums of every rule the check needs,
-at all grid points, with the exponentials formed once for all of them.
-The jets built from those taus are batched over the grid too, a tail,
-overlap or Wronskian matrix is one jet over [rows, cols, *grid], and the
-determinants of their constant terms are one np.linalg.slogdet call.
+at all grid points and one jet order, with the exponentials formed once
+for all of them, as one TauGrid stacked over the rules. The builders
+index rows and slices of that stack; the jets built from it are batched
+over the grid too, a tail, overlap or Wronskian matrix is one jet over
+[rows, cols, *grid], and the determinants of their constant terms are
+one np.linalg.slogdet call.
 The generic Wronskian engine (jet_wronskian), itself under test, takes
-the gauged eigenfunctions of the check's own call in the Wronskian
-identity and the free seeds (transforms.free_seed) in the seed-Wronskian
-identity.
+the stacked gauged eigenfunctions of the check's own call in the
+Wronskian identity and the stacked free seeds (transforms.free_seed) in
+the seed-Wronskian identity.
 
 The Abraham-Moses deletion and addition determinants are one check body
 (_overlap_determinant) over the overlap matrix of solitons.overlap_rows,
@@ -120,20 +122,20 @@ def inner_tail(cfg: SolitonConfig, j: int, l: int, x):
     tau_jet_sums call. As x -> -infinity this tends to 1/c_j for j=l and
     to 0 otherwise (orthogonality with normalization (phi_j, phi_j) =
     1/c_j)."""
-    pair = min(j, l), max(j, l)
-    den, tau = tau_jet_sums(cfg, [None, pair_rule(cfg, *pair)], x, [0, 0])
-    return tail_matrix_grid(cfg, [j], [l], den, {pair: tau}).values().value[0, 0]
+    taus = tau_jet_sums(cfg, [None, pair_rule(cfg, min(j, l), max(j, l))], x, 0)
+    return tail_matrix_grid(cfg, [j], [l], taus[0], taus[1:]).values().value[0, 0]
 
 
 # ---------------------------------------------------------------------------
 # Identity checks
 
 
-def _check_taus(cfg: SolitonConfig, rules, grid, orders) -> list:
-    """A check's one tau_jet_sums call; ConfigError for a grid of no points."""
+def _check_taus(cfg: SolitonConfig, rules, grid, order: int):
+    """A check's one tau_jet_sums call, one TauGrid stacked over the rules;
+    ConfigError for a grid of no points."""
     if np.size(grid) == 0:
         raise ConfigError("an identity check needs at least one grid point")
-    return tau_jet_sums(cfg, rules, grid, orders)
+    return tau_jet_sums(cfg, rules, grid, order)
 
 
 def verify_wronskian_identity(cfg: SolitonConfig, deleted, grid, tol: float = CONSTANCY_TOL) -> VerificationReport:
@@ -147,9 +149,10 @@ def verify_wronskian_identity(cfg: SolitonConfig, deleted, grid, tol: float = CO
     ksum = sum(cfg.k[d - 1] for d in dset)
     m = len(dset)
     rules = [None, deletion_rule(cfg, dset, 1)] + [eigenfunction_rule(cfg, d) for d in dset]
-    den, rewritten, *nums = _check_taus(cfg, rules, grid, [m - 1, 0] + [m - 1] * m)
-    w = jet_wronskian([eigenfunction_grid(cfg, d, den, num) for d, num in zip(dset, nums)], 0)
-    rhs = rewritten.over(den.truncate(0), -ksum)
+    taus = _check_taus(cfg, rules, grid, m - 1)
+    w = jet_wronskian(eigenfunction_grid(cfg, dset, taus[0], taus[2:]), 0)
+    den, rewritten = taus[:2].truncate(0)
+    rhs = rewritten.over(den, -ksum)
     return _ratio_report(
         f"wronskian_identity D={dset}", "wronskian_ratio", grid, w.log_abs, w.sign * np.sign(w.jet.value),
         rhs.log_abs, rhs.sign, tol,
@@ -163,12 +166,11 @@ def verify_bilinear_derivative(cfg: SolitonConfig, j: int, l: int, grid, tol: fl
     four rules (three for j = l): that tau, the tail's pair tau and the
     eigenfunction numerators."""
     idx = _index_set(cfg.n, (j, l))
-    pair = idx[0], idx[-1]
-    rules = [None, pair_rule(cfg, *pair)] + [eigenfunction_rule(cfg, i) for i in idx]
-    den, tau, *nums = _check_taus(cfg, rules, grid, [1, 1] + [0] * len(idx))
-    phi = {i: eigenfunction_grid(cfg, i, den.truncate(0), num).values().value for i, num in zip(idx, nums)}
-    lhs = phi[j] * phi[l]
-    rhs = -tail_matrix_grid(cfg, [j], [l], den, {pair: tau}).values().deriv(1)[0, 0]
+    rules = [None, pair_rule(cfg, idx[0], idx[-1])] + [eigenfunction_rule(cfg, i) for i in idx]
+    taus = _check_taus(cfg, rules, grid, 1)
+    phi = eigenfunction_grid(cfg, idx, taus[0].truncate(0), taus[2:].truncate(0)).values().value
+    lhs = phi[idx.index(j)] * phi[idx.index(l)]
+    rhs = -tail_matrix_grid(cfg, [j], [l], taus[0], taus[1:2]).values().deriv(1)[0, 0]
     scale = max(float(np.max(np.abs(lhs))), UNDERFLOW_FLOOR)
     dev = float(np.max(np.abs(lhs - rhs))) / scale
     return VerificationReport(
@@ -205,10 +207,10 @@ def _overlap_determinant(cfg, dset, e, rule, rate, name, grid, tol) -> Verificat
     rules = [None] + [pair_rule(cfg, *p) for p in pairs]
     if rule not in rules:
         rules.append(rule)
-    den, *taus = _check_taus(cfg, rules, grid, [0] * len(rules))
-    rows, h, _ = overlap_rows(cfg, dset, den, dict(zip(pairs, taus)), e)
+    taus = _check_taus(cfg, rules, grid, 0)
+    rows, h, _ = overlap_rows(cfg, dset, taus[0], taus[1 : 1 + len(pairs)], e)
     sgn_l, logabs = np.linalg.slogdet(matrix_values(rows))
-    rhs = taus[rules.index(rule) - 1].over(den, rate)
+    rhs = taus[rules.index(rule)].over(taus[0], rate)
     return _ratio_report(
         f"{name}_determinant D={dset}", f"{name}_determinant", grid, 2.0 * h.sum(axis=0) + logabs, sgn_l,
         rhs.log_abs, rhs.sign, tol,
@@ -222,7 +224,7 @@ def verify_tau_split(cfg: SolitonConfig, j: int, grid, tol: float = POINTWISE_TO
     cfg = cfg.flowed()
     j = _check_index(cfg.n, j)
     kj, cj = cfg.k[j - 1], cfg.c[j - 1]
-    u, uj, wj = _check_taus(cfg, [None, drop_rule(cfg.n, j), pair_rule(cfg, j, j)], grid, [0, 0, 0])
+    u, uj, wj = _check_taus(cfg, [None, drop_rule(cfg.n, j), pair_rule(cfg, j, j)], grid, 0)
     a = uj.sign * np.exp(uj.log_abs - u.log_abs)
     logb = math.log(cj / (2.0 * kj)) - 2.0 * kj * u.xs + wj.log_abs - u.log_abs
     dev = float(np.max(np.abs(1.0 - a - wj.sign * np.exp(logb))))
@@ -237,7 +239,7 @@ def verify_seed_wronskian(k, ctilde, grid, tol: float = CONSTANCY_TOL) -> Verifi
     cfg = seed_config_from_free(k, ctilde)  # validates the sign pattern
     k, n = cfg.k, cfg.n
     log_vdm = sum(math.log(k[a] - k[b]) for a in range(n) for b in range(a))
-    [u] = _check_taus(cfg, [None], grid, [0])
+    u = _check_taus(cfg, [None], grid, 0)[0]
     w = jet_wronskian(seed_jets([free_seed(kj, ct) for kj, ct in zip(k, ctilde)], u.xs, n - 1), 0)
     if np.any(w.sign * w.jet.value <= 0):
         return VerificationReport("seed_wronskian", "seed_wronskian", tuple(grid), math.inf, None, tol, False)

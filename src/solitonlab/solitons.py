@@ -18,7 +18,8 @@ potential_jet, dt_potential) from one core, as cumulants of the config's
 own positive terms. Its double-double form gives jets of the rewritten
 taus for eigenfunctions and tail integrals: tau_jet_sums, the one entry
 point, evaluates several rules of one config on one grid, sharing the
-factors that do not depend on the rules between them and later calls.
+factors that do not depend on the rules between them and later calls,
+and returns them as one TauGrid stacked over the rules at one jet order.
 Every route takes x of any shape, a point being shape (), and gives
 results of x's shape; only the four cores (the three tau routes and the
 cumulants) flatten it (_points).
@@ -34,14 +35,16 @@ The eigenfunctions (eigenfunction_grid), the tail-integral matrices int_x^inf
 phi_j phi_l (tail_matrix_grid) and the Abraham-Moses overlap matrices
 built from them (overlap_rows) each have one builder. Each, and each
 right side of the identities, is a rewritten tau over the config's own
-times an exponential, TauGrid.over; a matrix is one TauGrid or Jet over
-[rows, cols, *x.shape], from one over of its stacked pair taus. The
-caller evaluates the denominator and the numerators (eigenfunction_rule,
-tail_pairs, pair_rule) in its own tau_jet_sums call and hands them in;
-the builders only read them and evaluate no tau. eigenfunctions makes
-that call for the bound states of one config, so every caller of it,
-the Darboux engines of transforms included, costs one core call, as do
-the identity checks and transforms.generic_am, on any grid.
+times an exponential, TauGrid.over: several eigenfunctions are one
+TauGrid over [indices, *x.shape] and a matrix one over [rows, cols,
+*x.shape], each from one over of rows of a stack. The caller evaluates
+the denominator and the numerators (eigenfunction_rule, tail_pairs,
+pair_rule) in its own tau_jet_sums call and hands in rows and slices of
+its stack; the builders only index them and evaluate no tau.
+eigenfunctions makes that call for the bound states of one config, so
+every caller of it, the Darboux engines of transforms included, costs
+one core call, as do the identity checks and transforms.generic_am, on
+any grid.
 """
 
 from __future__ import annotations
@@ -390,17 +393,19 @@ class TauGrid:
         """The gauged jets of (self / den) e^{rate x} on their common grid
         and jet order, for self a rewritten tau and den the config's own:
         eigenfunctions, tail integrals and the right sides of the
-        identities are all such ratios. self may stack a matrix of them
+        identities are all such ratios. self may stack several of them
         over leading axes, den is then broadcast over those, and rate may
         be an array broadcasting against self's grid. The gauges subtract
         and rate x joins them, so the jets stay of order one."""
-        xs = den.xs if den.xs.shape == self.xs.shape else np.broadcast_to(den.xs, self.xs.shape)
+        xs = self.xs
         d = Jet(xs, np.broadcast_to(den.coeffs, xs.shape + den.coeffs.shape[-1:]))
         q = (self.jet / d) * jet_exp(rate, xs, den.order, unit=True)
         return TauGrid(xs, q.coeffs, self.gauge - den.gauge + rate * xs, self.sign * den.sign)
 
     def __getitem__(self, p) -> "TauGrid":
-        """The taus at the index p of the grid's axes (views)."""
+        """The taus at the index p of the grid's axes: a row of a stack, a
+        slice of rows or the rows a list or array selects (views for the
+        first two); a stack unpacks into its rows."""
         return TauGrid(self.xs[p], self.coeffs[p], self.gauge[p], self.sign[p])
 
     def values(self, shift=0.0) -> Jet:
@@ -520,11 +525,12 @@ def _joined_exps(low: tuple, high: tuple, blk: slice) -> tuple:
     return eh, el, (ae[:, None, :] + be[:, :, None]).reshape(ex.shape) + ex
 
 
-def tau_jet_sums(cfg: SolitonConfig, rules, xs, orders) -> list:
-    """Tau jets of several rewrites of one config over xs, one TauGrid per
-    rule (None for the config's own tau) at the matching jet order (an
-    integer >= 0, ConfigError otherwise), from the 2^N exponential-sum form
-    in double-double arithmetic.
+def tau_jet_sums(cfg: SolitonConfig, rules, xs, order: int) -> TauGrid:
+    """Tau jets of several rewrites of one config over xs at one jet order
+    (an integer >= 0, ConfigError otherwise), one TauGrid stacked over
+    [len(rules), *x.shape] (rule None is the config's own tau), from the
+    2^N exponential-sum form in double-double arithmetic. A rule wanted at
+    a lower order is its row's truncate, bitwise the same.
 
     Independent of the determinant route and accurate to ~1e-16 relative
     even for the sign-indefinite rewritten taus, whose term cancellation
@@ -551,17 +557,16 @@ def tau_jet_sums(cfg: SolitonConfig, rules, xs, orders) -> list:
     the memos hold.
     Solitons every rule removes are left out; budget N <= 12 for the rest,
     RangeError beyond it."""
-    cfg = cfg.flowed()
-    orders = [_check_order(q) for q in orders]
-    if len(orders) != len(rules) or not rules:
-        raise ConfigError(f"{len(rules)} rules but {len(orders)} jet orders; one per rule, at least one")
+    cfg, top = cfg.flowed(), _check_order(order)
+    if not rules:
+        raise ConfigError("tau_jet_sums needs at least one rule")
     ce = np.array([cfg.c if rule is None else rule.apply(cfg) for rule in rules]).reshape(len(rules), cfg.n)
     keep = np.any(ce != 0.0, axis=0)
     k, ce = np.asarray(cfg.k)[keep], ce[:, keep]
     if len(k) > _JET_SUM_MAX_N:
         raise RangeError(f"2^N jet-sum budget exceeded: N={len(k)} > {_JET_SUM_MAX_N}")
     x, xs = _points(xs)
-    top, key = max(orders), tuple(k.tolist())
+    key = tuple(k.tolist())
     qh, ql, qe, _, _, ih, il = _jet_sum_table(key)
     # signed rule products c_j f_rj / 2 k_j, [rules, 2^N]; zero terms never set a gauge
     cm, cx = np.frexp(ce)
@@ -603,13 +608,13 @@ def tau_jet_sums(cfg: SolitonConfig, rules, xs, orders) -> list:
         coeffs[:, blk] = np.moveaxis(sh, 0, -1)
     shape = (len(rules),) + x.shape
     coeffs, gauge, sign = coeffs.reshape(shape + (top + 1,)), gauge.reshape(shape), sign.reshape(shape)
-    return [TauGrid(x, coeffs[r, ..., : q + 1], gauge[r], sign[r]) for r, q in enumerate(orders)]
+    return TauGrid(np.broadcast_to(x, shape), coeffs, gauge, sign)
 
 
 def tau_jet_sum(cfg: SolitonConfig, rule: CoefficientRule | None, x: float, order: int) -> TauGrid:
     """Tau jet at the point x from the double-double exponential sum: the
     one-rule tau_jet_sums, a TauGrid of shape ()."""
-    return tau_jet_sums(cfg, [rule], float(x), [order])[0]
+    return tau_jet_sums(cfg, [rule], float(x), order)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -804,14 +809,14 @@ def potential_fn(cfg: SolitonConfig) -> Callable:
     return u_potential
 
 
-def eigenfunctions(cfg: SolitonConfig, indices, x, order: int) -> list:
+def eigenfunctions(cfg: SolitonConfig, indices, x, order: int) -> TauGrid:
     """Gauged jets of the bound states j in indices, normalized to e^{-k_j
-    x} as x -> +infinity, at a point or a grid of any shape:
-    eigenfunction_grid over one tau_jet_sums call of the config's tau and
-    the numerators (N <= 12), each bitwise the same whichever share it."""
-    rules = [None] + [eigenfunction_rule(cfg, j) for j in indices]
-    den, *nums = tau_jet_sums(cfg, rules, x, [order] * len(rules))
-    return [eigenfunction_grid(cfg, j, den, num) for j, num in zip(indices, nums)]
+    x} as x -> +infinity, at a point or a grid of any shape, stacked over
+    [len(indices), *x.shape]: eigenfunction_grid over one tau_jet_sums
+    call of the config's tau and the numerators (N <= 12), each row
+    bitwise the same whichever share it."""
+    taus = tau_jet_sums(cfg, [None] + [eigenfunction_rule(cfg, j) for j in indices], x, order)
+    return eigenfunction_grid(cfg, indices, taus[0], taus[1:])
 
 
 def eigenfunction(cfg: SolitonConfig, j: int, x, order: int) -> Jet:
@@ -820,11 +825,14 @@ def eigenfunction(cfg: SolitonConfig, j: int, x, order: int) -> Jet:
     return eigenfunctions(cfg, [j], x, order)[0].values()
 
 
-def eigenfunction_grid(cfg: SolitonConfig, j: int, den: TauGrid, num: TauGrid) -> TauGrid:
-    """Gauged jet of the j-th eigenfunction, (rewritten tau / tau) e^{-k_j
-    x}, from the config's own tau den and the rewritten tau num
-    (eigenfunction_rule(cfg, j)) of one tau_jet_sums call; both only read."""
-    return num.over(den, -cfg.k[_check_index(cfg.n, j) - 1])
+def eigenfunction_grid(cfg: SolitonConfig, indices, den: TauGrid, nums: TauGrid) -> TauGrid:
+    """Gauged jets of the eigenfunctions j in indices, (rewritten tau /
+    tau) e^{-k_j x}, stacked over [len(indices), *x.shape] as one over:
+    den is the config's own tau and nums the stacked rewritten taus
+    (eigenfunction_rule(cfg, j), in the order of indices) of one
+    tau_jet_sums call; both only read."""
+    rate = np.array([-cfg.k[_check_index(cfg.n, j) - 1] for j in indices])
+    return nums.over(den, rate.reshape(rate.shape + (1,) * den.xs.ndim))
 
 
 # ---------------------------------------------------------------------------
@@ -837,30 +845,29 @@ def tail_pairs(rows, cols) -> list:
     return list(dict.fromkeys((min(a, b), max(a, b)) for a in rows for b in cols))
 
 
-def tail_matrix_grid(cfg: SolitonConfig, rows, cols, den: TauGrid, pair_taus: Mapping) -> TauGrid:
+def tail_matrix_grid(cfg: SolitonConfig, rows, cols, den: TauGrid, pair_taus: TauGrid) -> TauGrid:
     """Tail integrals T_ab = int_x^inf phi_a phi_b dy for a in rows, b in
     cols over a grid, with closed form (pair-rewritten tau / tau)
     e^{-(k_a+k_b)x}/(k_a+k_b), as one TauGrid.over of the stacked pair
     taus, over [rows, cols, *x.shape] (its values() are the entries).
 
     den is the config's own tau over the grid, tau_jet_sums(cfg, [None],
-    xs, [order])[0]; the grid and the jet order are taken from it, so one
+    xs, order)[0]; the grid and the jet order are taken from it, so one
     evaluation serves every entry and the caller's other uses of tau.
-    pair_taus maps each pair (j, l) of tail_pairs(rows, cols) to its pair
-    tau, pair_rule(cfg, j, l) over den's grid at den's order; it is only
-    read. pair_rule is symmetric, so T_ab is T_ba bitwise."""
+    pair_taus stacks the pair taus pair_rule(cfg, j, l) of the pairs of
+    tail_pairs(rows, cols), in that order, over den's grid at den's order,
+    a slice of the same call; it is only read. pair_rule is symmetric, so
+    T_ab is T_ba bitwise."""
     pairs = tail_pairs(rows, cols)
-    slot = np.zeros((cfg.n + 1, cfg.n + 1), dtype=int)  # pair (j, l) -> its place in pairs
+    slot = np.zeros((cfg.n + 1, cfg.n + 1), dtype=int)  # pair (j, l) -> its row of pair_taus
     slot[tuple(np.transpose(pairs))] = np.arange(len(pairs))
     at = slot[np.minimum.outer(rows, cols), np.maximum.outer(rows, cols)]
-    num = TauGrid(np.broadcast_to(den.xs, at.shape + den.xs.shape),
-                  *(np.stack([getattr(pair_taus[p], f) for p in pairs])[at] for f in ("coeffs", "gauge", "sign")))
     ksum = np.array([cfg.k[j - 1] + cfg.k[l - 1] for j, l in pairs])[at].reshape(at.shape + (1,) * den.xs.ndim)
-    tail = num.over(den, -ksum)
+    tail = pair_taus[at].over(den, -ksum)
     return replace(tail, coeffs=tail.coeffs * (1.0 / ksum)[..., None])
 
 
-def overlap_rows(cfg: SolitonConfig, idx, den: TauGrid, pair_taus: Mapping, e=None, extra=()) -> tuple:
+def overlap_rows(cfg: SolitonConfig, idx, den: TauGrid, pair_taus: TauGrid, e=None, extra=()) -> tuple:
     """The Abraham-Moses overlap matrix F over the indices idx in one
     symmetric gauge, (rows, h, tails): F_ab = e^(h_a + h_b) rows_ab, rows
     one Jet over [len(idx), len(idx), *x.shape] and h [len(idx),

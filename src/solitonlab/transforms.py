@@ -4,18 +4,19 @@ Two layers are implemented deliberately side by side:
 
 * closed-form parameter rewrites — ground-state Darboux, Krein-Adler
   multi-deletion (per-factor exponent 1), Abraham-Moses deletion
-  (exponent 2) and addition (pure c rescale), each returning a new
-  SolitonConfig; the deleted sets and the addition parameters are
-  checked where their rewrites live, in solitons (deletion_rule,
-  addition_rule), and a bad one is a ConfigError;
+  (exponent 2) and addition (pure c rescale), each returning a
+  TransformResult of the new data; the deleted sets and the addition
+  parameters are checked where their rewrites live, in solitons
+  (deletion_rule, addition_rule), and a bad one is a ConfigError;
 * generic engines that never look at the closed forms — Wronskian-quotient
   Darboux chains over arbitrary seed functions, and the overlap-
   determinant Abraham-Moses map over the bound states indices of a
   config (generic_am). Each engine evaluates its seeds once (seed_jets),
   the bound states of one config in one tau_jet_sums call, at x of any
   shape, and gives results of x's shape. Seeds and Wronskians are gauged
-  jets (solitons.TauGrid), as taus are, so underflow is no singularity,
-  and a Wronskian is one jet_det of the stacked seeds' derivatives.
+  jets (solitons.TauGrid), as taus are, so underflow is no singularity;
+  an engine's seeds are one stack, and a Wronskian is one jet_det of a
+  stack's derivatives, a subset of the seeds one index into it.
 
 That the two layers produce the same potentials is a theorem; the test
 suite treats it as a falsifiable claim and checks it pointwise.
@@ -57,17 +58,13 @@ class RegularityError(ArithmeticError):
 
 @dataclass(frozen=True)
 class TransformResult:
-    """Outcome of a deformation: surviving spectral data plus a record of
-    the scheme, the deleted index set, and the per-factor exponent of the
-    induced rewrite c_m -> c_m * prod_d ((k_d - k_m)/(k_d + k_m))^xi."""
+    """Outcome of a deformation: the config it started from, the scheme
+    that rewrote it and the surviving spectral data."""
 
     before: SolitonConfig
     scheme: str
-    deleted: tuple
-    xi_exponent: int | None
     after_k: tuple
     after_c: tuple
-    am_params: dict | None = None
 
     @property
     def after(self) -> SolitonConfig:
@@ -84,14 +81,8 @@ def _delete(cfg: SolitonConfig, deleted, xi: int, scheme: str) -> TransformResul
     dset = _index_set(cfg.n, deleted)
     newc = deletion_rule(cfg, dset, xi).apply(cfg)
     keep = [m for m in range(1, cfg.n + 1) if m not in dset]
-    return TransformResult(
-        before=cfg,
-        scheme=scheme,
-        deleted=tuple(dset),
-        xi_exponent=xi,
-        after_k=tuple(cfg.k[m - 1] for m in keep),
-        after_c=tuple(float(newc[m - 1]) for m in keep),
-    )
+    after_k, after_c = tuple(cfg.k[m - 1] for m in keep), tuple(float(newc[m - 1]) for m in keep)
+    return TransformResult(before=cfg, scheme=scheme, after_k=after_k, after_c=after_c)
 
 
 def darboux_ground(cfg: SolitonConfig) -> TransformResult:
@@ -138,17 +129,8 @@ def am_add(cfg: SolitonConfig, params) -> TransformResult:
     """Abraham-Moses addition with finite parameters e_j > 0, params as
     solitons.addition_rule takes them: exactly iso-spectral, rescaling
     c_j -> e_j/(e_j+1) * c_j."""
-    rule, e = addition_rule(cfg, params)
-    newc = rule.apply(cfg)
-    return TransformResult(
-        before=cfg,
-        scheme="am_add",
-        deleted=(),
-        xi_exponent=None,
-        after_k=cfg.k,
-        after_c=tuple(float(v) for v in newc),
-        am_params=e,
-    )
+    newc = addition_rule(cfg, params)[0].apply(cfg)
+    return TransformResult(before=cfg, scheme="am_add", after_k=cfg.k, after_c=tuple(float(v) for v in newc))
 
 
 # ---------------------------------------------------------------------------
@@ -222,39 +204,47 @@ def seed_config_from_free(k, ctilde) -> SolitonConfig:
     return SolitonConfig(tuple(k), tuple(c))
 
 
-def seed_jets(seeds: Sequence, x, order: int) -> list:
-    """Gauged jets of the seeds at x (solitons._points), each seed evaluated
-    once: the eigenfunction seeds of one config (equal configs, not only
-    the same object) from one solitons.eigenfunctions call, which holds the
+def seed_jets(seeds: Sequence, x, order: int) -> TauGrid:
+    """Gauged jets of the seeds at x (solitons._points), one TauGrid stacked
+    over [len(seeds), *x.shape], each seed evaluated once: the
+    eigenfunction seeds of one config (equal configs, not only the same
+    object) from one solitons.eigenfunctions call, which holds the
     config's tau and their numerators; every other SeedFunction by one call
-    of its evaluator, a raw (x, order) -> Jet evaluator in gauge 0."""
+    of its evaluator, a raw (x, order) -> Jet evaluator in gauge 0. This
+    is where seeds of different kinds meet: their stacks are joined, onto
+    an empty one over x, and gathered into the seeds' order."""
     x = _points(x)[0]
     keys = [id(s) if getattr(s, "index", None) is None else (s.config, s.index) for s in seeds]
-    groups, jets = {}, {}
+    groups, at, parts = {}, {}, [_ungauged(Jet.constant(1.0, x, order))[None][:0]]
     for cfg, j in (key for key in keys if isinstance(key, tuple)):
         groups.setdefault(cfg, {})[j] = None
     for cfg, idx in groups.items():
-        jets.update(zip([(cfg, j) for j in idx], eigenfunctions(cfg, list(idx), x, order)))
+        at.update({(cfg, j): r for r, j in enumerate(idx, len(at))})
+        parts.append(eigenfunctions(cfg, list(idx), x, order))
     for s, key in zip(seeds, keys):
-        if key not in jets:
-            jets[key] = s.evaluator(x, order) if isinstance(s, SeedFunction) else _ungauged(s(x, order))
-    return [jets[key] for key in keys]
+        if key not in at:
+            at[key] = len(at)
+            parts.append((s.evaluator(x, order) if isinstance(s, SeedFunction) else _ungauged(s(x, order)))[None])
+    joined = (np.concatenate([getattr(t, f) for t in parts]) for f in ("xs", "coeffs", "gauge", "sign"))
+    return TauGrid(*joined)[[at[key] for key in keys]]
 
 
-def jet_wronskian(jets: Sequence, order: int, x=None) -> TauGrid:
+def jet_wronskian(seeds: TauGrid, order: int, x=None) -> TauGrid:
     """Gauged Wronskian det(d^(i-1) f_m / dx^(i-1)) to the given jet order
-    of the gauged jets of M functions, each of order >= M - 1 + order: one
-    jet_det of the stacked normalized jets and their derivatives, batched
-    if they are, in the sum of their gauges and the product of their
-    signs. No jets give 1 over x."""
-    if not jets:
+    of the gauged jets of M functions stacked over [M, *x.shape]
+    (seed_jets), each of order >= M - 1 + order: one jet_det of the
+    stack's normalized jets and their derivatives, in the sum of their
+    gauges, added in seed order so that a point gives the grid's bits,
+    and the product of their signs. No seeds give 1 over x."""
+    m = len(seeds.xs)
+    if not m:
         return _ungauged(Jet.constant(1.0, x, order))
-    m = len(jets)
-    rows = [Jet(np.stack([t.xs for t in jets]), np.stack([t.jet.truncate(m - 1 + order).coeffs for t in jets]))]
+    rows = [seeds.jet.truncate(m - 1 + order)]
     for _ in range(m - 1):
         rows.append(rows[-1].derivative())
-    det = jet_det(Jet(np.stack([r.center for r in rows]), np.stack([r.truncate(order).coeffs for r in rows])))
-    return TauGrid(jets[0].xs, det.coeffs, sum(t.gauge for t in jets), math.prod(t.sign for t in jets))
+    matrix = np.stack([r.coeffs[..., : order + 1] for r in rows])  # [derivative, seed, *x.shape, order + 1]
+    det = jet_det(Jet(np.broadcast_to(seeds.xs, matrix.shape[:-1]), matrix))
+    return TauGrid(seeds.xs[0], det.coeffs, np.add.accumulate(seeds.gauge)[-1], np.prod(seeds.sign, axis=0))
 
 
 def wronskian(fns: Sequence, x, order: int = 0) -> Jet:
@@ -262,7 +252,7 @@ def wronskian(fns: Sequence, x, order: int = 0) -> Jet:
     evaluated once (seed_jets), one jet_wronskian and its true values.
     Accepts SeedFunctions or raw (x, order) -> Jet evaluators; an empty
     list gives the constant 1."""
-    return jet_wronskian(seed_jets(fns, x, len(fns) - 1 + order), order, x).values()
+    return jet_wronskian(seed_jets(fns, x, max(len(fns) - 1, 0) + order), order, x).values()
 
 
 def _wronskian_quotient(fns: Sequence, num, den, x, order: int) -> Jet:
@@ -270,7 +260,7 @@ def _wronskian_quotient(fns: Sequence, num, den, x, order: int) -> Jet:
     (TauGrid.over) of two Wronskians of one seed_jets evaluation of fns;
     RangeError where its true value overflows."""
     jets = seed_jets(fns, x, len(fns) - 1 + order)
-    w_num, w_den = (jet_wronskian([jets[i] for i in s], order, x) for s in (num, den))
+    w_num, w_den = (jet_wronskian(jets[list(s)], order, x) for s in (num, den))
     try:
         return w_num.over(w_den).values()
     except SingularJetError as exc:
@@ -347,8 +337,9 @@ def generic_am(cfg: SolitonConfig, indices, mode: str, e: Sequence | None = None
     pairs = tail_pairs(idx, idx if jt is None else [*idx, jt])
     eig = [] if jt is None else _index_set(cfg.n, [*idx, jt])
     rules = [None] + [pair_rule(cfg, *p) for p in pairs] + [eigenfunction_rule(cfg, j) for j in eig]
-    den, *taus = tau_jet_sums(cfg, rules, x, [2] * (1 + len(pairs)) + [0] * len(eig))
-    rows, h, tails = overlap_rows(cfg, idx, den, dict(zip(pairs, taus)), e, [] if jt is None else [jt])
+    taus = tau_jet_sums(cfg, rules, x, 2)
+    den = taus[0]
+    rows, h, tails = overlap_rows(cfg, idx, den, taus[1 : 1 + len(pairs)], e, [] if jt is None else [jt])
     det = jet_det(rows)
     if np.any(det.value <= 0):
         raise RegularityError(f"overlap determinant not positive at x={np.ravel(den.xs)[np.argmax(det.value <= 0)]}")
@@ -359,7 +350,7 @@ def generic_am(cfg: SolitonConfig, indices, mode: str, e: Sequence | None = None
         # F y = <s, phi_t> = D (delta / c - T_t), D = diag sqrt c, in F's gauge:
         # rows z = e^-h w (delta / c - T_t), w = D (z = y) in addition and 1 (z =
         # e^h D y) in deletion; so sum_a s_a y_a = sum_a w_a (e^-h_a phi_a) z_a
-        phi = {j: eigenfunction_grid(cfg, j, den.truncate(0), num) for j, num in zip(eig, taus[len(pairs) :])}
+        phi = eigenfunction_grid(cfg, eig, den.truncate(0), taus[1 + len(pairs) :].truncate(0))
         w = np.sqrt([cfg.c[j - 1] for j in idx]) if mode == "add" else np.ones(len(idx))
         b = -np.moveaxis(tails[:, -1].values(h).value, 0, -1)
         if jt in idx:
@@ -367,8 +358,8 @@ def generic_am(cfg: SolitonConfig, indices, mode: str, e: Sequence | None = None
             b[..., a] += _ungauged(Jet.constant(1.0 / cfg.c[jt - 1], den.xs, 0)).values(h[a]).value
         z = np.linalg.solve(matrix_values(rows), (w * b)[..., None])[..., 0]
         with np.errstate(over="ignore", invalid="ignore"):
-            corr = np.sum(w * np.stack([phi[j].values(g).value for j, g in zip(idx, h)], -1) * z, -1)
-        tval = phi[jt].values().value + (corr if mode == "delete" else -corr)
+            corr = np.sum(w * np.moveaxis(phi[[eig.index(j) for j in idx]].values(h).value, 0, -1) * z, -1)
+        tval = phi[eig.index(jt)].values().value + (corr if mode == "delete" else -corr)
         if not np.isfinite(tval).all():
             raise RangeError(f"target value overflow at x={np.ravel(den.xs)[np.argmin(np.isfinite(tval))]}")
     return AMResult(x=den.xs, potential=u_new, target_value=tval)

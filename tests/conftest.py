@@ -11,7 +11,7 @@ from solitonlab import solitons as S
 
 @pytest.fixture
 def grid_tau_calls(monkeypatch):
-    """Records the (rules, orders) of every call of the jet-sum core,
+    """Records the (rules, order) of every call of the jet-sum core,
     tau_jet_sums, wherever it is reached: it is patched in every module of
     the package that binds the name, so a module that starts calling the
     core is counted too. It is the one jet-sum entry point: the one-point
@@ -19,9 +19,9 @@ def grid_tau_calls(monkeypatch):
     calls = []
     real = S.tau_jet_sums
 
-    def counted(cfg, rules, xs, orders):
-        calls.append((list(rules), list(orders)))
-        return real(cfg, rules, xs, orders)
+    def counted(cfg, rules, xs, order):
+        calls.append((list(rules), order))
+        return real(cfg, rules, xs, order)
 
     for info in pkgutil.iter_modules(solitonlab.__path__):
         module = importlib.import_module(f"solitonlab.{info.name}")

@@ -121,6 +121,14 @@ class TestPotential:
             assert capsys.readouterr().err.startswith("error: ")
             assert not target.exists()
 
+    def test_beyond_enumeration_budget_is_numerical_failure(self, cfg_file, capsys):
+        # a valid 25-soliton config is past potential_fn's 2^N budget: a
+        # numerical failure (exit 3), not a usage error, and nothing on stdout
+        path = cfg_file([0.5 + 0.25 * j for j in range(25)], [1.0] * 25)
+        assert cli.main(["potential", path]) == cli.EXIT_NUMERICAL
+        out, err = capsys.readouterr()
+        assert out == "" and "2^N enumeration budget exceeded: N=25 > 24" in err
+
     def test_bad_grid_is_usage_error(self, cfg_file, capsys):
         path = cfg_file([1.0], [2.0])
         for grid in (["2", "-2", "5"], ["nan", "1", "5"], ["-1", "inf", "5"], ["0", "1", "inf"], ["0", "1", "2.5"]):
@@ -170,8 +178,8 @@ class TestEigenAndEvolve:
         # the config's tau and the state's numerator, at order 1, together
         code, _ = run(capsys, "eigen", cfg_file([0.7, 1.3, 2.1], [1.5, 3.0, 0.4]), "--index", "2")
         assert code == 0
-        [(rules, orders)] = grid_tau_calls
-        assert rules[0] is None and len(rules) == 2 and orders == [1, 1]
+        [(rules, order)] = grid_tau_calls
+        assert rules[0] is None and len(rules) == 2 and order == 1
 
     def test_eigen_with_prefactors_beyond_float_range(self, cfg_file, capsys):
         """c_j = 1e40 takes the Hirota prefactors past 1e308: the rows
@@ -316,6 +324,11 @@ class TestTransform:
         assert after.k == (1.0, 2.0)
         assert after.c[0] == pytest.approx(6.0 * 4.0 / 5.0, rel=1e-15)
         assert after.c[1] == 12.0
+
+    def test_unknown_scheme_is_usage_error(self, cfg_file, capsys):
+        # argparse's choices refuse it before cmd_transform runs
+        path = cfg_file([1.0, 2.0], [6.0, 12.0])
+        assert run(capsys, "transform", path, "--scheme", "bogus") == (2, "")
 
     def test_am_add_requires_e(self, cfg_file, capsys):
         path = cfg_file([1.0], [2.0])

@@ -58,14 +58,15 @@ class TestInnerTail:
         idx = [1, 2, 3, 4]
         x = 0.37
         pairs = S.tail_pairs(idx, idx)
-        den, *taus = S.tau_jet_sums(cfg4, [None] + [S.pair_rule(cfg4, *p) for p in pairs], [x], [order] * (1 + len(pairs)))
-        pair_taus = dict(zip(pairs, taus))
-        tails = I.tail_matrix_grid(cfg4, idx, idx, den, pair_taus)
+        taus = S.tau_jet_sums(cfg4, [None] + [S.pair_rule(cfg4, *p) for p in pairs], [x], order)
+        den = taus[0]
+        tails = I.tail_matrix_grid(cfg4, idx, idx, den, taus[1:])
         assert tails.coeffs.shape == (4, 4, 1, order + 1) and tails.xs.shape == (4, 4, 1)
         for a in idx:
             for b in idx:
                 t = tails[a - 1, b - 1]
-                single = I.tail_matrix_grid(cfg4, [a], [b], den, pair_taus)[0, 0]
+                row = 1 + pairs.index((min(a, b), max(a, b)))
+                single = I.tail_matrix_grid(cfg4, [a], [b], den, taus[row : row + 1])[0, 0]
                 for other in (tails[b - 1, a - 1], single):
                     assert np.array_equal(t.coeffs, other.coeffs)
                     assert np.array_equal(t.gauge, other.gauge) and np.array_equal(t.sign, other.sign)
@@ -73,20 +74,25 @@ class TestInnerTail:
                     assert single.values().value[0] == I.inner_tail(cfg4, a, b, x)
 
     def test_tail_matrix_reads_given_taus_only(self, cfg4, grid_tau_calls):
-        # the builder evaluates no tau and leaves the caller's pair taus as
-        # they were; a pair that was not handed in is a KeyError
+        # the builder evaluates no tau, leaves the caller's stack as it was
+        # and reads only its rows of the pairs, in tail_pairs order: a row
+        # past them is never read, and a stack short of them is an IndexError
         xs = np.linspace(-0.5, 0.3, 5)
         pairs = S.tail_pairs([1, 3], [1, 3, 4])
-        den, *taus = S.tau_jet_sums(cfg4, [None] + [S.pair_rule(cfg4, *p) for p in pairs], xs, [1] * (1 + len(pairs)))
-        pair_taus = dict(zip(pairs, taus))
-        before = dict(pair_taus)
+        taus = S.tau_jet_sums(cfg4, [None] + [S.pair_rule(cfg4, *p) for p in pairs], xs, 1)
+        fields = ("xs", "coeffs", "gauge", "sign")
+        before = [getattr(taus, f).copy() for f in fields]
         grid_tau_calls.clear()
-        tails = S.tail_matrix_grid(cfg4, [1, 3], [1, 3, 4], den, pair_taus)
+        tails = S.tail_matrix_grid(cfg4, [1, 3], [1, 3, 4], taus[0], taus[1:])
         assert grid_tau_calls == []
-        assert pair_taus.keys() == before.keys() and all(pair_taus[p] is before[p] for p in before)
+        assert all(np.array_equal(getattr(taus, f), b) for f, b in zip(fields, before))
         assert tails.coeffs.shape == (2, 3, 5, 2) and tails.gauge.shape == tails.sign.shape == (2, 3, 5)
-        with pytest.raises(KeyError):
-            S.tail_matrix_grid(cfg4, [2], [2], den, pair_taus)
+        poisoned = S.TauGrid(*(np.concatenate([getattr(taus, f)[1:], np.full_like(getattr(taus, f)[:1], np.nan)])
+                               for f in fields))
+        again = S.tail_matrix_grid(cfg4, [1, 3], [1, 3, 4], taus[0], poisoned)
+        assert all(np.array_equal(getattr(again, f), getattr(tails, f)) for f in fields)
+        with pytest.raises(IndexError):
+            S.tail_matrix_grid(cfg4, [1, 3], [1, 3, 4], taus[0], taus[1 : len(pairs)])
 
 
 class TestIndividualIdentities:
@@ -149,7 +155,7 @@ class TestIndividualIdentities:
         grid = grid_for(cfg4)
         rep = I.verify_tau_split(cfg4, j, grid)
         assert rep.passed
-        u, uj, wj = (S.tau_jet_sums(cfg4, [r], grid, [0])[0] for r in (None, S.drop_rule(4, j), S.pair_rule(cfg4, j, j)))
+        u, uj, wj = (S.tau_jet_sums(cfg4, [r], grid, 0)[0] for r in (None, S.drop_rule(4, j), S.pair_rule(cfg4, j, j)))
         logc = math.log(cfg4.c[j - 1] / (2.0 * cfg4.k[j - 1]))
         loop = max(
             abs(1.0 - suj * math.exp(luj - lu) - swj * math.exp(logc - 2.0 * cfg4.k[j - 1] * x + lwj - lu))
@@ -186,18 +192,18 @@ class TestIndividualIdentities:
             grid = np.linspace(-0.5, 0.3, npts)
             grid_tau_calls.clear()
             I.verify_deletion_determinant(cfg4, dset, grid)
-            [(rules, orders)] = grid_tau_calls
-            assert len(rules) == m * (m + 1) // 2 + (1 if m == 1 else 2) and set(orders) == {0}
+            [(rules, order)] = grid_tau_calls
+            assert len(rules) == m * (m + 1) // 2 + (1 if m == 1 else 2) and order == 0
             grid_tau_calls.clear()
             I.verify_addition_determinant(cfg4, dset, [2.0] * m, grid)
-            [(rules, orders)] = grid_tau_calls
-            assert len(rules) == m * (m + 1) // 2 + 2 and set(orders) == {0}
+            [(rules, order)] = grid_tau_calls
+            assert len(rules) == m * (m + 1) // 2 + 2 and order == 0
 
     @pytest.mark.parametrize("dset", [[2], [1, 3], [1, 2, 4]])
     def test_wronskian_evaluates_each_tau_once(self, cfg4, grid_tau_calls, monkeypatch, dset):
-        # one core call: the config's own tau once, at order m-1, shared by
-        # the m eigenfunctions and the right side; m eigenfunction
-        # numerators at order m-1; one rewritten numerator
+        # one core call at order m-1: the config's own tau once, shared by
+        # the m eigenfunctions and (truncated) the right side; m
+        # eigenfunction numerators; one rewritten numerator
         scalar = []
         monkeypatch.setattr(S, "tau_jet_sum", lambda *a: scalar.append(a))
         monkeypatch.setattr(I, "tau_jet_sum", lambda *a: scalar.append(a))
@@ -205,21 +211,21 @@ class TestIndividualIdentities:
             grid_tau_calls.clear()
             rep = I.verify_wronskian_identity(cfg4, dset, np.linspace(-0.5, 0.3, npts))
             assert rep.passed
-            [(rules, orders)] = grid_tau_calls
+            [(rules, order)] = grid_tau_calls
             assert len(rules) == len(dset) + 2
-            assert rules[0] is None and orders[0] == len(dset) - 1
+            assert rules[0] is None and order == len(dset) - 1
         assert scalar == []
 
     @pytest.mark.parametrize("j,l,expected", [(1, 3, 4), (2, 2, 3)])
     def test_bilinear_evaluates_each_tau_once(self, cfg4, grid_tau_calls, j, l, expected):
-        # one core call: the config's own tau once (its order-1 grid also
-        # serves the order-0 eigenfunctions), one eigenfunction numerator per
-        # distinct index, one pair tau for the tail
+        # one core call at order 1: the config's own tau once (truncated, it
+        # also serves the order-0 eigenfunctions), one eigenfunction
+        # numerator per distinct index, one pair tau for the tail
         for npts in (1, 21):
             grid_tau_calls.clear()
             assert I.verify_bilinear_derivative(cfg4, j, l, np.linspace(-0.5, 0.3, npts)).passed
-            [(rules, orders)] = grid_tau_calls
-            assert len(rules) == expected and rules[0] is None and orders[0] == 1
+            [(rules, order)] = grid_tau_calls
+            assert len(rules) == expected and rules[0] is None and order == 1
 
 
 class TestReports:

@@ -72,13 +72,13 @@ def test_bad_addition_parameters_are_a_config_error(entry, params):
 
 def test_no_rules_is_a_config_error():
     with pytest.raises(ConfigError):
-        S.tau_jet_sums(CFG, [], GRID, [])
+        S.tau_jet_sums(CFG, [], GRID, 0)
 
 
 #: entries that take a jet order
 ORDERS = {
-    "tau_jet_sums": lambda q: S.tau_jet_sums(CFG, [None], 0.3, [q]),
-    "tau_jet_sums-second-rule": lambda q: S.tau_jet_sums(CFG, [None, None], GRID, [1, q]),
+    "tau_jet_sums": lambda q: S.tau_jet_sums(CFG, [None], 0.3, q),
+    "tau_jet_sums-second-rule": lambda q: S.tau_jet_sums(CFG, [None, S.drop_rule(3, 2)], GRID, q),
     "eigenfunction": lambda q: S.eigenfunction(CFG, 1, 0.3, q),
     "potential_jet": lambda q: S.potential_jet(CFG, 0.3, q),
 }
@@ -93,8 +93,8 @@ def test_bad_jet_order_is_a_config_error(entry, order):
 
 
 def test_numpy_integers_are_jet_orders():
-    ref = S.tau_jet_sums(CFG, [None], GRID, [2])[0]
-    assert np.array_equal(S.tau_jet_sums(CFG, [None], GRID, [np.int64(2)])[0].coeffs, ref.coeffs)
+    ref = S.tau_jet_sums(CFG, [None], GRID, 2)
+    assert np.array_equal(S.tau_jet_sums(CFG, [None], GRID, np.int64(2)).coeffs, ref.coeffs)
     assert np.array_equal(S.potential_jet(CFG, GRID, np.int32(2)).coeffs, S.potential_jet(CFG, GRID, 2).coeffs)
 
 

@@ -1,6 +1,7 @@
 """One shape rule for every public evaluation: x is a point or a grid of
 any shape, and every result has x's shape (jets and tau grids x.shape +
-(order+1,))."""
+(order+1,)). A stacked result (tau_jet_sums, eigenfunctions, seed_jets)
+leads with its stack axis, and each of its rows keeps the rule."""
 
 import functools
 
@@ -21,14 +22,20 @@ def seeds(cfg):
     return T.eigenfunction_seeds(cfg, [1, 3]), T.eigenfunction_seed(cfg, 2)
 
 
+def rows(stack: S.TauGrid, n: int) -> list:
+    """The rows of a stacked TauGrid of n rows, each a result of x's shape."""
+    assert stack.xs.shape[:1] == (n,) and stack.coeffs.shape[:1] == (n,)
+    return [stack[r] for r in range(n)]
+
+
 #: every public evaluation of x, each a function of (cfg, x)
 ROUTES = {
-    "tau_jet_sums": lambda cfg, x: S.tau_jet_sums(
-        cfg, [None, S.eigenfunction_rule(cfg, 2), S.pair_rule(cfg, 1, 3)], x, [2, 1, 0]
+    "tau_jet_sums": lambda cfg, x: rows(
+        S.tau_jet_sums(cfg, [None, S.eigenfunction_rule(cfg, 2), S.pair_rule(cfg, 1, 3)], x, 2), 3
     ),
     "tau_hirota_grid": lambda cfg, x: S.tau_hirota_grid(cfg, S.eigenfunction_rule(cfg, 2), x),
     "tau_logdet_grid": lambda cfg, x: S.tau_logdet_grid(cfg, None, x),
-    "eigenfunctions": lambda cfg, x: S.eigenfunctions(cfg, [1, 3], x, 2),
+    "eigenfunctions": lambda cfg, x: rows(S.eigenfunctions(cfg, [1, 3], x, 2), 2),
     "eigenfunction": lambda cfg, x: S.eigenfunction(cfg, 2, x, 1),
     "potential_fn": lambda cfg, x: S.potential_fn(cfg)(x),
     "potential": lambda cfg, x: S.potential(cfg, x),
@@ -37,7 +44,7 @@ ROUTES = {
     "kdv_residual": lambda cfg, x: N.kdv_residual(cfg, x, 0.1),
     "inner_tail": lambda cfg, x: I.inner_tail(cfg, 1, 3, x),
     "wronskian": lambda cfg, x: T.wronskian([*seeds(cfg)[0], seeds(cfg)[1]], x, 1),
-    "seed_jets": lambda cfg, x: T.seed_jets([*seeds(cfg)[0], *FREE], x, 1),
+    "seed_jets": lambda cfg, x: rows(T.seed_jets([*seeds(cfg)[0], *FREE], x, 1), 4),
     "generic_darboux": lambda cfg, x: T.generic_darboux(*seeds(cfg), x, 1),
     "deleted_seed_image": lambda cfg, x: T.deleted_seed_image(seeds(cfg)[0], 0, x, 1),
     "darboux_potential": lambda cfg, x: T.darboux_potential(seeds(cfg)[0], S.potential_fn(cfg), x),

@@ -347,7 +347,7 @@ class TestBilinearHirota:
         assert np.all(np.abs(lh - ref[:, 0]) <= 1e-12 * np.maximum(1.0, np.abs(ref[:, 0])))
         assert np.max(np.abs(u - ref[:, 1])) <= 1e-12 * max(1.0, np.max(np.abs(ref[:, 1])))
         if cfg.n <= 12:
-            jet = S.tau_jet_sums(cfg, [None], xs, [0])[0].log_abs
+            jet = S.tau_jet_sums(cfg, [None], xs, 0)[0].log_abs
             assert np.all(np.abs(lh - jet) <= 1e-12 * np.maximum(1.0, np.abs(jet)))
 
     @pytest.mark.parametrize(
@@ -414,7 +414,7 @@ class TestTauJetSumGrid:
             rules += [S.eigenfunction_rule(cfg, j), S.pair_rule(cfg, 1, n), S.drop_rule(n, j)]
         for rule in rules:
             for order in range(4):
-                grid = S.tau_jet_sums(cfg, [rule], self.XS, [order])[0]
+                grid = S.tau_jet_sums(cfg, [rule], self.XS, order)[0]
                 assert grid.coeffs.shape == (len(self.XS), order + 1)
                 for p, x in enumerate(self.XS):
                     ref = tau_jet_sum_reference(cfg, rule, x, order)
@@ -422,27 +422,43 @@ class TestTauJetSumGrid:
                     assert_tau_matches_reference(S.tau_jet_sum(cfg, rule, x, order), ref)
                 for lower in range(order):
                     cut = grid.truncate(lower)
-                    low = S.tau_jet_sums(cfg, [rule], self.XS, [lower])[0]
+                    low = S.tau_jet_sums(cfg, [rule], self.XS, lower)[0]
                     assert np.array_equal(cut.coeffs, low.coeffs)
                     assert np.array_equal(cut.gauge, low.gauge) and np.array_equal(cut.sign, low.sign)
 
     def test_grid_spanning_several_chunks(self):
-        # three rules at orders up to 1 on a grid of several point blocks:
-        # each point against the reference, and each rule bitwise equal to
-        # its own one-rule call
+        # three rules at order 1 on a grid of several point blocks, one
+        # stack: each point against the reference, and each row bitwise
+        # equal to its own one-rule call, at order 1 and truncated to 0
         cfg = S.random_config(np.random.default_rng(120), n=10)
         rules = [None, S.eigenfunction_rule(cfg, 4), S.drop_rule(10, 7)]
-        orders = [1, 1, 0]
         step = S._HIROTA_CHUNK // (2 * len(rules) << cfg.n)
         xs = np.linspace(-8.0, 8.0, 2 * step + 3)
-        grids = S.tau_jet_sums(cfg, rules, xs, orders)
-        for rule, order, grid in zip(rules, orders, grids):
-            assert grid.coeffs.shape == (len(xs), order + 1)
+        grids = S.tau_jet_sums(cfg, rules, xs, 1)
+        assert grids.coeffs.shape == (len(rules), len(xs), 2) and grids.xs.shape == (len(rules), len(xs))
+        for r, rule in enumerate(rules):
             for p in (0, step - 1, step, 2 * step, 2 * step + 2):
-                assert_tau_matches_reference(tau_point(grid, p), tau_jet_sum_reference(cfg, rule, xs[p], order))
-            alone = S.tau_jet_sums(cfg, [rule], xs, [order])[0]
-            for a, b in ((grid.coeffs, alone.coeffs), (grid.gauge, alone.gauge), (grid.sign, alone.sign)):
-                assert np.array_equal(a, b)
+                assert_tau_matches_reference(tau_point(grids[r], p), tau_jet_sum_reference(cfg, rule, xs[p], 1))
+            for order in (1, 0):
+                grid, alone = grids[r].truncate(order), S.tau_jet_sums(cfg, [rule], xs, order)[0]
+                for a, b in ((grid.coeffs, alone.coeffs), (grid.gauge, alone.gauge), (grid.sign, alone.sign)):
+                    assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [0, 3, 7])
+    def test_rows_at_a_lower_order_are_the_one_rule_calls(self, n):
+        # one stack at one order: every row truncated to any lower order is
+        # bitwise the one-rule call at that order, on a grid and at a point
+        cfg = S.random_config(np.random.default_rng(128 + n), n=n) if n else SolitonConfig((), ())
+        rules = [None] + ([S.eigenfunction_rule(cfg, 1), S.pair_rule(cfg, 1, n), S.drop_rule(n, n)] if n else [])
+        for x in (np.linspace(-4.0, 4.0, 9), 0.3):
+            stack = S.tau_jet_sums(cfg, rules, x, 3)
+            assert stack.coeffs.shape == (len(rules),) + np.shape(x) + (4,)
+            for r, rule in enumerate(rules):
+                for order in range(4):
+                    row, alone = stack[r].truncate(order), S.tau_jet_sums(cfg, [rule], x, order)
+                    assert alone.coeffs.shape == (1,) + np.shape(x) + (order + 1,)
+                    for f in ("xs", "coeffs", "gauge", "sign"):
+                        assert np.array_equal(getattr(row, f), getattr(alone, f)[0])
 
     def test_terms_are_memoized_read_only(self):
         # the rule-independent table: pair products and decay rates on k
@@ -469,13 +485,13 @@ class TestTauJetSumGrid:
         S._subset_exps.cache_clear()
         cfg = S.random_config(np.random.default_rng(124), n=5)
         rules = [None, S.eigenfunction_rule(cfg, 2)]
-        first = S.tau_jet_sums(cfg, rules, np.linspace(-3.0, 3.0, 11), [2, 2])
-        again = S.tau_jet_sums(cfg, rules[:1], list(np.linspace(-3.0, 3.0, 11)), [1])
+        first = S.tau_jet_sums(cfg, rules, np.linspace(-3.0, 3.0, 11), 2)
+        again = S.tau_jet_sums(cfg, rules[:1], list(np.linspace(-3.0, 3.0, 11)), 1)
         assert calls == [(11, 5)]
         assert np.array_equal(again[0].coeffs, first[0].coeffs[:, :2])
-        S.tau_jet_sums(cfg, [None], np.linspace(-3.0, 3.0, 12), [0])
-        S.tau_jet_sums(SolitonConfig(cfg.k[:4], cfg.c[:4]), [None], np.linspace(-3.0, 3.0, 11), [0])
-        S.tau_jet_sums(cfg, [S.drop_rule(5, 1)], np.linspace(-3.0, 3.0, 11), [0])  # a soliton left out
+        S.tau_jet_sums(cfg, [None], np.linspace(-3.0, 3.0, 12), 0)
+        S.tau_jet_sums(SolitonConfig(cfg.k[:4], cfg.c[:4]), [None], np.linspace(-3.0, 3.0, 11), 0)
+        S.tau_jet_sums(cfg, [S.drop_rule(5, 1)], np.linspace(-3.0, 3.0, 11), 0)  # a soliton left out
         assert calls == [(11, 5), (12, 5), (11, 4), (11, 4)]
         key = (cfg.k, np.linspace(-3.0, 3.0, 11).tobytes())
         low, high = S._subset_exps(*key)
@@ -505,11 +521,11 @@ class TestTauJetSumGrid:
         # and rule sets on the same k warmed them
         cfg = S.random_config(np.random.default_rng(126), n=7)
         xs = np.linspace(-4.0, 4.0, 31)
-        rules, orders = [None, S.eigenfunction_rule(cfg, 3), S.pair_rule(cfg, 2, 5)], [2, 1, 3]
+        rules = [None, S.eigenfunction_rule(cfg, 3), S.pair_rule(cfg, 2, 5)]
 
         def run():
-            out = S.tau_jet_sums(cfg, rules, xs, orders)
-            return [a.tobytes() for g in out for a in (g.coeffs, g.gauge, g.sign)]
+            out = S.tau_jet_sums(cfg, rules, xs, 3)
+            return [a.tobytes() for a in (out.coeffs, out.gauge, out.sign)]
 
         def clear():
             for memo in (S._jet_sum_table, S._order_weights, S._subset_exps):
@@ -518,9 +534,9 @@ class TestTauJetSumGrid:
         clear()
         cold = run()
         clear()
-        S.tau_jet_sums(cfg, [S.drop_rule(7, 2)], np.linspace(-5.0, 5.0, 9), [4])
-        S.tau_jet_sums(cfg, [S.deletion_rule(cfg, [1, 4], 2), None], xs[::2], [0, 5])
-        S.tau_jet_sums(cfg, [None], list(xs), [0])
+        S.tau_jet_sums(cfg, [S.drop_rule(7, 2)], np.linspace(-5.0, 5.0, 9), 4)
+        S.tau_jet_sums(cfg, [S.deletion_rule(cfg, [1, 4], 2), None], xs[::2], 5)
+        S.tau_jet_sums(cfg, [None], list(xs), 0)
         misses = [memo.cache_info().misses for memo in (S._order_weights, S._subset_exps)]
         assert run() == cold
         # the warm run built nothing: its k and grid, and its top order
@@ -532,7 +548,7 @@ class TestTauJetSumGrid:
         cfg = S.random_config(np.random.default_rng(127), n=12, k_range=(0.2, 6.0))
         xs = S.default_grid(cfg)
         S._subset_exps.cache_clear()
-        S.tau_jet_sums(cfg, [None], xs, [0])
+        S.tau_jet_sums(cfg, [None], xs, 0)
         low, high = S._subset_exps(cfg.k, xs.tobytes())
         assert S._subset_exps.cache_info()[:2] == (1, 1)  # (hits, misses): the call's own entry
         assert [a.shape for a in low + high] == [(2001, 64)] * 6
@@ -574,7 +590,7 @@ class TestTauJetSumGrid:
         either end of float64's range as logs in the bilinear sum; both
         routes gave NaN. Measured 2.3e-16 relative to max(1, |ref|)."""
         xs = S.default_grid(cfg, 11) if xs is None else np.array(xs)
-        grid = S.tau_jet_sums(cfg, [None], xs, [2])[0]
+        grid = S.tau_jet_sums(cfg, [None], xs, 2)[0]
         ref, sign = S.tau_hirota_grid(cfg, None, xs)
         assert np.all(np.isfinite(grid.coeffs)) and np.array_equal(grid.sign, sign)
         assert np.all(np.abs(grid.log_abs - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
@@ -582,7 +598,7 @@ class TestTauJetSumGrid:
     def test_budget(self):
         cfg = S.random_config(np.random.default_rng(121), n=13, k_range=(0.2, 8.0))
         with pytest.raises(RangeError, match="N=13"):
-            S.tau_jet_sums(cfg, [None], [0.0], [0])[0]
+            S.tau_jet_sums(cfg, [None], [0.0], 0)[0]
 
 
 def mp_jet_sums(k, ces, xs, order, dps=40):
@@ -642,14 +658,14 @@ class TestTauJetSums:
         n, j = cfg.n, (cfg.n + 1) // 2
         rules = [None, S.eigenfunction_rule(cfg, j), S.pair_rule(cfg, 1, n), S.deletion_rule(cfg, {1, n}, 2),
                  S.drop_rule(n, j), S.rescale_rule(n, j, 1e-300)]
-        grids = S.tau_jet_sums(cfg, rules, self.XS, [3] * len(rules))
+        grids = S.tau_jet_sums(cfg, rules, self.XS, 3)
         assert grids[0].gauge[0] - grids[-1].gauge[0] > 690.0
         refs = mp_jet_sums(cfg.k, [cfg.c if rule is None else rule.apply(cfg) for rule in rules], self.XS, 3)
         for rule, grid, ref in zip(rules, grids, refs):
             assert np.array_equal(grid.sign, ref[:, 1])
             assert np.all(np.abs(grid.gauge - ref[:, 0]) <= 2.2e-15 * np.maximum(1.0, np.abs(ref[:, 0])))
             assert np.all(np.abs(grid.coeffs - ref[:, 2:]) <= 2.0**-52 * np.abs(ref[:, 2:]))
-            alone = S.tau_jet_sums(cfg, [rule], self.XS, [3])[0]
+            alone = S.tau_jet_sums(cfg, [rule], self.XS, 3)[0]
             for a, b in ((grid.coeffs, alone.coeffs), (grid.gauge, alone.gauge), (grid.sign, alone.sign)):
                 assert np.array_equal(a, b)
 
@@ -660,7 +676,7 @@ class TestTauRatio:
     def test_over_itself_is_the_exponential(self, rate, order):
         cfg = S.random_config(np.random.default_rng(130), n=4)
         xs = np.linspace(-4.0, 4.0, 9)
-        g = S.tau_jet_sums(cfg, [None], xs, [order])[0]
+        g = S.tau_jet_sums(cfg, [None], xs, order)[0]
         r = g.over(g, rate)
         assert np.array_equal(r.coeffs, jet_exp(rate, xs, order, unit=True).coeffs)
         assert np.array_equal(r.gauge, rate * xs) and np.array_equal(r.sign, np.ones(len(xs)))
@@ -711,7 +727,7 @@ class TestPotential:
         cfg = S.random_config(rng, n=5)
         xs = S.default_grid(cfg, 41)
         fast = S.potential_fn(cfg)(xs)
-        slow = -2.0 * jet_log_d2(S.tau_jet_sums(cfg, [None], xs, [2])[0].jet)
+        slow = -2.0 * jet_log_d2(S.tau_jet_sums(cfg, [None], xs, 2)[0].jet)
         assert np.max(np.abs(fast - slow)) < 1e-10
 
     def test_potential_jet_matches_fd(self):
@@ -870,7 +886,7 @@ class TestNearDegenerate:
         cfg = tight_gap_config(seed, n, 10.0**-u)
         xs = S.default_grid(cfg, 41)
         fast = S.potential_fn(cfg)(xs)
-        tau = S.tau_jet_sums(cfg, [None], xs, [3])[0]
+        tau = S.tau_jet_sums(cfg, [None], xs, 3)[0]
         jet_sum = -2.0 * jet_log_d2(tau.truncate(2).jet)
         assert np.max(np.abs(fast - jet_sum)) <= 1e-12 * max(1.0, float(np.max(np.abs(fast))))
         _, t1, t2, t3 = tau.coeffs.T
@@ -913,6 +929,23 @@ class TestEigenfunctions:
                     phi = jet.coeffs[0]
                     res = -jet.deriv(2) + (u + cfg.k[j - 1] ** 2) * phi
                     assert abs(res) <= 1e-9 * max(abs(phi), 1e-3)
+
+    @pytest.mark.parametrize("x", [0.3, np.linspace(-5.0, 5.0, 11)])
+    def test_stacked_build_is_the_one_index_builds(self, x):
+        # several indices are one over of one call's stack, in the order
+        # given; each row is bitwise the one-index build from that call, the
+        # row of eigenfunctions and, as true jets, eigenfunction
+        cfg = S.random_config(np.random.default_rng(16), n=5)
+        idx = [4, 1, 3]
+        taus = S.tau_jet_sums(cfg, [None] + [S.eigenfunction_rule(cfg, j) for j in idx], x, 2)
+        stack = S.eigenfunction_grid(cfg, idx, taus[0], taus[1:])
+        assert stack.coeffs.shape == (3,) + np.shape(x) + (3,) and stack.gauge.shape == (3,) + np.shape(x)
+        fields = ("xs", "coeffs", "gauge", "sign")
+        for r, j in enumerate(idx):
+            one = S.eigenfunction_grid(cfg, [j], taus[0], taus[1 + r : 2 + r])[0]
+            for other in (one, S.eigenfunctions(cfg, idx, x, 2)[r], S.eigenfunctions(cfg, [j], x, 2)[0]):
+                assert all(np.array_equal(getattr(stack[r], f), getattr(other, f)) for f in fields)
+            assert np.array_equal(stack[r].values().coeffs, S.eigenfunction(cfg, j, x, 2).coeffs)
 
 
 class TestFlows:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from solitonlab import identities as I, numerics, solitons as S, transforms as T
+from solitonlab.jets import Jet
 from solitonlab.solitons import ConfigError, SolitonConfig
 
 
@@ -149,7 +150,8 @@ class TestWronskian:
 
     def test_seeds_are_evaluated_once(self, grid_tau_calls):
         # the bound states of equal configs share one core call; any other
-        # seed, repeated or not, is called once; each gives its gauged jets
+        # seed, repeated or not, is called once; the stack holds each
+        # seed's gauged jets in the seeds' order, a repeat bitwise its twin
         cfg = S.random_config(np.random.default_rng(27), n=4)
         twin = SolitonConfig(cfg.k, cfg.c)
         calls = []
@@ -157,11 +159,23 @@ class TestWronskian:
         counted = T.SeedFunction(lambda x, order: calls.append(order) or free.evaluator(x, order))
         seeds = [T.eigenfunction_seed(cfg, 2), counted, T.eigenfunction_seed(twin, 4), counted, T.eigenfunction_seed(cfg, 2)]
         jets = T.seed_jets(seeds, np.linspace(-3.0, 2.0, 7), 2)
-        assert calls == [2] and jets[1] is jets[3] and jets[0] is jets[4]
-        [(rules, orders)] = grid_tau_calls
-        assert rules[0] is None and len(rules) == 3 and orders == [2, 2, 2]
-        for seed, jet in zip(seeds, jets):
-            assert np.array_equal(jet.values().coeffs, seed(np.linspace(-3.0, 2.0, 7), 2).coeffs)
+        assert calls == [2] and jets.coeffs.shape == (5, 7, 3) and jets.gauge.shape == jets.sign.shape == (5, 7)
+        for a, b in ((1, 3), (0, 4)):
+            assert all(np.array_equal(getattr(jets[a], f), getattr(jets[b], f)) for f in ("coeffs", "gauge", "sign"))
+        [(rules, order)] = grid_tau_calls
+        assert rules[0] is None and len(rules) == 3 and order == 2
+        for r, seed in enumerate(seeds):
+            assert np.array_equal(jets[r].values().coeffs, seed(np.linspace(-3.0, 2.0, 7), 2).coeffs)
+
+    @pytest.mark.parametrize("x", [0.4, np.linspace(-1.0, 1.0, 6).reshape(2, 3)])
+    @pytest.mark.parametrize("order", [0, 2])
+    def test_no_seeds_is_an_empty_stack(self, x, order):
+        # no seeds stack to zero rows over x; their Wronskian is 1 over x
+        jets = T.seed_jets([], x, order)
+        assert jets.xs.shape == (0,) + np.shape(x) and jets.coeffs.shape == (0,) + np.shape(x) + (order + 1,)
+        assert jets.gauge.shape == jets.sign.shape == (0,) + np.shape(x)
+        w = T.wronskian([], x, order)
+        assert np.array_equal(w.center, x) and np.array_equal(w.coeffs, Jet.constant(1.0, x, order).coeffs)
 
 
 class TestGenericDarboux:
@@ -252,10 +266,10 @@ class TestGenericDarboux:
             "wronskian": lambda: T.wronskian([*seeds, tgt], x, 1),
         }
         calls[engine]()
-        [(rules, orders)] = grid_tau_calls
+        [(rules, order)] = grid_tau_calls
         eig = [tgt.index] if engine in ("generic_darboux", "wronskian") else []
         assert rules == [None] + [S.eigenfunction_rule(cfg, j) for j in [2, 3, *eig]]
-        assert orders == [len(seeds) + len(eig) - 1 + (2 if engine == "darboux_potential" else 1)] * len(rules)
+        assert order == len(seeds) + len(eig) - 1 + (2 if engine == "darboux_potential" else 1)
 
     def test_vanishing_wronskian_is_regularity_error(self):
         cfg = SolitonConfig((1.0, 2.0), (6.0, 12.0))
@@ -418,19 +432,18 @@ class TestGenericAM:
 
     @pytest.mark.parametrize("k,c,mode,idx,e,jt,x,expected", REFERENCE_TARGETS)
     def test_target_reuses_the_config_tau(self, grid_tau_calls, k, c, mode, idx, e, jt, x, expected):
-        # one core call: the config's own tau (order 2, truncated for the
-        # target map), the m(m+1)/2 overlap pairs and the m target-column
-        # pairs unless the target is a seed (then the overlap pairs hold
-        # them), all at order 2, and one order-0 eigenfunction numerator per
-        # distinct index
+        # one core call at order 2: the config's own tau, the m(m+1)/2
+        # overlap pairs and the m target-column pairs unless the target is
+        # a seed (then the overlap pairs hold them), and one eigenfunction
+        # numerator per distinct index, truncated with the config's tau to
+        # order 0 for the target map
         cfg = SolitonConfig(k, c)
         r = T.generic_am(cfg, idx, mode, e, jt, x)
         assert r.target_value == pytest.approx(float.fromhex(expected), rel=1e-14, abs=0.0)
         m = len(idx)
         pairs = m * (m + 1) // 2 + (0 if jt in idx else m)
-        [(rules, orders)] = grid_tau_calls
-        assert len(rules) == 1 + pairs + len({*idx, jt}) and rules[0] is None
-        assert orders == [2] * (1 + pairs) + [0] * len({*idx, jt})
+        [(rules, order)] = grid_tau_calls
+        assert len(rules) == 1 + pairs + len({*idx, jt}) and rules[0] is None and order == 2
 
     @pytest.mark.parametrize("mode", ["add", "delete"])
     def test_grid_equals_per_point_loop(self, mode):
