@@ -24,6 +24,7 @@ from .solitons import (
     ConfigError,
     RangeError,
     SolitonConfig,
+    core_halfwidth,
     default_grid,
     eigenfunction,
     potential_fn,
@@ -129,9 +130,10 @@ _MAX_DOUBLINGS = 4
 
 
 def _default_halfwidth(cfg: SolitonConfig, ufn) -> float:
-    """12/k_1, doubled until |U(+-L)| is within numerics.DECAY_TOL, at
-    most _MAX_DOUBLINGS times; beyond that numerics raises DomainError."""
-    L = 12.0 / cfg.k[0] if cfg.n else 12.0
+    """solitons.core_halfwidth(cfg, 12), doubled until |U(+-L)| is within
+    numerics.DECAY_TOL, at most _MAX_DOUBLINGS times; beyond that
+    numerics raises DomainError."""
+    L = core_halfwidth(cfg, 12.0)
     for _ in range(_MAX_DOUBLINGS):
         if max(abs(float(ufn(-L))), abs(float(ufn(L)))) <= numerics.DECAY_TOL:
             break
@@ -164,8 +166,7 @@ def cmd_scatter(cfg: SolitonConfig, args, out) -> int:
 
 def cmd_spectrum(cfg: SolitonConfig, args, out) -> int:
     ufn = potential_fn(cfg)
-    L = args.halfwidth if args.halfwidth is not None else _default_halfwidth(cfg, ufn)
-    res = numerics.bound_spectrum(ufn, L, args.step)
+    res = numerics.bound_spectrum(ufn, _default_halfwidth(cfg, ufn))
     if args.format == "json":
         out.write(json.dumps({
             "energies": list(res.energies),
@@ -295,11 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t-values", required=True, help="comma-separated t offsets")
     sp = command("scatter", cmd_scatter, "reflection/transmission at one wavenumber", grid=False, fmt=True)
     sp.add_argument("--k", type=float, required=True)
-    sp = command("spectrum", cmd_spectrum, "bound-state energies", grid=False, fmt=True)
-    sp.add_argument("--halfwidth", type=float, default=None)
-    sp.add_argument("--step", type=float, default=0.05,
-                    help="starting Magnus step, halved until the energies settle to 1e-10 "
-                         "(JSON grid_step reports the accepted step)")
+    command("spectrum", cmd_spectrum, "bound-state energies", grid=False, fmt=True)
     sp = command("transform", cmd_transform, "apply a deformation scheme", grid=False)
     sp.add_argument("--scheme", required=True, choices=("darboux-ground", "krein-adler", "am-delete", "am-add"))
     sp.add_argument("--delete", default=None, help="comma-separated indices")

@@ -19,7 +19,7 @@ over the grid too, a tail, overlap or Wronskian matrix is one jet over
 one np.linalg.slogdet call.
 The generic Wronskian engine (jet_wronskian), itself under test, takes
 the stacked gauged eigenfunctions of the check's own call in the
-Wronskian identity and the stacked free seeds (transforms.free_seed) in
+Wronskian identity and the stacked free seeds (transforms._free_seed_jets) in
 the seed-Wronskian identity.
 
 The Abraham-Moses deletion and addition determinants are one check body
@@ -61,7 +61,7 @@ from .solitons import (
     tau_jet_sum,  # unused here, kept: perfbench/test_perfbench.py checks this name is traced
     tau_jet_sums,
 )
-from .transforms import free_seed, jet_wronskian, seed_config_from_free, seed_jets
+from .transforms import _free_seed_jets, jet_wronskian, seed_config_from_free
 
 #: magnitudes below this are excluded from ratio statistics
 UNDERFLOW_FLOOR = 1e-280
@@ -240,7 +240,7 @@ def verify_seed_wronskian(k, ctilde, grid, tol: float = CONSTANCY_TOL) -> Verifi
     k, n = cfg.k, cfg.n
     log_vdm = sum(math.log(k[a] - k[b]) for a in range(n) for b in range(a))
     u = _check_taus(cfg, [None], grid, 0)[0]
-    w = jet_wronskian(seed_jets([free_seed(kj, ct) for kj, ct in zip(k, ctilde)], u.xs, n - 1), 0)
+    w = jet_wronskian(_free_seed_jets(k, ctilde, u.xs, n - 1), 0)
     if np.any(w.sign * w.jet.value <= 0):
         return VerificationReport("seed_wronskian", "seed_wronskian", tuple(grid), math.inf, None, tol, False)
     log_rhs = log_vdm + sum(k) * u.xs + u.log_abs

@@ -161,7 +161,7 @@ class Jet:
     def __truediv__(self, other):
         if isinstance(other, Jet):
             self._check(other)
-            return _div(self, other)
+            return Jet(self.center, _div(self.coeffs, other.coeffs, other.center))
         return Jet(self.center, self.coeffs / np.asarray(other)[..., None])
 
     def __rtruediv__(self, other):
@@ -180,12 +180,15 @@ class Jet:
         return Jet(self.center, self.coeffs[..., : order + 1])
 
 
-def _div(a: Jet, b: Jet) -> Jet:
-    small = np.abs(b.value) < DIV_THRESHOLD
+def _div(a: np.ndarray, b: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Coefficients of the jet quotient a/b (_quotient), b's jets at
+    center; SingularJetError naming the first point where the constant
+    term of b is below DIV_THRESHOLD."""
+    small = np.abs(b[..., 0]) < DIV_THRESHOLD
     if np.any(small):
-        x = np.ravel(b.center)[np.argmax(small)]
+        x = np.ravel(center)[np.argmax(small)]
         raise SingularJetError(f"division by jet with vanishing constant term at x={x}")
-    return Jet(a.center, _quotient(a.coeffs, b.coeffs))
+    return _quotient(a, b)
 
 
 def jet_exp(rate, x0, order: int, unit: bool = False) -> Jet:

@@ -259,22 +259,28 @@ def _bound_kappas(
     return _secant(u, h, lo, hi, flo, fhi)
 
 
-def _step_doubling(
-    f: Callable, L: float, h0: float, evaluate: Callable, tol: float, what: str
-) -> tuple:
+#: steps of the first level of every step-doubling sequence over [-L, L]
+_MIN_STEPS = 1 << 10
+
+
+def _step_doubling(f: Callable, L: float, evaluate: Callable, tol: float, what: str) -> tuple:
     """Values of evaluate(u, h) settled by step doubling.
 
     Each level samples f once (`_sample`) on a uniform step over [-L, L],
-    halving from about h0. evaluate is a fourth-order method in the step
-    (the Magnus propagator of scatter and bound_spectrum, or the
-    Gauss-Legendre rule of quadrature), so (16 fine - coarse)/15 of
-    successive levels cancels the leading error; two successive such
-    extrapolations agreeing to tol (absolute) bound the error of the
-    coarser one, and the finer is returned with the step of its fine
-    level. evaluate may return None to ask for a finer step; a change of
-    shape restarts the comparison. Past _MAGNUS_MAX_STEPS steps
-    SolverError is raised."""
-    nsteps = max(2, math.ceil(2.0 * L / h0))
+    from _MIN_STEPS steps, doubling the count per level, so a feature of
+    f narrower than 2L/_MIN_STEPS may go unseen. evaluate is a
+    fourth-order method in the step (the Magnus propagator of scatter and
+    bound_spectrum, or the Gauss-Legendre rule of quadrature), so
+    (16 fine - coarse)/15 of successive levels cancels the leading error;
+    two successive such extrapolations agreeing to tol (absolute) bound
+    the error of the coarser one, and the finer is returned with the step
+    of its fine level. evaluate may return None to ask for a finer step; a
+    change of shape restarts the comparison. Past _MAGNUS_MAX_STEPS steps
+    SolverError is raised; a tol that is not positive and finite is a
+    ValueError."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"step-doubling tolerance must be positive and finite, not {tol}")
+    nsteps = _MIN_STEPS
     prev = prev_rich = None
     while nsteps <= _MAGNUS_MAX_STEPS:
         u, h = _sample(f, L, nsteps)
@@ -295,11 +301,7 @@ def _step_doubling(
 _RTOL = 1e-10
 
 
-def bound_spectrum(
-    potential: Callable,
-    domain_halfwidth: float,
-    grid_step: float = 0.05,
-) -> SpectrumResult:
+def bound_spectrum(potential: Callable, domain_halfwidth: float) -> SpectrumResult:
     """Bound-state energies -kappa^2 of -d^2/dx^2 + U, with U taken as 0
     beyond [-L, L], as the zeros of the Jost coefficient a(i kappa).
 
@@ -312,18 +314,16 @@ def bound_spectrum(
     length exceeds the domain. A count that is not 0 at sqrt(max(-U)),
     rises with kappa or never separates two states, or a one-state bracket
     without a sign change of a, raises SolverError: the result never
-    misses a state silently. grid_step is the starting Magnus step (made
-    finer if a step would span more than one radian of oscillation); it
-    is halved until two successive Richardson extrapolations of the
-    energies agree to 1e-10, and the returned grid_step is the finest
-    step used. A non-finite U or more than _MAGNUS_MAX_STEPS steps raise
-    SolverError; a domain_halfwidth or grid_step that is not positive and
-    finite raises ValueError.
+    misses a state silently. The step doubling (`_step_doubling`) starts
+    at _MIN_STEPS steps over [-L, L], refines past a step that would span
+    more than one radian of oscillation, and halves until two successive
+    Richardson extrapolations of the energies agree to 1e-10; the
+    returned grid_step is the finest step used. A non-finite U or more
+    than _MAGNUS_MAX_STEPS steps raise SolverError; a domain_halfwidth
+    that is not positive and finite raises ValueError.
 
     `potential` must accept an array of x values."""
     L = _check_domain(potential, domain_halfwidth)
-    if not 0.0 < float(grid_step) < math.inf:
-        raise ValueError(f"grid step must be positive and finite, not {grid_step}")
     floor = 1.0 / L
     prev = None
 
@@ -335,9 +335,7 @@ def bound_spectrum(
         prev = kappa
         return np.sort(-kappa * kappa)
 
-    vals, h = _step_doubling(
-        potential, L, float(grid_step), energies, _RTOL, "bound-state energies"
-    )
+    vals, h = _step_doubling(potential, L, energies, _RTOL, "bound-state energies")
     return SpectrumResult(tuple(float(v) for v in np.sort(vals)), h, L)
 
 
@@ -365,10 +363,10 @@ def scatter(
     asymptote into incident e^{ikx} and reflected e^{-ikx} parts;
     amplitudes are normalized to unit incident amplitude. The method is
     exact for piecewise-constant U, so the step need not resolve the
-    wavelength: it starts near 0.05/max(k, 1) and is halved until two
-    successive Richardson extrapolations (16 fine - coarse)/15 of (r, t)
-    agree to _RTOL, which bounds the error of the coarser one; the finer
-    is returned. Past _MAGNUS_MAX_STEPS steps, or on a non-finite U,
+    wavelength: it starts at _MIN_STEPS steps over [-L, L] and is halved
+    until two successive Richardson extrapolations (16 fine - coarse)/15
+    of (r, t) agree to _RTOL, which bounds the error of the coarser one;
+    the finer is returned. Past _MAGNUS_MAX_STEPS steps, or on a non-finite U,
     SolverError is raised; a k or domain_halfwidth that is not positive
     and finite raises ValueError.
 
@@ -381,9 +379,7 @@ def scatter(
     def amplitudes(u, h):
         return np.array(_amplitudes(_magnus_propagator(u, h, np.array([k * k]))[:, 0], k, L))
 
-    (r, t), _ = _step_doubling(
-        potential, L, 0.05 / max(k, 1.0), amplitudes, _RTOL, "scattering amplitudes"
-    )
+    (r, t), _ = _step_doubling(potential, L, amplitudes, _RTOL, "scattering amplitudes")
     return ScatteringResult(k=k, reflection_amp=complex(r), transmission_amp=complex(t))
 
 
@@ -399,12 +395,14 @@ def quadrature(f: Callable, a: float, b: float, tol: float = 1e-10) -> float:
     """Integral of f from a to b (so a > b gives the negated integral) by
     two-point Gauss-Legendre steps, h/2 (f(g1) + f(g2)) per step, on the
     step-doubling driver of scatter: each level calls f once on all its
-    nodes, and the step halves from (b - a)/2 until two successive
-    Richardson extrapolations agree to the absolute tolerance tol. Past
-    _MAGNUS_MAX_STEPS steps, or on a non-finite f (its message gives x as
-    the offset from (a + b)/2), SolverError is raised.
+    nodes, and the step halves from (b - a)/_MIN_STEPS until two
+    successive Richardson extrapolations agree to the absolute tolerance
+    tol, so a feature of f narrower than (b - a)/_MIN_STEPS may go
+    unseen. Past _MAGNUS_MAX_STEPS steps, or on a non-finite f (its
+    message gives x as the offset from (a + b)/2), SolverError is raised.
 
-    f must accept an array of x values; a non-finite bound is a ValueError."""
+    f must accept an array of x values; a non-finite bound or a tol that
+    is not positive and finite is a ValueError."""
     a, b = float(a), float(b)
     for name, v in (("a", a), ("b", b)):
         if not math.isfinite(v):
@@ -414,7 +412,7 @@ def quadrature(f: Callable, a: float, b: float, tol: float = 1e-10) -> float:
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     # the driver samples [-half, half]; -h/2 is the signed weight of a node
     rule = lambda u, h: -0.5 * h * u.sum()
-    return float(_step_doubling(lambda t: f(mid + t), half, 2 * half, rule, tol, "quadrature")[0])
+    return float(_step_doubling(lambda t: f(mid + t), half, rule, tol, "quadrature")[0])
 
 
 def kdv_residual(cfg: SolitonConfig, x, t: float | None = None):

@@ -57,7 +57,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import dd
-from .jets import ConfigError, Jet, _check_order, _integer, jet_exp
+from .jets import ConfigError, Jet, JetMismatchError, _cauchy, _check_order, _div, _integer, jet_exp
 
 #: enumeration budget for the 2^N exponential-sum oracle
 HIROTA_MAX_N = 24
@@ -80,11 +80,13 @@ class RangeError(ArithmeticError):
 
 
 def _real(v) -> float:
-    # float() would also read a string ("2") or a boolean, and iterating a
-    # string gives its characters
-    if isinstance(v, (str, bytes, bool, np.bool_)):
-        raise TypeError(f"{v!r} is not a real")
-    return float(v)
+    """v as a finite float: ConfigError for NaN, inf, a string or a boolean
+    (float() alone would read "2" or True, and iterating a string gives
+    its characters), float()'s TypeError for a non-number."""
+    f = math.nan if isinstance(v, (str, bytes, bool, np.bool_)) else float(v)
+    if not math.isfinite(f):
+        raise ConfigError(f"{v!r} is not a finite real")
+    return f
 
 
 def _time_index(n) -> int:
@@ -106,10 +108,8 @@ class SolitonConfig:
             k, c = (tuple(_real(v) for v in a) for a in (self.k, self.c))
             items = None if self.times is None else [(n, _real(v)) for n, v in self.times.items()]
         except (TypeError, ValueError, AttributeError) as exc:
-            raise ConfigError(f"k and c must be lists of reals and times a map to reals: {exc}") from exc
+            raise ConfigError(f"k and c must be lists of finite reals and times a map to them: {exc}") from exc
         t = None if items is None else {_time_index(n): v for n, v in items}
-        if not all(map(math.isfinite, k + c + tuple((t or {}).values()))):
-            raise ConfigError("wavenumbers, norming constants and times must be finite")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "c", c)
         if len(k) != len(c):
@@ -217,7 +217,7 @@ def addition_rule(cfg: SolitonConfig, params) -> tuple:
     e = dict(sorted(pairs))
     if not e or len(e) < len(pairs):
         raise ConfigError(f"addition needs at least one index, each given once: {pairs}")
-    if not all(0.0 < v < math.inf for v in e.values()):
+    if not all(v > 0.0 for v in e.values()):
         raise ConfigError(f"addition parameters must be positive and finite: {e}")
     return CoefficientRule(tuple(e[m] / (e[m] + 1.0) if m in e else 1.0 for m in range(1, cfg.n + 1))), e
 
@@ -396,11 +396,13 @@ class TauGrid:
         identities are all such ratios. self may stack several of them
         over leading axes, den is then broadcast over those, and rate may
         be an array broadcasting against self's grid. The gauges subtract
-        and rate x joins them, so the jets stay of order one."""
-        xs = self.xs
-        d = Jet(xs, np.broadcast_to(den.coeffs, xs.shape + den.coeffs.shape[-1:]))
-        q = (self.jet / d) * jet_exp(rate, xs, den.order, unit=True)
-        return TauGrid(xs, q.coeffs, self.gauge - den.gauge + rate * xs, self.sign * den.sign)
+        and rate x joins them, so the jets stay of order one: one jet
+        quotient of the coefficients (SingularJetError where den's
+        vanishes) times the unit jet of e^{rate x}."""
+        if self.order != den.order:
+            raise JetMismatchError(f"jet mismatch: order {self.order} vs {den.order}")
+        q = _cauchy(_div(self.coeffs, den.coeffs, den.xs), jet_exp(rate, self.xs, den.order, unit=True).coeffs)
+        return TauGrid(self.xs, q, self.gauge - den.gauge + rate * self.xs, self.sign * den.sign)
 
     def __getitem__(self, p) -> "TauGrid":
         """The taus at the index p of the grid's axes: a row of a stack, a
@@ -701,9 +703,26 @@ def tau_logdet_grid(cfg: SolitonConfig, rule: CoefficientRule | None, xs) -> tup
 # Potential, eigenfunctions, flows
 
 
+#: distance, in units of 1/k_j, that core_halfwidth keeps past the free
+#: centre of soliton j
+_CORE_MARGIN = 6.0
+
+
+def core_halfwidth(cfg: SolitonConfig, base: float) -> float:
+    """Half-width of a domain about x = 0 that holds every soliton core:
+    base/k_1 (base for N = 0), widened to max_j |x_j| + _CORE_MARGIN/k_j,
+    x_j = log(c_j/2k_j)/(2k_j) being the free centre of soliton j under
+    the flowed c (RangeError where the flow does)."""
+    flowed = cfg.flowed()
+    edges = [abs(math.log(c) - math.log(2.0 * k)) / (2.0 * k) + _CORE_MARGIN / k for k, c in zip(flowed.k, flowed.c)]
+    return max([base / cfg.k[0] if cfg.n else base, *edges])
+
+
 def default_grid(cfg: SolitonConfig, npoints: int = 2001) -> np.ndarray:
-    """Uniform grid covering all soliton cores: [-10/k_1, 10/k_1]."""
-    half = 10.0 / cfg.k[0] if cfg.n else 10.0
+    """Uniform grid covering all soliton cores: [-L, L], L =
+    core_halfwidth(cfg, 10), which is 10/k_1 unless a core lies further
+    out."""
+    half = core_halfwidth(cfg, 10.0)
     return np.linspace(-half, half, npoints)
 
 

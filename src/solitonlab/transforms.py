@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .jets import Jet, SingularJetError, jet_det, jet_exp, jet_log_d2
+from .jets import Jet, SingularJetError, _check_order, _integer, jet_det, jet_exp, jet_log_d2
 from .solitons import (
     ConfigError,
     RangeError,
@@ -39,6 +39,7 @@ from .solitons import (
     _check_index,
     _index_set,
     _points,
+    _real,
     addition_rule,
     deletion_rule,
     eigenfunction_grid,
@@ -167,35 +168,48 @@ def eigenfunction_seeds(cfg: SolitonConfig, indices) -> list:
     return [eigenfunction_seed(cfg, j) for j in _index_set(cfg.n, indices)]
 
 
+def _free_seed_jets(k, ctilde, x, order: int) -> TauGrid:
+    """Gauged jets of the zero-potential solutions e^{k_j x} + ctilde_j
+    e^{-k_j x} at energies -k_j^2, for finite reals k and ctilde of one
+    length, x a point or a grid of any shape (solitons._points), stacked
+    over [len(k), *x.shape]: seed j in the gauge s_j = max(k_j x,
+    log|ctilde_j| - k_j x) of its larger term."""
+    x, k, ctilde = _points(x)[0], np.array(k, dtype=float), np.array(ctilde, dtype=float)
+    axes = (len(k),) + (1,) * x.ndim
+    kx, log_c = k.reshape(axes) * x, np.reshape([math.log(abs(v)) if v else -math.inf for v in ctilde], axes)
+    s = np.maximum(kx, -kx + log_c)
+    # the unit jets of e^{+-k_j x} are the same at every point
+    grow, decay = (jet_exp(r, np.zeros(len(k)), order, unit=True).coeffs.reshape(axes + (-1,)) for r in (k, -k))
+    decay = decay * np.copysign(np.exp(-kx + log_c - s), ctilde.reshape(axes))[..., None]
+    return TauGrid(np.broadcast_to(x, s.shape), grow * np.exp(kx - s)[..., None] + decay, s, np.ones(s.shape))
+
+
 def free_seed(k: float, ctilde: float) -> SeedFunction:
-    """Zero-potential solution e^{kx} + ctilde e^{-kx} at energy -k^2, in
-    the gauge s = max(kx, log|ctilde| - kx) of its larger term. Regular
-    Wronskian chains need the signs (-1)^(j-1) ctilde > 0."""
-    log_c = math.log(abs(ctilde)) if ctilde else -math.inf
-
-    def ev(x, order):
-        x = np.asarray(x, dtype=float)
-        s = np.maximum(k * x, -k * x + log_c)
-        grow = jet_exp(k, x, order, unit=True) * np.exp(k * x - s)
-        decay = jet_exp(-k, x, order, unit=True) * np.copysign(np.exp(-k * x + log_c - s), ctilde)
-        return TauGrid(x, (grow + decay).coeffs, s, np.ones(x.shape))
-
-    return SeedFunction(evaluator=ev)
+    """The seed e^{kx} + ctilde e^{-kx}, the one-row case of
+    _free_seed_jets; ConfigError unless k and ctilde are finite reals.
+    Regular Wronskian chains need the signs (-1)^(j-1) ctilde > 0."""
+    k, ctilde = _real(k), _real(ctilde)
+    return SeedFunction(evaluator=lambda x, order: _free_seed_jets([k], [ctilde], x, order)[0])
 
 
 def plane_wave_seed(k: float) -> SeedFunction:
     """Scattering solution e^{ikx} of the zero potential, energy +k^2, in
-    gauge 0."""
+    gauge 0; ConfigError unless k is a finite real."""
+    k = _real(k)
     return SeedFunction(evaluator=lambda x, order: _ungauged(jet_exp(1j * k, x, order)))
 
 
 def seed_config_from_free(k, ctilde) -> SolitonConfig:
     """Spectral data whose tau matches (up to the exponential gauge) the
     Wronskian of the free seeds e^{k_j x} + ctilde_j e^{-k_j x}:
-    c_j = 2 k_j |ctilde_j| * prod_{m != j} (k_j + k_m)/|k_j - k_m|."""
-    k, ctilde = [float(v) for v in k], [float(v) for v in ctilde]
+    c_j = 2 k_j |ctilde_j| * prod_{m != j} (k_j + k_m)/|k_j - k_m|;
+    ConfigError for a k_j or ctilde_j that is not a finite real
+    (solitons._real), a repeated k_j or a broken sign pattern."""
+    k, ctilde = [_real(v) for v in k], [_real(v) for v in ctilde]
     if len(k) != len(ctilde):
         raise ConfigError("k and ctilde length mismatch")
+    if len(set(k)) < len(k):
+        raise ConfigError(f"free seed wavenumber {max(k, key=k.count)} is repeated")
     for j, ct in enumerate(ctilde, start=1):
         if (-1.0) ** (j - 1) * ct <= 0:
             raise ConfigError(f"seed coefficient {j} violates the alternating sign pattern")
@@ -252,14 +266,14 @@ def wronskian(fns: Sequence, x, order: int = 0) -> Jet:
     evaluated once (seed_jets), one jet_wronskian and its true values.
     Accepts SeedFunctions or raw (x, order) -> Jet evaluators; an empty
     list gives the constant 1."""
-    return jet_wronskian(seed_jets(fns, x, max(len(fns) - 1, 0) + order), order, x).values()
+    return jet_wronskian(seed_jets(fns, x, max(len(fns) - 1, 0) + _check_order(order)), order, x).values()
 
 
 def _wronskian_quotient(fns: Sequence, num, den, x, order: int) -> Jet:
     """W[fns[i], i in num] / W[fns[i], i in den] at x, the gauged quotient
     (TauGrid.over) of two Wronskians of one seed_jets evaluation of fns;
     RangeError where its true value overflows."""
-    jets = seed_jets(fns, x, len(fns) - 1 + order)
+    jets = seed_jets(fns, x, len(fns) - 1 + _check_order(order))
     w_num, w_den = (jet_wronskian(jets[list(s)], order, x) for s in (num, den))
     try:
         return w_num.over(w_den).values()
@@ -275,7 +289,10 @@ def generic_darboux(seeds: Sequence, target, x, order: int = 0) -> Jet:
 
 def deleted_seed_image(seeds: Sequence, drop: int, x, order: int = 0) -> Jet:
     """Image of the dropped seed itself: W[seeds without seeds[drop]] /
-    W[seeds], an eigenfunction of the transformed Hamiltonian."""
+    W[seeds], an eigenfunction of the transformed Hamiltonian; ConfigError
+    unless drop is an integer index 0..len(seeds) - 1."""
+    if not 0 <= _integer(drop, "dropped seed index") < len(seeds):
+        raise ConfigError(f"dropped seed index {drop} out of range 0..{len(seeds) - 1}")
     return _wronskian_quotient(seeds, [i for i in range(len(seeds)) if i != drop], range(len(seeds)), x, order)
 
 

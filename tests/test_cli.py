@@ -1,11 +1,14 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from solitonlab import cli
+from solitonlab import cli, numerics
 from solitonlab.solitons import SolitonConfig, default_grid, tau_hirota_grid, tau_logdet_grid
 
 
@@ -26,6 +29,21 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def test_readme_command_lines_parse():
+    # every solitonlab line of README's sh blocks, so that a removed option
+    # cannot linger in the docs
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("solitonlab ")]
+    assert len(lines) >= 10
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
 
 
 class TestConfigParsing:
@@ -235,23 +253,21 @@ class TestScatterAndSpectrum:
 
     def test_scatter_invalid_wavenumber(self, cfg_file, capsys):
         path = cfg_file([1.0], [2.0])
-        # a wavenumber, step or half-width that is not positive and finite
+        # a wavenumber that is not positive and finite; spectrum takes no
+        # step or half-width, the domain rule and the step doubling pick them
         for argv in (
             ["scatter", path, "--k", "-1.0"],
             ["scatter", path, "--k", "inf"],
             ["scatter", path, "--k", "nan"],
-            ["spectrum", path, "--step", "0"],
-            ["spectrum", path, "--step", "-1"],
-            ["spectrum", path, "--step", "nan"],
-            ["spectrum", path, "--halfwidth", "-12"],
+            ["spectrum", path, "--step", "0.05"],
+            ["spectrum", path, "--halfwidth", "12"],
         ):
             code, _ = run(capsys, *argv)
             assert code == 2
 
     def test_spectrum_energies(self, cfg_file, capsys):
         path = cfg_file([1.0, 2.0], [6.0, 12.0])
-        code, out = run(capsys, "spectrum", path, "--format", "json",
-                        "--step", "2e-3")
+        code, out = run(capsys, "spectrum", path, "--format", "json")
         assert code == 0
         rep = json.loads(out)
         assert np.allclose(rep["energies"], [-4.0, -1.0], atol=5e-3)
@@ -263,15 +279,41 @@ class TestScatterAndSpectrum:
         assert code == 0
         rep = json.loads(out)
         assert np.max(np.abs(np.array(rep["energies"]) - [-4.0, -1.0])) <= 1e-9
-        # --step 0.05 is where the step doubling starts, not where it stops
-        assert rep["grid_step"] < 0.05
+        # the step doubling starts at numerics._MIN_STEPS steps over
+        # [-L, L] and settles after at least two more levels
         nsteps = 2.0 * rep["domain_halfwidth"] / rep["grid_step"]
         assert nsteps == pytest.approx(round(nsteps), abs=1e-9)
+        levels = round(nsteps) // numerics._MIN_STEPS
+        assert levels >= 4 and levels & (levels - 1) == 0
 
-    def test_spectrum_undecayed_is_numerical_error(self, cfg_file, capsys):
-        path = cfg_file([0.05], [1.0])  # far from decayed at halfwidth 2
-        code, _ = run(capsys, "spectrum", path, "--halfwidth", "2.0")
+    def test_spectrum_undecayed_is_numerical_error(self, cfg_file, capsys, monkeypatch):
+        # no soliton potential is 0 at the widest default half-width
+        monkeypatch.setattr(numerics, "DECAY_TOL", 0.0)
+        path = cfg_file([0.05], [1.0])
+        code, _ = run(capsys, "spectrum", path)
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "k, c, expected",
+        [([1.0], [1e30], [-1.0]), ([0.7, 1.3], [1e-25, 1.0], [-1.69, -0.49])],
+    )
+    def test_spectrum_finds_cores_far_from_the_origin(self, cfg_file, capsys, k, c, expected):
+        # cores near x = 34 and x = -41, beyond +-12/k_1: the domain rule
+        # widens the half-width to hold them (the energies were [] and [-1.69])
+        path = cfg_file(k, c)
+        code, out = run(capsys, "spectrum", path, "--format", "json")
+        assert code == 0
+        assert np.max(np.abs(np.array(json.loads(out)["energies"]) - expected)) <= 1e-9
+
+    def test_scatter_and_potential_see_a_far_core(self, cfg_file, capsys):
+        path = cfg_file([1.0], [1e30])  # U = -2 sech^2(x - 34.2...)
+        code, out = run(capsys, "scatter", path, "--k", "1", "--format", "json")
+        assert code == 0
+        rep = json.loads(out)
+        assert abs(complex(rep["t_re"], rep["t_im"]) - 1j) <= 1e-8  # t = (i - 1)/(i + 1)
+        code, out = run(capsys, "potential", path, "--format", "json")
+        assert code == 0
+        assert min(json.loads(out)["U"]) == pytest.approx(-2.0, abs=1e-3)
 
     def test_default_domain_widens_until_decayed(self, cfg_file, capsys):
         # |U(+-12/k_1)| = 1.8e-7 for this config, above the 1e-8 decay check

@@ -81,6 +81,9 @@ ORDERS = {
     "tau_jet_sums-second-rule": lambda q: S.tau_jet_sums(CFG, [None, S.drop_rule(3, 2)], GRID, q),
     "eigenfunction": lambda q: S.eigenfunction(CFG, 1, 0.3, q),
     "potential_jet": lambda q: S.potential_jet(CFG, 0.3, q),
+    "wronskian": lambda q: T.wronskian(T.eigenfunction_seeds(CFG, [1, 2]), 0.3, q),
+    "generic_darboux": lambda q: T.generic_darboux(T.eigenfunction_seeds(CFG, [1]), T.free_seed(0.5, 1.0), 0.3, q),
+    "deleted_seed_image": lambda q: T.deleted_seed_image(T.eigenfunction_seeds(CFG, [1, 3]), 0, 0.3, q),
 }
 
 
@@ -173,3 +176,40 @@ def test_grid_of_excluded_points_keeps_its_failed_report():
     # points exist but every one underflows below the exclusion floor
     r = I.verify_deletion_determinant(CFG, [1, 3], np.array([990.0, 1000.0]))
     assert not r.passed and r.excluded_points == 2 and r.max_abs_deviation == math.inf
+
+
+#: seed inputs, each of which gave a NaN Wronskian, the constant 1 or a
+#: bare ZeroDivisionError
+BAD_SEEDS = {
+    "free_seed-k-nan": lambda: T.free_seed(math.nan, 1.0),
+    "free_seed-ctilde-inf": lambda: T.free_seed(1.0, math.inf),
+    "free_seed-ctilde-string": lambda: T.free_seed(1.0, "2"),
+    "plane_wave_seed-nan": lambda: T.plane_wave_seed(math.nan),
+    "verify_seed_wronskian-inf": lambda: I.verify_seed_wronskian([1.0, math.inf], [1.0, -1.0], GRID),
+    "deleted_seed_image-past-the-end": lambda: T.deleted_seed_image(T.eigenfunction_seeds(CFG, [1, 3]), 5, GRID),
+    "deleted_seed_image-negative": lambda: T.deleted_seed_image(T.eigenfunction_seeds(CFG, [1, 3]), -1, GRID),
+    "deleted_seed_image-fraction": lambda: T.deleted_seed_image(T.eigenfunction_seeds(CFG, [1, 3]), 0.5, GRID),
+    "deleted_seed_image-bool": lambda: T.deleted_seed_image(T.eigenfunction_seeds(CFG, [1, 3]), True, GRID),
+    "verify_seed_wronskian-repeated-k": lambda: I.verify_seed_wronskian([1.0, 1.0], [1.0, -1.0], GRID),
+    "verify_seed_wronskian-string": lambda: I.verify_seed_wronskian([1.0, 2.0], ["1", -1.0], GRID),
+}
+
+
+@pytest.mark.parametrize("entry", BAD_SEEDS)
+def test_bad_seed_input_is_a_config_error(entry):
+    with pytest.raises(ConfigError):
+        BAD_SEEDS[entry]()
+
+
+def test_repeated_free_seed_wavenumber_is_named():
+    with pytest.raises(ConfigError, match="wavenumber 1.0 is repeated"):
+        T.seed_config_from_free([1.0, 2.0, 1.0], [1.0, -1.0, 1.0])
+
+
+def test_free_seed_is_the_one_row_of_the_batch():
+    k, ctilde = [0.8, 1.6, 2.2], [1.3, -0.9, 0.0]
+    stack = T._free_seed_jets(k, ctilde, GRID, 3)
+    for j, (kj, ct) in enumerate(zip(k, ctilde)):
+        row = T.free_seed(kj, ct).evaluator(GRID, 3)
+        for f in ("xs", "coeffs", "gauge", "sign"):
+            assert np.array_equal(getattr(stack[j], f), getattr(row, f))

@@ -70,7 +70,7 @@ class TestSpectrum:
         assert sp.energies[1] == pytest.approx(-1.0, abs=5e-4)
 
     def test_trivial_potential(self):
-        sp = N.bound_spectrum(lambda x: np.zeros_like(np.asarray(x, dtype=float)), 10.0, 2e-3)
+        sp = N.bound_spectrum(lambda x: np.zeros_like(np.asarray(x, dtype=float)), 10.0)
         assert sp.energies == ()
 
     def test_random_n3(self):
@@ -160,7 +160,7 @@ class TestSpectrum:
 
     def test_unsettled_energies_are_solver_error(self, monkeypatch):
         # two levels make one Richardson extrapolation, not two to compare
-        monkeypatch.setattr(N, "_MAGNUS_MAX_STEPS", 1000)
+        monkeypatch.setattr(N, "_MAGNUS_MAX_STEPS", 2 * N._MIN_STEPS)
         with pytest.raises(N.SolverError):
             N.bound_spectrum(S.potential_fn(SolitonConfig((1.0, 2.0), (6.0, 12.0))), 12.0)
 
@@ -168,13 +168,11 @@ class TestSpectrum:
         with pytest.raises(N.DomainError):
             N.bound_spectrum(lambda x: np.full_like(np.asarray(x, dtype=float), -1.0), 10.0)
 
-    def test_nonpositive_or_nonfinite_domain_or_step_rejected(self):
+    def test_nonpositive_or_nonfinite_domain_rejected(self):
         ufn = S.potential_fn(SolitonConfig((1.0,), (2.0,)))
-        bad = [(0.0, 0.05), (-12.0, 0.05), (math.inf, 0.05)]
-        bad += [(12.0, 0.0), (12.0, -1.0), (12.0, math.nan)]
-        for L, step in bad:
+        for L in (0.0, -12.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="positive and finite"):
-                N.bound_spectrum(ufn, L, step)
+                N.bound_spectrum(ufn, L)
 
 
 class TestMagnusKernel:
@@ -195,12 +193,12 @@ class TestMagnusKernel:
         assert N._sturm_count(u, h, np.array([kappa])) == [below]
 
     def test_scatter_samples_a_quarter_of_plain_doubling(self):
-        # plain step doubling refined 1372 -> 43904 steps here, 172872 points
+        # plain step doubling refined 1024 -> 65536 steps here, 260096 points
         sizes = []
         N.scatter(_counting(S.potential_fn(self.CFG4), sizes), 0.5, 24.0 / 0.7)
         assert sizes[:2] == [1, 1]
-        assert sizes[2:] == [2 * 1372 * 2**i for i in range(4)]
-        assert sum(sizes) <= 172872 / 4
+        assert sizes[2:] == [2 * 1024 * 2**i for i in range(4)]
+        assert sum(sizes) <= 260096 / 4
 
     @pytest.mark.parametrize("routine", ["scatter", "bound_spectrum"])
     def test_potential_sampled_once_per_level(self, routine):
@@ -289,6 +287,20 @@ class TestQuadrature:
         monkeypatch.setattr(N, "_MAGNUS_MAX_STEPS", 1 << 10)
         with pytest.raises(N.SolverError):
             N.quadrature(lambda x: np.sin(1.0 / (np.abs(x) + 1e-14)), -1.0, 1.0, 1e-14)
+
+    def test_narrow_peak_on_a_wide_interval(self):
+        # 2000 widths across [-10, 10]: every level starts at _MIN_STEPS
+        # steps, where one starting at two steps settled on 5.5e-227
+        f = lambda x: np.exp(-(((x - 0.3) / 0.01) ** 2))
+        assert N.quadrature(f, -10.0, 10.0) == pytest.approx(0.01 * math.sqrt(math.pi), abs=1e-10)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_not_positive_and_finite_is_value_error(self, tol):
+        # a NaN or negative tol ran the whole step budget into SolverError
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            N.quadrature(np.exp, 0.0, 1.0, tol)
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            N._step_doubling(np.exp, 1.0, lambda u, h: u.sum(), tol, "sum")
 
     def test_narrow_off_centre_bump(self):
         # width 0.01 at x = 0.3: no node of the first two levels comes near it

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from solitonlab import dd, solitons as S
 from solitonlab.identities import run_identity_suite
-from solitonlab.jets import Jet, jet_exp, jet_log_d2
+from solitonlab.jets import Jet, JetMismatchError, SingularJetError, jet_exp, jet_log_d2
 from solitonlab.solitons import (
     CoefficientRule,
     ConfigError,
@@ -689,6 +689,56 @@ class TestTauRatio:
             g.values()
         ok = S.TauGrid(xs[:2], g.coeffs[:2], g.gauge[:2], -g.sign[:2]).values()
         assert np.array_equal(ok.value, [-1.0, -math.exp(709.5)])
+
+
+    def test_over_a_vanishing_denominator_names_the_point(self):
+        xs = np.array([-1.0, 0.5, 2.0])
+        num = S.TauGrid(xs, np.ones((3, 2)), np.zeros(3), np.ones(3))
+        den = S.TauGrid(xs, np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]), np.zeros(3), np.ones(3))
+        with pytest.raises(SingularJetError, match="x=0.5"):
+            num[None].over(den)
+        with pytest.raises(JetMismatchError):
+            num.over(num.truncate(0))
+
+    def test_over_a_stack_is_over_each_row(self):
+        cfg = S.random_config(np.random.default_rng(131), n=4)
+        xs = np.linspace(-4.0, 4.0, 9)
+        taus = S.tau_jet_sums(cfg, [None] + [S.eigenfunction_rule(cfg, j) for j in (1, 3)], xs, 2)
+        rates = np.array([[-0.5], [1.25]])
+        stack = taus[1:].over(taus[0], rates)
+        for row, rate in zip(range(2), rates[:, 0]):
+            alone = taus[1 + row].over(taus[0], rate)
+            for f in ("coeffs", "gauge", "sign"):
+                assert np.array_equal(getattr(stack[row], f), getattr(alone, f))
+
+
+class TestDomain:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cores_near_the_origin_keep_the_base_width(self, seed):
+        # random_config draws have |x_j| <= 2.4/k_j, well inside 10/k_1
+        cfg = S.random_config(np.random.default_rng(seed))
+        assert S.core_halfwidth(cfg, 10.0) == 10.0 / cfg.k[0]
+        assert np.array_equal(S.default_grid(cfg, 11), np.linspace(-10.0 / cfg.k[0], 10.0 / cfg.k[0], 11))
+
+    @pytest.mark.parametrize("k, c", [((1.0,), (1e30,)), ((0.7, 1.3), (1e-25, 1.0))])
+    def test_far_cores_widen_the_domain(self, k, c):
+        # free centres near x = 34.2 and x = -41.4, beyond 10/k_1
+        cfg = SolitonConfig(k, c)
+        centre = [math.log(cj / (2.0 * kj)) / (2.0 * kj) for kj, cj in zip(k, c)]
+        half = S.core_halfwidth(cfg, 10.0)
+        assert half == pytest.approx(max(abs(x0) + 6.0 / kj for x0, kj in zip(centre, k)), rel=1e-15)
+        xs = S.default_grid(cfg)
+        assert xs[-1] == half
+        # the far well, of depth -2 k_j^2, is on the grid
+        j = int(np.argmax(np.abs(centre)))
+        near = np.abs(xs - centre[j]) < 3.0 / k[j]
+        assert np.min(S.potential_fn(cfg)(xs[near])) < -1.9 * k[j] ** 2
+
+    def test_the_flowed_centre_counts(self):
+        # t_3 = 10 moves the soliton from x = 0 to x = 4 k^2 t = 40
+        cfg = SolitonConfig((1.0,), (2.0,), {3: 10.0})
+        assert S.core_halfwidth(cfg, 10.0) == pytest.approx(46.0, rel=1e-12)
+        assert S.core_halfwidth(SolitonConfig((), ()), 10.0) == 10.0
 
 
 class TestPotential:
