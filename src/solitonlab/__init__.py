@@ -14,7 +14,6 @@ from .solitons import (
     SolitonConfig,
     TauGrid,
     addition_rule,
-    apply_time_flows,
     default_grid,
     deletion_rule,
     drop_rule,
@@ -22,6 +21,7 @@ from .solitons import (
     eigenfunction,
     eigenfunction_grid,
     eigenfunction_rule,
+    kdv_residual,
     pair_rule,
     potential,
     potential_fn,
@@ -68,7 +68,6 @@ from .numerics import (
     ScatteringResult,
     SpectrumResult,
     bound_spectrum,
-    kdv_residual,
     phase_shift_check,
     quadrature,
     scatter,

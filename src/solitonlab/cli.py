@@ -79,9 +79,10 @@ def _positive(text: str) -> float:
     return v
 
 
-def _grid_from_args(args, cfg: SolitonConfig) -> np.ndarray:
+def _grid_from_args(args, *cfgs: SolitonConfig) -> np.ndarray:
+    """The --grid, or else the widest default_grid of the configs."""
     if args.grid is None:
-        return default_grid(cfg)
+        return max((default_grid(cfg) for cfg in cfgs), key=lambda xs: xs[-1])
     xmin, xmax, n = args.grid
     if not (math.isfinite(xmin) and math.isfinite(xmax) and xmin < xmax and n >= 2 and n.is_integer()):
         raise ConfigError("grid requires finite xmin < xmax and an integral npoints >= 2")
@@ -112,14 +113,11 @@ def cmd_eigen(cfg: SolitonConfig, args, out) -> int:
 
 
 def cmd_evolve(cfg: SolitonConfig, args, out) -> int:
-    xs = _grid_from_args(args, cfg)
     tvals = [float(t) for t in args.t_values.split(",")]
-    base = dict(cfg.times or {})
-    for t in tvals:
-        times = dict(base)
-        times[3] = times.get(3, 0.0) + t
-        flowed = SolitonConfig(cfg.k, cfg.c, times)
-        us = potential_fn(flowed)(xs)
+    advanced = [cfg.advanced(t) for t in tvals]
+    xs = _grid_from_args(args, *advanced)
+    blocks = [potential_fn(cfg_t)(xs) for cfg_t in advanced]  # all first: a failure prints no block
+    for t, us in zip(tvals, blocks):
         out.write(f"# t={_fmt(t)}\n")
         _csv_rows(out, ("x", "U"), zip(xs, us))
     return EXIT_OK

@@ -6,8 +6,8 @@ forms is a genuine two-sided check. One Richardson step-doubling driver
 runs a batched Magnus propagator (amplitudes at real k; bound states as
 zeros of the Jost coefficient a(i kappa), bracketed by Sturm-count
 bisection) and Gauss-Legendre quadrature, the oracle for the closed-form
-overlap integrals. There are also the KdV residual of the flowing
-potential and two-soliton phase shifts from located potential minima.
+overlap integrals. Two-soliton phase shifts come from located potential
+minima, with the config moved in time by SolitonConfig.advanced alone.
 Everything runs on numpy alone.
 """
 
@@ -20,7 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .solitons import SolitonConfig, _log_tau_cumulants, apply_time_flows, potential_fn
+from .jets import ConfigError
+from .solitons import SolitonConfig, potential_fn
 
 
 #: largest |U| accepted at the ends of a truncated domain
@@ -415,19 +416,6 @@ def quadrature(f: Callable, a: float, b: float, tol: float = 1e-10) -> float:
     return float(_step_doubling(lambda t: f(mid + t), half, rule, tol, "quadrature")[0])
 
 
-def kdv_residual(cfg: SolitonConfig, x, t: float | None = None):
-    """|dU/dt - 6 U dU/dx + d^3U/dx^3| at (x, t) for the lowest flow, x a
-    point or a grid (results of x's shape), from one pass over u = sum_S w_S
-    e^{R_S x + T_S t} (never finite-differenced): U^(n) = -2
-    kappa_{n+2}(R), dU/dt = -2 E[(T - Tbar)(R - Rbar)^2]; N <= 24."""
-    if t is not None:
-        times = dict(cfg.times or {})
-        times[3] = times.get(3, 0.0) + float(t)
-        cfg = SolitonConfig(cfg.k, cfg.c, times)
-    u, ux, _, uxxx, ut = -2.0 * np.moveaxis(_log_tau_cumulants(cfg, 3, joint=True)(x), -1, 0)
-    return np.abs(ut - 6.0 * u * ux + uxxx)
-
-
 def _potential_minimum(ufn: Callable, lo: float, hi: float) -> float:
     """Minimizer of ufn on [lo, hi]: the argmin of a 33-point grid, zoomed
     onto its neighbours until the bracket is ~1e-3 of the original, then
@@ -474,9 +462,12 @@ def phase_shift_check(cfg: SolitonConfig, t_pair: tuple) -> float:
     faster soliton is advanced by a/(2 k_2) before the collision and
     free afterwards, the slower one the other way round. Returns the
     maximum absolute deviation. ValueError unless t_pair[0] < 0 < t_pair[1],
-    as the offsets expected are those before and after the collision."""
+    and ConfigError for a config with times: the offsets expected are those
+    before and after a collision at t = 0 of the data as given."""
     if cfg.n != 2:
         raise ValueError("phase-shift check requires exactly two solitons")
+    if cfg.times:
+        raise ConfigError(f"phase-shift check takes a config without hierarchy times, not {cfg.times}")
     tm, tp = (float(t_pair[0]), float(t_pair[1]))
     if not tm < 0.0 < tp:
         raise ValueError(f"phase-shift times must straddle the collision, t_before < 0 < t_after: {t_pair}")
@@ -489,8 +480,7 @@ def phase_shift_check(cfg: SolitonConfig, t_pair: tuple) -> float:
     expected = {0: (0.0, a12 / (2.0 * k1)), 1: (a12 / (2.0 * k2), 0.0)}
     worst = 0.0
     for t, side in ((tm, 0), (tp, 1)):
-        flowed = apply_time_flows(SolitonConfig(cfg.k, cfg.c, {3: t}))
-        ufn = potential_fn(flowed)
+        ufn = potential_fn(cfg.advanced(t))
         centers = []
         for j in range(2):
             guess = free_center(j, t) + expected[j][side]

@@ -140,26 +140,40 @@ class SolitonConfig:
         return tuple(-kj * kj for kj in self.k)
 
     def flowed(self) -> "SolitonConfig":
-        """Config with hierarchy times folded into the c parameters."""
+        """Hierarchy times folded into c, c_j -> c_j exp(sum_n (2 k_j)^n t_n);
+        RangeError where that exponent or a flowed c leaves exp(+-700)."""
         if not self.times:
             return self if self.times is None else SolitonConfig(self.k, self.c)
-        return apply_time_flows(self)
+        newc = []
+        for kj, cj in zip(self.k, self.c):
+            expo = sum((2.0 * kj) ** n * t for n, t in self.times.items())
+            if abs(expo) > 700.0 or abs(math.log(cj) + expo) > 700.0:
+                raise RangeError(f"time-flow exponent out of range for k={kj}")
+            newc.append(cj * math.exp(expo))
+        return SolitonConfig(self.k, tuple(newc))
+
+    def advanced(self, t) -> "SolitonConfig":
+        """The config t later in the KdV flow: t (by _real) added to t_3, other
+        times kept."""
+        times = dict(self.times or {})
+        times[3] = times.get(3, 0.0) + _real(t)
+        return SolitonConfig(self.k, self.c, times)
 
 
 @dataclass(frozen=True)
 class CoefficientRule:
     """Per-index multiplicative rewrite c_m -> factors[m] * c_m.
 
-    Rules compose by pointwise product; a factor of exactly 0 removes
-    that soliton from the tau function. Negative factors are legal (the
-    eigenfunction numerators need them) even though they leave the space
-    of valid potentials.
+    Each factor is a finite real, read by _real. Rules compose by pointwise
+    product; a factor of exactly 0 removes that soliton from the tau
+    function. Negative factors are legal (the eigenfunction numerators
+    need them) even though they leave the space of valid potentials.
     """
 
     factors: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(float(f) for f in self.factors))
+        object.__setattr__(self, "factors", tuple(_real(f) for f in self.factors))
 
     @staticmethod
     def identity(n: int) -> "CoefficientRule":
@@ -916,24 +930,18 @@ def matrix_values(rows: Jet) -> np.ndarray:
     return np.moveaxis(rows.value, (0, 1), (-2, -1))
 
 
-def apply_time_flows(cfg: SolitonConfig) -> SolitonConfig:
-    """Fold hierarchy times into the norming constants:
-    c_j -> c_j exp(sum_n (2 k_j)^(2n+1) t_(2n+1)). Iso-spectral."""
-    if not cfg.times:
-        return SolitonConfig(cfg.k, cfg.c)
-    newc = []
-    for kj, cj in zip(cfg.k, cfg.c):
-        expo = sum((2.0 * kj) ** n * t for n, t in cfg.times.items())
-        if abs(expo) > 700.0 or abs(math.log(cj) + expo) > 700.0:
-            raise RangeError(f"time-flow exponent out of range for k={kj}")
-        newc.append(cj * math.exp(expo))
-    return SolitonConfig(cfg.k, tuple(newc))
-
-
 def dt_potential(cfg: SolitonConfig, x):
     """dU/dt at x for the lowest flow (c_j rate 8 k_j^3), analytically:
     -2 E[(T - Tbar)(R - Rbar)^2] over the positive-weight sum (N <= 24)."""
     return -2.0 * _log_tau_cumulants(cfg, 0, joint=True)(x)[..., -1]
+
+
+def kdv_residual(cfg: SolitonConfig, x):
+    """|dU/dt - 6 U dU/dx + d^3U/dx^3| at x, of x's shape, at the config's
+    times (cfg.advanced(t) for later ones), from the cumulants of
+    dt_potential and potential_jet in one pass (never finite-differenced)."""
+    u, ux, _, uxxx, ut = -2.0 * np.moveaxis(_log_tau_cumulants(cfg, 3, joint=True)(x), -1, 0)
+    return np.abs(ut - 6.0 * u * ux + uxxx)
 
 
 # ---------------------------------------------------------------------------

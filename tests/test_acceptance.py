@@ -204,7 +204,7 @@ def test_10_kdv_residual_and_phase_shift():
         cfg = S.random_config(rng, n_range=(1, 4), k_range=(0.3, 2.5))
         xs = np.linspace(-6.0 / cfg.k[0], 6.0 / cfg.k[0], 9)
         for t in np.linspace(-0.3, 0.3, 5):
-            worst = max(worst, float(np.max(N.kdv_residual(cfg, xs, float(t)))))
+            worst = max(worst, float(np.max(S.kdv_residual(cfg.advanced(t), xs))))
     shift_dev = N.phase_shift_check(SolitonConfig((1.0, 2.0), (1.0, 1.0)), (-3.0, 3.0))
     ok = worst < 1e-8 and shift_dev < 1e-3
     _report(10, "kdv residual and phase shift", ok,

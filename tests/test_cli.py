@@ -232,10 +232,30 @@ class TestEigenAndEvolve:
                     "--grid", "-1", "1", "5")
         assert ev.splitlines()[1:] == ref.splitlines()
 
+    def test_evolve_default_grid_covers_every_block(self, cfg_file, capsys):
+        # the soliton of depth -2 moves to x = 40 by t = 10; the grid of the
+        # config at t = 0 (+-10) held only its far field
+        path = cfg_file([1.0], [2.0])
+        code, out = run(capsys, "evolve", path, "--t-values=10")
+        assert code == 0
+        rows = np.array([[float(v) for v in line.split(",")] for line in out.splitlines()[2:]])
+        assert rows.shape == (2001, 2) and (rows[0, 0], rows[-1, 0]) == (-46.0, 46.0)
+        assert rows[:, 1].min() < -1.99 and abs(rows[np.argmin(rows[:, 1]), 0] - 40.0) < 0.05
+
+    def test_evolve_blocks_share_the_widest_default_grid(self, cfg_file, capsys):
+        path = cfg_file([1.0], [2.0])
+        _, out = run(capsys, "evolve", path, "--t-values=0,10")
+        lines = out.splitlines()
+        xs = [[line.split(",")[0] for line in lines[b + 2 : b + 2003]] for b in (0, 2003)]
+        assert lines[2003] == "# t=10.0" and xs[0] == xs[1] and (xs[0][0], xs[0][-1]) == ("-46.0", "46.0")
+
     def test_evolve_overflow_is_numerical_error(self, cfg_file, capsys):
         path = cfg_file([1.0, 2.0], [6.0, 12.0])
         code, _ = run(capsys, "evolve", path, "--t-values", "1e6")
         assert code == 3
+        # no block is printed when a later one fails, on any grid
+        for grid in ((), ("--grid", "-1", "1", "3")):
+            assert run(capsys, "evolve", path, "--t-values=0,1e6", *grid) == (3, "")
         # a flow that takes c_2 below exp(-700), not to 0 ("must be positive")
         path = cfg_file([1.0, 2.0], [1.0, 1.0], times={"3": -12}, name="underflow.json")
         code, _ = run(capsys, "potential", path)
@@ -443,6 +463,10 @@ class TestChecks:
         code, out = run(capsys, "phase-shift", path, "--T", "3.0")
         assert code == 0
         assert json.loads(out)["pass"] is True
+
+    def test_phase_shift_config_with_times_is_usage_error(self, cfg_file, capsys):
+        path = cfg_file([1.0, 2.0], [1.0, 1.0], times={"3": 0.5, "5": 0.01})
+        assert run(capsys, "phase-shift", path) == (2, "")
 
     @pytest.mark.parametrize("T", ["-3", "0", "nan", "inf", "-inf", "x"])
     def test_phase_shift_T_must_be_positive_and_finite(self, cfg_file, capsys, T):

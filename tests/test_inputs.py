@@ -70,6 +70,17 @@ def test_bad_addition_parameters_are_a_config_error(entry, params):
         ADDITIONS[entry](params)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "2", True, np.True_], ids=repr)
+def test_bad_rule_factor_is_a_config_error(bad):
+    # float() read "2" as 2.0 and True as 1.0, and a NaN or inf factor gave
+    # NaN from the jet sums and log|u| = -inf with sign 0 from the
+    # determinant, which reads as an underflow
+    with pytest.raises(ConfigError):
+        S.CoefficientRule((bad, 1.0, 1.0))
+    with pytest.raises(ConfigError):
+        S.rescale_rule(CFG.n, 1, bad)
+
+
 def test_no_rules_is_a_config_error():
     with pytest.raises(ConfigError):
         S.tau_jet_sums(CFG, [], GRID, 0)

@@ -327,18 +327,18 @@ class TestQuadrature:
 
 class TestKdV:
     def test_trivial(self):
-        assert N.kdv_residual(SolitonConfig((), ()), 0.3, 0.1) == 0.0
+        assert S.kdv_residual(SolitonConfig((), ()).advanced(0.1), 0.3) == 0.0
 
     def test_single_soliton(self):
         # measured worst 1.8e-15; bound 10x that, rounded up
         cfg = SolitonConfig((1.0,), (2.0,))
         for t in (-0.2, 0.0, 0.3):
-            assert np.all(N.kdv_residual(cfg, np.linspace(-5, 5, 11), t) < 2e-14)
+            assert np.all(S.kdv_residual(cfg.advanced(t), np.linspace(-5, 5, 11)) < 2e-14)
 
     def test_three_soliton_grid(self):
         # measured worst 5.7e-14; bound 10x that, rounded up
         cfg = S.random_config(np.random.default_rng(44), n=3, k_range=(0.3, 2.5))
-        worst = max(np.max(N.kdv_residual(cfg, np.linspace(-6, 6, 9), float(t))) for t in np.linspace(-0.3, 0.3, 5))
+        worst = max(np.max(S.kdv_residual(cfg.advanced(t), np.linspace(-6, 6, 9))) for t in np.linspace(-0.3, 0.3, 5))
         assert worst < 6e-13
 
     def test_twenty_solitons(self):
@@ -347,7 +347,7 @@ class TestKdV:
         # that, rounded up
         cfg = S.random_config(np.random.default_rng(20), n=20, k_range=(0.2, 8.0), min_gap=0.3)
         xs = np.linspace(-6.0 / cfg.k[0], 6.0 / cfg.k[0], 9)
-        worst = max(np.max(N.kdv_residual(cfg, xs, t)) for t in (-0.01, 0.0, 0.01))
+        worst = max(np.max(S.kdv_residual(cfg.advanced(t), xs)) for t in (-0.01, 0.0, 0.01))
         assert worst < 9e-10
 
     def test_grid_matches_per_point_loop(self):
@@ -357,11 +357,11 @@ class TestKdV:
         # rounded up
         cfg = S.random_config(np.random.default_rng(45), n=4, k_range=(0.3, 2.5))
         xs = np.linspace(-6, 6, 9)
-        assert N.kdv_residual(cfg, 0.5, 0.1).shape == ()
+        assert S.kdv_residual(cfg.advanced(0.1), 0.5).shape == ()
         for t in (-0.3, 0.1, 0.3):
-            r = N.kdv_residual(cfg, xs, t)
+            r = S.kdv_residual(cfg.advanced(t), xs)
             assert r.shape == xs.shape
-            assert np.max(np.abs(r - [N.kdv_residual(cfg, float(x), t) for x in xs])) < 3e-13
+            assert np.max(np.abs(r - [S.kdv_residual(cfg.advanced(t), float(x)) for x in xs])) < 3e-13
 
 
 class TestPotentialMinimum:
@@ -404,6 +404,18 @@ class TestPhaseShift:
         # the collision; reversed, a valid pair read as failing
         with pytest.raises(ValueError):
             N.phase_shift_check(SolitonConfig((1.0, 2.0), (6.0, 12.0)), t_pair)
+
+    @pytest.mark.parametrize("times", [{3: 0.5}, {5: 0.01}, {3: 0.5, 5: 0.01}], ids=repr)
+    def test_config_with_times_is_refused(self, times):
+        # the expected offsets are those of a collision at t = 0 of the data
+        # as given; {3: 0.5, 5: 0.01} was rebuilt as {3: t} and returned the
+        # untimed deviation bitwise
+        with pytest.raises(S.ConfigError):
+            N.phase_shift_check(SolitonConfig((1.0, 2.0), (1.0, 1.0), times), (-3.0, 3.0))
+
+    def test_empty_times_are_no_times(self):
+        untimed = N.phase_shift_check(SolitonConfig((1.0, 2.0), (1.0, 1.0)), (-3.0, 3.0))
+        assert N.phase_shift_check(SolitonConfig((1.0, 2.0), (1.0, 1.0), {}), (-3.0, 3.0)) == untimed
 
     def test_unseparated_raises(self):
         cfg = SolitonConfig((1.0, 1.05), (1.0, 1.0))

@@ -48,6 +48,19 @@ def test_no_unused_module_imports():
     assert found == []
 
 
+def test_numerics_reads_solitons_as_a_black_box():
+    # numerics consumes U as a map x -> U(x) and moves a config only
+    # through its public methods, so it imports no private name of solitons
+    tree = ast.parse((SRC / "numerics.py").read_text(encoding="utf-8"))
+    names = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "solitons"
+        for alias in node.names
+    ]
+    assert names and [n for n in names if n.startswith("_")] == []
+
+
 def test_no_point_or_grid_branches():
     # a point is a grid of shape (), so no module asks "point or grid?".
     # Results take x's shape through elementwise operations, and only the

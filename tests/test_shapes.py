@@ -8,7 +8,7 @@ import functools
 import numpy as np
 import pytest
 
-from solitonlab import identities as I, numerics as N, solitons as S, transforms as T
+from solitonlab import identities as I, solitons as S, transforms as T
 from solitonlab.jets import Jet
 from solitonlab.solitons import SolitonConfig
 
@@ -41,7 +41,7 @@ ROUTES = {
     "potential": lambda cfg, x: S.potential(cfg, x),
     "potential_jet": lambda cfg, x: S.potential_jet(cfg, x, 3),
     "dt_potential": lambda cfg, x: S.dt_potential(cfg, x),
-    "kdv_residual": lambda cfg, x: N.kdv_residual(cfg, x, 0.1),
+    "kdv_residual": lambda cfg, x: S.kdv_residual(cfg, x),
     "inner_tail": lambda cfg, x: I.inner_tail(cfg, 1, 3, x),
     "wronskian": lambda cfg, x: T.wronskian([*seeds(cfg)[0], seeds(cfg)[1]], x, 1),
     "seed_jets": lambda cfg, x: rows(T.seed_jets([*seeds(cfg)[0], *FREE], x, 1), 4),
@@ -108,11 +108,10 @@ CHECKS = {
 TIMED = SolitonConfig(CFG.k, CFG.c, {3: 0.05, 5: -0.002})
 
 
-@pytest.mark.parametrize("route", [*(r for r in ROUTES if r != "kdv_residual"), *CHECKS])
+@pytest.mark.parametrize("route", [*ROUTES, *CHECKS])
 def test_hierarchy_times_are_folded_where_c_is_read(route):
     # a config with times gives bitwise the results of its flowed config:
-    # the times are folded once, by the code that reads c. kdv_residual is
-    # left out: it adds its t to t_3 before folding, which rounds otherwise
+    # the times are folded once, by the code that reads c
     if route in CHECKS:
         timed, flowed = (repr(CHECKS[route](cfg, GRID)) for cfg in (TIMED, TIMED.flowed()))
         assert timed == flowed

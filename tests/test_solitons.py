@@ -1001,22 +1001,34 @@ class TestEigenfunctions:
 class TestFlows:
     def test_zero_times_unchanged(self):
         cfg = SolitonConfig((1.0,), (2.0,), times={3: 0.0})
-        assert S.apply_time_flows(cfg).c == (2.0,)
+        assert cfg.flowed().c == (2.0,)
 
     def test_t3_flow(self):
         cfg = SolitonConfig((1.0,), (2.0,), times={3: 0.1})
-        assert S.apply_time_flows(cfg).c[0] == pytest.approx(2.0 * math.exp(0.8))
+        assert cfg.flowed().c[0] == pytest.approx(2.0 * math.exp(0.8))
 
     def test_t5_flow(self):
         cfg = SolitonConfig((1.0,), (1.0,), times={5: 0.01})
-        assert S.apply_time_flows(cfg).c[0] == pytest.approx(math.exp(0.32))
+        assert cfg.flowed().c[0] == pytest.approx(math.exp(0.32))
 
     def test_flow_overflow(self):
         # t = -10 would make c underflow to 0 instead
         for t in (10.0, -10.0):
             cfg = SolitonConfig((4.0,), (1.0,), times={3: t})
             with pytest.raises(RangeError):
-                S.apply_time_flows(cfg)
+                cfg.flowed()
+
+    def test_advanced_adds_to_t3_and_keeps_the_rest(self):
+        cfg = SolitonConfig((1.0, 2.0), (1.0, 3.0), {3: 0.25, 5: -0.01})
+        assert cfg.advanced(0.5) == SolitonConfig(cfg.k, cfg.c, {3: 0.75, 5: -0.01})
+        assert cfg.advanced(np.float64(0.5)) == cfg.advanced(0.5)
+        assert SolitonConfig(cfg.k, cfg.c).advanced(-0.5).times == {3: -0.5}
+        assert cfg.times == {3: 0.25, 5: -0.01}
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, "0.5", True], ids=repr)
+    def test_advanced_refuses_a_non_finite_t(self, t):
+        with pytest.raises(ConfigError):
+            SolitonConfig((1.0,), (2.0,)).advanced(t)
 
     def test_dt_potential_trivial(self):
         assert S.dt_potential(SolitonConfig((), ()), 0.3) == 0.0
